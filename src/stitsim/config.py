@@ -86,6 +86,17 @@ def _require_keys(d: dict, allowed: set[str], required: set[str], where: str):
         raise ConfigError(f"missing keys {sorted(missing)} in {where}")
 
 
+def _float(x, what: str) -> float:
+    """float(x) for a config number; NaN and infinities are config errors."""
+    try:
+        v = float(x)
+    except (ValueError, TypeError) as e:
+        raise ConfigError(f"{what}: {e}") from e
+    if not math.isfinite(v):
+        raise ConfigError(f"{what} must be a finite number, got {v!r}")
+    return v
+
+
 def measure_from_json(d: dict) -> DrivingMeasure:
     _require_keys(d, {"gamma", "directional"}, {"gamma", "directional"}, "measure")
     dd = d["directional"]
@@ -94,14 +105,15 @@ def measure_from_json(d: dict) -> DrivingMeasure:
     try:
         if dd["kind"] == "isotropic2d":
             _require_keys(dd, {"kind"}, {"kind"}, "directional")
-            return DrivingMeasure(float(d["gamma"]), Isotropic2D())
+            return DrivingMeasure(_float(d["gamma"], "gamma"), Isotropic2D())
         if dd["kind"] == "discrete":
             _require_keys(dd, {"kind", "axes"}, {"kind", "axes"}, "directional")
             axes = []
             for ax in dd["axes"]:
                 _require_keys(ax, {"u", "w"}, {"u", "w"}, "axis")
-                axes.append((tuple(float(x) for x in ax["u"]), float(ax["w"])))
-            return DrivingMeasure(float(d["gamma"]), Discrete(tuple(axes)))
+                axes.append((tuple(_float(x, "axis u") for x in ax["u"]),
+                             _float(ax["w"], "axis w")))
+            return DrivingMeasure(_float(d["gamma"], "gamma"), Discrete(tuple(axes)))
     except (ValueError, TypeError) as e:
         raise ConfigError(str(e)) from e
     raise ConfigError(f"unknown directional kind {dd['kind']!r}")
@@ -113,11 +125,11 @@ def window_from_json(d: dict):
     try:
         if d["kind"] == "box":
             _require_keys(d, {"kind", "lo", "hi"}, {"kind", "lo", "hi"}, "window")
-            return geo.Box(tuple(float(x) for x in d["lo"]),
-                           tuple(float(x) for x in d["hi"]))
+            return geo.Box(tuple(_float(x, "window lo") for x in d["lo"]),
+                           tuple(_float(x, "window hi") for x in d["hi"]))
         if d["kind"] == "polygon":
             _require_keys(d, {"kind", "vertices"}, {"kind", "vertices"}, "window")
-            return geo.Polygon2D(tuple(tuple(float(x) for x in p)
+            return geo.Polygon2D(tuple(tuple(_float(x, "window vertex") for x in p)
                                        for p in d["vertices"]))
     except (ValueError, TypeError) as e:
         raise ConfigError(str(e)) from e
@@ -166,7 +178,7 @@ def run_config_from_json(d: dict) -> RunConfig:
     if model == "stit":
         if "rho" in d:
             raise ConfigError("'rho' is a pht key")
-        t = float(d.get("time", 1.0))
+        t = _float(d.get("time", 1.0), "time")
         if t <= 0:
             raise ConfigError("time must be positive")
         method = d.get("method", "direct")
@@ -175,7 +187,7 @@ def run_config_from_json(d: dict) -> RunConfig:
         return RunConfig("stit", measure, window, t, 0.0, method)
     if "time" in d or "method" in d:
         raise ConfigError("'time'/'method' are stit keys")
-    rho = float(d.get("rho", 1.0))
+    rho = _float(d.get("rho", 1.0), "rho")
     if rho < 0:
         raise ConfigError("rho must be non-negative")
     return RunConfig("pht", measure, window, 0.0, rho, "direct")

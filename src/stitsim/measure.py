@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -205,6 +205,33 @@ def scale_measure_check(measure: DrivingMeasure, inner, outer, a: int, r: float)
     if r < 1:
         raise ValueError("r must be >= 1")
     return measure_facet_separating(measure, inner, geo.scale(outer, r), a)
+
+
+@lru_cache(maxsize=64)
+def _sampling_table(measure: DrivingMeasure, P):
+    """(mass, table) for drawing many hyperplanes that meet P.
+
+    mass is measure_hitting(measure, P).  For a discrete measure, table is
+    (normals, cum, total, lo, span): the axis normals, the cumulative
+    width-weighted axis probabilities and their total, and per axis the low
+    end and the length of the offset range of the hyperplanes meeting P.
+    These are the numbers sample_hitting computes on every draw, so the axis
+    searchsorted(cum, U0 * total) and the offset lo + span * U1 repeat its
+    draw from the same two doubles.  table is None for the isotropic
+    measure.  The result is cached per (measure, P) and its arrays are
+    read-only.
+    """
+    mass = measure_hitting(measure, P)
+    th = measure.directional
+    if not isinstance(th, Discrete):
+        return mass, None
+    probs = th.weights * _discrete_widths(th, P)
+    lo = np.array([-geo.support_function(P, -u) for u in th.dir_array])
+    hi = np.array([geo.support_function(P, u) for u in th.dir_array])
+    normals, cum, span = th.dir_array.copy(), np.cumsum(probs), hi - lo
+    for a in (normals, cum, lo, span):
+        a.flags.writeable = False
+    return mass, (normals, cum, probs.sum(), lo, span)
 
 
 def sample_hitting(measure: DrivingMeasure, P, rng) -> geo.Hyperplane:

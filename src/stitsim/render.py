@@ -61,36 +61,35 @@ def render_tessellation(T: Tessellation) -> str:
     return cv.text()
 
 
-def _chord(h: geo.Hyperplane, window) -> tuple | None:
-    """Endpoints of the hyperplane's trace inside the window."""
-    u = h.normal
-    v = np.array([-u[1], u[0]])
-    p0 = h.d * u
-    t_lo, t_hi = -np.inf, np.inf
+def _chords(normals: np.ndarray, offsets: np.ndarray, window):
+    """Endpoints of each hyperplane's trace inside the window.
+
+    Returns (keep, start, end): keep marks the rows whose trace has
+    positive length, start and end are (count, 2) arrays.
+    """
+    v = np.stack([-normals[:, 1], normals[:, 0]], axis=1)
+    p0 = offsets[:, None] * normals
+    keep = np.ones(len(offsets), dtype=bool)
+    t_lo = np.full(len(offsets), -np.inf)
+    t_hi = np.full(len(offsets), np.inf)
     for n, c in window.facets():
-        a = float(n @ v)
-        b = c - float(n @ p0)
-        if abs(a) < 1e-14:
-            if b < 0:
-                return None
-            continue
-        t = b / a
-        if a > 0:
-            t_hi = min(t_hi, t)
-        else:
-            t_lo = max(t_lo, t)
-    if t_lo >= t_hi:
-        return None
-    return tuple(p0 + t_lo * v), tuple(p0 + t_hi * v)
+        a = n[0] * v[:, 0] + n[1] * v[:, 1]
+        b = c - (n[0] * p0[:, 0] + n[1] * p0[:, 1])
+        parallel = np.abs(a) < 1e-14
+        keep &= ~(parallel & (b < 0))
+        t = b / np.where(parallel, 1.0, a)
+        t_hi = np.where(~parallel & (a > 0), np.minimum(t_hi, t), t_hi)
+        t_lo = np.where(~parallel & (a < 0), np.maximum(t_lo, t), t_lo)
+    keep &= t_lo < t_hi
+    return keep, p0 + t_lo[:, None] * v, p0 + t_hi[:, None] * v
 
 
 def render_pattern(pattern: PoissonHyperplanePattern) -> str:
     if pattern.window.dim != 2:
         raise ValueError("SVG rendering is 2-D only")
     cv = _Canvas(pattern.window)
-    for h in pattern.hyperplanes:
-        seg = _chord(h, pattern.window)
-        if seg is not None:
-            cv.path([seg[0], seg[1]], closed=False)
+    keep, start, end = _chords(pattern.normals, pattern.offsets, pattern.window)
+    for p, q in zip(start[keep].tolist(), end[keep].tolist()):
+        cv.path([p, q], closed=False)
     cv.path(_outline(pattern.window), closed=True)
     return cv.text()

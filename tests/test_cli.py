@@ -130,6 +130,34 @@ def test_simulate_runtime_error_exit_code(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "x.json")]) == 3
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("cfg", [
+    {**PHT_CONFIG, "measure": {**PHT_CONFIG["measure"], "gamma": NAN}},
+    {**PHT_CONFIG, "rho": INF},
+    {**STIT_CONFIG, "measure": {**STIT_CONFIG["measure"], "gamma": NAN}},
+    {**STIT_CONFIG, "window": {"kind": "box", "lo": [-1, NAN], "hi": [1, 1]}},
+    {**STIT_CONFIG, "time": INF},
+], ids=["pht_gamma_nan", "pht_rho_inf", "stit_gamma_nan", "stit_window_nan",
+        "stit_time_inf"])
+def test_simulate_rejects_non_finite_numbers(tmp_path, capsys, cfg):
+    path = write_config(tmp_path, cfg)
+    assert main(["simulate", "--config", path, "--seed", "1",
+                 "--out", str(tmp_path / "x.json")]) == 2
+    assert "must be a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rho", [1e12, 1e30])
+def test_simulate_oversized_pht_exit_code(tmp_path, capsys, rho):
+    path = write_config(tmp_path, {**PHT_CONFIG, "rho": rho})
+    assert main(["simulate", "--config", path, "--seed", "1",
+                 "--out", str(tmp_path / "x.json")]) == 3
+    err = capsys.readouterr().err
+    assert "ExplosionGuard" in err and f"rho={rho:g}" in err
+    assert f"hitting mass 4 expects {4 * rho:g} hyperplanes" in err
+
+
 def test_verify_determinism_bytes(tmp_path):
     out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
     for out in (out1, out2):

@@ -1,16 +1,22 @@
 """Poisson hyperplane pattern tests."""
 
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stitsim import geometry as geo
-from stitsim.measure import axis_measure, isotropic_measure, measure_hitting
-from stitsim.pht import (PoissonHyperplanePattern, cells_of_pattern,
-                         empty_probability, simulate_pht, tail_event_hits_ball)
+from stitsim.cli import main
+from stitsim.errors import ExplosionGuard
+from stitsim.measure import (Discrete, DrivingMeasure, axis_measure,
+                             isotropic_measure, measure_hitting, sample_hitting)
+from stitsim.pht import (PoissonHyperplanePattern, empty_probability,
+                         simulate_pht, tail_event_hits_ball)
 from stitsim.rng import run_replicates, stream
 from stitsim.stats import binomial_sigma
+from stitsim.stit import Tessellation
 
 LAM = axis_measure([1.0, 1.0])
 W1 = geo.Box((-1.0, -1.0), (1.0, 1.0))
@@ -64,9 +70,9 @@ def test_empty_probability_monte_carlo():
 
 
 def test_tail_event():
-    empty = PoissonHyperplanePattern(W2, 1.0, ())
+    empty = PoissonHyperplanePattern.from_hyperplanes(W2, 1.0, ())
     assert not tail_event_hits_ball(empty, W1)
-    through_origin = PoissonHyperplanePattern(
+    through_origin = PoissonHyperplanePattern.from_hyperplanes(
         W2, 1.0, (geo.Hyperplane((1.0, 0.0), 1e-3),))
     assert tail_event_hits_ball(through_origin, W1)
 
@@ -100,6 +106,22 @@ def test_capacity_functional_random_bodies():
         assert abs(arr[:, j].mean() - target) <= 4 * binomial_sigma(target, n)
 
 
+def cells_of_pattern(pattern: PoissonHyperplanePattern) -> Tessellation:
+    """The cell arrangement induced by the pattern, by repeated clipping."""
+    cells = [pattern.window]
+    for h in pattern.hyperplanes:
+        nxt = []
+        for cell in cells:
+            if not geo.hits(h, cell):
+                nxt.append(cell)
+                continue
+            lower = geo.clip_tolerant(cell, h.normal, h.d)
+            upper = geo.clip_tolerant(cell, -h.normal, -h.d)
+            nxt.extend(p for p in (lower, upper) if p is not None)
+        cells = nxt
+    return Tessellation(pattern.window, tuple(cells))
+
+
 def test_cells_of_pattern_tile_window():
     from stitsim.stit import tiling_defect
     rng = stream(68, 0)
@@ -121,3 +143,105 @@ def test_long_range_dependence_witness():
     for _ in range(400):
         pat = simulate_pht(LAM, 1.0, window, rng)
         assert tail_event_hits_ball(pat, seg0) == tail_event_hits_ball(pat, seg_h)
+
+
+# ---------------------------------------------------------------------------
+# the array sampler and hit test against the per-hyperplane reference
+
+R3 = math.sqrt(3.0) / 2.0
+HEX = geo.Polygon2D(((-2.0, -1.0), (2.0, -1.5), (2.5, 1.0), (0.0, 2.5),
+                     (-2.0, 1.5)))
+DISCRETE_CASES = {
+    "axis": (LAM, W2),
+    "weighted_axis": (axis_measure([0.6, 2.4]), geo.Box((-1.5, -0.5), (2.5, 3.0))),
+    "box_3d": (axis_measure([0.6, 0.6, 0.8]),
+               geo.Box((-1.0, -2.0, -0.5), (1.0, 2.0, 1.5))),
+    "oblique_polygon": (DrivingMeasure(1.0, Discrete((
+        ((1.0, 0.0), 0.3), ((0.5, R3), 0.3), ((-0.5, R3), 0.4)))), HEX),
+    "oblique_box": (DrivingMeasure(1.0, Discrete((
+        ((1.0, 0.0), 0.3), ((0.6, 0.8), 0.3), ((-0.8, 0.6), 0.4)))),
+        geo.Box((-2.0, -1.0), (3.0, 2.0))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DISCRETE_CASES))
+def test_array_sampler_matches_sample_hitting(case):
+    measure, window = DISCRETE_CASES[case]
+    mass = measure_hitting(measure, window)
+    for i in range(40):
+        pat = simulate_pht(measure, 3.0, window, stream(90, i))
+        rng = stream(90, i)
+        count = int(rng.poisson(3.0 * mass))
+        ref = tuple(sample_hitting(measure, window, rng) for _ in range(count))
+        assert pat.hyperplanes == ref
+        assert pat.normals.shape == (count, window.dim)
+
+
+def test_isotropic_pattern_matches_sample_hitting():
+    measure = isotropic_measure(1.0)
+    pat = simulate_pht(measure, 5.0, HEX, stream(91, 0))
+    rng = stream(91, 0)
+    count = int(rng.poisson(5.0 * measure_hitting(measure, HEX)))
+    assert pat.hyperplanes == tuple(sample_hitting(measure, HEX, rng)
+                                    for _ in range(count))
+
+
+def _random_bodies(rng, dim):
+    lo = rng.uniform(-2.0, 1.0, dim)
+    box = geo.Box(tuple(lo), tuple(lo + rng.uniform(0.05, 1.5, dim)))
+    pts = rng.uniform(-2.0, 2.0, (rng.integers(1, 4), dim))
+    bodies = [box, geo.Face(tuple(map(tuple, pts)))]
+    if dim == 2:
+        c, r = rng.uniform(-1.5, 1.5, 2), rng.uniform(0.05, 1.0)
+        angles = np.sort(rng.uniform(0.0, 2 * math.pi, 5))
+        bodies.append(geo.Polygon2D(tuple(
+            (c[0] + r * math.cos(a), c[1] + r * math.sin(a)) for a in angles)))
+    return bodies
+
+
+@pytest.mark.parametrize("case", sorted(DISCRETE_CASES) + ["isotropic"])
+def test_hit_test_matches_geometry_hits(case):
+    measure, window = DISCRETE_CASES.get(case, (isotropic_measure(1.0), HEX))
+    rng = stream(92, 0)
+    seen = set()
+    for i in range(60):
+        pat = simulate_pht(measure, 0.3, window, stream(93, i))
+        for body in _random_bodies(rng, window.dim):
+            hit = tail_event_hits_ball(pat, body)
+            assert hit == any(geo.hits(h, body) for h in pat.hyperplanes)
+            seen.add(hit)
+    assert seen == {False, True}
+
+
+def test_hit_test_empty_pattern():
+    for window, body in ((W2, W1), (W2, geo.Face(((0.0, 0.0), (1.0, 0.0)))),
+                         (HEX, HEX), (geo.Box((0.0,) * 3, (1.0,) * 3),
+                                      geo.Box((0.0,) * 3, (1.0,) * 3))):
+        empty = PoissonHyperplanePattern.from_hyperplanes(window, 1.0, ())
+        assert empty.normals.shape == (0, window.dim)
+        assert not tail_event_hits_ball(empty, body)
+
+
+def test_simulate_pht_axis_golden(tmp_path):
+    """Output bytes of the axis PHT config at seed 5 are pinned."""
+    config = Path(__file__).resolve().parents[1] / "configs" / "pht_axis.json"
+    out = tmp_path / "p.json"
+    assert main(["simulate", "--config", str(config), "--seed", "5",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "91ba1712758350027d35873d222fab54f1106661c8d4f9b681eed746ece18aa7"
+
+
+def test_drawn_count_over_cap(monkeypatch):
+    from stitsim import stit
+    monkeypatch.setattr(stit, "EVENT_CAP", 10)  # above the mean count 8
+    raised = 0
+    for i in range(40):
+        count = int(stream(95, i).poisson(8.0))
+        if count > 10:
+            with pytest.raises(ExplosionGuard, match=f"drew {count} hyperplanes"):
+                simulate_pht(LAM, 1.0, W2, stream(95, i))
+            raised += 1
+        else:
+            assert len(simulate_pht(LAM, 1.0, W2, stream(95, i)).offsets) == count
+    assert 0 < raised < 40
