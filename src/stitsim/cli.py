@@ -13,7 +13,7 @@ import sys
 
 from . import geometry as geo
 from . import stit
-from .config import (RunConfig, dumps_canonical, run_config_from_json,
+from .config import (RunConfig, _float, dumps_canonical, run_config_from_json,
                      sanitize)
 from .encapsulation import BoundParams, lower_bound
 from .errors import ConfigError, StitSimError
@@ -32,7 +32,19 @@ def _load_config(path: str) -> RunConfig:
     return run_config_from_json(raw)
 
 
+# Far above the acceptance runs (n-scale 1); a larger factor asks for more
+# replicates than memory holds.
+_MAX_N_SCALE = 100.0
+
+
+def _check_seed(seed: int) -> None:
+    """Seeds key the 64-bit Philox streams, so they must fit in 64 bits."""
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"--seed must be in [0, 2**64), got {seed}")
+
+
 def cmd_simulate(args) -> int:
+    _check_seed(args.seed)
     cfg = _load_config(args.config)
     rng = stream(args.seed, 0)
     if cfg.model == "stit":
@@ -61,9 +73,14 @@ def _parse_grid(spec: str) -> list[float]:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ConfigError("grid range must be start:stop:step")
-        start, stop, step = (float(x) for x in parts)
+        start, stop, step = (_float(x, "--t-grid") for x in parts)
         if step <= 0 or stop < start:
             raise ConfigError("grid range needs step > 0 and stop >= start")
+        if (stop - start) / step > stit.EVENT_CAP:
+            raise ConfigError(
+                f"grid range has more than {stit.EVENT_CAP} points")
+        if stop + step == stop:
+            raise ConfigError("grid step is below the resolution of stop")
         out = []
         k = 0
         while True:
@@ -73,15 +90,18 @@ def _parse_grid(spec: str) -> list[float]:
             out.append(v)
             k += 1
         return out
-    return [float(x) for x in spec.split(",") if x]
+    return [_float(x, "--t-grid") for x in spec.split(",") if x]
 
 
 def cmd_bound(args) -> int:
-    masses = tuple(float(x) for x in args.masses.split(","))
-    if args.lambda_inner <= 0 or any(m <= 0 for m in masses):
+    lambda_inner = _float(args.lambda_inner, "--lambda-inner")
+    masses = tuple(_float(x, "--masses") for x in args.masses.split(","))
+    if lambda_inner <= 0 or any(m <= 0 for m in masses):
         raise ConfigError("lambda-inner and all masses must be positive")
-    params = BoundParams(args.lambda_inner, masses)
+    params = BoundParams(lambda_inner, masses)
     grid = _parse_grid(args.t_grid)
+    if any(t < 0 for t in grid):
+        raise ConfigError("--t-grid times must be non-negative")
     print("t,lower_bound")
     for t in grid:
         print(f"{t:.17g},{lower_bound(t, params):.17g}")
@@ -115,8 +135,8 @@ def _write_report(report: Report, out_dir: str) -> None:
         f.write(_report_csv(report))
 
 
-def run_determinism(seed=1, n_scale=1.0, threads=1) -> Report:
-    """Byte-identical outputs across repeated runs and thread counts."""
+def run_determinism(seed=1, n_scale=1.0) -> Report:
+    """Byte-identical outputs across repeated runs."""
     from .measure import axis_measure
 
     measure = axis_measure([1.0, 1.0])
@@ -129,14 +149,11 @@ def run_determinism(seed=1, n_scale=1.0, threads=1) -> Report:
     sim_same = tree_bytes() == tree_bytes()
     rep1 = EXPERIMENTS["capacity"](seed=seed, n_scale=0.02 * n_scale)
     rep2 = EXPERIMENTS["capacity"](seed=seed, n_scale=0.02 * n_scale)
-    rep4 = EXPERIMENTS["capacity"](seed=seed, n_scale=0.02 * n_scale, threads=4)
-    b1, b2, b4 = (dumps_canonical(r.to_json()) for r in (rep1, rep2, rep4))
+    b1, b2 = (dumps_canonical(r.to_json()) for r in (rep1, rep2))
     verify_same = b1 == b2
-    threads_same = b1 == b4
-    ok = sim_same and verify_same and threads_same
+    ok = sim_same and verify_same
     rows = [{"simulate_repeat_identical": sim_same,
              "verify_repeat_identical": verify_same,
-             "threads_1_vs_4_identical": threads_same,
              "verdict": "PASS" if ok else "FAIL"}]
     return Report("determinism", seed, {"n_scale": n_scale}, rows, ok)
 
@@ -154,12 +171,12 @@ def cmd_verify(args) -> int:
         raise ConfigError(
             f"unknown experiment {args.experiment!r}; known: "
             + ", ".join(sorted(ALL_EXPERIMENTS) + ["all"]))
-    if args.n_scale <= 0:
-        raise ConfigError("--n-scale must be positive")
+    if not 0 < args.n_scale <= _MAX_N_SCALE:  # also false for NaN
+        raise ConfigError(f"--n-scale must be in (0, {_MAX_N_SCALE:g}]")
+    _check_seed(args.seed)
     all_ok = True
     for name in names:
-        report = ALL_EXPERIMENTS[name](seed=args.seed, n_scale=args.n_scale,
-                                       threads=args.threads)
+        report = ALL_EXPERIMENTS[name](seed=args.seed, n_scale=args.n_scale)
         _write_report(report, args.out_dir)
         status = "PASS" if report.passed else "FAIL"
         note = " (reduced power)" if args.n_scale < 1.0 else ""
@@ -195,9 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--n-scale", type=float, default=1.0,
                     help="multiply sample sizes (smoke runs use < 1)")
     pv.add_argument("--out-dir", default="reports")
-    pv.add_argument("--threads", type=int,
-                    default=min(8, os.cpu_count() or 1))
-    pv.set_defaults(fn=cmd_verify)
+    # Not a flag: perfbench/child.py reads this default after every pass.
+    pv.set_defaults(fn=cmd_verify, threads=1)
     return p
 
 

@@ -68,7 +68,7 @@ def _with_resample(body):
     return run
 
 
-def _stat_sample(measure, window, t, n, seed, threads, method="direct",
+def _stat_sample(measure, window, t, n, seed, method="direct",
                  base=0, slice_time=None, transform=None):
     """Replicated (cell_count, boundary) statistics of one simulation recipe."""
     s_at = slice_time if slice_time is not None else t
@@ -81,7 +81,7 @@ def _stat_sample(measure, window, t, n, seed, threads, method="direct",
         st = stit.summary_stats(T, measure)
         return st.cell_count, st.boundary
 
-    arr = np.asarray(run_replicates(one, n, seed, threads, base), dtype=float)
+    arr = np.asarray(run_replicates(one, n, seed, base), dtype=float)
     return arr[:, 0], arr[:, 1]
 
 
@@ -102,7 +102,7 @@ def _ks_rows(pairs, n1, n2):
 # ---------------------------------------------------------------------------
 # survival / capacity
 
-def experiment_first_split(measure, window, t, n, seed, threads=1) -> Report:
+def experiment_first_split(measure, window, t, n, seed) -> Report:
     """Survival of the whole window: P(no jump by t) = exp(-t mass(window))."""
     target = math.exp(-t * measure_hitting(measure, window))
 
@@ -111,14 +111,14 @@ def experiment_first_split(measure, window, t, n, seed, threads=1) -> Report:
         tree = stit.simulate(measure, window, t, rng)
         return len(tree.jump_times) == 0
 
-    hits_ = sum(run_replicates(one, n, seed, threads))
+    hits_ = sum(run_replicates(one, n, seed))
     return _binomial_report("first_split", seed, {
         "measure": measure_to_json(measure),
         "window": geo.polytope_to_json(window), "t": t, "n": n,
     }, hits_, n, target)
 
 
-def experiment_capacity(measure, t, inner, window, n, seed, threads=1) -> Report:
+def experiment_capacity(measure, t, inner, window, n, seed) -> Report:
     """Restriction to an inner window is trivial with prob exp(-t mass(inner))."""
     target = math.exp(-t * measure_hitting(measure, inner))
 
@@ -127,7 +127,7 @@ def experiment_capacity(measure, t, inner, window, n, seed, threads=1) -> Report
         T = stit.slice_at(stit.simulate(measure, window, t, rng), t)
         return len(stit.restrict(T, inner).cells) == 1
 
-    hits_ = sum(run_replicates(one, n, seed, threads))
+    hits_ = sum(run_replicates(one, n, seed))
     return _binomial_report("capacity", seed, {
         "measure": measure_to_json(measure), "t": t, "n": n,
         "inner": geo.polytope_to_json(inner),
@@ -148,10 +148,10 @@ def _binomial_report(name, seed, config, hits_, n, target) -> Report:
 # ---------------------------------------------------------------------------
 # law-equality experiments (two-sample KS)
 
-def experiment_methods(measure, window, t, n, seed, threads=1) -> Report:
+def experiment_methods(measure, window, t, n, seed) -> Report:
     """Rejection and direct constructions produce the same law."""
-    c1, b1 = _stat_sample(measure, window, t, n, seed, threads, "direct", base=0)
-    c2, b2 = _stat_sample(measure, window, t, n, seed, threads, "rejection", base=n)
+    c1, b1 = _stat_sample(measure, window, t, n, seed, "direct", base=0)
+    c2, b2 = _stat_sample(measure, window, t, n, seed, "rejection", base=n)
     rows, ok = _ks_rows([("cell_count", c1, c2), ("boundary", b1, b2)], n, n)
     return Report("methods", seed, {
         "measure": measure_to_json(measure),
@@ -159,7 +159,7 @@ def experiment_methods(measure, window, t, n, seed, threads=1) -> Report:
     }, rows, ok)
 
 
-def experiment_consistency(measure, window, inner, t, n, seed, threads=1) -> Report:
+def experiment_consistency(measure, window, inner, t, n, seed) -> Report:
     """Restriction commutes with simulation in distribution."""
     @_with_resample
     def one_restricted(_i, rng):
@@ -167,8 +167,8 @@ def experiment_consistency(measure, window, inner, t, n, seed, threads=1) -> Rep
         st = stit.summary_stats(stit.restrict(T, inner), measure)
         return st.cell_count, st.boundary
 
-    arr = np.asarray(run_replicates(one_restricted, n, seed, threads), dtype=float)
-    c2, b2 = _stat_sample(measure, inner, t, n, seed, threads, base=n)
+    arr = np.asarray(run_replicates(one_restricted, n, seed), dtype=float)
+    c2, b2 = _stat_sample(measure, inner, t, n, seed, base=n)
     rows, ok = _ks_rows([("cell_count", arr[:, 0], c2),
                          ("boundary", arr[:, 1], b2)], n, n)
     return Report("consistency", seed, {
@@ -178,10 +178,10 @@ def experiment_consistency(measure, window, inner, t, n, seed, threads=1) -> Rep
     }, rows, ok)
 
 
-def experiment_iteration(measure, window, t, s, n, seed, threads=1) -> Report:
+def experiment_iteration(measure, window, t, s, n, seed) -> Report:
     """Running to t+s agrees in law with nesting fresh copies at s into the
     state at t."""
-    c1, b1 = _stat_sample(measure, window, t + s, n, seed, threads, base=0)
+    c1, b1 = _stat_sample(measure, window, t + s, n, seed, base=0)
 
     @_with_resample
     def one_nested(_i, rng):
@@ -193,7 +193,7 @@ def experiment_iteration(measure, window, t, s, n, seed, threads=1) -> Report:
         st = stit.summary_stats(stit.iterate(T, nests), measure)
         return st.cell_count, st.boundary
 
-    arr = np.asarray(run_replicates(one_nested, n, seed, threads, base_index=n),
+    arr = np.asarray(run_replicates(one_nested, n, seed, base_index=n),
                      dtype=float)
     rows, ok = _ks_rows([("cell_count", c1, arr[:, 0]),
                          ("boundary", b1, arr[:, 1])], n, n)
@@ -203,17 +203,17 @@ def experiment_iteration(measure, window, t, s, n, seed, threads=1) -> Report:
     }, rows, ok)
 
 
-def experiment_self_similarity(measure, window, t, n, seed, threads=1,
+def experiment_self_similarity(measure, window, t, n, seed,
                                power_factor=3.0) -> Report:
     """The state at t agrees in law with the state at 2t in the half window
     scaled back up; a deliberately mismatched factor must be rejected."""
     half = geo.scale(window, 0.5)
 
     def scaled_sample(factor, base):
-        return _stat_sample(measure, half, factor * t, n, seed, threads,
-                            base=base, transform=lambda T: stit.scale_tessellation(T, 2.0))
+        return _stat_sample(measure, half, factor * t, n, seed, base=base,
+                            transform=lambda T: stit.scale_tessellation(T, 2.0))
 
-    c1, b1 = _stat_sample(measure, window, t, n, seed, threads, base=0)
+    c1, b1 = _stat_sample(measure, window, t, n, seed, base=0)
     c2, b2 = scaled_sample(2.0, n)
     rows, ok = _ks_rows([("cell_count", c1, c2), ("boundary", b1, b2)], n, n)
 
@@ -254,7 +254,7 @@ def equality_problem(alpha: float, beta: float, g) -> EncapsulationProblem:
 
 
 def experiment_encapsulation(problem: EncapsulationProblem, t_grid, n, seed,
-                             mode="bound", threads=1) -> Report:
+                             mode="bound") -> Report:
     """Empirical P(encapsulation by t) against the closed-form lower bound.
 
     mode='equality' asserts two-sided agreement (axis measure, full bands);
@@ -263,7 +263,7 @@ def experiment_encapsulation(problem: EncapsulationProblem, t_grid, n, seed,
     t_grid = sorted(t_grid)
     horizon = max(t_grid)
     scan = rain.zero_cell_scan(problem.measure, problem.outer, problem.inner,
-                               horizon, n, seed, threads=threads)
+                               horizon, n, seed)
     a_s = rain.encapsulation_times(scan)
     params = problem.params()
     rows = []
@@ -290,8 +290,7 @@ def experiment_encapsulation(problem: EncapsulationProblem, t_grid, n, seed,
     }, rows, ok)
 
 
-def experiment_inclusion(problem: EncapsulationProblem, t, n, seed,
-                         threads=1) -> Report:
+def experiment_inclusion(problem: EncapsulationProblem, t, n, seed) -> Report:
     """Pathwise check that the sufficient event implies encapsulation.
 
     Both sides are driven by the same hyperplane rain: the band and inner
@@ -299,7 +298,7 @@ def experiment_inclusion(problem: EncapsulationProblem, t, n, seed,
     realization per replicate; the inclusion must never be violated.
     """
     scan = rain.zero_cell_scan(problem.measure, problem.outer, problem.inner,
-                               t, n, seed, bands=problem.bands, threads=threads)
+                               t, n, seed, bands=problem.bands)
     m = scan["sigma_bands"].max(axis=1)
     sufficient = m <= np.minimum(scan["sigma_inner"], t)
     a_s = rain.encapsulation_times(scan)
@@ -319,8 +318,7 @@ def experiment_inclusion(problem: EncapsulationProblem, t, n, seed,
 
 
 def experiment_cond_independence(measure, inner, enclosure, sim_window, probe,
-                                 t, t2, n, seed, min_conditioned=200,
-                                 threads=1) -> Report:
+                                 t, t2, n, seed, min_conditioned=200) -> Report:
     """Conditioned on early encapsulation, an inside avoidance event and an
     outside avoidance event decorrelate.
 
@@ -330,7 +328,7 @@ def experiment_cond_independence(measure, inner, enclosure, sim_window, probe,
     if not t2 < t:
         raise ValueError("need t2 < t")
     scan = rain.pair_scan(measure, sim_window, inner, probe, t, n, seed,
-                          enclosure=enclosure, threads=threads)
+                          enclosure=enclosure)
     a_s = np.where(scan["tau_enc"] < scan["cut_a"], scan["tau_enc"], np.inf)
     cond = a_s < t2
     n_cond = int(cond.sum())
@@ -364,8 +362,7 @@ def _segment(y: float, half: float = 1.0) -> geo.Face:
     return geo.Face(((-half, y), (half, y)))
 
 
-def experiment_mixing_stit(measure, t, h_grid, n, seed, margin=2.0,
-                           threads=1) -> Report:
+def experiment_mixing_stit(measure, t, h_grid, n, seed, margin=2.0) -> Report:
     """Avoidance events of two segments decorrelate as their distance grows.
 
     Asserts the gap at the largest separation is within 2 sigma of zero and
@@ -379,8 +376,7 @@ def experiment_mixing_stit(measure, t, h_grid, n, seed, margin=2.0,
         window = geo.Box((-1.0 - margin, -margin), (1.0 + margin, h + margin))
         body_d = _segment(0.0)
         body_e = _segment(float(h))
-        scan = rain.pair_scan(measure, window, body_d, body_e, t, n,
-                              seed + j, threads=threads)
+        scan = rain.pair_scan(measure, window, body_d, body_e, t, n, seed + j)
         d = np.isinf(scan["cut_a"]).astype(float)
         e = np.isinf(scan["cut_b"]).astype(float)
         gap, sigma = gap_estimate(d, e)
@@ -404,8 +400,7 @@ def experiment_mixing_stit(measure, t, h_grid, n, seed, margin=2.0,
         notes="last row: gap within 2 sigma of zero; others: non-increasing")
 
 
-def experiment_mixing_pht(measure, rho, h_grid, n, seed, margin=2.2,
-                          threads=1) -> Report:
+def experiment_mixing_pht(measure, rho, h_grid, n, seed, margin=2.2) -> Report:
     """Poisson hyperplane witness of long-range dependence.
 
     With axis directions, the hyperplanes hitting a segment also hit every
@@ -427,7 +422,7 @@ def experiment_mixing_pht(measure, rho, h_grid, n, seed, margin=2.2,
             return (tail_event_hits_ball(pat, body_d),
                     tail_event_hits_ball(pat, body_e))
 
-        arr = np.asarray(run_replicates(one, n, seed + j, threads), dtype=float)
+        arr = np.asarray(run_replicates(one, n, seed + j), dtype=float)
         gap, sigma = gap_estimate(arr[:, 0], arr[:, 1])
         p_hat = float(arr[:, 0].mean())
         p_sigma = binomial_sigma(p_target, n)
@@ -447,8 +442,7 @@ def experiment_mixing_pht(measure, rho, h_grid, n, seed, margin=2.2,
 # ---------------------------------------------------------------------------
 # Poisson hyperplane capacity
 
-def experiment_pht_capacity(measure, rho, window, body, n, seed,
-                            threads=1) -> Report:
+def experiment_pht_capacity(measure, rho, window, body, n, seed) -> Report:
     """Avoidance frequency of a test body matches exp(-rho mass(body))."""
     target = math.exp(-rho * measure_hitting(measure, body))
 
@@ -456,7 +450,7 @@ def experiment_pht_capacity(measure, rho, window, body, n, seed,
         pat = simulate_pht(measure, rho, window, rng)
         return not tail_event_hits_ball(pat, body)
 
-    hits_ = sum(run_replicates(one, n, seed, threads))
+    hits_ = sum(run_replicates(one, n, seed))
     rep = _binomial_report("pht_capacity", seed, {
         "measure": measure_to_json(measure), "rho": rho, "n": n,
         "window": geo.polytope_to_json(window),
@@ -468,7 +462,7 @@ def experiment_pht_capacity(measure, rho, window, body, n, seed,
 # ---------------------------------------------------------------------------
 # jump scarcity
 
-def experiment_no_jump(measure, inner, t, t2_grid, n, seed, threads=1) -> Report:
+def experiment_no_jump(measure, inner, t, t2_grid, n, seed) -> Report:
     """P(no jump in [t - t2, t)) is non-increasing in t2 within noise.
 
     Also reports the plug-in comparison exp(-t2 E[zeta_t]) per grid point;
@@ -484,7 +478,7 @@ def experiment_no_jump(measure, inner, t, t2_grid, n, seed, threads=1) -> Report
         zeta = stit.summary_stats(stit.slice_at(tree, t), measure).zeta
         return flags, zeta
 
-    out = run_replicates(one, n, seed, threads)
+    out = run_replicates(one, n, seed)
     flags = np.asarray([r[0] for r in out], dtype=float)
     zeta_mean = float(np.mean([r[1] for r in out]))
     freqs = flags.mean(axis=0)
@@ -513,88 +507,85 @@ def _m11() -> DrivingMeasure:
     return axis_measure([1.0, 1.0])
 
 
-def run_first_split(seed=1, n_scale=1.0, threads=1):
+def run_first_split(seed=1, n_scale=1.0):
     return experiment_first_split(_m11(), geo.Box((-1, -1), (1, 1)), 0.25,
-                                  _scaled(10_000, n_scale), seed, threads)
+                                  _scaled(10_000, n_scale), seed)
 
 
-def run_capacity(seed=1, n_scale=1.0, threads=1):
+def run_capacity(seed=1, n_scale=1.0):
     return experiment_capacity(_m11(), 0.25, geo.Box((-1, -1), (1, 1)),
                                geo.Box((-2, -2), (2, 2)),
-                               _scaled(10_000, n_scale), seed, threads)
+                               _scaled(10_000, n_scale), seed)
 
 
-def run_methods(seed=1, n_scale=1.0, threads=1):
+def run_methods(seed=1, n_scale=1.0):
     return experiment_methods(_m11(), geo.Box((-1, -1), (1, 1)), 1.0,
-                              _scaled(5_000, n_scale), seed, threads)
+                              _scaled(5_000, n_scale), seed)
 
 
-def run_consistency(seed=1, n_scale=1.0, threads=1):
+def run_consistency(seed=1, n_scale=1.0):
     return experiment_consistency(_m11(), geo.Box((-2, -2), (2, 2)),
                                   geo.Box((-1, -1), (1, 1)), 1.0,
-                                  _scaled(5_000, n_scale), seed, threads)
+                                  _scaled(5_000, n_scale), seed)
 
 
-def run_iteration(seed=1, n_scale=1.0, threads=1):
+def run_iteration(seed=1, n_scale=1.0):
     return experiment_iteration(_m11(), geo.Box((-2, -2), (2, 2)), 0.5, 0.5,
-                                _scaled(3_000, n_scale), seed, threads)
+                                _scaled(3_000, n_scale), seed)
 
 
-def run_self_similarity(seed=1, n_scale=1.0, threads=1):
+def run_self_similarity(seed=1, n_scale=1.0):
     return experiment_self_similarity(_m11(), geo.Box((-2, -2), (2, 2)), 0.5,
-                                      _scaled(5_000, n_scale), seed, threads)
+                                      _scaled(5_000, n_scale), seed)
 
 
-def run_encapsulation_equality(seed=1, n_scale=1.0, threads=1):
+def run_encapsulation_equality(seed=1, n_scale=1.0):
     prob = equality_problem(1.0, 2.0, [1.0, 1.0])
     return experiment_encapsulation(prob, (0.5, 1.0, 1.5, 2.5, 6.0),
                                     _scaled(20_000, n_scale), seed,
-                                    mode="equality", threads=threads)
+                                    mode="equality")
 
 
-def run_encapsulation_bound(seed=1, n_scale=1.0, threads=1):
+def run_encapsulation_bound(seed=1, n_scale=1.0):
     prob = build_window(geo.Box((-1, -1), (1, 1)).to_polygon(),
                         isotropic_measure(1.0))
     return experiment_encapsulation(prob, (0.5, 1.0, 2.0, 3.0),
                                     _scaled(10_000, n_scale), seed,
-                                    mode="bound", threads=threads)
+                                    mode="bound")
 
 
-def run_inclusion(seed=1, n_scale=1.0, threads=1):
+def run_inclusion(seed=1, n_scale=1.0):
     prob = build_window(geo.Box((-1, -1), (1, 1)), _m11())
-    return experiment_inclusion(prob, 2.0, _scaled(10_000, n_scale), seed,
-                                threads)
+    return experiment_inclusion(prob, 2.0, _scaled(10_000, n_scale), seed)
 
 
-def run_cond_independence(seed=1, n_scale=1.0, threads=1):
+def run_cond_independence(seed=1, n_scale=1.0):
     return experiment_cond_independence(
         _m11(), geo.Box((-1, -1), (1, 1)), geo.Box((-2, -2), (2, 2)),
         geo.Box((-3.2, -3.2), (3.2, 3.2)), geo.Face(((2.5, 0.0), (3.0, 0.0))),
-        1.2, 1.0, _scaled(1_000_000, n_scale), seed, threads=threads)
+        1.2, 1.0, _scaled(1_000_000, n_scale), seed)
 
 
-def run_mixing_stit(seed=1, n_scale=1.0, threads=1):
+def run_mixing_stit(seed=1, n_scale=1.0):
     return experiment_mixing_stit(_m11(), 1.5, (2, 4, 8, 16, 32),
-                                  _scaled(20_000, n_scale), seed,
-                                  threads=threads)
+                                  _scaled(20_000, n_scale), seed)
 
 
-def run_mixing_pht(seed=1, n_scale=1.0, threads=1):
+def run_mixing_pht(seed=1, n_scale=1.0):
     return experiment_mixing_pht(_m11(), 1.0, (2, 8, 32),
-                                 _scaled(20_000, n_scale), seed,
-                                 threads=threads)
+                                 _scaled(20_000, n_scale), seed)
 
 
-def run_pht_capacity(seed=1, n_scale=1.0, threads=1):
+def run_pht_capacity(seed=1, n_scale=1.0):
     return experiment_pht_capacity(_m11(), 1.0, geo.Box((-2, -2), (2, 2)),
                                    geo.Box((-1, -1), (1, 1)),
-                                   _scaled(100_000, n_scale), seed, threads)
+                                   _scaled(100_000, n_scale), seed)
 
 
-def run_no_jump(seed=1, n_scale=1.0, threads=1):
+def run_no_jump(seed=1, n_scale=1.0):
     return experiment_no_jump(_m11(), geo.Box((-1, -1), (1, 1)), 1.0,
                               (0.01, 0.03, 0.1, 0.3),
-                              _scaled(10_000, n_scale), seed, threads)
+                              _scaled(10_000, n_scale), seed)
 
 
 EXPERIMENTS = {

@@ -5,8 +5,8 @@ even directional distribution is allowed.  In arbitrary dimension, cells are
 axis-aligned boxes and only axis-orthogonal hyperplanes may cut them, which
 is exact interval arithmetic.
 
-All values are immutable after construction and safe to share between
-threads; every operation is a pure function.
+All values are immutable after construction; every operation is a pure
+function.
 """
 
 from __future__ import annotations

@@ -49,7 +49,7 @@ def _axis_fastpath(measure: DrivingMeasure, window) -> np.ndarray | None:
 # single lineage: the origin cell
 
 def zero_cell_scan(measure: DrivingMeasure, window, inner, horizon: float,
-                   n: int, seed: int, bands=(), threads: int = 1) -> dict:
+                   n: int, seed: int, bands=()) -> dict:
     """Scan n origin-cell trajectories in `window` up to `horizon`.
 
     Returns arrays (inf when the event does not occur by the horizon):
@@ -64,7 +64,7 @@ def zero_cell_scan(measure: DrivingMeasure, window, inner, horizon: float,
     band_axis = [b.axis_form() for b in bands]
     if g is not None and all(f is not None for f in band_axis):
         return _fast_zero(g, window, inner, horizon, n, seed, band_axis)
-    return _generic_zero(measure, window, inner, horizon, n, seed, bands, threads)
+    return _generic_zero(measure, window, inner, horizon, n, seed, bands)
 
 
 def encapsulation_times(scan: dict) -> np.ndarray:
@@ -72,7 +72,7 @@ def encapsulation_times(scan: dict) -> np.ndarray:
     return np.where(tau < sig, tau, np.inf)
 
 
-def _generic_zero(measure, window, inner, horizon, n, seed, bands, threads):
+def _generic_zero(measure, window, inner, horizon, n, seed, bands):
     rate = measure_hitting(measure, window)
     q = len(bands)
 
@@ -105,7 +105,7 @@ def _generic_zero(measure, window, inner, horizon, n, seed, bands, threads):
                 break
         return tau, sigma, sb
 
-    rows = run_replicates(one, n, seed, threads)
+    rows = run_replicates(one, n, seed)
     return {
         "tau_enc": np.array([r[0] for r in rows]),
         "sigma_inner": np.array([r[1] for r in rows]),
@@ -183,8 +183,7 @@ def _fast_zero(g, window: geo.Box, inner, horizon, n, seed, band_axis):
 # two coupled lineages
 
 def pair_scan(measure: DrivingMeasure, window, body_a, body_b, horizon: float,
-              n: int, seed: int, enclosure: geo.Box | None = None,
-              threads: int = 1) -> dict:
+              n: int, seed: int, enclosure: geo.Box | None = None) -> dict:
     """First-cut times of two bodies under one tessellation trajectory.
 
     The bodies share one lineage (and one rain) while they share a cell;
@@ -197,7 +196,7 @@ def pair_scan(measure: DrivingMeasure, window, body_a, body_b, horizon: float,
     if g is not None and (enclosure is None or isinstance(enclosure, geo.Box)):
         return _fast_pair(g, window, body_a, body_b, horizon, n, seed, enclosure)
     return _generic_pair(measure, window, body_a, body_b, horizon, n, seed,
-                         enclosure, threads)
+                         enclosure)
 
 
 def _toward(C, h: geo.Hyperplane, body):
@@ -228,7 +227,7 @@ def _generic_lineage(measure, window, rate, C, body, t, horizon, rng,
 
 
 def _generic_pair(measure, window, body_a, body_b, horizon, n, seed,
-                  enclosure, threads):
+                  enclosure):
     rate = measure_hitting(measure, window)
 
     def one(_i, rng):
@@ -288,7 +287,7 @@ def _generic_pair(measure, window, body_a, body_b, horizon, n, seed,
                     geo.contains(enclosure, C, strict=True):
                 tau = t
 
-    rows = run_replicates(one, n, seed, threads)
+    rows = run_replicates(one, n, seed)
     return {
         "cut_a": np.array([r[0] for r in rows]),
         "cut_b": np.array([r[1] for r in rows]),

@@ -1,13 +1,11 @@
-"""Counter-based random streams for reproducible parallel replication.
+"""Counter-based random streams for reproducible replication.
 
 Every replicate draws from its own Philox stream keyed by (seed, index),
-so results do not depend on scheduling order and two runs with the same
-seed are bit-identical.
+so results do not depend on the order replicates run in and two runs with
+the same seed are bit-identical.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -23,22 +21,6 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def run_replicates(fn, n: int, seed: int, threads: int = 1, base_index: int = 0):
-    """Evaluate fn(i, stream(seed, base_index + i)) for i in range(n).
-
-    Results are returned in replicate order regardless of thread count.
-    """
-    out = [None] * n
-
-    def block(lo, hi):
-        for i in range(lo, hi):
-            out[i] = fn(i, stream(seed, base_index + i))
-
-    if threads <= 1 or n < 64:
-        block(0, n)
-        return out
-    chunk = max(64, -(-n // threads))
-    bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(lambda b: block(*b), bounds))
-    return out
+def run_replicates(fn, n: int, seed: int, base_index: int = 0):
+    """Return [fn(i, stream(seed, base_index + i)) for i in range(n)]."""
+    return [fn(i, stream(seed, base_index + i)) for i in range(n)]

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSamples
-from .rng import stream
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -43,18 +42,6 @@ def wilson_interval(successes: int, n: int, z: float = _Z95) -> tuple[float, flo
 def estimate_from_hits(successes: int, n: int, seed: int) -> EstimateWithCI:
     lo, hi = wilson_interval(successes, n)
     return EstimateWithCI(p_hat=successes / n, n=n, ci_lo=lo, ci_hi=hi, seed=seed)
-
-
-def mc_estimate(event, n: int, seed: int) -> EstimateWithCI:
-    """Frequency of a boolean replicate sampler with a Wilson 95% interval.
-
-    `event` is called once per replicate with that replicate's own stream,
-    so the estimate is reproducible and scheduling-independent.
-    """
-    if n < 100:
-        raise ValueError("need at least 100 replicates")
-    hits = sum(bool(event(stream(seed, i))) for i in range(n))
-    return estimate_from_hits(hits, n, seed)
 
 
 def binomial_sigma(p: float, n: int) -> float:

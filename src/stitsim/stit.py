@@ -10,8 +10,8 @@ hyperplanes meeting it.  Two equivalent constructions are provided:
   mass(window); draws that miss the cell are recorded as rejected and the
   first hit divides the cell.
 
-Trees are built single-threaded; replicates parallelize over independent
-streams (see rng.stream).
+Each tree is built from one random stream; replicates draw from
+independent streams (see rng.stream).
 """
 
 from __future__ import annotations

@@ -124,14 +124,13 @@ def test_12_determinism(tmp_path):
     sim_ok = outs[0] == outs[1]
 
     reports = []
-    for name, threads in (("r1", "1"), ("r2", "1"), ("r4", "4")):
+    for name in ("r1", "r2"):
         out_dir = str(tmp_path / name)
         assert main(["verify", "capacity", "--seed", "2", "--n-scale", "0.05",
-                     "--out-dir", out_dir, "--threads", threads]) == 0
+                     "--out-dir", out_dir]) == 0
         reports.append(open(f"{out_dir}/capacity.json", "rb").read())
     verify_ok = reports[0] == reports[1]
-    threads_ok = reports[0] == reports[2]
 
     lib = run_determinism(seed=SEED)
-    announce(12, "determinism", sim_ok and verify_ok and threads_ok and lib.passed,
-             f"simulate={sim_ok} verify={verify_ok} threads={threads_ok}")
+    announce(12, "determinism", sim_ok and verify_ok and lib.passed,
+             f"simulate={sim_ok} verify={verify_ok}")

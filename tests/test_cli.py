@@ -109,7 +109,7 @@ def test_parse_grid():
 def test_verify_smoke(tmp_path, capsys):
     out_dir = str(tmp_path / "reports")
     assert main(["verify", "capacity", "--seed", "2", "--n-scale", "0.03",
-                 "--out-dir", out_dir, "--threads", "1"]) == 0
+                 "--out-dir", out_dir]) == 0
     printed = capsys.readouterr().out
     assert "PASS capacity" in printed
     report = json.loads(open(f"{out_dir}/capacity.json").read())
@@ -120,6 +120,56 @@ def test_verify_smoke(tmp_path, capsys):
 
 def test_verify_unknown_experiment():
     assert main(["verify", "nosuch"]) == 2
+
+
+BOUND = ["bound", "--lambda-inner", "4", "--masses", "1,1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "capacity", "--n-scale", "nan"],
+    ["verify", "capacity", "--n-scale", "inf"],
+    ["verify", "capacity", "--n-scale", "1e300"],
+    ["verify", "capacity", "--seed", "-1"],
+    ["verify", "capacity", "--seed", str(2 ** 64)],
+    ["simulate", "--seed", "-1"],
+    ["bound", "--lambda-inner", "nan", "--masses", "1", "--t-grid", "1"],
+    ["bound", "--lambda-inner", "inf", "--masses", "1", "--t-grid", "1"],
+    ["bound", "--lambda-inner", "4", "--masses", "1,nan", "--t-grid", "1"],
+    BOUND + ["--t-grid", "0,nan,inf"],
+    BOUND + ["--t-grid", "0:nan:1"],
+    BOUND + ["--t-grid", "0:1:nan"],
+    BOUND + ["--t-grid", "0:1:1e-300"],
+    BOUND + ["--t-grid", "0:1:abc"],
+    BOUND + ["--t-grid", "1e300:1e300:1"],
+    BOUND + ["--t-grid=-1,0"],
+], ids=["n_scale_nan", "n_scale_inf", "n_scale_huge", "verify_seed_negative",
+        "verify_seed_65_bits", "simulate_seed_negative", "lambda_nan",
+        "lambda_inf", "mass_nan", "grid_list_non_finite", "grid_stop_nan",
+        "grid_step_nan", "grid_step_tiny", "grid_step_text",
+        "grid_step_below_resolution", "grid_negative_time"])
+def test_flags_reject_bad_numbers(tmp_path, capsys, monkeypatch, argv):
+    from stitsim import cli
+
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("work started before the flags were checked")
+
+    monkeypatch.setitem(cli.ALL_EXPERIMENTS, "capacity", no_work)
+    monkeypatch.setattr(cli, "stream", no_work)
+    monkeypatch.setattr(cli, "lower_bound", no_work)
+    if argv[0] == "simulate":
+        argv = argv + ["--config", write_config(tmp_path, STIT_CONFIG),
+                       "--out", str(tmp_path / "x.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_verify_has_no_threads_flag():
+    # benchmark harnesses read the default; it must stay 1 and not be a flag
+    from stitsim.cli import build_parser
+    assert build_parser().parse_args(["verify", "all"]).threads == 1
+    with pytest.raises(SystemExit) as e:
+        build_parser().parse_args(["verify", "capacity", "--threads", "2"])
+    assert e.value.code == 2
 
 
 def test_simulate_runtime_error_exit_code(tmp_path, monkeypatch):
@@ -162,7 +212,7 @@ def test_verify_determinism_bytes(tmp_path):
     out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
     for out in (out1, out2):
         assert main(["verify", "first_split", "--seed", "2", "--n-scale",
-                     "0.03", "--out-dir", out, "--threads", "1"]) == 0
+                     "0.03", "--out-dir", out]) == 0
     assert open(f"{out1}/first_split.json", "rb").read() == \
         open(f"{out2}/first_split.json", "rb").read()
 

@@ -1,6 +1,7 @@
 """Experiment harness behavior at reduced scale; full scale lives in
 test_acceptance."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -119,7 +120,9 @@ def test_reports_deterministic_and_hashed():
     assert dumps_canonical(r1.to_json()) != dumps_canonical(r3.to_json())
 
 
-def test_threads_do_not_change_results():
-    r1 = ex.run_iteration(seed=4, n_scale=0.05, threads=1)
-    r4 = ex.run_iteration(seed=4, n_scale=0.05, threads=4)
-    assert dumps_canonical(r1.to_json()) == dumps_canonical(r4.to_json())
+def test_iteration_report_golden():
+    # pins every stream key and argument of the iteration experiment: a
+    # shifted replicate index or positional argument changes the bytes
+    text = dumps_canonical(ex.run_iteration(seed=4, n_scale=0.05).to_json())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "2e5c871ac7962b413751347e2d8a8a7e2d4f6e9d93f32ee77d1b4a6615da89c0")

@@ -19,7 +19,7 @@ WP = geo.Box((-1.0, -1.0), (1.0, 1.0))
 def test_zero_scan_fast_vs_generic():
     horizon = 4.0
     fast = rain.zero_cell_scan(LAM, W, WP, horizon, 30_000, 20)
-    gen = rain._generic_zero(LAM, W, WP, horizon, 3_000, 21, (), 1)
+    gen = rain._generic_zero(LAM, W, WP, horizon, 3_000, 21, ())
     a_fast = rain.encapsulation_times(fast)
     a_gen = np.where(gen["tau_enc"] < gen["sigma_inner"], gen["tau_enc"], np.inf)
     p_fast = np.isfinite(a_fast).mean()
@@ -57,7 +57,7 @@ def test_pair_scan_fast_vs_generic():
     A = geo.Face(((-1.0, 0.0), (1.0, 0.0)))
     B = geo.Face(((-1.0, 4.0), (1.0, 4.0)))
     fast = rain.pair_scan(LAM, V, A, B, 1.5, 30_000, 25)
-    gen = rain._generic_pair(LAM, V, A, B, 1.5, 3_000, 26, None, 1)
+    gen = rain._generic_pair(LAM, V, A, B, 1.5, 3_000, 26, None)
     for key in ("cut_a", "cut_b"):
         f, g = fast[key], gen[key]
         assert ks_two_sample(f[np.isfinite(f)], g[np.isfinite(g)]).p_value > 0.001
