@@ -145,19 +145,6 @@ class RunConfig:
     rho: float
     method: str
 
-    def to_json(self) -> dict:
-        out = {
-            "model": self.model,
-            "measure": measure_to_json(self.measure),
-            "window": geo.polytope_to_json(self.window),
-        }
-        if self.model == "stit":
-            out["time"] = self.time
-            out["method"] = self.method
-        else:
-            out["rho"] = self.rho
-        return out
-
 
 def run_config_from_json(d: dict) -> RunConfig:
     allowed = {"model", "measure", "window", "time", "method", "rho"}

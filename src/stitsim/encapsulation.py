@@ -138,7 +138,11 @@ def _facet_toward(outer, u) -> int:
 
 
 def is_encapsulated(T: Tessellation, inner, outer) -> bool:
-    cell = zero_cell(T)
+    return _encapsulates(zero_cell(T), inner, outer)
+
+
+def _encapsulates(cell, inner, outer) -> bool:
+    """`cell` contains `inner` and lies strictly inside `outer`."""
     return geo.contains(cell, inner, strict=False) and \
         geo.contains(outer, cell, strict=True)
 
@@ -154,9 +158,7 @@ def encapsulation_time(tree: CellTree, inner) -> float:
     node = tree.nodes[0]
     while True:
         cell = node.polytope
-        if geo.origin_strictly_inside(cell) and \
-                geo.contains(cell, inner, strict=False) and \
-                geo.contains(outer, cell, strict=True):
+        if geo.origin_strictly_inside(cell) and _encapsulates(cell, inner, outer):
             return node.birth_time
         if node.children is None:
             return math.inf

@@ -74,13 +74,6 @@ class Hyperplane:
     def dim(self) -> int:
         return len(self.u)
 
-    def axis(self) -> int | None:
-        """Index c if the hyperplane is orthogonal to coordinate axis c."""
-        for c, x in enumerate(self.u):
-            if abs(abs(x) - 1.0) <= 64 * UNIT_TOL:
-                return c
-        return None
-
     def side_of(self, x) -> float:
         return float(np.asarray(x, dtype=float) @ self.normal) - self.d
 
@@ -237,11 +230,9 @@ class Box:
 
     def surface(self) -> float:
         """Total (dim-1)-volume of the boundary; perimeter when dim == 2."""
-        side = self.hi_arr - self.lo_arr
-        total = 0.0
-        for c in range(self.dim):
-            total += 2.0 * float(np.prod(np.delete(side, c)))
-        return total
+        side = [h - l for l, h in zip(self.lo, self.hi)]
+        return sum(2.0 * math.prod(side[:c] + side[c + 1:])
+                   for c in range(self.dim))
 
     def centroid(self) -> np.ndarray:
         return (self.lo_arr + self.hi_arr) / 2.0

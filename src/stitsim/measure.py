@@ -200,13 +200,6 @@ def measure_facet_separating(measure: DrivingMeasure, inner, outer, a: int) -> f
     return measure_separating(measure, inner, geo.facet_body(outer, a))
 
 
-def scale_measure_check(measure: DrivingMeasure, inner, outer, a: int, r: float) -> float:
-    """Separating mass toward facet a of the window scaled by r >= 1."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    return measure_facet_separating(measure, inner, geo.scale(outer, r), a)
-
-
 @lru_cache(maxsize=64)
 def _sampling_table(measure: DrivingMeasure, P):
     """(mass, table) for drawing many hyperplanes that meet P.

@@ -10,6 +10,11 @@ hyperplanes meeting it.  Two equivalent constructions are provided:
   mass(window); draws that miss the cell are recorded as rejected and the
   first hit divides the cell.
 
+Both run in one event loop, ``advance``.  The geometry enters only through
+a cut rule (rate, draw, hit test, split, hyperplane): ``_AxisCuts`` clamps
+box intervals when the measure lives on the coordinate axes and the window
+is a box, and ``_GenericCuts`` clips polytopes otherwise.
+
 Each tree is built from one random stream; replicates draw from
 independent streams (see rng.stream).
 """
@@ -53,9 +58,6 @@ class CellTree:
     nodes: list[CellNode]
     current_time: float
     jump_times: list[float]
-
-    def node(self, cell_id: int) -> CellNode:
-        return self.nodes[cell_id]
 
     def live_ids(self) -> list[int]:
         return [n.id for n in self.nodes if n.alive]
@@ -105,173 +107,172 @@ def advance(tree: CellTree, dt: float, rng) -> CellTree:
     Lifetimes are memoryless, so pending events are redrawn from the
     current time; the law of the continued process is unchanged.
     """
-    if dt <= 0:
+    if not dt > 0:  # also catches NaN
         raise ValueError("dt must be positive")
+    rule = _cut_rule(tree)
+    rate, draw, hits, split, hyperplane = (
+        rule.rate, rule.draw, rule.hits, rule.split, rule.hyperplane)
+    horizon = tree.current_time + dt
+    rejection = tree.method == "rejection"
+    window = tree.window
+    window_rate = rate(window)
+    # Live rates sum to at least mass(window) in `direct`, and every live
+    # cell draws at mass(window) in `rejection`: dt * mass(window) is a
+    # lower bound on the expected number of events.
+    if dt * window_rate > EVENT_CAP:
+        raise ExplosionGuard(
+            f"STIT advance by dt={dt:g} on a window of hitting mass "
+            f"{window_rate:g} expects at least {dt * window_rate:g} events, "
+            f"over the cap of {EVENT_CAP}")
+    nodes = tree.nodes
+    heap: list[tuple[float, int]] = []
+
+    def schedule(cell: CellNode, now: float):
+        r = window_rate if rejection else rate(cell.polytope)
+        nxt = now + rng.exponential(1.0 / r)
+        if nxt <= horizon:
+            heapq.heappush(heap, (nxt, cell.id))
+
+    for cid in sorted(tree.live_ids()):
+        schedule(nodes[cid], tree.current_time)
+
+    events = 0
+    while heap:
+        events += 1
+        if events > EVENT_CAP:
+            raise ExplosionGuard(f"more than {EVENT_CAP} events in one advance")
+        when, cid = heapq.heappop(heap)
+        cell = nodes[cid]
+        poly = cell.polytope
+        cut = None
+        if rejection:
+            cut = draw(window, rng)
+            if not hits(cut, poly):
+                cell.rejected_hyperplanes.append(hyperplane(cut))
+                schedule(cell, when)
+                continue
+        for _ in range(_SPLIT_RETRY_CAP):
+            if cut is None:
+                cut = draw(poly, rng)
+            children = split(poly, cut)
+            if children is not None:
+                break
+            cut = None
+        else:
+            raise DegenerateCut("could not draw a non-degenerate split")
+        minus, plus = children
+        base = len(nodes)
+        cell.death_time = when
+        cell.splitting_hyperplane = hyperplane(cut)
+        cell.children = (base, base + 1)
+        nodes.append(CellNode(base, minus, when, parent=cid))
+        nodes.append(CellNode(base + 1, plus, when, parent=cid))
+        tree.jump_times.append(when)
+        schedule(nodes[base], when)
+        schedule(nodes[base + 1], when)
+
+    tree.current_time = horizon
+    return tree
+
+
+def _cut_rule(tree: CellTree):
+    """The box rule for an axis measure on a box window, else the generic one."""
     if isinstance(tree.window, geo.Box):
         g = tree.measure.axis_rates(tree.window.dim)
         if g is not None:
-            return _advance_axis(tree, dt, rng, tuple(g))
-    horizon = tree.current_time + dt
-    rejection = tree.method == "rejection"
-    window_rate = measure_hitting(tree.measure, tree.window)
-
-    heap: list[tuple[float, int]] = []
-
-    def schedule(cell: CellNode, now: float):
-        if rejection:
-            nxt = now + rng.exponential(1.0 / window_rate)
-        else:
-            rate = measure_hitting(tree.measure, cell.polytope)
-            nxt = now + rng.exponential(1.0 / rate)
-        if nxt <= horizon:
-            heapq.heappush(heap, (nxt, cell.id))
-
-    for cid in sorted(tree.live_ids()):
-        schedule(tree.nodes[cid], tree.current_time)
-
-    events = 0
-    while heap:
-        events += 1
-        if events > EVENT_CAP:
-            raise ExplosionGuard(f"more than {EVENT_CAP} events in one advance")
-        when, cid = heapq.heappop(heap)
-        cell = tree.nodes[cid]
-        if rejection:
-            h = sample_hitting(tree.measure, tree.window, rng)
-            if not geo.hits(h, cell.polytope):
-                cell.rejected_hyperplanes.append(h)
-                schedule(cell, when)
-                continue
-        else:
-            h = None  # drawn in _split
-        _split(tree, cell, when, rng, h)
-        for child_id in cell.children:
-            schedule(tree.nodes[child_id], when)
-
-    tree.current_time = horizon
-    return tree
+            return _AxisCuts(tuple(float(x) for x in g), tree.window)
+    return _GenericCuts(tree.measure)
 
 
-def _advance_axis(tree: CellTree, dt: float, rng, g: tuple[float, ...]) -> CellTree:
-    """Event loop specialized to axis-orthogonal measures on box windows.
+class _AxisCuts:
+    """Cuts of boxes by an axis-orthogonal measure with per-axis rates g.
 
-    All cells are boxes and splits are interval clamps; identical in law to
-    the generic loop, an order of magnitude faster.
+    A cut is (axis, offset); every cell is a box and a split is an interval
+    clamp.  Identical in law to the generic rule, and about four times
+    cheaper per split.  The window's rate is kept for the rejection
+    method's window draws.
     """
-    horizon = tree.current_time + dt
-    rejection = tree.method == "rejection"
-    ell = tree.window.dim
-    w_lo, w_hi = tree.window.lo, tree.window.hi
-    window_rate = sum(g[c] * (w_hi[c] - w_lo[c]) for c in range(ell))
-    axes_unit = [tuple(1.0 if i == c else 0.0 for i in range(ell))
-                 for c in range(ell)]
 
-    def cell_rate(box: geo.Box) -> float:
-        return sum(g[c] * (box.hi[c] - box.lo[c]) for c in range(ell))
+    def __init__(self, g: tuple[float, ...], window: geo.Box):
+        self.g = g
+        self.window = window
+        self.window_rate = self.rate(window)
+        ell = len(g)
+        self.units = [tuple(1.0 if i == c else 0.0 for i in range(ell))
+                      for c in range(ell)]
 
-    heap: list[tuple[float, int]] = []
+    def rate(self, box: geo.Box) -> float:
+        g, lo, hi = self.g, box.lo, box.hi
+        return sum(g[c] * (hi[c] - lo[c]) for c in range(len(g)))
 
-    def schedule(cell: CellNode, now: float):
-        rate = window_rate if rejection else cell_rate(cell.polytope)
-        nxt = now + rng.exponential(1.0 / rate)
-        if nxt <= horizon:
-            heapq.heappush(heap, (nxt, cell.id))
-
-    def draw_window_cut() -> tuple[int, float]:
-        r = rng.random() * window_rate
+    def draw(self, box: geo.Box, rng) -> tuple[int, float]:
+        g, lo, hi = self.g, box.lo, box.hi
+        total = self.window_rate if box is self.window else self.rate(box)
+        r = rng.random() * total
         acc = 0.0
-        for c in range(ell - 1):
-            acc += g[c] * (w_hi[c] - w_lo[c])
+        c = len(g) - 1
+        for i in range(c):
+            acc += g[i] * (hi[i] - lo[i])
             if r < acc:
-                return c, rng.uniform(w_lo[c], w_hi[c])
-        return ell - 1, rng.uniform(w_lo[ell - 1], w_hi[ell - 1])
-
-    def split(cell: CellNode, when: float, cut: tuple[int, float] | None):
-        lo, hi = cell.polytope.lo, cell.polytope.hi
-        rate = cell_rate(cell.polytope)
-        for _ in range(_SPLIT_RETRY_CAP):
-            if cut is None:
-                r = rng.random() * rate
-                acc = 0.0
-                c = ell - 1
-                for i in range(ell - 1):
-                    acc += g[i] * (hi[i] - lo[i])
-                    if r < acc:
-                        c = i
-                        break
-                d = rng.uniform(lo[c], hi[c])
-            else:
-                c, d = cut
-                cut = None
-            if d - lo[c] > 1e-9 and hi[c] - d > 1e-9 and abs(d) > 1e-12:
+                c = i
                 break
-        else:
-            raise DegenerateCut("could not draw a non-degenerate split")
+        return c, rng.uniform(lo[c], hi[c])
+
+    @staticmethod
+    def hits(cut: tuple[int, float], box: geo.Box) -> bool:
+        c, d = cut
+        return box.lo[c] < d < box.hi[c]
+
+    @staticmethod
+    def split(box: geo.Box, cut: tuple[int, float]):
+        c, d = cut
+        lo, hi = box.lo, box.hi
+        if not (d - lo[c] > 1e-9 and hi[c] - d > 1e-9 and abs(d) > 1e-12):
+            return None
         low = geo.Box(lo, hi[:c] + (d,) + hi[c + 1:])
         high = geo.Box(lo[:c] + (d,) + lo[c + 1:], hi)
-        plus, minus = (low, high) if d > 0 else (high, low)
-        base = len(tree.nodes)
-        cell.death_time = when
-        cell.splitting_hyperplane = geo.Hyperplane(axes_unit[c], d)
-        cell.children = (base, base + 1)
-        tree.nodes.append(CellNode(base, minus, when, parent=cell.id))
-        tree.nodes.append(CellNode(base + 1, plus, when, parent=cell.id))
-        tree.jump_times.append(when)
+        # minus is the side away from the origin, as for geo.negative_side
+        return (high, low) if d > 0 else (low, high)
 
-    for cid in sorted(tree.live_ids()):
-        schedule(tree.nodes[cid], tree.current_time)
-
-    events = 0
-    while heap:
-        events += 1
-        if events > EVENT_CAP:
-            raise ExplosionGuard(f"more than {EVENT_CAP} events in one advance")
-        when, cid = heapq.heappop(heap)
-        cell = tree.nodes[cid]
-        if rejection:
-            c, d = draw_window_cut()
-            box = cell.polytope
-            if not (box.lo[c] < d < box.hi[c]):
-                cell.rejected_hyperplanes.append(geo.Hyperplane(axes_unit[c], d))
-                schedule(cell, when)
-                continue
-            split(cell, when, (c, d))
-        else:
-            split(cell, when, None)
-        for child_id in cell.children:
-            schedule(tree.nodes[child_id], when)
-
-    tree.current_time = horizon
-    return tree
+    def hyperplane(self, cut: tuple[int, float]) -> geo.Hyperplane:
+        c, d = cut
+        return geo.Hyperplane(self.units[c], d)
 
 
-def _split(tree: CellTree, cell: CellNode, when: float, rng,
-           h: geo.Hyperplane | None) -> None:
-    """Divide `cell` at time `when`; resamples degenerate hyperplanes."""
-    poly = cell.polytope
-    for _ in range(_SPLIT_RETRY_CAP):
-        if h is None:
-            h = sample_hitting(tree.measure, poly, rng)
+class _GenericCuts:
+    """Cuts of any polytope by hyperplanes drawn from the measure.
+
+    A cut is a Hyperplane.  The measure and geometry functions are looked
+    up at call time, so wrappers installed on their modules see every call.
+    """
+
+    def __init__(self, measure: DrivingMeasure):
+        self.measure = measure
+
+    def rate(self, poly: geo.Polytope) -> float:
+        return measure_hitting(self.measure, poly)
+
+    def draw(self, poly: geo.Polytope, rng) -> geo.Hyperplane:
+        return sample_hitting(self.measure, poly, rng)
+
+    @staticmethod
+    def hits(h: geo.Hyperplane, poly: geo.Polytope) -> bool:
+        return geo.hits(h, poly)
+
+    @staticmethod
+    def split(poly: geo.Polytope, h: geo.Hyperplane):
         try:
             plus = geo.clip(poly, geo.positive_side(h))
             minus = geo.clip(poly, geo.negative_side(h))
         except DegenerateCut:
-            h = None
-            continue
+            return None
         if plus is None or minus is None:
-            h = None
-            continue
-        break
-    else:
-        raise DegenerateCut("could not draw a non-degenerate split")
+            return None
+        return minus, plus
 
-    base = len(tree.nodes)
-    cell.death_time = when
-    cell.splitting_hyperplane = h
-    cell.children = (base, base + 1)
-    tree.nodes.append(CellNode(base, minus, when, parent=cell.id))
-    tree.nodes.append(CellNode(base + 1, plus, when, parent=cell.id))
-    tree.jump_times.append(when)
+    @staticmethod
+    def hyperplane(h: geo.Hyperplane) -> geo.Hyperplane:
+        return h
 
 
 def slice_at(tree: CellTree, s: float) -> Tessellation:

@@ -208,6 +208,17 @@ def test_simulate_oversized_pht_exit_code(tmp_path, capsys, rho):
     assert f"hitting mass 4 expects {4 * rho:g} hyperplanes" in err
 
 
+def test_simulate_huge_stit_time_exit_code(tmp_path, capsys):
+    # mass 4 times 1e12 is far over the event cap: refused before any draw
+    path = write_config(tmp_path, {**STIT_CONFIG, "time": 1e12})
+    assert main(["simulate", "--config", path, "--seed", "1",
+                 "--out", str(tmp_path / "x.json")]) == 3
+    err = capsys.readouterr().err
+    assert "ExplosionGuard" in err and "dt=1e+12" in err
+    assert "hitting mass 4 expects at least 4e+12 events" in err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_verify_determinism_bytes(tmp_path):
     out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
     for out in (out1, out2):

@@ -220,3 +220,23 @@ def test_box_higher_dimensions():
     assert b.volume() == pytest.approx(6.0)
     assert b.surface() == pytest.approx(2 * (2 * 3 + 1 * 3 + 1 * 2))
     assert geo.width(b, (0, 0, 1)) == pytest.approx(3.0)
+
+
+def numpy_box_surface(b):
+    """The earlier numpy formula for Box.surface, kept as the reference."""
+    side = b.hi_arr - b.lo_arr
+    total = 0.0
+    for c in range(b.dim):
+        total += 2.0 * float(np.prod(np.delete(side, c)))
+    return total
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_box_surface_matches_numpy_formula(dim):
+    rng = stream(31, dim)
+    for _ in range(500):
+        lo = rng.uniform(-5.0, 5.0, dim)
+        hi = lo + rng.uniform(1e-6, 10.0, dim)
+        b = geo.Box(tuple(lo), tuple(hi))
+        assert b.surface() == numpy_box_surface(b)
+    assert geo.Box((0.0,) * dim, (1.0,) * dim).surface() == 2.0 * dim

@@ -68,12 +68,17 @@ def test_facet_separating_masses():
 def test_scale_measure_check():
     lam = ms.axis_measure([1.0, 1.0])
     outer = geo.Box((-2, -2), (2, 2))
+
+    def scaled(r):
+        """Separating mass toward facet 0 of the window scaled by r."""
+        return ms.measure_facet_separating(lam, unit_box(), geo.scale(outer, r), 0)
+
     # g_c (r beta - alpha) = 1 * (6 - 1) = 5
-    assert ms.scale_measure_check(lam, unit_box(), outer, 0, 3.0) == pytest.approx(5.0)
-    assert ms.scale_measure_check(lam, unit_box(), outer, 0, 1.0) == pytest.approx(
+    assert scaled(3.0) == pytest.approx(5.0)
+    assert scaled(1.0) == pytest.approx(
         ms.measure_facet_separating(lam, unit_box(), outer, 0))
-    v1 = ms.scale_measure_check(lam, unit_box(), outer, 0, 2.0)
-    v2 = ms.scale_measure_check(lam, unit_box(), outer, 0, 4.0)
+    v1 = scaled(2.0)
+    v2 = scaled(4.0)
     assert v2 > v1
 
 

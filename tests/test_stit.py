@@ -1,5 +1,6 @@
 """Cell-division process tests: tree structure, law checks, tessellation ops."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -11,7 +12,8 @@ from stitsim.config import dumps_canonical
 from stitsim.errors import (AmbiguousZeroCell, ExplosionGuard,
                             InsufficientNests, MethodMismatch, OutOfRange,
                             WindowMismatch)
-from stitsim.measure import axis_measure, isotropic_measure, measure_hitting
+from stitsim.measure import (Discrete, DrivingMeasure, axis_measure,
+                             isotropic_measure, measure_hitting)
 from stitsim.rng import run_replicates, stream
 from stitsim.stats import binomial_sigma, ks_two_sample
 
@@ -278,3 +280,69 @@ def test_explosion_guard(monkeypatch):
     monkeypatch.setattr(stit, "EVENT_CAP", 10)
     with pytest.raises(ExplosionGuard):
         stit.simulate(LAM, W2, 50.0, stream(19, 0))
+
+
+def test_explosion_guard_in_loop(monkeypatch):
+    # dt * mass(W1) = 10 * 4 is under the cap, so only the event count trips
+    monkeypatch.setattr(stit, "EVENT_CAP", 50)
+    with pytest.raises(ExplosionGuard, match="more than 50 events"):
+        stit.simulate(LAM, W1, 10.0, stream(19, 1))
+
+
+class _NoDraws:
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} used before the work estimate")
+
+
+@pytest.mark.parametrize("method", ["direct", "rejection"])
+def test_huge_time_stops_before_any_draw(method):
+    with pytest.raises(ExplosionGuard) as e:
+        stit.simulate(LAM, W1, 1e12, _NoDraws(), method)
+    assert "dt=1e+12" in str(e.value) and "hitting mass 4 " in str(e.value)
+    assert f"cap of {stit.EVENT_CAP}" in str(e.value)
+    tree = stit.simulate(LAM, W1, 1e-9, stream(19, 2), method)
+    with pytest.raises(ExplosionGuard):
+        stit.advance(tree, 1e12, _NoDraws())
+
+
+PENTAGON = geo.Polygon2D(((-1.6, -0.9), (1.4, -1.2), (1.8, 0.7), (0.2, 1.9),
+                          (-1.3, 1.1)))
+OBLIQUE = DrivingMeasure(1.5, Discrete((((1.0, 0.5), 0.6), ((-0.3, 1.0), 0.4))))
+GOLDEN_TREES = {
+    # name: (measure, window, t, method, sha256 of canonical tree_to_json)
+    "axis_2d_direct": (
+        LAM, W2, 2.0, "direct",
+        "efbe019599c697c3cb8ba6a202d78df6c596d4a2fb49362dadf2603879a6dde5"),
+    "axis_2d_rejection": (
+        LAM, W2, 2.0, "rejection",
+        "eba11845b8626581359e5774b18ade775dd3773d3ad91101ae9ab7d5fee3e9df"),
+    "weighted_axis_3d": (
+        axis_measure([2.0, 1.0, 0.5]),
+        geo.Box((-1.0, -1.5, -1.0), (1.5, 1.0, 1.0)), 1.5, "direct",
+        "724406d9f4ea6cf96f17885a7d2c21405fe2f4c36446085ef01e1cee89b98c1c"),
+    "isotropic_polygon_direct": (
+        isotropic_measure(1.0), PENTAGON, 2.0, "direct",
+        "9023c87c5915f850087fd773acbddf5fe5848700d83a8c5c1f1a36d2434c7ca5"),
+    "isotropic_polygon_rejection": (
+        isotropic_measure(1.0), PENTAGON, 2.0, "rejection",
+        "075c6523ba02f0857d10200486dffc5e9f263b6d5fc202ebe1be87f08d5f3c0f"),
+    "oblique_polygon": (
+        OBLIQUE, PENTAGON, 2.0, "direct",
+        "b6c2eae8b7aee98bea3213270bfe09fef280c2d615597727c6d4f6b7432efdf0"),
+}
+
+
+def golden_tree_sha(measure, window, t, method, seed):
+    tree = stit.simulate(measure, window, t / 2, stream(seed, 0), method)
+    stit.advance(tree, t / 2, stream(seed, 1))
+    text = dumps_canonical(stit.tree_to_json(tree))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed,name", enumerate(GOLDEN_TREES, start=20))
+def test_tree_bytes_golden(seed, name):
+    # Digests of trees grown by simulate(t/2) then advance(t/2), computed
+    # before the two tree event loops became one; any change to the draws,
+    # the cut order, the child order or the rejected counts shows here.
+    measure, window, t, method, digest = GOLDEN_TREES[name]
+    assert golden_tree_sha(measure, window, t, method, seed) == digest
