@@ -119,17 +119,27 @@ def measure_from_json(d: dict) -> DrivingMeasure:
     raise ConfigError(f"unknown directional kind {dd['kind']!r}")
 
 
+def _coord(x, what: str) -> float:
+    """A window coordinate: finite and inside the range the geometry's
+    absolute tolerance is made for (geo.GEOM_TOL)."""
+    v = _float(x, what)
+    if abs(v) > geo.WINDOW_LIMIT:
+        raise ConfigError(f"{what} {v:g} is outside [-{geo.WINDOW_LIMIT:g}, "
+                          f"{geo.WINDOW_LIMIT:g}]")
+    return v
+
+
 def window_from_json(d: dict):
     if not isinstance(d, dict) or "kind" not in d:
         raise ConfigError("window must be an object with a 'kind'")
     try:
         if d["kind"] == "box":
             _require_keys(d, {"kind", "lo", "hi"}, {"kind", "lo", "hi"}, "window")
-            return geo.Box(tuple(_float(x, "window lo") for x in d["lo"]),
-                           tuple(_float(x, "window hi") for x in d["hi"]))
+            return geo.Box(tuple(_coord(x, "window lo") for x in d["lo"]),
+                           tuple(_coord(x, "window hi") for x in d["hi"]))
         if d["kind"] == "polygon":
             _require_keys(d, {"kind", "vertices"}, {"kind", "vertices"}, "window")
-            return geo.Polygon2D(tuple(tuple(_float(x, "window vertex") for x in p)
+            return geo.Polygon2D(tuple(tuple(_coord(x, "window vertex") for x in p)
                                        for p in d["vertices"]))
     except (ValueError, TypeError) as e:
         raise ConfigError(str(e)) from e

@@ -78,7 +78,7 @@ def _stat_sample(measure, window, t, n, seed, method="direct",
         T = stit.slice_at(stit.simulate(measure, window, t, rng, method), s_at)
         if transform is not None:
             T = transform(T)
-        st = stit.summary_stats(T, measure)
+        st = stit.summary_stats(T)
         return st.cell_count, st.boundary
 
     arr = np.asarray(run_replicates(one, n, seed, base), dtype=float)
@@ -164,7 +164,7 @@ def experiment_consistency(measure, window, inner, t, n, seed) -> Report:
     @_with_resample
     def one_restricted(_i, rng):
         T = stit.slice_at(stit.simulate(measure, window, t, rng), t)
-        st = stit.summary_stats(stit.restrict(T, inner), measure)
+        st = stit.summary_stats(stit.restrict(T, inner))
         return st.cell_count, st.boundary
 
     arr = np.asarray(run_replicates(one_restricted, n, seed), dtype=float)
@@ -190,7 +190,7 @@ def experiment_iteration(measure, window, t, s, n, seed) -> Report:
         for _ in range(len(T.cells)):
             R = stit.slice_at(stit.simulate(measure, window, s, rng), s)
             nests.append(R)
-        st = stit.summary_stats(stit.iterate(T, nests), measure)
+        st = stit.summary_stats(stit.iterate(T, nests))
         return st.cell_count, st.boundary
 
     arr = np.asarray(run_replicates(one_nested, n, seed, base_index=n),
@@ -262,9 +262,8 @@ def experiment_encapsulation(problem: EncapsulationProblem, t_grid, n, seed,
     """
     t_grid = sorted(t_grid)
     horizon = max(t_grid)
-    scan = rain.zero_cell_scan(problem.measure, problem.outer, problem.inner,
-                               horizon, n, seed)
-    a_s = rain.encapsulation_times(scan)
+    a_s = rain.zero_cell_scan(problem.measure, problem.outer, problem.inner,
+                              horizon, n, seed)["tau_enc"]
     params = problem.params()
     rows = []
     ok = True
@@ -301,8 +300,7 @@ def experiment_inclusion(problem: EncapsulationProblem, t, n, seed) -> Report:
                                t, n, seed, bands=problem.bands)
     m = scan["sigma_bands"].max(axis=1)
     sufficient = m <= np.minimum(scan["sigma_inner"], t)
-    a_s = rain.encapsulation_times(scan)
-    violations = int((sufficient & ~(a_s <= t)).sum())
+    violations = int((sufficient & ~(scan["tau_enc"] <= t)).sum())
     occurred = int(sufficient.sum())
     ok = violations == 0
     rows = [{"t": t, "n": n, "sufficient_events": occurred,
@@ -329,8 +327,7 @@ def experiment_cond_independence(measure, inner, enclosure, sim_window, probe,
         raise ValueError("need t2 < t")
     scan = rain.pair_scan(measure, sim_window, inner, probe, t, n, seed,
                           enclosure=enclosure)
-    a_s = np.where(scan["tau_enc"] < scan["cut_a"], scan["tau_enc"], np.inf)
-    cond = a_s < t2
+    cond = scan["tau_enc"] < t2
     n_cond = int(cond.sum())
     if n_cond < min_conditioned:
         raise TooFewConditioned(
@@ -475,8 +472,8 @@ def experiment_no_jump(measure, inner, t, t2_grid, n, seed) -> Report:
         tree = stit.simulate(measure, inner, t, rng)
         jumps = np.asarray(tree.jump_times)
         flags = [not ((jumps >= t - t2) & (jumps < t)).any() for t2 in t2_grid]
-        zeta = stit.summary_stats(stit.slice_at(tree, t), measure).zeta
-        return flags, zeta
+        cells = stit.slice_at(tree, t).cells
+        return flags, sum(measure_hitting(measure, c) for c in cells)
 
     out = run_replicates(one, n, seed)
     flags = np.asarray([r[0] for r in out], dtype=float)

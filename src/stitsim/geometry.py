@@ -19,9 +19,12 @@ import numpy as np
 
 from .errors import DegenerateCut, NonPositiveScale, RegimeMismatch
 
-# Absolute tolerance for geometric predicates; windows stay below side 1e3
-# so double precision leaves ample headroom.
+# Absolute tolerance for geometric predicates.  It assumes windows with
+# sides below 1e3, where double precision leaves ample headroom;
+# config.window_from_json enforces this by refusing window coordinates
+# outside [-WINDOW_LIMIT, WINDOW_LIMIT].
 GEOM_TOL = 1e-9
+WINDOW_LIMIT = 500.0
 UNIT_TOL = 1e-12
 
 
@@ -315,6 +318,21 @@ def support_function(P, u) -> float:
     if isinstance(P, Box):
         return float(np.maximum(ua * P.lo_arr, ua * P.hi_arr).sum())
     return float((P.vertices() @ ua).max())
+
+
+def support_interval(P, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(-h(-u), h(u)) for every row u of normals, h the support function of P.
+
+    For a box these are the formulas of support_function, with -h(-u)
+    computed as a minimum (negation is exact), so they agree with it bit for
+    bit.  For a vertex body they come from one matrix product: bit for bit
+    along the coordinate axes, and to the last bit of rounding otherwise.
+    """
+    if isinstance(P, Box):
+        a, b = normals * P.lo_arr, normals * P.hi_arr
+        return np.minimum(a, b).sum(axis=1), np.maximum(a, b).sum(axis=1)
+    proj = normals @ P.vertices().T
+    return proj.min(axis=1), proj.max(axis=1)
 
 
 def width(P, u) -> float:

@@ -113,8 +113,7 @@ class DrivingMeasure:
     def axis_rates(self, ell: int) -> np.ndarray | None:
         """Per-coordinate-axis rates g_c when theta lives on the axes.
 
-        Returns None for oblique or isotropic support; used to dispatch the
-        exact box fast paths.
+        Returns None for oblique or isotropic support.
         """
         if not isinstance(self.directional, Discrete):
             return None
@@ -129,6 +128,18 @@ class DrivingMeasure:
         if (g <= 0).any():
             return None
         return g
+
+
+def box_axis_rates(measure: DrivingMeasure, window) -> np.ndarray | None:
+    """Per-axis rates g_c when every cell of `window` stays a box: the window
+    is a box and the measure lives on its coordinate axes.  None otherwise.
+
+    This is the one test that selects the box regime's kernels (the STIT
+    cut rule and the rain lineage kernel).
+    """
+    if not isinstance(window, geo.Box):
+        return None
+    return measure.axis_rates(window.dim)
 
 
 def axis_measure(g) -> DrivingMeasure:

@@ -75,22 +75,9 @@ def empty_probability(measure: DrivingMeasure, rho: float, body) -> float:
     return math.exp(-rho * measure_hitting(measure, body))
 
 
-def _support_interval(body, normals: np.ndarray):
-    """(-h(-u), h(u)) for every row u of normals, h the body's support function.
-
-    The formulas of geo.support_function, with -h(-u) computed as a minimum
-    (negation is exact), so the hit test agrees with geo.hits row for row.
-    """
-    if isinstance(body, geo.Box):
-        a, b = normals * body.lo_arr, normals * body.hi_arr
-        return np.minimum(a, b).sum(axis=1), np.maximum(a, b).sum(axis=1)
-    proj = normals @ body.vertices().T
-    return proj.min(axis=1), proj.max(axis=1)
-
-
 def tail_event_hits_ball(pattern: PoissonHyperplanePattern, body) -> bool:
     """Whether some hyperplane of the pattern meets the body."""
-    lo, hi = _support_interval(body, pattern.normals)
+    lo, hi = geo.support_interval(body, pattern.normals)
     d = pattern.offsets
     return bool(((lo <= d) & (d <= hi)).any())
 

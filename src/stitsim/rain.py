@@ -9,9 +9,14 @@ of one or two bodies of interest is far cheaper than building whole trees
 and is exact for first-cut times, encapsulation times and avoidance
 indicators.
 
-Two implementations: a generic per-replicate loop valid for every measure
-and window, and a vectorized kernel for axis-orthogonal measures on box
-windows where every cell stays a box.
+Each geometry regime has one lineage kernel, the only loop that follows a
+single body's cell: ``_fast_lineage`` clamps box intervals for a batch of
+replicates at once when the measure lives on the coordinate axes and the
+window is a box, and ``_generic_lineage`` clips one polytope per replicate
+for every other measure and window.  The zero-cell scan is one lineage of
+the inner body.  The pair scan follows the shared cell of two bodies until
+a cut meets or separates them, then each survivor continues in the
+lineage kernel.
 """
 
 from __future__ import annotations
@@ -21,28 +26,11 @@ import math
 import numpy as np
 
 from . import geometry as geo
-from .measure import DrivingMeasure, measure_hitting, sample_hitting
+from .measure import (DrivingMeasure, box_axis_rates, measure_hitting,
+                      sample_hitting)
 from .rng import run_replicates, stream
 
 _BATCH = 1 << 16
-
-
-def _proj_interval(body, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis projection interval of a convex body."""
-    lo = np.empty(ell)
-    hi = np.empty(ell)
-    for c in range(ell):
-        e = np.zeros(ell)
-        e[c] = 1.0
-        hi[c] = geo.support_function(body, e)
-        lo[c] = -geo.support_function(body, -e)
-    return lo, hi
-
-
-def _axis_fastpath(measure: DrivingMeasure, window) -> np.ndarray | None:
-    if not isinstance(window, geo.Box):
-        return None
-    return measure.axis_rates(window.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -52,69 +40,43 @@ def zero_cell_scan(measure: DrivingMeasure, window, inner, horizon: float,
                    n: int, seed: int, bands=()) -> dict:
     """Scan n origin-cell trajectories in `window` up to `horizon`.
 
-    Returns arrays (inf when the event does not occur by the horizon):
-      tau_enc     first time the origin cell lies strictly inside the window
+    `inner` contains the origin, so until `inner` is cut the origin cell is
+    the cell of `inner`: each trajectory is one lineage of `inner`, started
+    from the window with the window as enclosure.  Returns arrays (inf when
+    the event does not occur by the horizon):
+      tau_enc     encapsulation time of `inner` in `window`: the first time
+                  the cell lies strictly inside the window, before sigma_inner
       sigma_inner first rain time on a hyperplane meeting `inner`
-      sigma_bands (n, len(bands)) first rain times inside each band
-
-    The encapsulation time of `inner` in `window` is tau_enc when
-    tau_enc < sigma_inner, else infinity.
+      sigma_bands (n, len(bands)) first rain times inside each band, before
+                  sigma_inner (inf from sigma_inner on)
     """
-    g = _axis_fastpath(measure, window)
+    g = box_axis_rates(measure, window)
     band_axis = [b.axis_form() for b in bands]
     if g is not None and all(f is not None for f in band_axis):
         return _fast_zero(g, window, inner, horizon, n, seed, band_axis)
     return _generic_zero(measure, window, inner, horizon, n, seed, bands)
 
 
-def encapsulation_times(scan: dict) -> np.ndarray:
-    tau, sig = scan["tau_enc"], scan["sigma_inner"]
-    return np.where(tau < sig, tau, np.inf)
-
-
 def _generic_zero(measure, window, inner, horizon, n, seed, bands):
     rate = measure_hitting(measure, window)
-    q = len(bands)
 
     def one(_i, rng):
-        t = 0.0
-        C = window
-        sigma = math.inf
-        tau = math.inf
-        sb = [math.inf] * q
-        pending = q
-        while True:
-            t += rng.exponential(1.0 / rate)
-            if t >= horizon:
-                break
-            h = sample_hitting(measure, window, rng)
-            if math.isinf(sigma) and geo.hits(h, inner):
-                sigma = t
-            for a in range(q):
-                if math.isinf(sb[a]) and bands[a].mark_test(h):
-                    sb[a] = t
-                    pending -= 1
-            if math.isinf(tau) and geo.hits(h, C):
-                nrm, c = (h.normal, h.d) if h.d > 0 else (-h.normal, -h.d)
-                C = geo.clip_tolerant(C, nrm, c)
-                if C is None:
-                    break
-                if geo.contains(window, C, strict=True):
-                    tau = t
-            if not math.isinf(sigma) and not math.isinf(tau) and pending == 0:
-                break
-        return tau, sigma, sb
+        return _generic_lineage(measure, window, rate, window, inner, 0.0,
+                                horizon, rng, window, math.inf, bands)
 
     rows = run_replicates(one, n, seed)
     return {
-        "tau_enc": np.array([r[0] for r in rows]),
-        "sigma_inner": np.array([r[1] for r in rows]),
-        "sigma_bands": np.array([r[2] for r in rows]).reshape(n, q),
+        "tau_enc": np.array([r[1] for r in rows]),
+        "sigma_inner": np.array([r[0] for r in rows]),
+        "sigma_bands": np.array([r[2] for r in rows]).reshape(n, len(bands)),
     }
 
 
-def _rain_marks(rng, g, v_lo, v_hi, horizon, nb):
-    """Event times (past the horizon), axes and positions of one rain batch."""
+def _rain_marks(rng, g, v_lo, v_hi, horizon, nb, t0=None):
+    """Event times (past the horizon), axes and positions of one rain batch.
+
+    With t0, row i starts at t0[i] and runs at least `horizon` beyond it.
+    """
     side = v_hi - v_lo
     rate_c = g * side
     rate = rate_c.sum()
@@ -128,54 +90,35 @@ def _rain_marks(rng, g, v_lo, v_hi, horizon, nb):
     cum = np.cumsum(rate_c / rate)
     axes = np.minimum(np.searchsorted(cum, rng.random(shape)), len(g) - 1)
     ds = v_lo[axes] + rng.random(shape) * side[axes]
+    if t0 is not None:
+        times += t0[:, None]
     return times, axes, ds
 
 
 def _fast_zero(g, window: geo.Box, inner, horizon, n, seed, band_axis):
     ell = window.dim
     v_lo, v_hi = window.lo_arr, window.hi_arr
-    in_lo, in_hi = _proj_interval(inner, ell)
-    q = len(band_axis)
+    in_lo, in_hi = geo.support_interval(inner, np.eye(ell))
     tau = np.empty(n)
     sigma = np.empty(n)
-    sbands = np.empty((n, q))
+    sbands = np.empty((n, len(band_axis)))
 
     for bi, start in enumerate(range(0, n, _BATCH)):
         stop = min(start + _BATCH, n)
         nb = stop - start
-        rng = stream(seed, bi)
-        times, axes, ds = _rain_marks(rng, g, v_lo, v_hi, horizon, nb)
-        lo = np.tile(v_lo, (nb, 1))
-        hi = np.tile(v_hi, (nb, 1))
-        sg = np.full(nb, np.inf)
-        tu = np.full(nb, np.inf)
-        sb = np.full((nb, q), np.inf)
+        marks = _rain_marks(stream(seed, bi), g, v_lo, v_hi, horizon, nb)
+        cut, tau[start:stop] = _fast_lineage(
+            marks, np.tile(v_lo, (nb, 1)), np.tile(v_hi, (nb, 1)), in_lo, in_hi,
+            horizon, v_lo, v_hi, np.full(nb, np.inf))
+        sigma[start:stop] = cut
+        # band clocks: the first mark in each band before the cut
+        times, axes, ds = marks
+        before = times < np.minimum(cut, horizon)[:, None]
         rows = np.arange(nb)
-        for k in range(times.shape[1]):
-            tk = times[:, k]
-            live = tk < horizon
-            if not live.any():
-                break
-            ax = axes[:, k]
-            dk = ds[:, k]
-            hit_in = live & (dk >= in_lo[ax]) & (dk <= in_hi[ax])
-            np.copyto(sg, tk, where=hit_in & np.isinf(sg))
-            for a, (bax, blo, bhi) in enumerate(band_axis):
-                col = sb[:, a]
-                hb = live & (ax == bax) & (dk > blo) & (dk < bhi)
-                np.copyto(col, tk, where=hb & np.isinf(col))
-            cur_lo = lo[rows, ax]
-            cur_hi = hi[rows, ax]
-            hit_cell = live & (dk > cur_lo) & (dk < cur_hi)
-            pos = dk > 0.0
-            hi[rows, ax] = np.where(hit_cell & pos, dk, cur_hi)
-            lo[rows, ax] = np.where(hit_cell & ~pos, dk, cur_lo)
-            enc = (hit_cell & np.isinf(tu)
-                   & (lo > v_lo).all(axis=1) & (hi < v_hi).all(axis=1))
-            np.copyto(tu, tk, where=enc)
-        tau[start:stop] = tu
-        sigma[start:stop] = sg
-        sbands[start:stop] = sb
+        for a, (bax, blo, bhi) in enumerate(band_axis):
+            mark = before & (axes == bax) & (ds > blo) & (ds < bhi)
+            k = mark.argmax(axis=1)
+            sbands[start:stop, a] = np.where(mark[rows, k], times[rows, k], np.inf)
     return {"tau_enc": tau, "sigma_inner": sigma, "sigma_bands": sbands}
 
 
@@ -192,7 +135,7 @@ def pair_scan(measure: DrivingMeasure, window, body_a, body_b, horizon: float,
     when `enclosure` is given, tau_enc: the first time the a-lineage cell
     lies strictly inside the enclosure while body_a is uncut.
     """
-    g = _axis_fastpath(measure, window)
+    g = box_axis_rates(measure, window)
     if g is not None and (enclosure is None or isinstance(enclosure, geo.Box)):
         return _fast_pair(g, window, body_a, body_b, horizon, n, seed, enclosure)
     return _generic_pair(measure, window, body_a, body_b, horizon, n, seed,
@@ -207,20 +150,32 @@ def _toward(C, h: geo.Hyperplane, body):
 
 
 def _generic_lineage(measure, window, rate, C, body, t, horizon, rng,
-                     enclosure, tau):
-    """Continue one lineage; returns (cut_time, tau_enc)."""
+                     enclosure, tau, bands=()):
+    """Follow the cell C of `body` from time t, one rain draw at a time.
+
+    Returns (cut, tau, band clocks): cut is the first rain time on a
+    hyperplane meeting `body` (inf if none comes by the horizon or the cell
+    degenerates); tau, if still inf, becomes the first time the cell lies
+    strictly inside `enclosure`; the clocks are the first rain times inside
+    each band.  tau and the clocks are set only before the cut.
+    """
+    sb = [math.inf] * len(bands)
     while True:
         t += rng.exponential(1.0 / rate)
         if t >= horizon:
-            return math.inf, tau
+            return math.inf, tau, sb
         h = sample_hitting(measure, window, rng)
-        if not geo.hits(h, C):
+        meets = geo.hits(h, C)
+        if meets and geo.hits(h, body):
+            return t, tau, sb
+        for a, band in enumerate(bands):
+            if math.isinf(sb[a]) and band.mark_test(h):
+                sb[a] = t
+        if not meets:
             continue
-        if geo.hits(h, body):
-            return t, tau
         C = _toward(C, h, body)
         if C is None:
-            return math.inf, tau
+            return math.inf, tau, sb
         if enclosure is not None and math.isinf(tau) and \
                 geo.contains(enclosure, C, strict=True):
             tau = t
@@ -233,59 +188,45 @@ def _generic_pair(measure, window, body_a, body_b, horizon, n, seed,
     def one(_i, rng):
         t = 0.0
         C = window
-        cut_a = cut_b = math.inf
         tau = math.inf
         while True:
             t += rng.exponential(1.0 / rate)
             if t >= horizon:
-                return cut_a, cut_b, tau
+                return math.inf, math.inf, tau
             h = sample_hitting(measure, window, rng)
             if not geo.hits(h, C):
                 continue
-            hit_a = math.isinf(cut_a) and geo.hits(h, body_a)
-            hit_b = math.isinf(cut_b) and geo.hits(h, body_b)
-            if hit_a:
-                cut_a = t
-            if hit_b:
-                cut_b = t
-            alive_a = math.isinf(cut_a)
-            alive_b = math.isinf(cut_b)
-            if not alive_a and not alive_b:
-                return cut_a, cut_b, tau
-            if hit_a or hit_b:
-                # single survivor: its lineage continues under this rain
-                C = _toward(C, h, body_a if alive_a else body_b)
-                if C is None:
-                    return cut_a, cut_b, tau
-            elif alive_a and alive_b:
-                side_a = geo.support_function(body_a, h.normal) <= h.d
-                side_b = geo.support_function(body_b, h.normal) <= h.d
-                if side_a != side_b:
-                    # separation: independent subtrees from here on
-                    ca = _toward(C, h, body_a)
-                    cb = _toward(C, h, body_b)
-                    if ca is not None and enclosure is not None and \
-                            math.isinf(tau) and geo.contains(enclosure, ca, strict=True):
-                        tau = t
-                    if ca is not None:
-                        cut_a, tau = _generic_lineage(
-                            measure, window, rate, ca, body_a, t, horizon,
-                            rng, enclosure, tau)
-                    if cb is not None:
-                        cut_b, _ = _generic_lineage(
-                            measure, window, rate, cb, body_b, t, horizon,
-                            rng, None, math.inf)
-                    return cut_a, cut_b, tau
-                C = _toward(C, h, body_a)
-                if C is None:
-                    return cut_a, cut_b, tau
-            else:
-                C = _toward(C, h, body_a if alive_a else body_b)
-                if C is None:
-                    return cut_a, cut_b, tau
-            if enclosure is not None and alive_a and math.isinf(tau) and \
+            hit_a = geo.hits(h, body_a)
+            hit_b = geo.hits(h, body_b)
+            if hit_a or hit_b or (
+                    (geo.support_function(body_a, h.normal) <= h.d)
+                    != (geo.support_function(body_b, h.normal) <= h.d)):
+                break
+            C = _toward(C, h, body_a)
+            if C is None:
+                return math.inf, math.inf, tau
+            if enclosure is not None and math.isinf(tau) and \
                     geo.contains(enclosure, C, strict=True):
                 tau = t
+        # h cuts a body or separates the two: from here on each survivor's
+        # lineage is independent, a's first
+        cut_a = cut_b = t
+        if not hit_a:
+            cut_a = math.inf
+            ca = _toward(C, h, body_a)
+            if ca is not None:
+                if enclosure is not None and math.isinf(tau) and \
+                        geo.contains(enclosure, ca, strict=True):
+                    tau = t
+                cut_a, tau, _ = _generic_lineage(measure, window, rate, ca, body_a,
+                                                 t, horizon, rng, enclosure, tau)
+        if not hit_b:
+            cut_b = math.inf
+            cb = _toward(C, h, body_b)
+            if cb is not None:
+                cut_b, _, _ = _generic_lineage(measure, window, rate, cb, body_b,
+                                               t, horizon, rng, None, math.inf)
+        return cut_a, cut_b, tau
 
     rows = run_replicates(one, n, seed)
     return {
@@ -295,16 +236,19 @@ def _generic_pair(measure, window, body_a, body_b, horizon, n, seed,
     }
 
 
-def _fast_lineage(rng, g, v_lo, v_hi, cell_lo, cell_hi, b_lo, b_hi,
-                  t0, horizon, enc_lo, enc_hi, tau):
-    """Vectorized continuation of one lineage for a subset of replicates."""
-    nb = len(t0)
+def _fast_lineage(marks, cell_lo, cell_hi, b_lo, b_hi, horizon, enc_lo, enc_hi,
+                  tau):
+    """Follow the box cells of the body [b_lo, b_hi] through rain marks.
+
+    marks are (times, axes, ds), one row per replicate; cell_lo and cell_hi
+    are clamped in place.  Returns (cut, tau): cut is the first rain time
+    meeting the body (inf if none by the horizon), and tau, where still inf,
+    becomes the first time the cell lies strictly inside the enclosure
+    before the cut.
+    """
+    times, axes, ds = marks
+    nb = len(times)
     cut = np.full(nb, np.inf)
-    if nb == 0:
-        return cut, tau
-    span = float(np.max(horizon - t0))
-    times, axes, ds = _rain_marks(rng, g, v_lo, v_hi, max(span, 1e-12), nb)
-    times = times + t0[:, None]
     rows = np.arange(nb)
     for k in range(times.shape[1]):
         tk = times[:, k]
@@ -332,8 +276,8 @@ def _fast_lineage(rng, g, v_lo, v_hi, cell_lo, cell_hi, b_lo, b_hi,
 def _fast_pair(g, window: geo.Box, body_a, body_b, horizon, n, seed, enclosure):
     ell = window.dim
     v_lo, v_hi = window.lo_arr, window.hi_arr
-    a_lo, a_hi = _proj_interval(body_a, ell)
-    b_lo, b_hi = _proj_interval(body_b, ell)
+    a_lo, a_hi = geo.support_interval(body_a, np.eye(ell))
+    b_lo, b_hi = geo.support_interval(body_b, np.eye(ell))
     enc_lo = enclosure.lo_arr if enclosure is not None else None
     enc_hi = enclosure.hi_arr if enclosure is not None else None
 
@@ -402,31 +346,31 @@ def _fast_pair(g, window: geo.Box, body_a, body_b, horizon, n, seed, enclosure):
                        & (alo > enc_lo).all(axis=1) & (ahi < enc_hi).all(axis=1))
                 np.copyto(tau, tk, where=enc)
 
-        # independent continuations for separated pairs
-        sub = np.where(switched)[0]
+        # independent continuations for separated pairs, on fresh rain
+        sub = np.flatnonzero(switched)
         if len(sub) > 0:
             axs = sep_ax[sub]
             dks = sep_d[sub]
             srows = np.arange(len(sub))
+            t0 = tsw[sub]
+            span = max(float(np.max(horizon - t0)), 1e-12)
 
             a_cell_lo = lo[sub].copy()
             a_cell_hi = hi[sub].copy()
             a_cell_hi[srows, axs] = np.where(sa_low[sub], dks, a_cell_hi[srows, axs])
             a_cell_lo[srows, axs] = np.where(~sa_low[sub], dks, a_cell_lo[srows, axs])
-            cut2, tau2 = _fast_lineage(rng, g, v_lo, v_hi, a_cell_lo, a_cell_hi,
-                                       a_lo, a_hi, tsw[sub], horizon,
-                                       enc_lo, enc_hi, tau[sub])
-            ca[sub] = cut2
-            tau[sub] = tau2
+            ca[sub], tau[sub] = _fast_lineage(
+                _rain_marks(rng, g, v_lo, v_hi, span, len(sub), t0),
+                a_cell_lo, a_cell_hi, a_lo, a_hi, horizon, enc_lo, enc_hi, tau[sub])
 
             b_cell_lo = lo[sub].copy()
             b_cell_hi = hi[sub].copy()
             b_cell_hi[srows, axs] = np.where(sb_low[sub], dks, b_cell_hi[srows, axs])
             b_cell_lo[srows, axs] = np.where(~sb_low[sub], dks, b_cell_lo[srows, axs])
-            cut2, _ = _fast_lineage(rng, g, v_lo, v_hi, b_cell_lo, b_cell_hi,
-                                    b_lo, b_hi, tsw[sub], horizon, None, None,
-                                    np.full(len(sub), np.inf))
-            cb[sub] = cut2
+            cb[sub], _ = _fast_lineage(
+                _rain_marks(rng, g, v_lo, v_hi, span, len(sub), t0),
+                b_cell_lo, b_cell_hi, b_lo, b_hi, horizon, None, None,
+                np.full(len(sub), np.inf))
 
         cut_a[start:stop] = ca
         cut_b[start:stop] = cb

@@ -28,7 +28,8 @@ from . import geometry as geo
 from .errors import (AmbiguousZeroCell, DegenerateCut, ExplosionGuard,
                      InsufficientNests, MethodMismatch, OutOfRange,
                      WindowMismatch)
-from .measure import DrivingMeasure, measure_hitting, sample_hitting
+from .measure import (DrivingMeasure, box_axis_rates, measure_hitting,
+                      sample_hitting)
 
 EVENT_CAP = 10 ** 7
 _SPLIT_RETRY_CAP = 100
@@ -83,7 +84,6 @@ class StatRecord:
     cell_count: int
     boundary: float
     zero_cell_area: float
-    zeta: float
 
 
 def simulate(measure: DrivingMeasure, window: geo.Polytope, t: float, rng,
@@ -177,10 +177,9 @@ def advance(tree: CellTree, dt: float, rng) -> CellTree:
 
 def _cut_rule(tree: CellTree):
     """The box rule for an axis measure on a box window, else the generic one."""
-    if isinstance(tree.window, geo.Box):
-        g = tree.measure.axis_rates(tree.window.dim)
-        if g is not None:
-            return _AxisCuts(tuple(float(x) for x in g), tree.window)
+    g = box_axis_rates(tree.measure, tree.window)
+    if g is not None:
+        return _AxisCuts(tuple(float(x) for x in g), tree.window)
     return _GenericCuts(tree.measure)
 
 
@@ -376,12 +375,11 @@ def restrict(T: Tessellation, sub: geo.Polytope) -> Tessellation:
     return Tessellation(sub, tuple(pieces))
 
 
-def summary_stats(T: Tessellation, measure: DrivingMeasure) -> StatRecord:
+def summary_stats(T: Tessellation) -> StatRecord:
     """Cheap discriminating statistics of one tessellation."""
     boundary = (sum(c.surface() for c in T.cells) - T.window.surface()) / 2.0
-    zeta = sum(measure_hitting(measure, c) for c in T.cells)
     return StatRecord(cell_count=len(T.cells), boundary=boundary,
-                      zero_cell_area=zero_cell(T).area(), zeta=zeta)
+                      zero_cell_area=zero_cell(T).area())
 
 
 def scale_tessellation(T: Tessellation, r: float) -> Tessellation:

@@ -8,6 +8,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from stitsim.cli import main, _parse_grid
+from stitsim.config import window_from_json
 from stitsim.errors import ConfigError
 
 STIT_CONFIG = {
@@ -196,6 +197,21 @@ def test_simulate_rejects_non_finite_numbers(tmp_path, capsys, cfg):
     assert main(["simulate", "--config", path, "--seed", "1",
                  "--out", str(tmp_path / "x.json")]) == 2
     assert "must be a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("window", [
+    {"kind": "box", "lo": [-1, -600], "hi": [1, 1]},
+    {"kind": "polygon", "vertices": [[0, 0], [500.5, 0], [0, 1]]},
+], ids=["box", "polygon"])
+def test_simulate_rejects_window_out_of_range(tmp_path, capsys, window):
+    # geometry tolerances are absolute and assume window sides below 1e3
+    path = write_config(tmp_path, {**STIT_CONFIG, "window": window})
+    assert main(["simulate", "--config", path, "--seed", "1",
+                 "--out", str(tmp_path / "x.json")]) == 2
+    assert "is outside [-500, 500]" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+    edge = window_from_json({"kind": "box", "lo": [-500, -500], "hi": [500, 500]})
+    assert edge.hi == (500.0, 500.0)
 
 
 @pytest.mark.parametrize("rho", [1e12, 1e30])

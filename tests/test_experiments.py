@@ -126,3 +126,11 @@ def test_iteration_report_golden():
     text = dumps_canonical(ex.run_iteration(seed=4, n_scale=0.05).to_json())
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "2e5c871ac7962b413751347e2d8a8a7e2d4f6e9d93f32ee77d1b4a6615da89c0")
+
+
+def test_no_jump_report_golden():
+    # pins the no_jump report, including its zeta_mean column (the summed
+    # hitting mass of the cells at t, in cell order)
+    text = dumps_canonical(ex.run_no_jump(seed=4, n_scale=0.05).to_json())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a2933579da05f76ab235311542a1a9e282d325482edd9abf56bbb81bb5f814ea")

@@ -48,6 +48,30 @@ def test_support_function_examples():
     assert geo.support_function(triangle(), (0, -1)) == pytest.approx(0.0)
 
 
+def test_support_interval_matches_support_function():
+    # bit for bit for boxes and along the coordinate axes (the rain kernels'
+    # case); a vertex body's matrix product may round oblique rows differently
+    rng = stream(2, 0)
+    for ell in (2, 3):
+        normals = np.vstack([np.eye(ell), rng.normal(size=(20, ell))])
+        normals /= np.linalg.norm(normals, axis=1)[:, None]
+        for _ in range(100):
+            lo = rng.uniform(-50, 50, ell)
+            bodies = [geo.Box(tuple(lo), tuple(lo + rng.uniform(1e-3, 60, ell)))]
+            if ell == 2:
+                bodies += [bodies[0].to_polygon(),
+                           geo.Face((tuple(rng.uniform(-50, 50, 2)),
+                                     tuple(rng.uniform(-50, 50, 2))))]
+            for body in bodies:
+                got = geo.support_interval(body, normals)
+                want = (np.array([-geo.support_function(body, -u) for u in normals]),
+                        np.array([geo.support_function(body, u) for u in normals]))
+                exact = slice(None) if isinstance(body, geo.Box) else slice(ell)
+                for g, w in zip(got, want):
+                    assert g[exact].tolist() == w[exact].tolist()
+                    np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+
 def test_width_examples():
     assert geo.width(unit_box(), (0, 1)) == pytest.approx(2.0)
     assert geo.width(geo.Box((0, 0), (2, 1)), (1, 0)) == pytest.approx(2.0)

@@ -1,13 +1,15 @@
 """Lineage-rain kernels against each other and against whole-tree oracles."""
 
+import hashlib
 import math
 
 import numpy as np
 
 from stitsim import geometry as geo
 from stitsim import rain, stit
-from stitsim.encapsulation import encapsulation_time
-from stitsim.measure import axis_measure
+from stitsim.encapsulation import build_window, encapsulation_time
+from stitsim.experiments import equality_problem
+from stitsim.measure import axis_measure, isotropic_measure
 from stitsim.rng import run_replicates
 from stitsim.stats import binomial_sigma, ks_two_sample
 
@@ -20,8 +22,8 @@ def test_zero_scan_fast_vs_generic():
     horizon = 4.0
     fast = rain.zero_cell_scan(LAM, W, WP, horizon, 30_000, 20)
     gen = rain._generic_zero(LAM, W, WP, horizon, 3_000, 21, ())
-    a_fast = rain.encapsulation_times(fast)
-    a_gen = np.where(gen["tau_enc"] < gen["sigma_inner"], gen["tau_enc"], np.inf)
+    a_fast = fast["tau_enc"]
+    a_gen = gen["tau_enc"]
     p_fast = np.isfinite(a_fast).mean()
     p_gen = np.isfinite(a_gen).mean()
     assert abs(p_fast - p_gen) <= 5 * binomial_sigma(p_fast, 3_000)
@@ -33,7 +35,7 @@ def test_zero_scan_fast_vs_generic():
 def test_zero_scan_against_tree_encapsulation():
     horizon = 2.5
     scan = rain.zero_cell_scan(LAM, W, WP, horizon, 60_000, 22)
-    a_scan = rain.encapsulation_times(scan)
+    a_scan = scan["tau_enc"]
 
     def one(_i, rng):
         return encapsulation_time(stit.simulate(LAM, W, horizon, rng), WP)
@@ -100,10 +102,90 @@ def test_pair_scan_enclosure_matches_zero_scan():
     V = geo.Box((-3.2, -3.2), (3.2, 3.2))
     probe = geo.Face(((2.5, 0.0), (3.0, 0.0)))
     pair = rain.pair_scan(LAM, V, WP, probe, 2.0, 30_000, 29, enclosure=W)
-    a_pair = np.where(pair["tau_enc"] < pair["cut_a"], pair["tau_enc"], np.inf)
+    a_pair = pair["tau_enc"]
     solo = rain.zero_cell_scan(LAM, W, WP, 2.0, 30_000, 30)
-    a_solo = rain.encapsulation_times(solo)
+    a_solo = solo["tau_enc"]
     p1, p2 = np.isfinite(a_pair).mean(), np.isfinite(a_solo).mean()
     assert abs(p1 - p2) <= 5 * binomial_sigma(max(p2, 1e-3), 30_000)
     assert ks_two_sample(a_pair[np.isfinite(a_pair)],
                          a_solo[np.isfinite(a_solo)]).p_value > 0.001
+
+
+def _golden_cases():
+    """Small scans whose outputs are pinned by sha256 in test_scan_bytes_golden.
+
+    Zero scans pin the encapsulation time, sigma_inner and the band clocks
+    that precede sigma_inner; pair scans pin cut_a, cut_b and tau_enc.
+    """
+    iso = isotropic_measure(1.0)
+    small = geo.Box((-0.3, -0.3), (0.3, 0.3))
+    iprob = build_window(small.to_polygon(), iso)
+    aprob = build_window(small, LAM)
+    V = geo.Box((-3.2, -3.2), (3.2, 3.2))
+    enc = geo.Box((-1.2, -1.2), (1.2, 1.2))
+    probe = geo.Face(((1.6, 0.0), (3.0, 0.0)))
+
+    def zero(prob, horizon, n, seed, bands=True):
+        return rain.zero_cell_scan(prob.measure, prob.outer, prob.inner, horizon,
+                                   n, seed, bands=prob.bands if bands else ())
+
+    return {
+        "zero_axis_2d": lambda: zero(equality_problem(0.3, 1.0, [1.0, 1.0]),
+                                     4.0, 3_000, 61),
+        "zero_weighted_3d": lambda: zero(equality_problem(0.3, 1.0, [1.0, 0.5, 2.0]),
+                                         4.0, 3_000, 62),
+        "zero_isotropic_bands": lambda: zero(iprob, 4.0, 60, 63),
+        "zero_isotropic": lambda: zero(iprob, 4.0, 60, 64, bands=False),
+        "generic_zero_box": lambda: rain._generic_zero(
+            LAM, aprob.outer, small, 4.0, 100, 65, aprob.bands),
+        "pair_fast": lambda: rain.pair_scan(LAM, V, small, probe, 3.0, 3_000, 66,
+                                            enclosure=enc),
+        "generic_pair_box": lambda: rain._generic_pair(LAM, V, small, probe, 3.0,
+                                                       100, 67, enc),
+        "pair_generic": lambda: rain.pair_scan(LAM, V.to_polygon(), small, probe,
+                                               3.0, 100, 68, enclosure=enc),
+        "pair_isotropic": lambda: rain.pair_scan(iso, V, small, probe, 3.0, 60, 69,
+                                                 enclosure=enc),
+    }
+
+
+def _scan_digest(scan) -> str:
+    if "sigma_inner" in scan:
+        sig = scan["sigma_inner"]
+        sb = scan["sigma_bands"]
+        arrays = (scan["tau_enc"], sig, np.where(sb < sig[:, None], sb, np.inf))
+    else:
+        arrays = (scan["cut_a"], scan["cut_b"], scan["tau_enc"])
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+# _scan_digest of each case.  The values come from the earlier scans, which
+# ran a separate origin-cell loop and a separate lone-survivor branch, so
+# they pin that the lineage kernels reproduce those draws exactly.
+SCAN_GOLDEN = {
+    "zero_axis_2d": "fddfc44bb84666a4a46a226602852b8a9db2464490d4fae97253fee36562a199",
+    "zero_weighted_3d": "114944d670131cec7d67a5fd6f1a43ff6f0ac4f2cd3895ceaa269359a6b3ffb5",
+    "zero_isotropic_bands": "c66c045401e97384ec0758c8f5f0c4e7b9e479c50703f395cc99832f038838c1",
+    "zero_isotropic": "0048af9d67f8ddc24b72852e100bc8e5612ae7a81f222e029be2307690369263",
+    "generic_zero_box": "b698a79aa1618bc298999df72f4d2d448f0b0287144224d48a248a134f89a68b",
+    "pair_fast": "07db8470e4b97f69e7b402b923e54978cfeff75aa6d725774ea67ea701279f3b",
+    "generic_pair_box": "4fca03eec80eec5de9757d5c607ee4f2956cf6260681996c7dff13d074cff04c",
+    "pair_generic": "049b2ac5927622d68fcd2b5cb6e5b21cc816a297a18078acb6a5ec648bd46e1a",
+    "pair_isotropic": "acc36bbe477ad48a12812f8772f4ea7c47b17cb3fcc669e9b11cbac042635d1a",
+}
+
+
+def test_scan_bytes_golden():
+    cases = _golden_cases()
+    assert set(cases) == set(SCAN_GOLDEN)
+    got = {}
+    for name, fn in cases.items():
+        scan = fn()
+        if "sigma_bands" in scan:  # band clocks are set only before the cut
+            sb = scan["sigma_bands"]
+            assert (np.isinf(sb) | (sb < scan["sigma_inner"][:, None])).all(), name
+        got[name] = _scan_digest(scan)
+    assert got == SCAN_GOLDEN

@@ -83,7 +83,7 @@ def test_method_equivalence_quick():
     def stats_of(method, seed):
         def one(_i, rng):
             T = stit.slice_at(stit.simulate(LAM, W1, 1.0, rng, method), 1.0)
-            s = stit.summary_stats(T, LAM)
+            s = stit.summary_stats(T)
             return s.cell_count, s.boundary
         return np.asarray(run_replicates(one, 700, seed), dtype=float)
 
@@ -222,11 +222,11 @@ def test_restrict_consistency_in_distribution():
 
     def restricted(_i, rng):
         T = stit.slice_at(stit.simulate(LAM, W2, 1.0, rng), 1.0)
-        return stit.summary_stats(stit.restrict(T, inner), LAM).boundary
+        return stit.summary_stats(stit.restrict(T, inner)).boundary
 
     def direct(_i, rng):
         T = stit.slice_at(stit.simulate(LAM, inner, 1.0, rng), 1.0)
-        return stit.summary_stats(T, LAM).boundary
+        return stit.summary_stats(T).boundary
 
     a = np.asarray(run_replicates(restricted, 700, 14))
     b = np.asarray(run_replicates(direct, 700, 15))
@@ -234,15 +234,14 @@ def test_restrict_consistency_in_distribution():
 
 
 def test_summary_stats():
-    s = stit.summary_stats(stit.Tessellation(W1, (W1,)), LAM)
+    s = stit.summary_stats(stit.Tessellation(W1, (W1,)))
     assert s.cell_count == 1
     assert s.boundary == pytest.approx(0.0, abs=1e-12)
     assert s.zero_cell_area == pytest.approx(4.0)
-    assert s.zeta == pytest.approx(4.0)
     # one full vertical cut: internal boundary length 2
     cut = stit.Tessellation(W1, (geo.Box((-1, -1), (0.25, 1)),
                                  geo.Box((0.25, -1), (1, 1))))
-    s2 = stit.summary_stats(cut, LAM)
+    s2 = stit.summary_stats(cut)
     assert s2.cell_count == 2
     assert s2.boundary == pytest.approx(2.0)
 
