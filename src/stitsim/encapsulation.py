@@ -21,11 +21,12 @@ from .errors import UnsupportedSupport
 from .measure import DrivingMeasure, Isotropic2D, measure_hitting
 from .stit import CellTree, Tessellation, zero_cell
 
-# Facet offset and band interval of the adapted window construction.  The
-# values are sufficient, not optimal, and are exposed as knobs.
-DEFAULT_OFFSET = 3.0
-DEFAULT_BAND = (1.0, 2.0)
-DEFAULT_ARC_HALFWIDTH = math.pi / 16.0
+# Facet offset, band interval and isotropic arc half-width of the adapted
+# window construction (0 < BAND[0] < BAND[1] < OFFSET).  The values are
+# sufficient, not optimal.
+OFFSET = 3.0
+BAND = (1.0, 2.0)
+ARC_HALF_WIDTH = math.pi / 16.0
 
 
 @dataclass(frozen=True)
@@ -105,11 +106,12 @@ class EncapsulationProblem:
         return BoundParams(measure_hitting(self.measure, self.inner),
                            tuple(b.mass for b in self.bands))
 
-    def validate(self, rng, samples_per_band: int = 100) -> None:
-        """Check sampled band hyperplanes separate inner from their facet."""
+    def validate(self, rng) -> None:
+        """Check 100 sampled hyperplanes of each band separate inner from
+        their facet."""
         for a, band in enumerate(self.bands):
             facet = geo.facet_body(self.outer, _facet_toward(self.outer, band.u))
-            for _ in range(samples_per_band):
+            for _ in range(100):
                 h = band.sample(rng)
                 if not geo.separates(h, self.inner, facet):
                     raise ValueError(f"band {a} contains a non-separating hyperplane")
@@ -247,22 +249,18 @@ def r_of_s(s: float, eps: float, min_band_mass: float, ell: int) -> float:
     return max(1.0, r * (1.0 + 1e-9))
 
 
-def build_window(inner: geo.Polytope, measure: DrivingMeasure,
-                 offset: float = DEFAULT_OFFSET,
-                 band: tuple[float, float] = DEFAULT_BAND,
-                 arc_half_width: float = DEFAULT_ARC_HALFWIDTH) -> EncapsulationProblem:
+def build_window(inner: geo.Polytope,
+                 measure: DrivingMeasure) -> EncapsulationProblem:
     """Adapt an outer window and disjoint separating bands to the measure.
 
     Facet normals come from the directional support (coordinate axes, the
     discrete directions, or the four coordinate directions for isotropic
-    measures); each facet sits `offset` beyond the support function of the
+    measures); each facet sits OFFSET beyond the support function h of the
     inner window and its band occupies oriented distances in
-    (h + band[0], h + band[1]).
+    (h + BAND[0], h + BAND[1]).
     """
     if not geo.origin_strictly_inside(inner):
         raise ValueError("inner window must contain the origin strictly")
-    if band[0] <= 0 or band[1] <= band[0] or offset <= band[1]:
-        raise ValueError("need 0 < band_lo < band_hi < offset")
     th = measure.directional
     if isinstance(th, Isotropic2D):
         dirs = [np.array([1.0, 0.0]), np.array([0.0, 1.0]),
@@ -277,14 +275,14 @@ def build_window(inner: geo.Polytope, measure: DrivingMeasure,
         if not _positively_spans(dirs):
             raise UnsupportedSupport("directions do not positively span the space")
 
-    outer = _window_from_dirs(inner, dirs, offset)
+    outer = _window_from_dirs(inner, dirs)
 
     bands = []
     for a, u in enumerate(dirs):
         h = geo.support_function(inner, u)
-        d_lo, d_hi = h + band[0], h + band[1]
+        d_lo, d_hi = h + BAND[0], h + BAND[1]
         if isinstance(th, Isotropic2D):
-            hw = _shrink_arc(inner, outer, u, d_lo, d_hi, arc_half_width)
+            hw = _shrink_arc(inner, outer, u, d_lo, d_hi)
             mass = measure.gamma * (2.0 * hw / math.pi) * (d_hi - d_lo)
         else:
             hw = 0.0
@@ -311,15 +309,15 @@ def _positively_spans(dirs) -> bool:
     return max(gaps) < math.pi - 1e-12
 
 
-def _window_from_dirs(inner, dirs, offset):
-    """Intersection of half-spaces at support + offset along each direction."""
+def _window_from_dirs(inner, dirs):
+    """Intersection of half-spaces at support + OFFSET along each direction."""
     axis_vals = {}
     oblique = False
     ell = len(dirs[0])
     for u in dirs:
         nz = [c for c in range(ell) if abs(u[c]) > 1e-12]
         if len(nz) == 1 and abs(abs(u[nz[0]]) - 1.0) <= 1e-12:
-            axis_vals[(nz[0], u[nz[0]] > 0)] = geo.support_function(inner, u) + offset
+            axis_vals[(nz[0], u[nz[0]] > 0)] = geo.support_function(inner, u) + OFFSET
         else:
             oblique = True
     if not oblique:
@@ -327,18 +325,18 @@ def _window_from_dirs(inner, dirs, offset):
         hi = [axis_vals[(c, True)] for c in range(ell)]
         return geo.Box(tuple(lo), tuple(hi))
     # general 2-D polygon: clip a generous bounding box by every constraint
-    bound = max(geo.support_function(inner, u) for u in dirs) + offset
+    bound = max(geo.support_function(inner, u) for u in dirs) + OFFSET
     cur = geo.Box((-2 * bound,) * 2, (2 * bound,) * 2).to_polygon()
     for u in dirs:
-        c = geo.support_function(inner, u) + offset
+        c = geo.support_function(inner, u) + OFFSET
         cur = geo.clip_tolerant(cur, np.asarray(u), c)
         if cur is None:
             raise UnsupportedSupport("window construction produced empty set")
     return cur
 
 
-def _shrink_arc(inner, outer, u, d_lo, d_hi, half_width):
-    """Largest arc half-width (up to the default) whose extreme hyperplanes
+def _shrink_arc(inner, outer, u, d_lo, d_hi):
+    """Largest arc half-width (up to ARC_HALF_WIDTH) whose extreme hyperplanes
     still separate the inner window from the facet."""
     facet = geo.facet_body(outer, _facet_toward(outer, u))
     phi0 = math.atan2(u[1], u[0])
@@ -351,7 +349,7 @@ def _shrink_arc(inner, outer, u, d_lo, d_hi, half_width):
                     return False
         return True
 
-    hw = half_width
+    hw = ARC_HALF_WIDTH
     for _ in range(20):
         if ok(hw):
             return hw

@@ -29,6 +29,8 @@ from .stats import (binomial_sigma, estimate_from_hits, gap_estimate,
 
 KS_ALPHA = 0.005
 SIGMAS = 4.0
+POWER_FACTOR = 3.0  # mismatched time factor that self_similarity must reject
+MIN_CONDITIONED = 200  # fewest conditioned replicates cond_independence accepts
 
 
 @dataclass
@@ -69,13 +71,12 @@ def _with_resample(body):
 
 
 def _stat_sample(measure, window, t, n, seed, method="direct",
-                 base=0, slice_time=None, transform=None):
+                 base=0, transform=None):
     """Replicated (cell_count, boundary) statistics of one simulation recipe."""
-    s_at = slice_time if slice_time is not None else t
 
     @_with_resample
     def one(_i, rng):
-        T = stit.slice_at(stit.simulate(measure, window, t, rng, method), s_at)
+        T = stit.slice_at(stit.simulate(measure, window, t, rng, method), t)
         if transform is not None:
             T = transform(T)
         st = stit.summary_stats(T)
@@ -203,8 +204,7 @@ def experiment_iteration(measure, window, t, s, n, seed) -> Report:
     }, rows, ok)
 
 
-def experiment_self_similarity(measure, window, t, n, seed,
-                               power_factor=3.0) -> Report:
+def experiment_self_similarity(measure, window, t, n, seed) -> Report:
     """The state at t agrees in law with the state at 2t in the half window
     scaled back up; a deliberately mismatched factor must be rejected."""
     half = geo.scale(window, 0.5)
@@ -217,7 +217,7 @@ def experiment_self_similarity(measure, window, t, n, seed,
     c2, b2 = scaled_sample(2.0, n)
     rows, ok = _ks_rows([("cell_count", c1, c2), ("boundary", b1, b2)], n, n)
 
-    c3, b3 = scaled_sample(power_factor, 2 * n)
+    c3, b3 = scaled_sample(POWER_FACTOR, 2 * n)
     power_rows, _ = _ks_rows([("cell_count_power", c1, c3),
                               ("boundary_power", b1, b3)], n, n)
     power_ok = min(r["p_value"] for r in power_rows) < KS_ALPHA
@@ -225,7 +225,7 @@ def experiment_self_similarity(measure, window, t, n, seed,
         r["verdict"] = "PASS" if power_ok else "FAIL"
     return Report("self_similarity", seed, {
         "measure": measure_to_json(measure), "t": t, "n": n,
-        "window": geo.polytope_to_json(window), "power_factor": power_factor,
+        "window": geo.polytope_to_json(window), "power_factor": POWER_FACTOR,
     }, rows + power_rows, ok and power_ok,
         notes="power rows PASS means the mismatched law was detected")
 
@@ -316,7 +316,7 @@ def experiment_inclusion(problem: EncapsulationProblem, t, n, seed) -> Report:
 
 
 def experiment_cond_independence(measure, inner, enclosure, sim_window, probe,
-                                 t, t2, n, seed, min_conditioned=200) -> Report:
+                                 t, t2, n, seed) -> Report:
     """Conditioned on early encapsulation, an inside avoidance event and an
     outside avoidance event decorrelate.
 
@@ -329,9 +329,9 @@ def experiment_cond_independence(measure, inner, enclosure, sim_window, probe,
                           enclosure=enclosure)
     cond = scan["tau_enc"] < t2
     n_cond = int(cond.sum())
-    if n_cond < min_conditioned:
+    if n_cond < MIN_CONDITIONED:
         raise TooFewConditioned(
-            f"only {n_cond} conditioned replicates (< {min_conditioned}); "
+            f"only {n_cond} conditioned replicates (< {MIN_CONDITIONED}); "
             "increase n or t2")
     d = (scan["cut_a"] > t)[cond]
     e = (scan["cut_b"] > t)[cond]
@@ -359,13 +359,14 @@ def _segment(y: float, half: float = 1.0) -> geo.Face:
     return geo.Face(((-half, y), (half, y)))
 
 
-def experiment_mixing_stit(measure, t, h_grid, n, seed, margin=2.0) -> Report:
+def experiment_mixing_stit(measure, t, h_grid, n, seed) -> Report:
     """Avoidance events of two segments decorrelate as their distance grows.
 
     Asserts the gap at the largest separation is within 2 sigma of zero and
     that the gap profile is non-increasing within noise.
     """
     h_grid = sorted(h_grid)
+    margin = 2.0  # window margin around the segments
     rows = []
     gaps = []
     sigmas = []
@@ -397,7 +398,7 @@ def experiment_mixing_stit(measure, t, h_grid, n, seed, margin=2.0) -> Report:
         notes="last row: gap within 2 sigma of zero; others: non-increasing")
 
 
-def experiment_mixing_pht(measure, rho, h_grid, n, seed, margin=2.2) -> Report:
+def experiment_mixing_pht(measure, rho, h_grid, n, seed) -> Report:
     """Poisson hyperplane witness of long-range dependence.
 
     With axis directions, the hyperplanes hitting a segment also hit every
@@ -405,6 +406,7 @@ def experiment_mixing_pht(measure, rho, h_grid, n, seed, margin=2.2) -> Report:
     of decaying; p itself must match 1 - exp(-rho mass(segment)).
     """
     h_grid = sorted(h_grid)
+    margin = 2.2  # window margin around the segments
     body_d = _segment(0.0)
     p_target = 1.0 - math.exp(-rho * measure_hitting(measure, body_d))
     gap_target = p_target * (1.0 - p_target)

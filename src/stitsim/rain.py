@@ -5,18 +5,18 @@ mass(window) with law Lambda^W, and along any single cell lineage the
 per-cell sequences concatenate into one homogeneous rain.  The cell of a
 convex body K evolves by clamping to K's side of every rain hyperplane
 that meets the cell, until one meets K itself.  Tracking only the lineages
-of one or two bodies of interest is far cheaper than building whole trees
-and is exact for first-cut times, encapsulation times and avoidance
-indicators.
+of a few bodies of interest is far cheaper than building whole trees and is
+exact for first-cut times, encapsulation times and avoidance indicators.
 
 Each geometry regime has one lineage kernel, the only loop that follows a
-single body's cell: ``_fast_lineage`` clamps box intervals for a batch of
+cell through the rain: ``_fast_lineage`` clamps box intervals for a batch of
 replicates at once when the measure lives on the coordinate axes and the
 window is a box, and ``_generic_lineage`` clips one polytope per replicate
-for every other measure and window.  The zero-cell scan is one lineage of
-the inner body.  The pair scan follows the shared cell of two bodies until
-a cut meets or separates them, then each survivor continues in the
-lineage kernel.
+for every other measure and window.  A kernel follows the cell shared by a
+group of bodies: a mark that meets a body cuts it and the rest keep the
+cell, and a mark that separates the group splits it, each side continuing
+on its own rain.  The zero-cell scan is the one-body case and the pair scan
+the two-body case.
 """
 
 from __future__ import annotations
@@ -32,9 +32,6 @@ from .rng import run_replicates, stream
 
 _BATCH = 1 << 16
 
-
-# ---------------------------------------------------------------------------
-# single lineage: the origin cell
 
 def zero_cell_scan(measure: DrivingMeasure, window, inner, horizon: float,
                    n: int, seed: int, bands=()) -> dict:
@@ -57,19 +54,64 @@ def zero_cell_scan(measure: DrivingMeasure, window, inner, horizon: float,
     return _generic_zero(measure, window, inner, horizon, n, seed, bands)
 
 
-def _generic_zero(measure, window, inner, horizon, n, seed, bands):
-    rate = measure_hitting(measure, window)
+def pair_scan(measure: DrivingMeasure, window, body_a, body_b, horizon: float,
+              n: int, seed: int, enclosure: geo.Box | None = None) -> dict:
+    """First-cut times of two bodies under one tessellation trajectory.
 
-    def one(_i, rng):
-        return _generic_lineage(measure, window, rate, window, inner, 0.0,
-                                horizon, rng, window, math.inf, bands)
+    Each trajectory is one lineage of the pair: the bodies share one cell
+    (and one rain) while they share a cell; once a cut separates them their
+    subtrees are independent and each continues under its own rain.  Returns
+    arrays cut_a, cut_b and, when `enclosure` is given, tau_enc: the first
+    time the a-lineage cell lies strictly inside the enclosure while body_a
+    is uncut.
+    """
+    g = box_axis_rates(measure, window)
+    if g is not None and (enclosure is None or isinstance(enclosure, geo.Box)):
+        return _fast_pair(g, window, body_a, body_b, horizon, n, seed, enclosure)
+    return _generic_pair(measure, window, body_a, body_b, horizon, n, seed,
+                         enclosure)
 
-    rows = run_replicates(one, n, seed)
-    return {
-        "tau_enc": np.array([r[1] for r in rows]),
-        "sigma_inner": np.array([r[0] for r in rows]),
-        "sigma_bands": np.array([r[2] for r in rows]).reshape(n, len(bands)),
-    }
+
+# ---------------------------------------------------------------------------
+# box regime
+
+def _fast_zero(g, window: geo.Box, inner, horizon, n, seed, band_axis):
+    cut, tau, sbands = _fast_scan(g, window, (inner,), horizon, n, seed,
+                                  window, band_axis)
+    return {"tau_enc": tau, "sigma_inner": cut[:, 0], "sigma_bands": sbands}
+
+
+def _fast_pair(g, window: geo.Box, body_a, body_b, horizon, n, seed, enclosure):
+    cut, tau, _ = _fast_scan(g, window, (body_a, body_b), horizon, n, seed,
+                             enclosure, ())
+    return {"cut_a": cut[:, 0], "cut_b": cut[:, 1], "tau_enc": tau}
+
+
+def _fast_scan(g, window: geo.Box, bodies, horizon, n, seed, enclosure,
+               band_axis):
+    """n lineages of `bodies` from the window, in batches of rain marks:
+    the cuts (n, k), the enclosure clock and the band clocks."""
+    ell = window.dim
+    v_lo, v_hi = window.lo_arr, window.hi_arr
+    b_lo, b_hi = np.array([geo.support_interval(b, np.eye(ell))
+                           for b in bodies]).transpose(1, 0, 2)
+    enc = None if enclosure is None else (enclosure.lo_arr, enclosure.hi_arr)
+    cut = np.empty((n, len(bodies)))
+    tau = np.empty(n)
+    sbands = np.empty((n, len(band_axis)))
+
+    for bi, start in enumerate(range(0, n, _BATCH)):
+        stop = min(start + _BATCH, n)
+        nb = stop - start
+        rng = stream(seed, bi)
+        marks = _rain_marks(rng, g, v_lo, v_hi, horizon, nb)
+        cut[start:stop], tau[start:stop] = _fast_lineage(
+            (rng, g, v_lo, v_hi), marks, np.tile(v_lo, (nb, 1)),
+            np.tile(v_hi, (nb, 1)), b_lo, b_hi, horizon, enc, np.full(nb, np.inf))
+        sbands[start:stop] = _band_clocks(
+            marks, np.minimum(cut[start:stop, 0], horizon), band_axis)
+        del marks  # free this batch's marks before the next batch is drawn
+    return cut, tau, sbands
 
 
 def _rain_marks(rng, g, v_lo, v_hi, horizon, nb, t0=None):
@@ -95,284 +137,201 @@ def _rain_marks(rng, g, v_lo, v_hi, horizon, nb, t0=None):
     return times, axes, ds
 
 
-def _fast_zero(g, window: geo.Box, inner, horizon, n, seed, band_axis):
-    ell = window.dim
-    v_lo, v_hi = window.lo_arr, window.hi_arr
-    in_lo, in_hi = geo.support_interval(inner, np.eye(ell))
-    tau = np.empty(n)
-    sigma = np.empty(n)
-    sbands = np.empty((n, len(band_axis)))
+def _band_clocks(marks, before, band_axis):
+    """Each row's first mark inside each axis band, earlier than `before`."""
+    times, axes, ds = marks
+    early = times < before[:, None]
+    rows = np.arange(len(times))
+    clocks = np.empty((len(times), len(band_axis)))
+    for a, (bax, blo, bhi) in enumerate(band_axis):
+        mark = early & (axes == bax) & (ds > blo) & (ds < bhi)
+        k = mark.argmax(axis=1)
+        clocks[:, a] = np.where(mark[rows, k], times[rows, k], np.inf)
+    return clocks
 
-    for bi, start in enumerate(range(0, n, _BATCH)):
-        stop = min(start + _BATCH, n)
-        nb = stop - start
-        marks = _rain_marks(stream(seed, bi), g, v_lo, v_hi, horizon, nb)
-        cut, tau[start:stop] = _fast_lineage(
-            marks, np.tile(v_lo, (nb, 1)), np.tile(v_hi, (nb, 1)), in_lo, in_hi,
-            horizon, v_lo, v_hi, np.full(nb, np.inf))
-        sigma[start:stop] = cut
-        # band clocks: the first mark in each band before the cut
-        times, axes, ds = marks
-        before = times < np.minimum(cut, horizon)[:, None]
-        rows = np.arange(nb)
-        for a, (bax, blo, bhi) in enumerate(band_axis):
-            mark = before & (axes == bax) & (ds > blo) & (ds < bhi)
-            k = mark.argmax(axis=1)
-            sbands[start:stop, a] = np.where(mark[rows, k], times[rows, k], np.inf)
-    return {"tau_enc": tau, "sigma_inner": sigma, "sigma_bands": sbands}
+
+def _inside(enc, lo, hi):
+    """Rows whose box [lo, hi] lies strictly inside enc = (enc_lo, enc_hi)."""
+    return (lo > enc[0]).all(axis=1) & (hi < enc[1]).all(axis=1)
+
+
+def _fast_lineage(rain, marks, lo, hi, b_lo, b_hi, horizon, enc, tau,
+                  live=None):
+    """Follow the box cells shared by k bodies through rain marks.
+
+    marks are (times, axes, ds), one row per replicate; lo and hi (nb, ell)
+    are the cells, clamped in place; b_lo and b_hi (k, ell) are the bodies'
+    intervals, and live (nb, k) marks the bodies in each row's cell (all of
+    them by default).  A mark that meets the cell cuts the live bodies it
+    meets and clamps the cell to the side of the rest.  A mark that leaves
+    live bodies on both sides splits the row: each side continues on fresh
+    marks from rain = (rng, g, v_lo, v_hi), the side of the first live body
+    first.  Returns (cut, tau): cut (nb, k) holds each body's first cut time
+    (inf if none by the horizon), and tau, where still inf, becomes the first
+    time body 0's cell lies strictly inside the box enc = (enc_lo, enc_hi)
+    while body 0 is uncut.  Only rows still following a cell are touched at
+    each mark.
+    """
+    times, axes, ds = marks
+    nb, k = len(times), len(b_lo)
+    live = np.ones((nb, k), dtype=bool) if live is None else live
+    cut = np.full((nb, k), np.inf)
+    t_sep = np.full(nb, np.inf)  # split rows: time, axis, position, sides
+    ax_sep = np.zeros(nb, dtype=np.int64)
+    d_sep = np.zeros(nb)
+    low_sep = np.zeros((nb, k), dtype=bool)
+    idx = np.arange(nb)
+
+    for j in range(times.shape[1]):
+        idx = idx[times[idx, j] < horizon]
+        if len(idx) == 0:
+            break
+        ax, d = axes[idx, j], ds[idx, j]
+        meet = (d > lo[idx, ax]) & (d < hi[idx, ax])
+        r, ax, d = idx[meet], ax[meet], d[meet]
+        t = times[r, j]
+        lo_k, hi_k = b_lo[:, ax].T, b_hi[:, ax].T
+        hit = live[r] & (d[:, None] >= lo_k) & (d[:, None] <= hi_k)
+        cut[r] = np.where(hit, t[:, None], cut[r])
+        alive = live[r] & ~hit
+        live[r] = alive
+        low = hi_k <= d[:, None]  # body below the mark, where not hit
+        any_low = (alive & low).any(axis=1)
+        any_high = (alive & ~low).any(axis=1)
+        one = any_low != any_high  # every live body on one side: clamp
+        rc, axc, dc, kl = r[one], ax[one], d[one], any_low[one]
+        hi[rc[kl], axc[kl]] = dc[kl]
+        lo[rc[~kl], axc[~kl]] = dc[~kl]
+        if enc is not None:
+            e = one & alive[:, 0] & np.isinf(tau[r])
+            e[e] = _inside(enc, lo[r[e]], hi[r[e]])
+            tau[r[e]] = t[e]
+        split = any_low & any_high
+        s = r[split]
+        t_sep[s], ax_sep[s], d_sep[s], low_sep[s] = (t[split], ax[split],
+                                                     d[split], low[split])
+        keep = ~meet
+        keep[meet] = one
+        idx = idx[keep]
+
+    # each side of a split continues on fresh rain, one batch per side
+    sub = np.flatnonzero(np.isfinite(t_sep))
+    if len(sub) > 0:
+        rng, g, v_lo, v_hi = rain
+        t0, ax, d = t_sep[sub], ax_sep[sub], d_sep[sub]
+        span = max(float(np.max(horizon - t0)), 1e-12)
+        alive, low = live[sub], low_sep[sub]
+        rows = np.arange(len(sub))
+        first = low[rows, alive.argmax(axis=1)]
+        for side in (first, ~first):
+            group = alive & (low == side[:, None])
+            c_lo, c_hi = lo[sub], hi[sub]
+            c_hi[rows, ax] = np.where(side, d, c_hi[rows, ax])
+            c_lo[rows, ax] = np.where(side, c_lo[rows, ax], d)
+            ts = tau[sub]
+            if enc is not None:
+                e = group[:, 0] & np.isinf(ts) & _inside(enc, c_lo, c_hi)
+                ts[e] = t0[e]
+            c, tau[sub] = _fast_lineage(
+                rain, _rain_marks(rng, g, v_lo, v_hi, span, len(sub), t0),
+                c_lo, c_hi, b_lo, b_hi, horizon, enc, ts, group)
+            cut[sub] = np.minimum(cut[sub], c)
+    return cut, tau
 
 
 # ---------------------------------------------------------------------------
-# two coupled lineages
+# generic regime
 
-def pair_scan(measure: DrivingMeasure, window, body_a, body_b, horizon: float,
-              n: int, seed: int, enclosure: geo.Box | None = None) -> dict:
-    """First-cut times of two bodies under one tessellation trajectory.
-
-    The bodies share one lineage (and one rain) while they share a cell;
-    once a cut separates them their subtrees are independent and each
-    lineage continues under its own rain.  Returns arrays cut_a, cut_b and,
-    when `enclosure` is given, tau_enc: the first time the a-lineage cell
-    lies strictly inside the enclosure while body_a is uncut.
-    """
-    g = box_axis_rates(measure, window)
-    if g is not None and (enclosure is None or isinstance(enclosure, geo.Box)):
-        return _fast_pair(g, window, body_a, body_b, horizon, n, seed, enclosure)
-    return _generic_pair(measure, window, body_a, body_b, horizon, n, seed,
-                         enclosure)
+def _generic_zero(measure, window, inner, horizon, n, seed, bands):
+    cut, tau, sbands = _generic_scan(measure, window, (inner,), horizon, n,
+                                     seed, window, bands)
+    return {"tau_enc": tau, "sigma_inner": cut[:, 0], "sigma_bands": sbands}
 
 
-def _toward(C, h: geo.Hyperplane, body):
-    """Clamp cell C to body's side of h (body does not meet h)."""
-    if geo.support_function(body, h.normal) <= h.d:
+def _generic_pair(measure, window, body_a, body_b, horizon, n, seed,
+                  enclosure):
+    cut, tau, _ = _generic_scan(measure, window, (body_a, body_b), horizon, n,
+                                seed, enclosure, ())
+    return {"cut_a": cut[:, 0], "cut_b": cut[:, 1], "tau_enc": tau}
+
+
+def _generic_scan(measure, window, bodies, horizon, n, seed, enclosure, bands):
+    """n lineages of `bodies` from the window, one replicate stream each."""
+    rate = measure_hitting(measure, window)
+
+    def one(_i, rng):
+        cut = [math.inf] * len(bodies)
+        tau, sb = _generic_lineage((rng, measure, window, rate), window, bodies,
+                                   list(range(len(bodies))), cut, 0.0, horizon,
+                                   enclosure, math.inf, bands)
+        return cut, tau, sb
+
+    rows = run_replicates(one, n, seed)
+    return (np.array([r[0] for r in rows]).reshape(n, len(bodies)),
+            np.array([r[1] for r in rows]),
+            np.array([r[2] for r in rows]).reshape(n, len(bands)))
+
+
+def _toward(C, h: geo.Hyperplane, low: bool):
+    """Clamp cell C to the side of h below it (low) or above it."""
+    if low:
         return geo.clip_tolerant(C, h.normal, h.d)
     return geo.clip_tolerant(C, -h.normal, -h.d)
 
 
-def _generic_lineage(measure, window, rate, C, body, t, horizon, rng,
-                     enclosure, tau, bands=()):
-    """Follow the cell C of `body` from time t, one rain draw at a time.
+def _encloses(enclosure, C, tau) -> bool:
+    """Whether body 0's new cell C starts the (unset) enclosure clock."""
+    return (enclosure is not None and math.isinf(tau)
+            and geo.contains(enclosure, C, strict=True))
 
-    Returns (cut, tau, band clocks): cut is the first rain time on a
-    hyperplane meeting `body` (inf if none comes by the horizon or the cell
-    degenerates); tau, if still inf, becomes the first time the cell lies
-    strictly inside `enclosure`; the clocks are the first rain times inside
-    each band.  tau and the clocks are set only before the cut.
+
+def _generic_lineage(rain, C, bodies, live, cut, t, horizon, enclosure, tau,
+                     bands=()):
+    """Follow the cell C shared by the bodies `live` from time t.
+
+    rain = (rng, measure, window, rate) is drawn one hyperplane at a time.
+    A draw that meets C sets cut[i] for each live body i it meets, and
+    clamps C to the side of the rest; one that leaves live bodies on both
+    sides splits the group, and each side continues in its own call, the
+    side of the first live body first.  A cut stays inf if none comes by
+    the horizon or the cell degenerates.  Returns (tau, band clocks): tau,
+    if still inf, becomes the first time body 0's cell lies strictly inside
+    `enclosure` while body 0 is uncut; the clocks are the first rain times
+    inside each band while a body of the group is uncut (the zero scan's one
+    body).
     """
+    rng, measure, window, rate = rain
     sb = [math.inf] * len(bands)
     while True:
         t += rng.exponential(1.0 / rate)
         if t >= horizon:
-            return math.inf, tau, sb
+            return tau, sb
         h = sample_hitting(measure, window, rng)
         meets = geo.hits(h, C)
-        if meets and geo.hits(h, body):
-            return t, tau, sb
+        hit = [i for i in live if geo.hits(h, bodies[i])] if meets else []
+        for i in hit:
+            cut[i] = t
+        live = [i for i in live if i not in hit]
+        if not live:
+            return tau, sb
         for a, band in enumerate(bands):
             if math.isinf(sb[a]) and band.mark_test(h):
                 sb[a] = t
         if not meets:
             continue
-        C = _toward(C, h, body)
+        low = [geo.support_function(bodies[i], h.normal) <= h.d for i in live]
+        if low.count(low[0]) < len(low):
+            for side in (low[0], not low[0]):
+                group = [i for i, s in zip(live, low) if s == side]
+                Cs = _toward(C, h, side)
+                if Cs is not None:
+                    if group[0] == 0 and _encloses(enclosure, Cs, tau):
+                        tau = t
+                    tau, _ = _generic_lineage(rain, Cs, bodies, group, cut, t,
+                                              horizon, enclosure, tau)
+            return tau, sb
+        C = _toward(C, h, low[0])
         if C is None:
-            return math.inf, tau, sb
-        if enclosure is not None and math.isinf(tau) and \
-                geo.contains(enclosure, C, strict=True):
+            return tau, sb
+        if live[0] == 0 and _encloses(enclosure, C, tau):
             tau = t
-
-
-def _generic_pair(measure, window, body_a, body_b, horizon, n, seed,
-                  enclosure):
-    rate = measure_hitting(measure, window)
-
-    def one(_i, rng):
-        t = 0.0
-        C = window
-        tau = math.inf
-        while True:
-            t += rng.exponential(1.0 / rate)
-            if t >= horizon:
-                return math.inf, math.inf, tau
-            h = sample_hitting(measure, window, rng)
-            if not geo.hits(h, C):
-                continue
-            hit_a = geo.hits(h, body_a)
-            hit_b = geo.hits(h, body_b)
-            if hit_a or hit_b or (
-                    (geo.support_function(body_a, h.normal) <= h.d)
-                    != (geo.support_function(body_b, h.normal) <= h.d)):
-                break
-            C = _toward(C, h, body_a)
-            if C is None:
-                return math.inf, math.inf, tau
-            if enclosure is not None and math.isinf(tau) and \
-                    geo.contains(enclosure, C, strict=True):
-                tau = t
-        # h cuts a body or separates the two: from here on each survivor's
-        # lineage is independent, a's first
-        cut_a = cut_b = t
-        if not hit_a:
-            cut_a = math.inf
-            ca = _toward(C, h, body_a)
-            if ca is not None:
-                if enclosure is not None and math.isinf(tau) and \
-                        geo.contains(enclosure, ca, strict=True):
-                    tau = t
-                cut_a, tau, _ = _generic_lineage(measure, window, rate, ca, body_a,
-                                                 t, horizon, rng, enclosure, tau)
-        if not hit_b:
-            cut_b = math.inf
-            cb = _toward(C, h, body_b)
-            if cb is not None:
-                cut_b, _, _ = _generic_lineage(measure, window, rate, cb, body_b,
-                                               t, horizon, rng, None, math.inf)
-        return cut_a, cut_b, tau
-
-    rows = run_replicates(one, n, seed)
-    return {
-        "cut_a": np.array([r[0] for r in rows]),
-        "cut_b": np.array([r[1] for r in rows]),
-        "tau_enc": np.array([r[2] for r in rows]),
-    }
-
-
-def _fast_lineage(marks, cell_lo, cell_hi, b_lo, b_hi, horizon, enc_lo, enc_hi,
-                  tau):
-    """Follow the box cells of the body [b_lo, b_hi] through rain marks.
-
-    marks are (times, axes, ds), one row per replicate; cell_lo and cell_hi
-    are clamped in place.  Returns (cut, tau): cut is the first rain time
-    meeting the body (inf if none by the horizon), and tau, where still inf,
-    becomes the first time the cell lies strictly inside the enclosure
-    before the cut.
-    """
-    times, axes, ds = marks
-    nb = len(times)
-    cut = np.full(nb, np.inf)
-    rows = np.arange(nb)
-    for k in range(times.shape[1]):
-        tk = times[:, k]
-        live = (tk < horizon) & np.isinf(cut)
-        if not live.any():
-            break
-        ax = axes[:, k]
-        dk = ds[:, k]
-        cur_lo = cell_lo[rows, ax]
-        cur_hi = cell_hi[rows, ax]
-        hit_cell = live & (dk > cur_lo) & (dk < cur_hi)
-        hit_body = hit_cell & (dk >= b_lo[ax]) & (dk <= b_hi[ax])
-        np.copyto(cut, tk, where=hit_body)
-        clamp = hit_cell & ~hit_body
-        body_low = b_hi[ax] <= dk
-        cell_hi[rows, ax] = np.where(clamp & body_low, dk, cur_hi)
-        cell_lo[rows, ax] = np.where(clamp & ~body_low, dk, cur_lo)
-        if enc_lo is not None:
-            enc = (clamp & np.isinf(tau)
-                   & (cell_lo > enc_lo).all(axis=1) & (cell_hi < enc_hi).all(axis=1))
-            np.copyto(tau, tk, where=enc)
-    return cut, tau
-
-
-def _fast_pair(g, window: geo.Box, body_a, body_b, horizon, n, seed, enclosure):
-    ell = window.dim
-    v_lo, v_hi = window.lo_arr, window.hi_arr
-    a_lo, a_hi = geo.support_interval(body_a, np.eye(ell))
-    b_lo, b_hi = geo.support_interval(body_b, np.eye(ell))
-    enc_lo = enclosure.lo_arr if enclosure is not None else None
-    enc_hi = enclosure.hi_arr if enclosure is not None else None
-
-    cut_a = np.empty(n)
-    cut_b = np.empty(n)
-    tau_enc = np.empty(n)
-
-    for bi, start in enumerate(range(0, n, _BATCH)):
-        stop = min(start + _BATCH, n)
-        nb = stop - start
-        rng = stream(seed, bi)
-        times, axes, ds = _rain_marks(rng, g, v_lo, v_hi, horizon, nb)
-        lo = np.tile(v_lo, (nb, 1))
-        hi = np.tile(v_hi, (nb, 1))
-        ca = np.full(nb, np.inf)
-        cb = np.full(nb, np.inf)
-        tau = np.full(nb, np.inf)
-        switched = np.zeros(nb, dtype=bool)
-        tsw = np.full(nb, np.inf)
-        sa_low = np.zeros(nb, dtype=bool)  # body sides at the separation cut
-        sb_low = np.zeros(nb, dtype=bool)
-        sep_d = np.zeros(nb)
-        sep_ax = np.zeros(nb, dtype=np.int64)
-        rows = np.arange(nb)
-
-        for k in range(times.shape[1]):
-            tk = times[:, k]
-            alive_a = np.isinf(ca)
-            alive_b = np.isinf(cb)
-            act = ~switched & (tk < horizon) & (alive_a | alive_b)
-            if not act.any():
-                break
-            ax = axes[:, k]
-            dk = ds[:, k]
-            cur_lo = lo[rows, ax]
-            cur_hi = hi[rows, ax]
-            hit_cell = act & (dk > cur_lo) & (dk < cur_hi)
-            hit_a = hit_cell & alive_a & (dk >= a_lo[ax]) & (dk <= a_hi[ax])
-            hit_b = hit_cell & alive_b & (dk >= b_lo[ax]) & (dk <= b_hi[ax])
-            np.copyto(ca, tk, where=hit_a)
-            np.copyto(cb, tk, where=hit_b)
-            alive_a = alive_a & ~hit_a
-            alive_b = alive_b & ~hit_b
-            side_a = a_hi[ax] <= dk  # valid where body a not hit
-            side_b = b_hi[ax] <= dk
-            sep = (hit_cell & ~hit_a & ~hit_b & alive_a & alive_b
-                   & (side_a != side_b))
-            clamp = hit_cell & ~sep & (alive_a | alive_b)
-            keep_low = np.where(alive_a, side_a, side_b)
-            hi[rows, ax] = np.where(clamp & keep_low, dk, cur_hi)
-            lo[rows, ax] = np.where(clamp & ~keep_low, dk, cur_lo)
-            switched |= sep
-            np.copyto(tsw, tk, where=sep)
-            np.copyto(sep_d, dk, where=sep)
-            sep_ax = np.where(sep, ax, sep_ax)
-            sa_low = np.where(sep, side_a, sa_low)
-            sb_low = np.where(sep, side_b, sb_low)
-            if enc_lo is not None:
-                # a-cell after this event: clamped shared cell, or the a-side
-                # of a separation cut
-                alo = lo.copy()
-                ahi = hi.copy()
-                ahi[rows, ax] = np.where(sep & sa_low, dk, ahi[rows, ax])
-                alo[rows, ax] = np.where(sep & ~sa_low, dk, alo[rows, ax])
-                enc = ((clamp | sep) & alive_a & np.isinf(tau)
-                       & (alo > enc_lo).all(axis=1) & (ahi < enc_hi).all(axis=1))
-                np.copyto(tau, tk, where=enc)
-
-        # independent continuations for separated pairs, on fresh rain
-        sub = np.flatnonzero(switched)
-        if len(sub) > 0:
-            axs = sep_ax[sub]
-            dks = sep_d[sub]
-            srows = np.arange(len(sub))
-            t0 = tsw[sub]
-            span = max(float(np.max(horizon - t0)), 1e-12)
-
-            a_cell_lo = lo[sub].copy()
-            a_cell_hi = hi[sub].copy()
-            a_cell_hi[srows, axs] = np.where(sa_low[sub], dks, a_cell_hi[srows, axs])
-            a_cell_lo[srows, axs] = np.where(~sa_low[sub], dks, a_cell_lo[srows, axs])
-            ca[sub], tau[sub] = _fast_lineage(
-                _rain_marks(rng, g, v_lo, v_hi, span, len(sub), t0),
-                a_cell_lo, a_cell_hi, a_lo, a_hi, horizon, enc_lo, enc_hi, tau[sub])
-
-            b_cell_lo = lo[sub].copy()
-            b_cell_hi = hi[sub].copy()
-            b_cell_hi[srows, axs] = np.where(sb_low[sub], dks, b_cell_hi[srows, axs])
-            b_cell_lo[srows, axs] = np.where(~sb_low[sub], dks, b_cell_lo[srows, axs])
-            cb[sub], _ = _fast_lineage(
-                _rain_marks(rng, g, v_lo, v_hi, span, len(sub), t0),
-                b_cell_lo, b_cell_hi, b_lo, b_hi, horizon, None, None,
-                np.full(len(sub), np.inf))
-
-        cut_a[start:stop] = ca
-        cut_b[start:stop] = cb
-        tau_enc[start:stop] = tau
-    return {"cut_a": cut_a, "cut_b": cut_b, "tau_enc": tau_enc}

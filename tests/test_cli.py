@@ -1,9 +1,11 @@
 """Command-line interface behavior and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -245,9 +247,12 @@ def test_verify_determinism_bytes(tmp_path):
 
 
 def test_console_entry_point():
+    # the subprocess does not inherit pytest's pythonpath, so put src first
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "stitsim.cli", "bound", "--lambda-inner", "1",
          "--masses", "1", "--t-grid", "1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert proc.stdout.startswith("t,lower_bound")

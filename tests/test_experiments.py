@@ -51,7 +51,7 @@ def test_self_similarity_detects_power_case():
 
 def test_self_similarity_sanity_same_time():
     # unscaled sanity: the same recipe on both sides passes trivially
-    rep = ex.experiment_self_similarity(LAM, W2, 0.5, 400, 3, power_factor=3.0)
+    rep = ex.experiment_self_similarity(LAM, W2, 0.5, 400, 3)
     normal = [r for r in rep.rows if not r["statistic"].endswith("_power")]
     assert all(r["p_value"] > ex.KS_ALPHA for r in normal)
 

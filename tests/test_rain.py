@@ -68,6 +68,24 @@ def test_pair_scan_fast_vs_generic():
     assert abs(jf - jg) <= 5 * binomial_sigma(max(jf, 1e-3), 3_000)
 
 
+def test_three_body_lineage_fast_vs_generic():
+    """Splits of a three-body group: both kernels agree on every joint
+    avoidance event, and each marginal is exponential in the body's mass."""
+    V = geo.Box((-2.0, -2.0), (2.0, 6.0))
+    bodies = tuple(geo.Face(((-1.0, y), (1.0, y))) for y in (0.0, 2.0, 4.0))
+    fast, _, _ = rain._fast_scan(LAM.axis_rates(2), V, bodies, 1.0, 20_000, 33,
+                                 None, ())
+    gen, _, _ = rain._generic_scan(LAM, V, bodies, 1.0, 2_000, 34, None, ())
+    for cols in ([0], [1], [2], [0, 1], [1, 2], [0, 2], [0, 1, 2]):
+        pf = np.isinf(fast[:, cols]).all(axis=1).mean()
+        pg = np.isinf(gen[:, cols]).all(axis=1).mean()
+        assert abs(pf - pg) <= 5 * binomial_sigma(pf, 2_000), cols
+    target = math.exp(-2.0)
+    for i in range(3):
+        p = np.isinf(fast[:, i]).mean()
+        assert abs(p - target) <= 4 * binomial_sigma(target, 20_000)
+
+
 def segment_uncut(T, face):
     return any(geo.contains(c, face) for c in T.cells)
 
@@ -116,6 +134,8 @@ def _golden_cases():
 
     Zero scans pin the encapsulation time, sigma_inner and the band clocks
     that precede sigma_inner; pair scans pin cut_a, cut_b and tau_enc.
+    Cases named *_batched run with rain batches of 1024 rows, so each scan
+    spans three batches.
     """
     iso = isotropic_measure(1.0)
     small = geo.Box((-0.3, -0.3), (0.3, 0.3))
@@ -146,6 +166,10 @@ def _golden_cases():
                                                3.0, 100, 68, enclosure=enc),
         "pair_isotropic": lambda: rain.pair_scan(iso, V, small, probe, 3.0, 60, 69,
                                                  enclosure=enc),
+        "zero_axis_2d_batched": lambda: zero(equality_problem(0.3, 1.0, [1.0, 1.0]),
+                                             4.0, 3_000, 70),
+        "pair_fast_batched": lambda: rain.pair_scan(LAM, V, small, probe, 3.0,
+                                                    3_000, 71, enclosure=enc),
     }
 
 
@@ -162,9 +186,10 @@ def _scan_digest(scan) -> str:
     return h.hexdigest()
 
 
-# _scan_digest of each case.  The values come from the earlier scans, which
-# ran a separate origin-cell loop and a separate lone-survivor branch, so
-# they pin that the lineage kernels reproduce those draws exactly.
+# _scan_digest of each case.  The values come from earlier scans, which ran
+# a separate origin-cell loop, a separate lone-survivor branch and a separate
+# shared loop for the pair, so they pin that the lineage kernels reproduce
+# those draws exactly.
 SCAN_GOLDEN = {
     "zero_axis_2d": "fddfc44bb84666a4a46a226602852b8a9db2464490d4fae97253fee36562a199",
     "zero_weighted_3d": "114944d670131cec7d67a5fd6f1a43ff6f0ac4f2cd3895ceaa269359a6b3ffb5",
@@ -175,15 +200,20 @@ SCAN_GOLDEN = {
     "generic_pair_box": "4fca03eec80eec5de9757d5c607ee4f2956cf6260681996c7dff13d074cff04c",
     "pair_generic": "049b2ac5927622d68fcd2b5cb6e5b21cc816a297a18078acb6a5ec648bd46e1a",
     "pair_isotropic": "acc36bbe477ad48a12812f8772f4ea7c47b17cb3fcc669e9b11cbac042635d1a",
+    "zero_axis_2d_batched": "b71a663d55623802d600c5faa773cc897f32321171909314ba4e04947de2f020",
+    "pair_fast_batched": "9dd4a129b8f0963afed0d382e92f8c8fe88d0410a271584362acdef8d61bd6bb",
 }
 
 
-def test_scan_bytes_golden():
+def test_scan_bytes_golden(monkeypatch):
     cases = _golden_cases()
     assert set(cases) == set(SCAN_GOLDEN)
     got = {}
     for name, fn in cases.items():
-        scan = fn()
+        with monkeypatch.context() as m:
+            if name.endswith("_batched"):
+                m.setattr(rain, "_BATCH", 1024)
+            scan = fn()
         if "sigma_bands" in scan:  # band clocks are set only before the cut
             sb = scan["sigma_bands"]
             assert (np.isinf(sb) | (sb < scan["sigma_inner"][:, None])).all(), name
