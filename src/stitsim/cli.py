@@ -59,7 +59,7 @@ def cmd_simulate(args) -> int:
         payload["seed"] = args.seed
         svg = render_pattern(pattern) if args.svg else None
     with open(args.out, "w") as f:
-        f.write(dumps_canonical(sanitize(payload)))
+        f.write(dumps_canonical(payload))
         f.write("\n")
     if args.svg:
         with open(args.svg, "w") as f:
@@ -104,7 +104,7 @@ def cmd_bound(args) -> int:
         raise ConfigError("--t-grid times must be non-negative")
     print("t,lower_bound")
     for t in grid:
-        print(f"{t:.17g},{lower_bound(t, params):.17g}")
+        print(f"{t},{lower_bound(t, params)}")
     return 0
 
 
@@ -116,14 +116,8 @@ def _report_csv(report: Report) -> str:
                 keys.append(k)
     lines = [",".join(keys)]
     for row in sanitize(report.rows):
-        lines.append(",".join(_csv_cell(row.get(k, "")) for k in keys))
+        lines.append(",".join(str(row.get(k, "")) for k in keys))
     return "\n".join(lines) + "\n"
-
-
-def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
 
 
 def _write_report(report: Report, out_dir: str) -> None:
@@ -144,7 +138,7 @@ def run_determinism(seed=1, n_scale=1.0) -> Report:
 
     def tree_bytes():
         tree = stit.simulate(measure, window, 1.0, stream(seed, 0))
-        return dumps_canonical(sanitize(stit.tree_to_json(tree)))
+        return dumps_canonical(stit.tree_to_json(tree))
 
     sim_same = tree_bytes() == tree_bytes()
     rep1 = EXPERIMENTS["capacity"](seed=seed, n_scale=0.02 * n_scale)

@@ -1,8 +1,9 @@
 """Run configuration schema, canonical JSON and config hashing.
 
-Serialized numbers are IEEE-754 doubles printed with up to 17 significant
-digits, keys are sorted and separators are fixed, so a (config, seed) pair
-determines every output byte.
+Serialized floats are IEEE-754 doubles printed in Python's shortest
+round-trip repr (`0.1`, `1.0`, `-0.0`, `1e+16`), so `json.loads` gives back
+the same double; keys are sorted and separators are fixed, so a
+(config, seed) pair determines every output byte.
 """
 
 from __future__ import annotations
@@ -17,33 +18,11 @@ from .errors import ConfigError
 from .measure import Discrete, DrivingMeasure, Isotropic2D
 
 
-def _num(x: float) -> str:
-    if isinstance(x, bool):  # bool is an int subclass; keep it out
-        raise TypeError("bool is not a number here")
-    if isinstance(x, int):
-        return str(x)
-    if not math.isfinite(x):
-        raise ValueError("non-finite float in canonical JSON")
-    return format(x, ".17g")
-
-
 def dumps_canonical(obj) -> str:
-    """Canonical JSON: sorted keys, no whitespace, 17-significant-digit floats."""
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, float)):
-        return _num(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=True)
-    if isinstance(obj, dict):
-        items = sorted(obj.items())
-        inner = ",".join(f"{json.dumps(str(k))}:{dumps_canonical(v)}" for k, v in items)
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(dumps_canonical(v) for v in obj) + "]"
-    raise TypeError(f"cannot canonicalize {type(obj).__name__}")
+    """Canonical JSON: sorted keys, no whitespace, floats in Python's
+    shortest round-trip repr.  Non-finite floats raise ValueError and
+    values JSON has no form for raise TypeError."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def config_hash(obj) -> str:

@@ -27,6 +27,9 @@ from .stit import CellTree, Tessellation, zero_cell
 OFFSET = 3.0
 BAND = (1.0, 2.0)
 ARC_HALF_WIDTH = math.pi / 16.0
+# Simpson panels of the bound integral when there are too many bands to
+# sum the inclusion-exclusion terms.
+SIMPSON_PANELS = 4096
 
 
 @dataclass(frozen=True)
@@ -48,10 +51,9 @@ class Band:
         """(axis, lo, hi) in canonical coordinates for axis-aligned bands."""
         if self.half_width != 0.0:
             return None
-        nz = [c for c, x in enumerate(self.u) if abs(x) > 1e-12]
-        if len(nz) != 1 or abs(abs(self.u[nz[0]]) - 1.0) > 1e-12:
+        c = geo.coordinate_axis(self.u)
+        if c is None:
             return None
-        c = nz[0]
         if self.u[c] > 0:
             return c, self.d_lo, self.d_hi
         return c, -self.d_hi, -self.d_lo
@@ -213,9 +215,9 @@ def lower_bound(t: float, params: BoundParams) -> float:
     return min(1.0, max(0.0, closed + integral))
 
 
-def _simpson_bound_integral(t, lam, ms, n=4096):
+def _simpson_bound_integral(t, lam, ms):
     hi = min(t, 50.0 / lam)
-    xs = np.linspace(0.0, hi, 2 * n + 1)
+    xs = np.linspace(0.0, hi, 2 * SIMPSON_PANELS + 1)
     ys = lam * np.exp(-lam * xs)
     for m in ms:
         ys = ys * (-np.expm1(-m * xs))
@@ -296,13 +298,8 @@ def _positively_spans(dirs) -> bool:
     """Origin interior to the convex hull of the directions (2-D support)."""
     if len(dirs[0]) != 2:
         # box regime: require every coordinate direction
-        ell = len(dirs[0])
-        seen = set()
-        for u in dirs:
-            for c in range(ell):
-                if abs(u[c] - 1.0) <= 1e-12:
-                    seen.add(c)
-        return len(seen) == ell
+        axes = {geo.coordinate_axis(u) for u in dirs}
+        return axes >= set(range(len(dirs[0])))
     angles = sorted(math.atan2(u[1], u[0]) for u in dirs)
     gaps = [angles[i + 1] - angles[i] for i in range(len(angles) - 1)]
     gaps.append(2 * math.pi - (angles[-1] - angles[0]))
@@ -315,9 +312,9 @@ def _window_from_dirs(inner, dirs):
     oblique = False
     ell = len(dirs[0])
     for u in dirs:
-        nz = [c for c in range(ell) if abs(u[c]) > 1e-12]
-        if len(nz) == 1 and abs(abs(u[nz[0]]) - 1.0) <= 1e-12:
-            axis_vals[(nz[0], u[nz[0]] > 0)] = geo.support_function(inner, u) + OFFSET
+        ax = geo.coordinate_axis(u)
+        if ax is not None:
+            axis_vals[(ax, u[ax] > 0)] = geo.support_function(inner, u) + OFFSET
         else:
             oblique = True
     if not oblique:

@@ -31,6 +31,7 @@ KS_ALPHA = 0.005
 SIGMAS = 4.0
 POWER_FACTOR = 3.0  # mismatched time factor that self_similarity must reject
 MIN_CONDITIONED = 200  # fewest conditioned replicates cond_independence accepts
+MIN_N = 100  # fewest replicates any experiment runs, whatever the n-scale
 
 
 @dataclass
@@ -54,8 +55,8 @@ class Report:
         })
 
 
-def _scaled(n: int, n_scale: float, floor: int = 100) -> int:
-    return max(floor, int(round(n * n_scale)))
+def _scaled(n: int, n_scale: float) -> int:
+    return max(MIN_N, int(round(n * n_scale)))
 
 
 def _with_resample(body):
@@ -162,16 +163,10 @@ def experiment_methods(measure, window, t, n, seed) -> Report:
 
 def experiment_consistency(measure, window, inner, t, n, seed) -> Report:
     """Restriction commutes with simulation in distribution."""
-    @_with_resample
-    def one_restricted(_i, rng):
-        T = stit.slice_at(stit.simulate(measure, window, t, rng), t)
-        st = stit.summary_stats(stit.restrict(T, inner))
-        return st.cell_count, st.boundary
-
-    arr = np.asarray(run_replicates(one_restricted, n, seed), dtype=float)
+    c1, b1 = _stat_sample(measure, window, t, n, seed,
+                          transform=lambda T: stit.restrict(T, inner))
     c2, b2 = _stat_sample(measure, inner, t, n, seed, base=n)
-    rows, ok = _ks_rows([("cell_count", arr[:, 0], c2),
-                         ("boundary", arr[:, 1], b2)], n, n)
+    rows, ok = _ks_rows([("cell_count", c1, c2), ("boundary", b1, b2)], n, n)
     return Report("consistency", seed, {
         "measure": measure_to_json(measure), "t": t, "n": n,
         "window": geo.polytope_to_json(window),
@@ -355,8 +350,8 @@ def experiment_cond_independence(measure, inner, enclosure, sim_window, probe,
 # ---------------------------------------------------------------------------
 # mixing
 
-def _segment(y: float, half: float = 1.0) -> geo.Face:
-    return geo.Face(((-half, y), (half, y)))
+def _segment(y: float) -> geo.Face:
+    return geo.Face(((-1.0, y), (1.0, y)))
 
 
 def experiment_mixing_stit(measure, t, h_grid, n, seed) -> Report:

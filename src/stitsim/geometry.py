@@ -37,6 +37,14 @@ def unit(v) -> np.ndarray:
     return a / n
 
 
+def coordinate_axis(u) -> int | None:
+    """The index c when u is +e_c or -e_c within UNIT_TOL, else None."""
+    nz = [c for c, x in enumerate(u) if abs(x) > UNIT_TOL]
+    if len(nz) != 1 or abs(abs(u[nz[0]]) - 1.0) > UNIT_TOL:
+        return None
+    return nz[0]
+
+
 def _lex_positive(u: np.ndarray) -> bool:
     for x in u:
         if x > 0.0:
@@ -374,16 +382,16 @@ def contains(P, Q, strict: bool = False, tol: float = GEOM_TOL) -> bool:
     return True
 
 
-def origin_strictly_inside(P, tol: float = GEOM_TOL) -> bool:
+def origin_strictly_inside(P) -> bool:
     if isinstance(P, Box):
-        return all(l < -tol and h > tol for l, h in zip(P.lo, P.hi))
-    return all(c > tol for _, c in P.facets())
+        return all(l < -GEOM_TOL and h > GEOM_TOL for l, h in zip(P.lo, P.hi))
+    return all(c > GEOM_TOL for _, c in P.facets())
 
 
 # ---------------------------------------------------------------------------
 # clipping
 
-def _clip_polygon_points(pts, n, c, tol=GEOM_TOL):
+def _clip_polygon_points(pts, n, c):
     """One Sutherland-Hodgman pass of pts against {<x,n> <= c}."""
     out = []
     k = len(pts)
@@ -392,13 +400,13 @@ def _clip_polygon_points(pts, n, c, tol=GEOM_TOL):
     for i in range(k):
         cur = pts[i]
         cur_s = cur[0] * n[0] + cur[1] * n[1] - c
-        if cur_s <= tol:
-            if prev_s > tol:
+        if cur_s <= GEOM_TOL:
+            if prev_s > GEOM_TOL:
                 t = prev_s / (prev_s - cur_s)
                 out.append((prev[0] + t * (cur[0] - prev[0]),
                             prev[1] + t * (cur[1] - prev[1])))
             out.append(cur)
-        elif prev_s <= tol:
+        elif prev_s <= GEOM_TOL:
             t = prev_s / (prev_s - cur_s)
             out.append((prev[0] + t * (cur[0] - prev[0]),
                         prev[1] + t * (cur[1] - prev[1])))
@@ -423,7 +431,7 @@ def clip_tolerant(P, n, c):
     iteration where shared boundaries are the normal case.
     """
     if isinstance(P, Box):
-        ax = _constraint_axis(n)
+        ax = coordinate_axis(n)
         if ax is not None:
             sign = n[ax]
             lo, hi = list(P.lo), list(P.hi)
@@ -441,11 +449,6 @@ def clip_tolerant(P, n, c):
     if len(pts) < 3 or _signed_area(pts) <= 1e-12:
         return None
     return Polygon2D(tuple(pts))
-
-
-def _constraint_axis(n) -> int | None:
-    nz = [c for c, x in enumerate(n) if abs(x) > UNIT_TOL]
-    return nz[0] if len(nz) == 1 else None
 
 
 def clip(P, hs: HalfSpace):

@@ -75,14 +75,8 @@ class Discrete:
 
     def coordinate_axis_map(self) -> list[int] | None:
         """Per-entry coordinate axis index, or None if any entry is oblique."""
-        out = []
-        for u, _ in self.axes:
-            ax = [c for c, x in enumerate(u) if abs(abs(x) - 1.0) <= 1e-12]
-            rest = [x for x in u if abs(x) > 1e-12]
-            if len(ax) != 1 or len(rest) != 1:
-                return None
-            out.append(ax[0])
-        return out
+        out = [geo.coordinate_axis(u) for u, _ in self.axes]
+        return None if None in out else out
 
 
 @dataclass(frozen=True)

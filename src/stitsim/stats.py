@@ -29,9 +29,10 @@ class KSResult:
     n2: int
 
 
-def wilson_interval(successes: int, n: int, z: float = _Z95) -> tuple[float, float]:
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     if n <= 0:
         raise ValueError("n must be positive")
+    z = _Z95
     p = successes / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom

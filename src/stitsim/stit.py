@@ -285,10 +285,7 @@ def slice_at(tree: CellTree, s: float) -> Tessellation:
 
 def zero_cell(T: Tessellation) -> geo.Polytope:
     """The unique cell containing the origin in its interior."""
-    for c in T.cells:
-        if geo.origin_strictly_inside(c):
-            return c
-    raise AmbiguousZeroCell("origin within tolerance of a cell boundary")
+    return T.cells[zero_cell_index(T)]
 
 
 def zero_cell_index(T: Tessellation) -> int:

@@ -87,6 +87,7 @@ def test_bound_csv(capsys):
                  "--t-grid", "0:2:0.5"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "t,lower_bound"
+    assert lines[1] == "0.0,0.0"  # shortest round-trip float text
     vals = [float(line.split(",")[1]) for line in lines[1:]]
     assert vals == sorted(vals)
     assert vals[0] == 0.0

@@ -1,6 +1,8 @@
 """Canonical serialization, config validation and SVG rendering."""
 
+import json
 import math
+import struct
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -19,12 +21,19 @@ from stitsim.rng import stream
 
 def test_dumps_canonical_forms():
     assert dumps_canonical({"b": 1, "a": 2}) == '{"a":2,"b":1}'
-    assert dumps_canonical([1.0, 0.5, True, None]) == '[1,0.5,true,null]'
-    assert dumps_canonical(0.1) == "0.10000000000000001"
+    assert dumps_canonical([1.0, 0.5, True, None]) == '[1.0,0.5,true,null]'
+    assert dumps_canonical(0.1) == "0.1"
     assert dumps_canonical(2.0 ** 0.5) == "1.4142135623730951"
     assert dumps_canonical("a\"b") == '"a\\"b"'
-    with pytest.raises(ValueError):
-        dumps_canonical(math.inf)
+    for x in (-0.0, 2.0, 1e16, 5e-324, 0.1, 2.0 ** 0.5):
+        back = json.loads(dumps_canonical(x))
+        assert type(back) is float
+        assert struct.pack("<d", back) == struct.pack("<d", x)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            dumps_canonical([bad])
+    with pytest.raises(TypeError):
+        dumps_canonical({"a": object()})
 
 
 def test_config_hash_stable():

@@ -125,7 +125,7 @@ def test_iteration_report_golden():
     # shifted replicate index or positional argument changes the bytes
     text = dumps_canonical(ex.run_iteration(seed=4, n_scale=0.05).to_json())
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "2e5c871ac7962b413751347e2d8a8a7e2d4f6e9d93f32ee77d1b4a6615da89c0")
+        "616445869ce704b14b3c85f4fdecf5dfb40e1e68715acc579eecc508374975cf")
 
 
 def test_no_jump_report_golden():
@@ -133,4 +133,4 @@ def test_no_jump_report_golden():
     # hitting mass of the cells at t, in cell order)
     text = dumps_canonical(ex.run_no_jump(seed=4, n_scale=0.05).to_json())
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "a2933579da05f76ab235311542a1a9e282d325482edd9abf56bbb81bb5f814ea")
+        "ea5f047848027bdb4db99c817d4721530a045ad1c1e0793c51e594337fe8e7fb")

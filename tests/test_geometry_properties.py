@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stitsim import geometry as geo
+from stitsim.config import dumps_canonical
 from stitsim.errors import DegenerateCut
 
 # derandomized so the suite stays deterministic; no example database on disk
@@ -109,6 +110,6 @@ def test_canonical_hyperplane_round_trips_through_json(u, d):
     assume(math.hypot(*u) > 1e-3)
     h = geo.Hyperplane(tuple(u), d)
     back = geo.hyperplane_from_json(
-        json.loads(json.dumps(geo.hyperplane_to_json(h))))
+        json.loads(dumps_canonical(geo.hyperplane_to_json(h))))
     assert back == h
     assert geo.Hyperplane(tuple(-x for x in h.u), -h.d) == h

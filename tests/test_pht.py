@@ -1,6 +1,7 @@
 """Poisson hyperplane pattern tests."""
 
 import hashlib
+import json
 import math
 from pathlib import Path
 
@@ -9,11 +10,12 @@ import pytest
 
 from stitsim import geometry as geo
 from stitsim.cli import main
+from stitsim.config import dumps_canonical, run_config_from_json, sanitize
 from stitsim.errors import ExplosionGuard
 from stitsim.measure import (Discrete, DrivingMeasure, axis_measure,
                              isotropic_measure, measure_hitting, sample_hitting)
 from stitsim.pht import (PoissonHyperplanePattern, empty_probability,
-                         simulate_pht, tail_event_hits_ball)
+                         pattern_to_json, simulate_pht, tail_event_hits_ball)
 from stitsim.rng import run_replicates, stream
 from stitsim.stats import binomial_sigma
 from stitsim.stit import Tessellation
@@ -229,7 +231,14 @@ def test_simulate_pht_axis_golden(tmp_path):
     assert main(["simulate", "--config", str(config), "--seed", "5",
                  "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-        "91ba1712758350027d35873d222fab54f1106661c8d4f9b681eed746ece18aa7"
+        "9dc0bad93b5a383369b93d7ccd50fe276fab2d5fa7cca17f059f108b8d6b06e7"
+    # the payload simulate writes is already plain JSON: no sanitize copy
+    cfg = run_config_from_json(json.loads(config.read_text()))
+    payload = pattern_to_json(simulate_pht(cfg.measure, cfg.rho, cfg.window,
+                                           stream(5, 0)))
+    payload["seed"] = 5
+    assert sanitize(payload) == payload
+    assert dumps_canonical(payload) + "\n" == out.read_text()
 
 
 def test_drawn_count_over_cap(monkeypatch):
