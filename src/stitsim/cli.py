@@ -11,13 +11,11 @@ import json
 import os
 import sys
 
-from . import geometry as geo
 from . import stit
-from .config import (RunConfig, _float, dumps_canonical, run_config_from_json,
-                     sanitize)
+from .config import RunConfig, _float, dumps_canonical, run_config_from_json
 from .encapsulation import BoundParams, lower_bound
 from .errors import ConfigError, StitSimError
-from .experiments import EXPERIMENTS, Report
+from .experiments import EXPERIMENTS
 from .pht import pattern_to_json, simulate_pht
 from .render import render_pattern, render_tessellation
 from .rng import stream
@@ -46,6 +44,13 @@ def _check_seed(seed: int) -> None:
 def cmd_simulate(args) -> int:
     _check_seed(args.seed)
     cfg = _load_config(args.config)
+    if args.svg and cfg.window.dim != 2:
+        raise ConfigError("--svg: SVG rendering is 2-D only, "
+                          f"the window is {cfg.window.dim}-D")
+    for path in filter(None, (args.out, args.svg)):
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"cannot write {path}: not a file in an "
+                              "existing directory")
     rng = stream(args.seed, 0)
     if cfg.model == "stit":
         tree = stit.simulate(cfg.measure, cfg.window, cfg.time, rng, cfg.method)
@@ -108,70 +113,26 @@ def cmd_bound(args) -> int:
     return 0
 
 
-def _report_csv(report: Report) -> str:
-    keys: list[str] = []
-    for row in report.rows:
-        for k in row:
-            if k not in keys:
-                keys.append(k)
-    lines = [",".join(keys)]
-    for row in sanitize(report.rows):
-        lines.append(",".join(str(row.get(k, "")) for k in keys))
-    return "\n".join(lines) + "\n"
-
-
-def _write_report(report: Report, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, f"{report.experiment}.json"), "w") as f:
-        f.write(dumps_canonical(report.to_json()))
-        f.write("\n")
-    with open(os.path.join(out_dir, f"{report.experiment}.csv"), "w") as f:
-        f.write(_report_csv(report))
-
-
-def run_determinism(seed=1, n_scale=1.0) -> Report:
-    """Byte-identical outputs across repeated runs."""
-    from .measure import axis_measure
-
-    measure = axis_measure([1.0, 1.0])
-    window = geo.Box((-1.0, -1.0), (1.0, 1.0))
-
-    def tree_bytes():
-        tree = stit.simulate(measure, window, 1.0, stream(seed, 0))
-        return dumps_canonical(stit.tree_to_json(tree))
-
-    sim_same = tree_bytes() == tree_bytes()
-    rep1 = EXPERIMENTS["capacity"](seed=seed, n_scale=0.02 * n_scale)
-    rep2 = EXPERIMENTS["capacity"](seed=seed, n_scale=0.02 * n_scale)
-    b1, b2 = (dumps_canonical(r.to_json()) for r in (rep1, rep2))
-    verify_same = b1 == b2
-    ok = sim_same and verify_same
-    rows = [{"simulate_repeat_identical": sim_same,
-             "verify_repeat_identical": verify_same,
-             "verdict": "PASS" if ok else "FAIL"}]
-    return Report("determinism", seed, {"n_scale": n_scale}, rows, ok)
-
-
-ALL_EXPERIMENTS = dict(EXPERIMENTS)
-ALL_EXPERIMENTS["determinism"] = run_determinism
-
-
 def cmd_verify(args) -> int:
     if args.experiment == "all":
-        names = list(ALL_EXPERIMENTS)
-    elif args.experiment in ALL_EXPERIMENTS:
+        names = list(EXPERIMENTS)
+    elif args.experiment in EXPERIMENTS:
         names = [args.experiment]
     else:
         raise ConfigError(
             f"unknown experiment {args.experiment!r}; known: "
-            + ", ".join(sorted(ALL_EXPERIMENTS) + ["all"]))
+            + ", ".join(sorted(EXPERIMENTS) + ["all"]))
     if not 0 < args.n_scale <= _MAX_N_SCALE:  # also false for NaN
         raise ConfigError(f"--n-scale must be in (0, {_MAX_N_SCALE:g}]")
     _check_seed(args.seed)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create --out-dir {args.out_dir}: {e}") from e
     all_ok = True
     for name in names:
-        report = ALL_EXPERIMENTS[name](seed=args.seed, n_scale=args.n_scale)
-        _write_report(report, args.out_dir)
+        report = EXPERIMENTS[name](seed=args.seed, n_scale=args.n_scale)
+        report.write(args.out_dir)
         status = "PASS" if report.passed else "FAIL"
         note = " (reduced power)" if args.n_scale < 1.0 else ""
         print(f"{status} {name} seed={args.seed} n_scale={args.n_scale}{note}")

@@ -1,29 +1,36 @@
-"""Named Monte-Carlo experiments checking the distributional identities.
+"""Named Monte-Carlo experiments, their registry and their report files.
 
 Each experiment is deterministic given (config, seed), compares empirical
 frequencies or two-sample statistics against closed-form targets, and
 returns a Report with one row per grid point plus a machine-readable
-verdict.  Binomial comparisons use 4-sigma tolerances; two-sample tests
-pass at p > 0.005, lenient enough that a suite of this size keeps a small
-family-wise false-failure rate under the null.
+verdict.  Gates: binomial frequencies and the conditioned gap lie within 4
+sigma of their target (encapsulation in bound mode: above it less 4 sigma;
+mixing_pht: the gap above p(1-p) less 4 sigma); two-sample KS tests pass at
+p > 0.005, and self_similarity's power rows must fall below it; inclusion
+has no violation; mixing_stit's last gap lies within 2 sigma of zero;
+mixing_stit's gaps and no_jump's frequencies never step up by more than 2
+combined sigma (the hypot of the two sigmas); determinism's repeats give
+identical bytes.  The 4-sigma and p > 0.005 gates keep the family-wise
+false-failure rate of a suite of this size small under the null.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import geometry as geo
 from . import rain, stit
-from .config import config_hash, measure_to_json, sanitize
+from .config import config_hash, dumps_canonical, measure_to_json, sanitize
 from .encapsulation import (Band, EncapsulationProblem, build_window,
                             lower_bound)
 from .errors import AmbiguousZeroCell, DegenerateCut, TooFewConditioned
 from .measure import DrivingMeasure, axis_measure, isotropic_measure, measure_hitting
-from .pht import simulate_pht, tail_event_hits_ball
-from .rng import run_replicates
+from .pht import empty_probability, simulate_pht, tail_event_hits_ball
+from .rng import run_replicates, stream
 from .stats import (binomial_sigma, estimate_from_hits, gap_estimate,
                     ks_two_sample)
 
@@ -54,6 +61,26 @@ class Report:
             "notes": self.notes,
         })
 
+    def write(self, out_dir: str) -> None:
+        """Write `<experiment>.json` and `<experiment>.csv` into out_dir."""
+        payload = self.to_json()
+        rows = payload["rows"]
+        keys = list(dict.fromkeys(k for row in rows for k in row))
+        lines = [",".join(keys)]
+        lines += [",".join(str(row.get(k, "")) for k in keys) for row in rows]
+        path = os.path.join(out_dir, self.experiment)
+        with open(path + ".json", "w") as f:
+            f.write(dumps_canonical(payload) + "\n")
+        with open(path + ".csv", "w") as f:
+            f.write("\n".join(lines) + "\n")
+
+
+def _config(**kw) -> dict:
+    """Report config with measures and polytopes in their JSON forms."""
+    return {k: measure_to_json(v) if isinstance(v, DrivingMeasure)
+            else geo.polytope_to_json(v) if isinstance(v, geo.Polytope) else v
+            for k, v in kw.items()}
+
 
 def _scaled(n: int, n_scale: float) -> int:
     return max(MIN_N, int(round(n * n_scale)))
@@ -71,20 +98,43 @@ def _with_resample(body):
     return run
 
 
-def _stat_sample(measure, window, t, n, seed, method="direct",
-                 base=0, transform=None):
-    """Replicated (cell_count, boundary) statistics of one simulation recipe."""
+def _tree_sample(measure, window, t, n, seed, stat, method="direct", base=0):
+    """[stat(tree, rng)] over n trees simulated to t, replicate i on
+    stream(seed, base + i); stat may draw further from the same rng."""
 
     @_with_resample
     def one(_i, rng):
-        T = stit.slice_at(stit.simulate(measure, window, t, rng, method), t)
-        if transform is not None:
-            T = transform(T)
-        st = stit.summary_stats(T)
+        return stat(stit.simulate(measure, window, t, rng, method), rng)
+
+    return run_replicates(one, n, seed, base)
+
+
+def _pht_sample(measure, rho, window, n, seed, stat):
+    """[stat(pattern)] over n Poisson hyperplane patterns, replicate i on
+    stream(seed, i)."""
+    return run_replicates(
+        lambda _i, rng: stat(simulate_pht(measure, rho, window, rng)), n, seed)
+
+
+def _stat_sample(measure, window, t, n, seed, method="direct", base=0,
+                 transform=None):
+    """(cell_count, boundary) columns of the state at t over n trees, after
+    transform(T, rng) if given."""
+
+    def stat(tree, rng):
+        T = stit.slice_at(tree, t)
+        st = stit.summary_stats(T if transform is None else transform(T, rng))
         return st.cell_count, st.boundary
 
-    arr = np.asarray(run_replicates(one, n, seed, base), dtype=float)
+    arr = np.asarray(_tree_sample(measure, window, t, n, seed, stat, method,
+                                  base), dtype=float)
     return arr[:, 0], arr[:, 1]
+
+
+def _monotone_steps(values, sigmas) -> list[bool]:
+    """Per step j -> j+1: values[j+1] <= values[j] + 2 combined sigma."""
+    return [bool(b <= a + 2.0 * math.hypot(sa, sb))
+            for a, b, sa, sb in zip(values, values[1:], sigmas, sigmas[1:])]
 
 
 def _ks_rows(pairs, n1, n2):
@@ -106,35 +156,24 @@ def _ks_rows(pairs, n1, n2):
 
 def experiment_first_split(measure, window, t, n, seed) -> Report:
     """Survival of the whole window: P(no jump by t) = exp(-t mass(window))."""
-    target = math.exp(-t * measure_hitting(measure, window))
-
-    @_with_resample
-    def one(_i, rng):
-        tree = stit.simulate(measure, window, t, rng)
-        return len(tree.jump_times) == 0
-
-    hits_ = sum(run_replicates(one, n, seed))
-    return _binomial_report("first_split", seed, {
-        "measure": measure_to_json(measure),
-        "window": geo.polytope_to_json(window), "t": t, "n": n,
-    }, hits_, n, target)
+    hits_ = sum(_tree_sample(measure, window, t, n, seed,
+                             lambda tree, _rng: len(tree.jump_times) == 0))
+    return _binomial_report(
+        "first_split", seed,
+        _config(measure=measure, window=window, t=t, n=n), hits_, n,
+        empty_probability(measure, t, window))
 
 
 def experiment_capacity(measure, t, inner, window, n, seed) -> Report:
     """Restriction to an inner window is trivial with prob exp(-t mass(inner))."""
-    target = math.exp(-t * measure_hitting(measure, inner))
+    def trivial(tree, _rng):
+        return len(stit.restrict(stit.slice_at(tree, t), inner).cells) == 1
 
-    @_with_resample
-    def one(_i, rng):
-        T = stit.slice_at(stit.simulate(measure, window, t, rng), t)
-        return len(stit.restrict(T, inner).cells) == 1
-
-    hits_ = sum(run_replicates(one, n, seed))
-    return _binomial_report("capacity", seed, {
-        "measure": measure_to_json(measure), "t": t, "n": n,
-        "inner": geo.polytope_to_json(inner),
-        "window": geo.polytope_to_json(window),
-    }, hits_, n, target)
+    hits_ = sum(_tree_sample(measure, window, t, n, seed, trivial))
+    return _binomial_report(
+        "capacity", seed,
+        _config(measure=measure, t=t, n=n, inner=inner, window=window),
+        hits_, n, empty_probability(measure, t, inner))
 
 
 def _binomial_report(name, seed, config, hits_, n, target) -> Report:
@@ -155,23 +194,18 @@ def experiment_methods(measure, window, t, n, seed) -> Report:
     c1, b1 = _stat_sample(measure, window, t, n, seed, "direct", base=0)
     c2, b2 = _stat_sample(measure, window, t, n, seed, "rejection", base=n)
     rows, ok = _ks_rows([("cell_count", c1, c2), ("boundary", b1, b2)], n, n)
-    return Report("methods", seed, {
-        "measure": measure_to_json(measure),
-        "window": geo.polytope_to_json(window), "t": t, "n": n,
-    }, rows, ok)
+    return Report("methods", seed,
+                  _config(measure=measure, window=window, t=t, n=n), rows, ok)
 
 
 def experiment_consistency(measure, window, inner, t, n, seed) -> Report:
     """Restriction commutes with simulation in distribution."""
     c1, b1 = _stat_sample(measure, window, t, n, seed,
-                          transform=lambda T: stit.restrict(T, inner))
+                          transform=lambda T, _rng: stit.restrict(T, inner))
     c2, b2 = _stat_sample(measure, inner, t, n, seed, base=n)
     rows, ok = _ks_rows([("cell_count", c1, c2), ("boundary", b1, b2)], n, n)
-    return Report("consistency", seed, {
-        "measure": measure_to_json(measure), "t": t, "n": n,
-        "window": geo.polytope_to_json(window),
-        "inner": geo.polytope_to_json(inner),
-    }, rows, ok)
+    return Report("consistency", seed, _config(
+        measure=measure, t=t, n=n, window=window, inner=inner), rows, ok)
 
 
 def experiment_iteration(measure, window, t, s, n, seed) -> Report:
@@ -179,24 +213,16 @@ def experiment_iteration(measure, window, t, s, n, seed) -> Report:
     state at t."""
     c1, b1 = _stat_sample(measure, window, t + s, n, seed, base=0)
 
-    @_with_resample
-    def one_nested(_i, rng):
-        T = stit.slice_at(stit.simulate(measure, window, t, rng), t)
-        nests = []
-        for _ in range(len(T.cells)):
-            R = stit.slice_at(stit.simulate(measure, window, s, rng), s)
-            nests.append(R)
-        st = stit.summary_stats(stit.iterate(T, nests))
-        return st.cell_count, st.boundary
+    def nest(T, rng):
+        return stit.iterate(T, [
+            stit.slice_at(stit.simulate(measure, window, s, rng), s)
+            for _ in T.cells])
 
-    arr = np.asarray(run_replicates(one_nested, n, seed, base_index=n),
-                     dtype=float)
-    rows, ok = _ks_rows([("cell_count", c1, arr[:, 0]),
-                         ("boundary", b1, arr[:, 1])], n, n)
-    return Report("iteration", seed, {
-        "measure": measure_to_json(measure), "t": t, "s": s, "n": n,
-        "window": geo.polytope_to_json(window),
-    }, rows, ok)
+    c2, b2 = _stat_sample(measure, window, t, n, seed, base=n, transform=nest)
+    rows, ok = _ks_rows([("cell_count", c1, c2), ("boundary", b1, b2)], n, n)
+    return Report("iteration", seed,
+                  _config(measure=measure, t=t, s=s, n=n, window=window),
+                  rows, ok)
 
 
 def experiment_self_similarity(measure, window, t, n, seed) -> Report:
@@ -205,8 +231,9 @@ def experiment_self_similarity(measure, window, t, n, seed) -> Report:
     half = geo.scale(window, 0.5)
 
     def scaled_sample(factor, base):
-        return _stat_sample(measure, half, factor * t, n, seed, base=base,
-                            transform=lambda T: stit.scale_tessellation(T, 2.0))
+        return _stat_sample(
+            measure, half, factor * t, n, seed, base=base,
+            transform=lambda T, _rng: stit.scale_tessellation(T, 2.0))
 
     c1, b1 = _stat_sample(measure, window, t, n, seed, base=0)
     c2, b2 = scaled_sample(2.0, n)
@@ -218,10 +245,9 @@ def experiment_self_similarity(measure, window, t, n, seed) -> Report:
     power_ok = min(r["p_value"] for r in power_rows) < KS_ALPHA
     for r in power_rows:
         r["verdict"] = "PASS" if power_ok else "FAIL"
-    return Report("self_similarity", seed, {
-        "measure": measure_to_json(measure), "t": t, "n": n,
-        "window": geo.polytope_to_json(window), "power_factor": POWER_FACTOR,
-    }, rows + power_rows, ok and power_ok,
+    return Report("self_similarity", seed, _config(
+        measure=measure, t=t, n=n, window=window, power_factor=POWER_FACTOR),
+        rows + power_rows, ok and power_ok,
         notes="power rows PASS means the mismatched law was detected")
 
 
@@ -275,13 +301,10 @@ def experiment_encapsulation(problem: EncapsulationProblem, t_grid, n, seed,
         rows.append({"t": t, "p_hat": est.p_hat, "ci_lo": est.ci_lo,
                      "ci_hi": est.ci_hi, "bound": bound, "sigma": sigma,
                      "mode": mode, "verdict": "PASS" if verdict else "FAIL"})
-    return Report("encapsulation_" + mode, seed, {
-        "measure": measure_to_json(problem.measure), "n": n, "mode": mode,
-        "inner": geo.polytope_to_json(problem.inner),
-        "outer": geo.polytope_to_json(problem.outer),
-        "band_masses": [b.mass for b in problem.bands],
-        "lambda_inner": params.lambda_inner, "t_grid": list(t_grid),
-    }, rows, ok)
+    return Report("encapsulation_" + mode, seed, _config(
+        measure=problem.measure, n=n, mode=mode, inner=problem.inner,
+        outer=problem.outer, band_masses=[b.mass for b in problem.bands],
+        lambda_inner=params.lambda_inner, t_grid=t_grid), rows, ok)
 
 
 def experiment_inclusion(problem: EncapsulationProblem, t, n, seed) -> Report:
@@ -302,12 +325,10 @@ def experiment_inclusion(problem: EncapsulationProblem, t, n, seed) -> Report:
              "violations": violations,
              "bound": lower_bound(t, problem.params()),
              "verdict": "PASS" if ok else "FAIL"}]
-    return Report("inclusion", seed, {
-        "measure": measure_to_json(problem.measure), "t": t, "n": n,
-        "inner": geo.polytope_to_json(problem.inner),
-        "outer": geo.polytope_to_json(problem.outer),
-        "band_masses": [b.mass for b in problem.bands],
-    }, rows, ok)
+    return Report("inclusion", seed, _config(
+        measure=problem.measure, t=t, n=n, inner=problem.inner,
+        outer=problem.outer, band_masses=[b.mass for b in problem.bands]),
+        rows, ok)
 
 
 def experiment_cond_independence(measure, inner, enclosure, sim_window, probe,
@@ -338,13 +359,9 @@ def experiment_cond_independence(measure, inner, enclosure, sim_window, probe,
              "p_joint": float((d & e).mean()),
              "gap": gap, "sigma": sigma, "tolerance": SIGMAS * sigma,
              "verdict": "PASS" if ok else "FAIL"}]
-    return Report("cond_independence", seed, {
-        "measure": measure_to_json(measure), "t": t, "t2": t2, "n": n,
-        "inner": geo.polytope_to_json(inner),
-        "enclosure": geo.polytope_to_json(enclosure),
-        "sim_window": geo.polytope_to_json(sim_window),
-        "probe": [list(p) for p in probe.pts],
-    }, rows, ok)
+    return Report("cond_independence", seed, _config(
+        measure=measure, t=t, t2=t2, n=n, inner=inner, enclosure=enclosure,
+        sim_window=sim_window, probe=[list(p) for p in probe.pts]), rows, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -380,16 +397,12 @@ def experiment_mixing_stit(measure, t, h_grid, n, seed) -> Report:
                      "p_joint": float((d * e).mean()), "n": n})
     ok = abs(gaps[-1]) <= 2.0 * sigmas[-1]
     rows[-1]["verdict"] = "PASS" if ok else "FAIL"
-    mono = True
-    for j in range(len(gaps) - 1):
-        comb = math.hypot(sigmas[j], sigmas[j + 1])
-        step_ok = gaps[j + 1] <= gaps[j] + 2.0 * comb
-        mono &= step_ok
-        rows[j]["verdict"] = "PASS" if step_ok else "FAIL"
-    return Report("mixing_stit", seed, {
-        "measure": measure_to_json(measure), "t": t, "n": n,
-        "h_grid": list(h_grid), "margin": margin,
-    }, rows, ok and mono,
+    steps = _monotone_steps(gaps, sigmas)
+    for row, step_ok in zip(rows, steps):
+        row["verdict"] = "PASS" if step_ok else "FAIL"
+    return Report("mixing_stit", seed, _config(
+        measure=measure, t=t, n=n, h_grid=h_grid, margin=margin),
+        rows, ok and all(steps),
         notes="last row: gap within 2 sigma of zero; others: non-increasing")
 
 
@@ -403,20 +416,17 @@ def experiment_mixing_pht(measure, rho, h_grid, n, seed) -> Report:
     h_grid = sorted(h_grid)
     margin = 2.2  # window margin around the segments
     body_d = _segment(0.0)
-    p_target = 1.0 - math.exp(-rho * measure_hitting(measure, body_d))
+    p_target = 1.0 - empty_probability(measure, rho, body_d)
     gap_target = p_target * (1.0 - p_target)
     rows = []
     ok = True
     for j, h in enumerate(h_grid):
         window = geo.Box((-1.0 - margin, -margin), (1.0 + margin, h + margin))
         body_e = _segment(float(h))
-
-        def one(_i, rng):
-            pat = simulate_pht(measure, rho, window, rng)
-            return (tail_event_hits_ball(pat, body_d),
-                    tail_event_hits_ball(pat, body_e))
-
-        arr = np.asarray(run_replicates(one, n, seed + j), dtype=float)
+        arr = np.asarray(_pht_sample(
+            measure, rho, window, n, seed + j,
+            lambda pat: (tail_event_hits_ball(pat, body_d),
+                         tail_event_hits_ball(pat, body_e))), dtype=float)
         gap, sigma = gap_estimate(arr[:, 0], arr[:, 1])
         p_hat = float(arr[:, 0].mean())
         p_sigma = binomial_sigma(p_target, n)
@@ -427,10 +437,8 @@ def experiment_mixing_pht(measure, rho, h_grid, n, seed) -> Report:
                      "gap_target": gap_target, "p_hat": p_hat,
                      "p_target": p_target, "n": n,
                      "verdict": "PASS" if good else "FAIL"})
-    return Report("mixing_pht", seed, {
-        "measure": measure_to_json(measure), "rho": rho, "n": n,
-        "h_grid": list(h_grid), "margin": margin,
-    }, rows, ok)
+    return Report("mixing_pht", seed, _config(
+        measure=measure, rho=rho, n=n, h_grid=h_grid, margin=margin), rows, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -438,19 +446,12 @@ def experiment_mixing_pht(measure, rho, h_grid, n, seed) -> Report:
 
 def experiment_pht_capacity(measure, rho, window, body, n, seed) -> Report:
     """Avoidance frequency of a test body matches exp(-rho mass(body))."""
-    target = math.exp(-rho * measure_hitting(measure, body))
-
-    def one(_i, rng):
-        pat = simulate_pht(measure, rho, window, rng)
-        return not tail_event_hits_ball(pat, body)
-
-    hits_ = sum(run_replicates(one, n, seed))
-    rep = _binomial_report("pht_capacity", seed, {
-        "measure": measure_to_json(measure), "rho": rho, "n": n,
-        "window": geo.polytope_to_json(window),
-        "body": geo.polytope_to_json(body),
-    }, hits_, n, target)
-    return rep
+    hits_ = sum(_pht_sample(measure, rho, window, n, seed,
+                            lambda pat: not tail_event_hits_ball(pat, body)))
+    return _binomial_report(
+        "pht_capacity", seed,
+        _config(measure=measure, rho=rho, n=n, window=window, body=body),
+        hits_, n, empty_probability(measure, rho, body))
 
 
 # ---------------------------------------------------------------------------
@@ -464,34 +465,26 @@ def experiment_no_jump(measure, inner, t, t2_grid, n, seed) -> Report:
     """
     t2_grid = sorted(t2_grid)
 
-    @_with_resample
-    def one(_i, rng):
-        tree = stit.simulate(measure, inner, t, rng)
+    def stat(tree, _rng):
         jumps = np.asarray(tree.jump_times)
         flags = [not ((jumps >= t - t2) & (jumps < t)).any() for t2 in t2_grid]
         cells = stit.slice_at(tree, t).cells
         return flags, sum(measure_hitting(measure, c) for c in cells)
 
-    out = run_replicates(one, n, seed)
+    out = _tree_sample(measure, inner, t, n, seed, stat)
     flags = np.asarray([r[0] for r in out], dtype=float)
     zeta_mean = float(np.mean([r[1] for r in out]))
     freqs = flags.mean(axis=0)
-    rows = []
-    ok = True
-    for j, t2 in enumerate(t2_grid):
-        sigma = binomial_sigma(freqs[j], n)
-        row = {"t2": t2, "freq": float(freqs[j]), "sigma": sigma,
-               "plugin_bound": math.exp(-t2 * zeta_mean), "zeta_mean": zeta_mean}
-        if j > 0:
-            comb = math.hypot(sigma, binomial_sigma(freqs[j - 1], n))
-            good = freqs[j] <= freqs[j - 1] + 2.0 * comb
-            ok &= good
-            row["verdict"] = "PASS" if good else "FAIL"
-        rows.append(row)
-    return Report("no_jump", seed, {
-        "measure": measure_to_json(measure), "t": t, "n": n,
-        "inner": geo.polytope_to_json(inner), "t2_grid": list(t2_grid),
-    }, rows, ok)
+    sigmas = [binomial_sigma(f, n) for f in freqs]
+    rows = [{"t2": t2, "freq": float(f), "sigma": sigma,
+             "plugin_bound": math.exp(-t2 * zeta_mean), "zeta_mean": zeta_mean}
+            for t2, f, sigma in zip(t2_grid, freqs, sigmas)]
+    steps = _monotone_steps(freqs, sigmas)
+    for row, good in zip(rows[1:], steps):
+        row["verdict"] = "PASS" if good else "FAIL"
+    return Report("no_jump", seed, _config(
+        measure=measure, t=t, n=n, inner=inner, t2_grid=t2_grid),
+        rows, all(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +575,22 @@ def run_no_jump(seed=1, n_scale=1.0):
                               _scaled(10_000, n_scale), seed)
 
 
+def run_determinism(seed=1, n_scale=1.0) -> Report:
+    """Byte-identical outputs across repeated simulate and verify runs."""
+    def repeats_identical(payload):
+        return dumps_canonical(payload()) == dumps_canonical(payload())
+
+    sim_same = repeats_identical(lambda: stit.tree_to_json(stit.simulate(
+        _m11(), geo.Box((-1.0, -1.0), (1.0, 1.0)), 1.0, stream(seed, 0))))
+    verify_same = repeats_identical(lambda: EXPERIMENTS["capacity"](
+        seed=seed, n_scale=0.02 * n_scale).to_json())
+    ok = sim_same and verify_same
+    rows = [{"simulate_repeat_identical": sim_same,
+             "verify_repeat_identical": verify_same,
+             "verdict": "PASS" if ok else "FAIL"}]
+    return Report("determinism", seed, _config(n_scale=n_scale), rows, ok)
+
+
 EXPERIMENTS = {
     "first_split": run_first_split,
     "capacity": run_capacity,
@@ -597,4 +606,5 @@ EXPERIMENTS = {
     "mixing_pht": run_mixing_pht,
     "pht_capacity": run_pht_capacity,
     "no_jump": run_no_jump,
+    "determinism": run_determinism,
 }

@@ -112,10 +112,6 @@ class HalfSpace:
             return u, d
         return -u, -d
 
-    def contains(self, x, tol: float = GEOM_TOL) -> bool:
-        n, c = self.normal_form()
-        return float(np.asarray(x, dtype=float) @ n) <= c + tol
-
 
 def positive_side(h: Hyperplane) -> HalfSpace:
     return HalfSpace(h, +1)

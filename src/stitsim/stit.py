@@ -93,8 +93,6 @@ def simulate(measure: DrivingMeasure, window: geo.Polytope, t: float, rng,
         raise ValueError("horizon must be positive")
     if method not in ("direct", "rejection"):
         raise ValueError(f"unknown method {method!r}")
-    if measure_hitting(measure, window) <= 0:
-        raise ValueError("window has zero hitting mass")
     tree = CellTree(window=window, measure=measure, method=method,
                     nodes=[CellNode(0, window, 0.0)], current_time=0.0,
                     jump_times=[])
@@ -116,6 +114,8 @@ def advance(tree: CellTree, dt: float, rng) -> CellTree:
     rejection = tree.method == "rejection"
     window = tree.window
     window_rate = rate(window)
+    if not window_rate > 0:
+        raise ValueError("window has zero hitting mass")
     # Live rates sum to at least mass(window) in `direct`, and every live
     # cell draws at mass(window) in `rejection`: dt * mass(window) is a
     # lower bound on the expected number of events.

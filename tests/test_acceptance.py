@@ -7,7 +7,7 @@ or `stitsim verify all` for report files.
 import json
 
 from stitsim import experiments as ex
-from stitsim.cli import main, run_determinism
+from stitsim.cli import main
 from stitsim.stats import binomial_sigma
 
 SEED = 1
@@ -131,6 +131,6 @@ def test_12_determinism(tmp_path):
         reports.append(open(f"{out_dir}/capacity.json", "rb").read())
     verify_ok = reports[0] == reports[1]
 
-    lib = run_determinism(seed=SEED)
+    lib = ex.run_determinism(seed=SEED)
     announce(12, "determinism", sim_ok and verify_ok and lib.passed,
              f"simulate={sim_ok} verify={verify_ok}")

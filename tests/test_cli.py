@@ -12,6 +12,7 @@ import pytest
 from stitsim.cli import main, _parse_grid
 from stitsim.config import window_from_json
 from stitsim.errors import ConfigError
+from stitsim.experiments import Report
 
 STIT_CONFIG = {
     "model": "stit",
@@ -129,6 +130,10 @@ def test_verify_unknown_experiment():
 BOUND = ["bound", "--lambda-inner", "4", "--masses", "1,1"]
 
 
+def no_work(*_args, **_kwargs):
+    raise AssertionError("work started before the flags were checked")
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "capacity", "--n-scale", "nan"],
     ["verify", "capacity", "--n-scale", "inf"],
@@ -154,10 +159,7 @@ BOUND = ["bound", "--lambda-inner", "4", "--masses", "1,1"]
 def test_flags_reject_bad_numbers(tmp_path, capsys, monkeypatch, argv):
     from stitsim import cli
 
-    def no_work(*_args, **_kwargs):
-        raise AssertionError("work started before the flags were checked")
-
-    monkeypatch.setitem(cli.ALL_EXPERIMENTS, "capacity", no_work)
+    monkeypatch.setitem(cli.EXPERIMENTS, "capacity", no_work)
     monkeypatch.setattr(cli, "stream", no_work)
     monkeypatch.setattr(cli, "lower_bound", no_work)
     if argv[0] == "simulate":
@@ -165,6 +167,62 @@ def test_flags_reject_bad_numbers(tmp_path, capsys, monkeypatch, argv):
                        "--out", str(tmp_path / "x.json")]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+STIT_3D_CONFIG = {
+    **STIT_CONFIG,
+    "measure": {"gamma": 3.0, "directional": {"kind": "discrete", "axes": [
+        {"u": [1, 0, 0], "w": 0.5}, {"u": [0, 1, 0], "w": 0.25},
+        {"u": [0, 0, 1], "w": 0.25}]}},
+    "window": {"kind": "box", "lo": [-1, -1, -1], "hi": [1, 1, 1]},
+}
+
+
+@pytest.mark.parametrize("cfg, out, svg", [
+    (STIT_3D_CONFIG, "x.json", "x.svg"),
+    ({**PHT_CONFIG, "window": STIT_3D_CONFIG["window"],
+      "measure": STIT_3D_CONFIG["measure"]}, "x.json", "x.svg"),
+    (STIT_CONFIG, "missing/x.json", None),
+    (PHT_CONFIG, "x.json", "missing/x.svg"),
+    (STIT_CONFIG, ".", None),
+], ids=["svg_of_3d_stit", "svg_of_3d_pht", "out_dir_missing", "svg_dir_missing",
+        "out_is_a_directory"])
+def test_simulate_refuses_unwritable_outputs_before_any_draw(
+        tmp_path, capsys, monkeypatch, cfg, out, svg):
+    from stitsim import cli
+
+    monkeypatch.setattr(cli, "stream", no_work)
+    argv = ["simulate", "--config", write_config(tmp_path, cfg), "--seed", "1",
+            "--out", str(tmp_path / out)]
+    if svg:
+        argv += ["--svg", str(tmp_path / svg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_verify_creates_out_dir_before_any_experiment(tmp_path, capsys,
+                                                       monkeypatch):
+    from stitsim import cli
+
+    monkeypatch.setitem(cli.EXPERIMENTS, "capacity", no_work)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["verify", "capacity", "--out-dir",
+                 str(blocker / "reports")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+    out_dir = tmp_path / "a" / "b"
+
+    def report_into_existing_dir(seed, n_scale):
+        assert out_dir.is_dir()
+        return Report("capacity", seed, {"n_scale": n_scale})
+
+    monkeypatch.setitem(cli.EXPERIMENTS, "capacity", report_into_existing_dir)
+    assert main(["verify", "capacity", "--out-dir", str(out_dir)]) == 0
+    assert json.loads((out_dir / "capacity.json").read_text())["pass"] is True
 
 
 def test_verify_has_no_threads_flag():

@@ -134,3 +134,43 @@ def test_no_jump_report_golden():
     text = dumps_canonical(ex.run_no_jump(seed=4, n_scale=0.05).to_json())
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "ea5f047848027bdb4db99c817d4721530a045ad1c1e0793c51e594337fe8e7fb")
+
+
+# sha256 of each report not pinned above, at seed 4 and n-scale 0.01
+# (cond_independence at 0.05: fewer replicates condition too few).  Each
+# pins the experiment's stream keys, replicate bases and argument order.
+REPORT_GOLDEN = {
+    "first_split": (0.01, "d20d8948ed94889dfed2313692509e61d82cda754438ffc01310c3a8a7fd3bb6"),
+    "capacity": (0.01, "e5c0255b5ba91102ee119ff7de1f9f7e9fac684a721d6af02a1f90d6d490f7e1"),
+    "methods": (0.01, "b104bd2c712ac4a19313251b8f27438e466b2cb6b3e1460a05aa5de12604c84a"),
+    "consistency": (0.01, "828825d98d785f981bcc618babb1da02f2f4f56dac51b7dad222d89c5648e50d"),
+    "self_similarity": (0.01, "e844bb1e93c583711f3655de91d224851f9c32778617475c758eeb23e40f8f06"),
+    "encapsulation_equality": (0.01, "999640769b7d8b57e73862ddf48d14c503266826cc923ee301ef3132e4599560"),
+    "encapsulation_bound": (0.01, "4403a542eb6c9d711243907aeb9e83788efcd45dcd2099d489112d6f68e6d58c"),
+    "inclusion": (0.01, "771298bb70e95875e80cf8f1a51e7ce6382b35580d98805004e58fc5a754ba76"),
+    "cond_independence": (0.05, "8c91f7192967777ce4cc49d411c85cebee5a36fe052260f15a1bcb417925b6fa"),
+    "mixing_stit": (0.01, "4c9157f221e9cfcb1164576ea0af7021b33f16ec327109207ae9a24bd701a2f6"),
+    "mixing_pht": (0.01, "cf61b1d55628b2cf5205ff23eb3e6c15a1b55e5c7d12e7ffcb422628fc05cc9b"),
+    "pht_capacity": (0.01, "fb34a49a312e2079b29f1cf08cb72b05434b19ba24764cf2febc02deaa9a95a2"),
+    "determinism": (0.01, "5cd50ff678ae18e8bec3f43afb5290be246bd26f02180a69c3f9cb09bbccbc42"),
+}
+
+
+def test_every_report_has_a_golden():
+    assert set(REPORT_GOLDEN) | {"iteration", "no_jump"} == set(ex.EXPERIMENTS)
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_GOLDEN))
+def test_report_bytes_golden(name):
+    n_scale, sha = REPORT_GOLDEN[name]
+    text = dumps_canonical(ex.EXPERIMENTS[name](seed=4, n_scale=n_scale).to_json())
+    assert hashlib.sha256(text.encode()).hexdigest() == sha
+
+
+def test_report_write(tmp_path):
+    rep = ex.Report("demo", 1, {"n": 2}, [{"a": 1.5, "b": float("inf")},
+                                          {"c": np.float64(0.1), "a": 2}])
+    rep.write(str(tmp_path))
+    assert (tmp_path / "demo.json").read_text() == (
+        dumps_canonical(rep.to_json()) + "\n")
+    assert (tmp_path / "demo.csv").read_text() == "a,b,c\n1.5,inf,\n2,,0.1\n"

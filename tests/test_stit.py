@@ -29,6 +29,16 @@ def test_no_jump_tree_is_trivial():
     assert stit.slice_at(tree, 1e-9).cells == (W1,)
 
 
+@pytest.mark.parametrize("t, method, message", [
+    (0.0, "direct", "horizon must be positive"),
+    (-1.0, "rejection", "horizon must be positive"),
+    (1.0, "exact", "unknown method 'exact'"),
+], ids=["t_zero", "t_negative", "unknown_method"])
+def test_simulate_rejects_bad_arguments(t, method, message):
+    with pytest.raises(ValueError, match=message):
+        stit.simulate(LAM, W1, t, stream(0, 0), method)
+
+
 def test_first_split_survival_probability():
     # P(no jump by t) = exp(-t mass(W)) = e^{-1} at t = 0.25
     n = 2000
