@@ -27,8 +27,10 @@ from . import rain, stit
 from .config import config_hash, dumps_canonical, measure_to_json, sanitize
 from .encapsulation import (Band, EncapsulationProblem, build_window,
                             lower_bound)
-from .errors import AmbiguousZeroCell, DegenerateCut, TooFewConditioned
-from .measure import DrivingMeasure, axis_measure, isotropic_measure, measure_hitting
+from .errors import (AmbiguousZeroCell, DegenerateCut, RegimeMismatch,
+                     TooFewConditioned, WindowMismatch)
+from .measure import (DrivingMeasure, axis_measure, box_axis_rates,
+                      isotropic_measure)
 from .pht import empty_probability, simulate_pht, tail_event_hits_ball
 from .rng import run_replicates, stream
 from .stats import (binomial_sigma, estimate_from_hits, gap_estimate,
@@ -39,6 +41,7 @@ SIGMAS = 4.0
 POWER_FACTOR = 3.0  # mismatched time factor that self_similarity must reject
 MIN_CONDITIONED = 200  # fewest conditioned replicates cond_independence accepts
 MIN_N = 100  # fewest replicates any experiment runs, whatever the n-scale
+_BATCH = 1 << 7  # trees grown as one batch: memory does not grow with n
 
 
 @dataclass
@@ -98,15 +101,28 @@ def _with_resample(body):
     return run
 
 
+def _grow(measure, window, nb, t, rng, method="direct") -> stit.BoxForest:
+    """nb fresh box trees on the window grown to t, as one batch."""
+    g = box_axis_rates(measure, window)
+    if g is None:
+        raise RegimeMismatch("tree experiments need an axis measure on a box")
+    return stit.grow_boxes(g, window, np.tile(window.lo_arr, (nb, 1)),
+                           np.tile(window.hi_arr, (nb, 1)), np.arange(nb),
+                           0.0, t, rng, method)
+
+
 def _tree_sample(measure, window, t, n, seed, stat, method="direct", base=0):
-    """[stat(tree, rng)] over n trees simulated to t, replicate i on
-    stream(seed, base + i); stat may draw further from the same rng."""
+    """stat(forest, nb, rng) rows over n box trees grown to t.  The trees
+    grow in chunks of _BATCH, chunk c as one batch on stream(seed, base + c);
+    stat returns one row per tree of the chunk and may draw further from
+    its rng."""
 
     @_with_resample
-    def one(_i, rng):
-        return stat(stit.simulate(measure, window, t, rng, method), rng)
+    def chunk(c, rng):
+        nb = min(_BATCH, n - c * _BATCH)
+        return stat(_grow(measure, window, nb, t, rng, method), nb, rng)
 
-    return run_replicates(one, n, seed, base)
+    return np.concatenate(run_replicates(chunk, -(-n // _BATCH), seed, base))
 
 
 def _pht_sample(measure, rho, window, n, seed, stat):
@@ -116,18 +132,61 @@ def _pht_sample(measure, rho, window, n, seed, stat):
         lambda _i, rng: stat(simulate_pht(measure, rho, window, rng)), n, seed)
 
 
+def _leaves(f: stit.BoxForest, window):
+    """Cells (rep, lo, hi, window) of the state at the horizon."""
+    live = f.alive
+    return f.rep[live], f.lo[live], f.hi[live], window
+
+
+def _pieces(cells, lo, hi, window):
+    """Each cell intersected with the box (lo, hi) (broadcast over rows),
+    keeping the pieces that geo.intersect and stit.restrict keep."""
+    rep, c_lo, c_hi, _ = cells
+    c_lo, c_hi = np.maximum(c_lo, lo), np.minimum(c_hi, hi)
+    side = c_hi - c_lo
+    keep = (side > geo.GEOM_TOL).all(axis=1) & (side.prod(axis=1) >= 1e-12)
+    return rep[keep], c_lo[keep], c_hi[keep], window
+
+
+def _restrict(cells, sub):
+    """The cells' pieces in the sub-window `sub`, as stit.restrict."""
+    if not geo.contains(cells[3], sub, strict=False):
+        raise WindowMismatch("sub-window not contained in the window")
+    return _pieces(cells, sub.lo_arr, sub.hi_arr, sub)
+
+
+def _nested(measure, window, s, frames, rng):
+    """One fresh full-window nest grown to s per frame, clipped to the
+    frame."""
+    rep, lo, hi, _ = frames
+    f = _grow(measure, window, len(rep), s, rng)
+    at, n_lo, n_hi, _ = _leaves(f, window)
+    return _pieces((rep[at], n_lo, n_hi, window), lo[at], hi[at], window)
+
+
+def _count_boundary(cells, nb):
+    """(cell_count, boundary) per tree: the boundary is half the summed
+    surface of the cells less the window's, as in stit.summary_stats."""
+    rep, lo, hi, window = cells
+    side = hi - lo
+    surface = sum(2.0 * np.prod(np.delete(side, c, axis=1), axis=1)
+                  for c in range(side.shape[1]))
+    return np.column_stack([
+        np.bincount(rep, minlength=nb),
+        (np.bincount(rep, surface, nb) - window.surface()) / 2.0])
+
+
 def _stat_sample(measure, window, t, n, seed, method="direct", base=0,
                  transform=None):
     """(cell_count, boundary) columns of the state at t over n trees, after
-    transform(T, rng) if given."""
+    transform(cells, rng) -> cells if given."""
 
-    def stat(tree, rng):
-        T = stit.slice_at(tree, t)
-        st = stit.summary_stats(T if transform is None else transform(T, rng))
-        return st.cell_count, st.boundary
+    def stat(f, nb, rng):
+        cells = _leaves(f, window)
+        return _count_boundary(
+            cells if transform is None else transform(cells, rng), nb)
 
-    arr = np.asarray(_tree_sample(measure, window, t, n, seed, stat, method,
-                                  base), dtype=float)
+    arr = _tree_sample(measure, window, t, n, seed, stat, method, base)
     return arr[:, 0], arr[:, 1]
 
 
@@ -156,8 +215,8 @@ def _ks_rows(pairs, n1, n2):
 
 def experiment_first_split(measure, window, t, n, seed) -> Report:
     """Survival of the whole window: P(no jump by t) = exp(-t mass(window))."""
-    hits_ = sum(_tree_sample(measure, window, t, n, seed,
-                             lambda tree, _rng: len(tree.jump_times) == 0))
+    hits_ = int(_tree_sample(measure, window, t, n, seed,
+                             lambda f, nb, _rng: f.alive[:nb]).sum())
     return _binomial_report(
         "first_split", seed,
         _config(measure=measure, window=window, t=t, n=n), hits_, n,
@@ -166,10 +225,11 @@ def experiment_first_split(measure, window, t, n, seed) -> Report:
 
 def experiment_capacity(measure, t, inner, window, n, seed) -> Report:
     """Restriction to an inner window is trivial with prob exp(-t mass(inner))."""
-    def trivial(tree, _rng):
-        return len(stit.restrict(stit.slice_at(tree, t), inner).cells) == 1
+    def trivial(f, nb, _rng):
+        rep = _restrict(_leaves(f, window), inner)[0]
+        return np.bincount(rep, minlength=nb) == 1
 
-    hits_ = sum(_tree_sample(measure, window, t, n, seed, trivial))
+    hits_ = int(_tree_sample(measure, window, t, n, seed, trivial).sum())
     return _binomial_report(
         "capacity", seed,
         _config(measure=measure, t=t, n=n, inner=inner, window=window),
@@ -200,8 +260,9 @@ def experiment_methods(measure, window, t, n, seed) -> Report:
 
 def experiment_consistency(measure, window, inner, t, n, seed) -> Report:
     """Restriction commutes with simulation in distribution."""
-    c1, b1 = _stat_sample(measure, window, t, n, seed,
-                          transform=lambda T, _rng: stit.restrict(T, inner))
+    c1, b1 = _stat_sample(
+        measure, window, t, n, seed,
+        transform=lambda cells, _rng: _restrict(cells, inner))
     c2, b2 = _stat_sample(measure, inner, t, n, seed, base=n)
     rows, ok = _ks_rows([("cell_count", c1, c2), ("boundary", b1, b2)], n, n)
     return Report("consistency", seed, _config(
@@ -213,12 +274,9 @@ def experiment_iteration(measure, window, t, s, n, seed) -> Report:
     state at t."""
     c1, b1 = _stat_sample(measure, window, t + s, n, seed, base=0)
 
-    def nest(T, rng):
-        return stit.iterate(T, [
-            stit.slice_at(stit.simulate(measure, window, s, rng), s)
-            for _ in T.cells])
-
-    c2, b2 = _stat_sample(measure, window, t, n, seed, base=n, transform=nest)
+    c2, b2 = _stat_sample(
+        measure, window, t, n, seed, base=n,
+        transform=lambda frames, rng: _nested(measure, window, s, frames, rng))
     rows, ok = _ks_rows([("cell_count", c1, c2), ("boundary", b1, b2)], n, n)
     return Report("iteration", seed,
                   _config(measure=measure, t=t, s=s, n=n, window=window),
@@ -231,9 +289,11 @@ def experiment_self_similarity(measure, window, t, n, seed) -> Report:
     half = geo.scale(window, 0.5)
 
     def scaled_sample(factor, base):
+        # the half window's cells scaled by 2 tile the window
         return _stat_sample(
             measure, half, factor * t, n, seed, base=base,
-            transform=lambda T, _rng: stit.scale_tessellation(T, 2.0))
+            transform=lambda cells, _rng: (cells[0], 2.0 * cells[1],
+                                           2.0 * cells[2], window))
 
     c1, b1 = _stat_sample(measure, window, t, n, seed, base=0)
     c2, b2 = scaled_sample(2.0, n)
@@ -464,16 +524,18 @@ def experiment_no_jump(measure, inner, t, t2_grid, n, seed) -> Report:
     zeta is random, so the comparison is informational only.
     """
     t2_grid = sorted(t2_grid)
+    g = box_axis_rates(measure, inner)
 
-    def stat(tree, _rng):
-        jumps = np.asarray(tree.jump_times)
-        flags = [not ((jumps >= t - t2) & (jumps < t)).any() for t2 in t2_grid]
-        cells = stit.slice_at(tree, t).cells
-        return flags, sum(measure_hitting(measure, c) for c in cells)
+    def stat(f, nb, _rng):
+        jumps = [(f.death >= t - t2) & (f.death < t) for t2 in t2_grid]
+        rep, lo, hi, _ = _leaves(f, inner)
+        return np.column_stack(
+            [np.bincount(f.rep[j], minlength=nb) == 0 for j in jumps]
+            + [np.bincount(rep, (hi - lo) @ g, nb)])
 
     out = _tree_sample(measure, inner, t, n, seed, stat)
-    flags = np.asarray([r[0] for r in out], dtype=float)
-    zeta_mean = float(np.mean([r[1] for r in out]))
+    flags = out[:, :-1]
+    zeta_mean = float(out[:, -1].mean())
     freqs = flags.mean(axis=0)
     sigmas = [binomial_sigma(f, n) for f in freqs]
     rows = [{"t2": t2, "freq": float(f), "sigma": sigma,

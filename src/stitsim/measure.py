@@ -129,7 +129,7 @@ def box_axis_rates(measure: DrivingMeasure, window) -> np.ndarray | None:
     is a box and the measure lives on its coordinate axes.  None otherwise.
 
     This is the one test that selects the box regime's kernels (the STIT
-    cut rule and the rain lineage kernel).
+    tree kernel and the rain lineage kernel).
     """
     if not isinstance(window, geo.Box):
         return None

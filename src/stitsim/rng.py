@@ -1,8 +1,11 @@
 """Counter-based random streams for reproducible replication.
 
-Every replicate draws from its own Philox stream keyed by (seed, index),
-so results do not depend on the order replicates run in and two runs with
-the same seed are bit-identical.
+Every unit of work draws from its own Philox stream keyed by (seed, index),
+so results do not depend on the order units run in and two runs with the
+same seed are bit-identical.  A unit is one replicate, or one batch for the
+batched kernels: a chunk of box trees grown together is keyed base + chunk,
+where the arms of one experiment take bases 0, n, 2n, ... and an arm of n
+trees has at most n chunks, so arms never share a stream.
 """
 
 from __future__ import annotations

@@ -3,16 +3,18 @@ test_acceptance."""
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from stitsim import experiments as ex
 from stitsim import geometry as geo
-from stitsim import rain
+from stitsim import rain, stit
 from stitsim.config import dumps_canonical
-from stitsim.errors import TooFewConditioned
+from stitsim.errors import TooFewConditioned, WindowMismatch
 from stitsim.measure import axis_measure, measure_hitting
+from stitsim.rng import stream
 from stitsim.stats import gap_estimate
 
 LAM = axis_measure([1.0, 1.0])
@@ -125,7 +127,7 @@ def test_iteration_report_golden():
     # shifted replicate index or positional argument changes the bytes
     text = dumps_canonical(ex.run_iteration(seed=4, n_scale=0.05).to_json())
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "616445869ce704b14b3c85f4fdecf5dfb40e1e68715acc579eecc508374975cf")
+        "83d5b3b8e0d70335d75fd00745a5a880b067b8527fea400e9d7209a42a25ddc7")
 
 
 def test_no_jump_report_golden():
@@ -133,18 +135,18 @@ def test_no_jump_report_golden():
     # hitting mass of the cells at t, in cell order)
     text = dumps_canonical(ex.run_no_jump(seed=4, n_scale=0.05).to_json())
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "ea5f047848027bdb4db99c817d4721530a045ad1c1e0793c51e594337fe8e7fb")
+        "20b6f3c79e9e39fd137e64f4723656a71adbffc720a7d9e0050a0e8ac66f7513")
 
 
 # sha256 of each report not pinned above, at seed 4 and n-scale 0.01
 # (cond_independence at 0.05: fewer replicates condition too few).  Each
 # pins the experiment's stream keys, replicate bases and argument order.
 REPORT_GOLDEN = {
-    "first_split": (0.01, "d20d8948ed94889dfed2313692509e61d82cda754438ffc01310c3a8a7fd3bb6"),
-    "capacity": (0.01, "e5c0255b5ba91102ee119ff7de1f9f7e9fac684a721d6af02a1f90d6d490f7e1"),
-    "methods": (0.01, "b104bd2c712ac4a19313251b8f27438e466b2cb6b3e1460a05aa5de12604c84a"),
-    "consistency": (0.01, "828825d98d785f981bcc618babb1da02f2f4f56dac51b7dad222d89c5648e50d"),
-    "self_similarity": (0.01, "e844bb1e93c583711f3655de91d224851f9c32778617475c758eeb23e40f8f06"),
+    "first_split": (0.01, "5944110b90382fa33937983ea6fff252f5536708bae3c6350ec59d12147bc37a"),
+    "capacity": (0.01, "e20bdae9607876b50ebf347109d284292c899c1e64fbe04af7e791062a5f14b8"),
+    "methods": (0.01, "85e07e2c81775b0725fb877d67dff44fd1c6a222728f39114af14bf40287c323"),
+    "consistency": (0.01, "e02c82dd106e8b6e8650daf5e9b4d29919f23623d9402c5540905eb74ca60efe"),
+    "self_similarity": (0.01, "5a669a4cd2c9735f8150fd3804d96b4432bcf04d807747b3ed9e8b8a1d3d20eb"),
     "encapsulation_equality": (0.01, "999640769b7d8b57e73862ddf48d14c503266826cc923ee301ef3132e4599560"),
     "encapsulation_bound": (0.01, "4403a542eb6c9d711243907aeb9e83788efcd45dcd2099d489112d6f68e6d58c"),
     "inclusion": (0.01, "771298bb70e95875e80cf8f1a51e7ce6382b35580d98805004e58fc5a754ba76"),
@@ -174,3 +176,59 @@ def test_report_write(tmp_path):
     assert (tmp_path / "demo.json").read_text() == (
         dumps_canonical(rep.to_json()) + "\n")
     assert (tmp_path / "demo.csv").read_text() == "a,b,c\n1.5,inf,\n2,,0.1\n"
+
+
+def _tessellations(cells, nb):
+    """One stit.Tessellation per tree from array cells (rep, lo, hi, window)."""
+    rep, lo, hi, window = cells
+    return [stit.Tessellation(window, tuple(
+        geo.Box(tuple(a), tuple(b)) for a, b in zip(lo[rep == i], hi[rep == i])))
+        for i in range(nb)]
+
+
+def _assert_stats(cells, tessellations):
+    got = ex._count_boundary(cells, len(tessellations))
+    want = [stit.summary_stats(T) for T in tessellations]
+    assert got[:, 0].tolist() == [s.cell_count for s in want]
+    assert got[:, 1] == pytest.approx([s.boundary for s in want], abs=1e-9)
+
+
+def test_array_statistics_match_tessellation_functions():
+    # the tree experiments' array statistics against stit's per-tessellation
+    # ones on the same trees: summary_stats, restrict, iterate and scaling
+    nb = 40
+    cells = ex._leaves(ex._grow(LAM, W2, nb, 1.0, stream(74, 0)), W2)
+    tess = _tessellations(cells, nb)
+    _assert_stats(cells, tess)
+    _assert_stats(ex._restrict(cells, W1), [stit.restrict(T, W1) for T in tess])
+    rep, lo, hi, _ = cells
+    scaled = (rep, 2.0 * lo, 2.0 * hi, geo.scale(W2, 2.0))
+    _assert_stats(scaled, [stit.Tessellation(geo.scale(W2, 2.0), tuple(
+        geo.scale(c, 2.0) for c in T.cells)) for T in tess])
+    # iteration: nest j goes into frame j; stit.iterate takes the nests in
+    # number_cells order of each tree's frames
+    nests = _tessellations(ex._leaves(
+        ex._grow(LAM, W2, len(rep), 0.5, stream(74, 1)), W2), len(rep))
+    nested = ex._nested(LAM, W2, 0.5, cells, stream(74, 1))
+    frames = [np.flatnonzero(rep == i) for i in range(nb)]
+    _assert_stats(nested, [
+        stit.iterate(T, [nests[frames[i][k]] for k in stit.number_cells(T)])
+        for i, T in enumerate(tess)])
+    with pytest.raises(WindowMismatch):
+        ex._restrict(cells, geo.Box((-3, -3), (3, 3)))
+
+
+def test_tree_sample_memory_does_not_grow_with_n():
+    # trees grow in chunks of ex._BATCH, so a larger n cannot exhaust memory
+    def peak(n):
+        tracemalloc.start()
+        try:
+            ex._stat_sample(LAM, W2, 1.0, n, 75)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(ex._BATCH)  # first-call allocations
+    small, large = peak(ex._BATCH), peak(8 * ex._BATCH)
+    assert large < 1.25 * small
+

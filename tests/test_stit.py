@@ -9,7 +9,7 @@ import pytest
 from stitsim import geometry as geo
 from stitsim import stit
 from stitsim.config import dumps_canonical, sanitize
-from stitsim.errors import (AmbiguousZeroCell, ExplosionGuard,
+from stitsim.errors import (AmbiguousZeroCell, DegenerateCut, ExplosionGuard,
                             InsufficientNests, MethodMismatch, OutOfRange,
                             WindowMismatch)
 from stitsim.measure import (Discrete, DrivingMeasure, axis_measure,
@@ -321,14 +321,14 @@ GOLDEN_TREES = {
     # name: (measure, window, t, method, sha256 of canonical tree_to_json)
     "axis_2d_direct": (
         LAM, W2, 2.0, "direct",
-        "abe942ec5f4178a1c86d70cce93c0992a0a77185d7ed9c4013b9c1cce30d4e72"),
+        "b46e7c826141a970fb3b42a6e28f6cad6a62a0ac3098db2d279ff36a21fa1296"),
     "axis_2d_rejection": (
         LAM, W2, 2.0, "rejection",
-        "739eb2ab69c5acc06be08c970d587ef3d90575f0104f98823954a574a79031a1"),
+        "9f25070518b626a488b6dd4f1d129e3faf884f4da24e7391355cdc68f4c515eb"),
     "weighted_axis_3d": (
         axis_measure([2.0, 1.0, 0.5]),
         geo.Box((-1.0, -1.5, -1.0), (1.5, 1.0, 1.0)), 1.5, "direct",
-        "48178d6adf9ec34a67277502f6f2065b152c9df7d5c63b011d84ff0a284815ea"),
+        "385fb6c7f8f18322643cfe91753c5f13afaaa7a09f72a923a86e3ac039ba9d5c"),
     "isotropic_polygon_direct": (
         isotropic_measure(1.0), PENTAGON, 2.0, "direct",
         "fdb1748a5f4b6a0331ef4549559e4dd944c4cb3a0131c6fb41d5b5549618b216"),
@@ -358,3 +358,106 @@ def test_tree_bytes_golden(seed, name):
     assert sanitize(payload) == payload
     text = dumps_canonical(payload)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+STRUCTURE_TREES = {
+    # name: (measure, window, t, method)
+    "box_direct": (LAM, W2, 2.0, "direct"),
+    "box_rejection": (LAM, W2, 2.0, "rejection"),
+    "box_3d": (axis_measure([2.0, 1.0, 0.5]),
+               geo.Box((-1.0, -1.5, -1.0), (1.5, 1.0, 1.0)), 1.5, "direct"),
+    "polygon_direct": (isotropic_measure(1.0), PENTAGON, 2.0, "direct"),
+    "polygon_rejection": (isotropic_measure(1.0), PENTAGON, 1.0, "rejection"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURE_TREES))
+def test_tree_json_structure(name):
+    # the checks a reader of simulate's JSON makes (perfbench's check_tree):
+    # a parent id out of range would stop that reader with an IndexError
+    measure, window, t, method = STRUCTURE_TREES[name]
+    tree = stit.simulate(measure, window, t / 2, stream(40, 0), method)
+    stit.advance(tree, t / 2, stream(40, 1))
+    d = stit.tree_to_json(tree)
+    nodes, jumps = d["nodes"], d["jump_times"]
+    assert len(jumps) > 3
+    assert [n["id"] for n in nodes] == list(range(len(nodes)))
+    assert nodes[0]["parent"] is None and nodes[0]["birth"] == 0.0
+    for n in nodes[1:]:
+        assert 0 <= n["parent"] < n["id"]
+        assert n["birth"] == nodes[n["parent"]]["death"]
+    assert jumps == sorted(jumps)
+    assert len(nodes) == 1 + 2 * len(jumps)
+    assert sum(n["death"] is not None for n in nodes) == len(jumps)
+    assert len(stit.slice_at(tree, t).cells) == len(jumps) + 1
+    if method == "rejection":
+        assert sum(n["rejected"] for n in nodes) > 0
+
+
+def test_box_rejection_keeps_only_misses():
+    # every recorded draw of a box rejection tree is a window cut that
+    # misses its cell: the construction really rejects
+    tree = stit.simulate(LAM, W2, 2.0, stream(41, 0), "rejection")
+    draws = [(node.polytope, cut) for node in tree.nodes
+             for cut in node.rejected_hyperplanes]
+    assert len(draws) > 20
+    for box, (c, d) in draws:
+        assert W2.lo[c] <= d <= W2.hi[c]
+        assert not box.lo[c] < d < box.hi[c]
+
+
+def _event_loop_tree(window, t, method, rng):
+    """The generic event loop forced onto a box window."""
+    tree = stit.CellTree(window, LAM, method, [stit.CellNode(0, window, 0.0)],
+                         0.0, [])
+    return stit._advance_events(tree, t, rng)
+
+
+def _law_sample(window, t, method, n, seed, kernel):
+    """(cell_count, boundary, zero-cell area, jump count) of n trees."""
+    if kernel:
+        f = stit.grow_boxes((1.0, 1.0), window, np.tile(window.lo_arr, (n, 1)),
+                            np.tile(window.hi_arr, (n, 1)), np.arange(n), 0.0,
+                            t, stream(seed, 10 ** 6), method)
+        rep, lo, hi = f.rep[f.alive], f.lo[f.alive], f.hi[f.alive]
+        side = hi - lo
+        zero = ((lo < -geo.GEOM_TOL) & (hi > geo.GEOM_TOL)).all(axis=1)
+        return np.column_stack([
+            np.bincount(rep, minlength=n),
+            (np.bincount(rep, 2.0 * side.sum(axis=1), n) - window.surface()) / 2,
+            np.bincount(rep[zero], side[zero].prod(axis=1), n),
+            np.bincount(f.rep[~f.alive], minlength=n)])
+
+    def one(_i, rng):
+        for _ in range(20):  # redraw the measure-zero degenerate trajectories
+            try:
+                tree = _event_loop_tree(window, t, method, rng)
+                s = stit.summary_stats(stit.slice_at(tree, t))
+            except (AmbiguousZeroCell, DegenerateCut):
+                continue
+            return s.cell_count, s.boundary, s.zero_cell_area, len(tree.jump_times)
+        raise AmbiguousZeroCell("persistently degenerate trajectory")
+    return np.asarray(run_replicates(one, n, seed), dtype=float)
+
+
+# (window, t) of every tree experiment's arms: first_split, capacity,
+# methods / consistency / no_jump / self_similarity's half window,
+# consistency / iteration's full run, iteration's base and nests /
+# self_similarity, and self_similarity's power arm
+LAW_CASES = [(W1, 0.25), (W2, 0.25), (W1, 1.0), (W2, 1.0), (W2, 0.5), (W1, 1.5)]
+
+
+@pytest.mark.parametrize("method", ["direct", "rejection"])
+@pytest.mark.parametrize("case", range(len(LAW_CASES)))
+def test_box_kernel_agrees_with_event_loop_in_law(case, method):
+    # 12 cases of 3 distinct statistics (the jump count is the cell count
+    # less one): each KS test gates at 0.005 / 36, so the family fails
+    # falsely at most 0.5% of the time; n = 600 rejects a kernel whose
+    # rates are 10% high
+    window, t = LAW_CASES[case]
+    seed = 50 + 2 * case + (method == "rejection")
+    a = _law_sample(window, t, method, 600, seed, kernel=False)
+    b = _law_sample(window, t, method, 600, seed, kernel=True)
+    assert np.array_equal(b[:, 3], b[:, 0] - 1)
+    for k in range(3):
+        assert ks_two_sample(a[:, k], b[:, k]).p_value > 0.005 / 36
