@@ -190,6 +190,10 @@ def _stat_sample(measure, window, t, n, seed, method="direct", base=0,
     return arr[:, 0], arr[:, 1]
 
 
+def _work(scan) -> dict:  # the box rain's counters (the generic has none)
+    return {k: scan[k] for k in ("marks_drawn", "rows_retired") if k in scan}
+
+
 def _monotone_steps(values, sigmas) -> list[bool]:
     """Per step j -> j+1: values[j+1] <= values[j] + 2 combined sigma."""
     return [bool(b <= a + 2.0 * math.hypot(sa, sb))
@@ -418,7 +422,7 @@ def experiment_cond_independence(measure, inner, enclosure, sim_window, probe,
              "p_inside": float(d.mean()), "p_outside": float(e.mean()),
              "p_joint": float((d & e).mean()),
              "gap": gap, "sigma": sigma, "tolerance": SIGMAS * sigma,
-             "verdict": "PASS" if ok else "FAIL"}]
+             **_work(scan), "verdict": "PASS" if ok else "FAIL"}]
     return Report("cond_independence", seed, _config(
         measure=measure, t=t, t2=t2, n=n, inner=inner, enclosure=enclosure,
         sim_window=sim_window, probe=[list(p) for p in probe.pts]), rows, ok)
@@ -444,9 +448,8 @@ def experiment_mixing_stit(measure, t, h_grid, n, seed) -> Report:
     sigmas = []
     for j, h in enumerate(h_grid):
         window = geo.Box((-1.0 - margin, -margin), (1.0 + margin, h + margin))
-        body_d = _segment(0.0)
-        body_e = _segment(float(h))
-        scan = rain.pair_scan(measure, window, body_d, body_e, t, n, seed + j)
+        scan = rain.pair_scan(measure, window, _segment(0.0), _segment(float(h)),
+                              t, n, seed, base=j * -(-n // rain._BATCH))
         d = np.isinf(scan["cut_a"]).astype(float)
         e = np.isinf(scan["cut_b"]).astype(float)
         gap, sigma = gap_estimate(d, e)
@@ -454,7 +457,8 @@ def experiment_mixing_stit(measure, t, h_grid, n, seed) -> Report:
         sigmas.append(sigma)
         rows.append({"h": h, "gap": gap, "sigma": sigma,
                      "p_d": float(d.mean()), "p_e": float(e.mean()),
-                     "p_joint": float((d * e).mean()), "n": n})
+                     "p_joint": float((d * e).mean()), "n": n,
+                     **_work(scan)})
     ok = abs(gaps[-1]) <= 2.0 * sigmas[-1]
     rows[-1]["verdict"] = "PASS" if ok else "FAIL"
     steps = _monotone_steps(gaps, sigmas)

@@ -16,7 +16,9 @@ for every other measure and window.  A kernel follows the cell shared by a
 group of bodies: a mark that meets a body cuts it and the rest keep the
 cell, and a mark that separates the group splits it, each side continuing
 on its own rain.  The zero-cell scan is the one-body case and the pair scan
-the two-body case.
+the two-body case.  The box kernel draws marks on demand, _CHUNK at a time
+for the rows it still follows, each row (or side of a split) continuing on
+the batch's stream from its last time.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .measure import (DrivingMeasure, box_axis_rates, measure_hitting,
 from .rng import run_replicates, stream
 
 _BATCH = 1 << 16
+_CHUNK = 4  # box rain marks drawn per followed row at a time
 
 
 def zero_cell_scan(measure: DrivingMeasure, window, inner, horizon: float,
@@ -46,6 +49,7 @@ def zero_cell_scan(measure: DrivingMeasure, window, inner, horizon: float,
       sigma_inner first rain time on a hyperplane meeting `inner`
       sigma_bands (n, len(bands)) first rain times inside each band, before
                   sigma_inner (inf from sigma_inner on)
+    and, in the box regime, the counts marks_drawn and rows_retired (0).
     """
     g = box_axis_rates(measure, window)
     band_axis = [b.axis_form() for b in bands]
@@ -55,7 +59,8 @@ def zero_cell_scan(measure: DrivingMeasure, window, inner, horizon: float,
 
 
 def pair_scan(measure: DrivingMeasure, window, body_a, body_b, horizon: float,
-              n: int, seed: int, enclosure: geo.Box | None = None) -> dict:
+              n: int, seed: int, enclosure: geo.Box | None = None,
+              base: int = 0) -> dict:
     """First-cut times of two bodies under one tessellation trajectory.
 
     Each trajectory is one lineage of the pair: the bodies share one cell
@@ -63,91 +68,59 @@ def pair_scan(measure: DrivingMeasure, window, body_a, body_b, horizon: float,
     subtrees are independent and each continues under its own rain.  Returns
     arrays cut_a, cut_b and, when `enclosure` is given, tau_enc: the first
     time the a-lineage cell lies strictly inside the enclosure while body_a
-    is uncut.
+    is uncut.  Box batch b runs on stream(seed, base + b), generic lineage
+    i on stream(seed, base * _BATCH + i).  The box regime also returns the
+    counts marks_drawn and rows_retired: a row retires once tau_enc is
+    decided to be inf (body_a cut first, or a split leaving body_a's side
+    unenclosed), and its cut_b then reads NaN if body_b was still uncut.
     """
     g = box_axis_rates(measure, window)
     if g is not None and (enclosure is None or isinstance(enclosure, geo.Box)):
-        return _fast_pair(g, window, body_a, body_b, horizon, n, seed, enclosure)
+        return _fast_pair(g, window, body_a, body_b, horizon, n, seed, enclosure,
+                          base)
     return _generic_pair(measure, window, body_a, body_b, horizon, n, seed,
-                         enclosure)
+                         enclosure, base)
 
 
 # ---------------------------------------------------------------------------
 # box regime
 
 def _fast_zero(g, window: geo.Box, inner, horizon, n, seed, band_axis):
-    cut, tau, sbands = _fast_scan(g, window, (inner,), horizon, n, seed,
-                                  window, band_axis)
-    return {"tau_enc": tau, "sigma_inner": cut[:, 0], "sigma_bands": sbands}
+    cut, tau, sbands, work = _fast_scan(g, window, (inner,), horizon, n, seed,
+                                        window, band_axis)
+    return {"tau_enc": tau, "sigma_inner": cut[:, 0], "sigma_bands": sbands,
+            **work}
 
 
-def _fast_pair(g, window: geo.Box, body_a, body_b, horizon, n, seed, enclosure):
-    cut, tau, _ = _fast_scan(g, window, (body_a, body_b), horizon, n, seed,
-                             enclosure, ())
-    return {"cut_a": cut[:, 0], "cut_b": cut[:, 1], "tau_enc": tau}
+def _fast_pair(g, window: geo.Box, body_a, body_b, horizon, n, seed, enclosure,
+               base=0):
+    cut, tau, _, work = _fast_scan(g, window, (body_a, body_b), horizon, n,
+                                   seed, enclosure, (), base)
+    return {"cut_a": cut[:, 0], "cut_b": cut[:, 1], "tau_enc": tau, **work}
 
 
 def _fast_scan(g, window: geo.Box, bodies, horizon, n, seed, enclosure,
-               band_axis):
-    """n lineages of `bodies` from the window, in batches of rain marks:
-    the cuts (n, k), the enclosure clock and the band clocks."""
-    ell = window.dim
-    v_lo, v_hi = window.lo_arr, window.hi_arr
-    b_lo, b_hi = np.array([geo.support_interval(b, np.eye(ell))
+               band_axis, base=0):
+    """n lineages of `bodies`, batch b of _BATCH on stream(seed, base + b):
+    the cuts (n, k), the enclosure and band clocks, and the counters."""
+    b_lo, b_hi = np.array([geo.support_interval(b, np.eye(window.dim))
                            for b in bodies]).transpose(1, 0, 2)
     enc = None if enclosure is None else (enclosure.lo_arr, enclosure.hi_arr)
-    cut = np.empty((n, len(bodies)))
-    tau = np.empty(n)
-    sbands = np.empty((n, len(band_axis)))
-
-    for bi, start in enumerate(range(0, n, _BATCH)):
-        stop = min(start + _BATCH, n)
-        nb = stop - start
-        rng = stream(seed, bi)
-        marks = _rain_marks(rng, g, v_lo, v_hi, horizon, nb)
-        cut[start:stop], tau[start:stop] = _fast_lineage(
-            (rng, g, v_lo, v_hi), marks, np.tile(v_lo, (nb, 1)),
-            np.tile(v_hi, (nb, 1)), b_lo, b_hi, horizon, enc, np.full(nb, np.inf))
-        sbands[start:stop] = _band_clocks(
-            marks, np.minimum(cut[start:stop, 0], horizon), band_axis)
-        del marks  # free this batch's marks before the next batch is drawn
-    return cut, tau, sbands
-
-
-def _rain_marks(rng, g, v_lo, v_hi, horizon, nb, t0=None):
-    """Event times (past the horizon), axes and positions of one rain batch.
-
-    With t0, row i starts at t0[i] and runs at least `horizon` beyond it.
-    """
-    side = v_hi - v_lo
+    side = window.hi_arr - window.lo_arr
     rate_c = g * side
-    rate = rate_c.sum()
-    mean = horizon * rate
-    m = int(mean + 8.0 * math.sqrt(mean + 1.0) + 16)
-    times = np.cumsum(rng.exponential(1.0 / rate, size=(nb, m)), axis=1)
-    while times[:, -1].min() < horizon:
-        extra = rng.exponential(1.0 / rate, size=(nb, max(8, m // 4)))
-        times = np.hstack([times, times[:, -1:] + np.cumsum(extra, axis=1)])
-    shape = times.shape
-    cum = np.cumsum(rate_c / rate)
-    axes = np.minimum(np.searchsorted(cum, rng.random(shape)), len(g) - 1)
-    ds = v_lo[axes] + rng.random(shape) * side[axes]
-    if t0 is not None:
-        times += t0[:, None]
-    return times, axes, ds
-
-
-def _band_clocks(marks, before, band_axis):
-    """Each row's first mark inside each axis band, earlier than `before`."""
-    times, axes, ds = marks
-    early = times < before[:, None]
-    rows = np.arange(len(times))
-    clocks = np.empty((len(times), len(band_axis)))
-    for a, (bax, blo, bhi) in enumerate(band_axis):
-        mark = early & (axes == bax) & (ds > blo) & (ds < bhi)
-        k = mark.argmax(axis=1)
-        clocks[:, a] = np.where(mark[rows, k], times[rows, k], np.inf)
-    return clocks
+    cum = np.cumsum(rate_c / rate_c.sum())
+    cut, tau = np.empty((n, len(bodies))), np.empty(n)
+    sbands, drawn = np.empty((n, len(band_axis))), 0
+    for bi, start in enumerate(range(0, n, _BATCH)):
+        nb, stop = min(_BATCH, n - start), min(start + _BATCH, n)
+        rain = (stream(seed, base + bi), rate_c.sum(), cum, window.lo_arr, side)
+        cut[start:stop], tau[start:stop], sbands[start:stop], more = _fast_lineage(
+            rain, np.tile(window.lo_arr, (nb, 1)), np.tile(window.hi_arr, (nb, 1)),
+            b_lo, b_hi, np.zeros(nb), horizon, enc, np.full(nb, np.inf),
+            np.ones((nb, len(bodies)), dtype=bool), band_axis)
+        drawn += more
+    return cut, tau, sbands, {"marks_drawn": drawn, "rows_retired": int(
+        np.isnan(cut).any(axis=1).sum())}
 
 
 def _inside(enc, lo, hi):
@@ -155,88 +128,109 @@ def _inside(enc, lo, hi):
     return (lo > enc[0]).all(axis=1) & (hi < enc[1]).all(axis=1)
 
 
-def _fast_lineage(rain, marks, lo, hi, b_lo, b_hi, horizon, enc, tau,
-                  live=None):
-    """Follow the box cells shared by k bodies through rain marks.
+def _fast_lineage(rain, lo, hi, b_lo, b_hi, t, horizon, enc, tau, live,
+                  bands=()):
+    """Follow the box cells shared by k bodies through the rain from time t.
 
-    marks are (times, axes, ds), one row per replicate; lo and hi (nb, ell)
-    are the cells, clamped in place; b_lo and b_hi (k, ell) are the bodies'
-    intervals, and live (nb, k) marks the bodies in each row's cell (all of
-    them by default).  A mark that meets the cell cuts the live bodies it
-    meets and clamps the cell to the side of the rest.  A mark that leaves
-    live bodies on both sides splits the row: each side continues on fresh
-    marks from rain = (rng, g, v_lo, v_hi), the side of the first live body
-    first.  Returns (cut, tau): cut (nb, k) holds each body's first cut time
-    (inf if none by the horizon), and tau, where still inf, becomes the first
-    time body 0's cell lies strictly inside the box enc = (enc_lo, enc_hi)
-    while body 0 is uncut.  Only rows still following a cell are touched at
-    each mark.
+    rain = (rng, rate, cumulative axis weights, window lo, window sides);
+    each row draws _CHUNK marks at a time from t, which advances in place.
+    lo and hi (nb, ell) are the cells, clamped in place; b_lo and b_hi
+    (k, ell) the bodies' intervals; live (nb, k) marks the bodies in each
+    row's cell.  A mark that meets the cell cuts the live bodies it meets
+    and clamps the cell to the side of the rest; one that leaves live bodies
+    on both sides splits the row, each side continuing from the split time,
+    the first live body's side first.  Returns (cut, tau, band clocks, marks
+    drawn): each body's first cut time (inf if none by the horizon); tau,
+    where still inf, becomes the first time body 0's cell lies strictly
+    inside enc = (enc_lo, enc_hi) while body 0 is uncut; each row's first
+    mark inside each axis band (axis, lo, hi) before body 0's cut.  With enc
+    and k > 1 rows retire as pair_scan describes.
     """
-    times, axes, ds = marks
-    nb, k = len(times), len(b_lo)
-    live = np.ones((nb, k), dtype=bool) if live is None else live
-    cut = np.full((nb, k), np.inf)
-    t_sep = np.full(nb, np.inf)  # split rows: time, axis, position, sides
-    ax_sep = np.zeros(nb, dtype=np.int64)
-    d_sep = np.zeros(nb)
+    rng, rate, cum, v_lo, v_side = rain
+    nb, k = len(lo), len(b_lo)
+    retire = enc is not None and k > 1
+    cut, sb = np.full((nb, k), np.inf), np.full((nb, len(bands)), np.inf)
+    t_sep, d_sep = np.full(nb, np.inf), np.zeros(nb)  # split rows: time,
+    ax_sep = np.zeros(nb, dtype=np.int64)  # position, axis and sides
     low_sep = np.zeros((nb, k), dtype=bool)
-    idx = np.arange(nb)
+    idx, drawn = np.arange(nb), 0
 
-    for j in range(times.shape[1]):
-        idx = idx[times[idx, j] < horizon]
-        if len(idx) == 0:
-            break
-        ax, d = axes[idx, j], ds[idx, j]
-        meet = (d > lo[idx, ax]) & (d < hi[idx, ax])
-        r, ax, d = idx[meet], ax[meet], d[meet]
-        t = times[r, j]
-        lo_k, hi_k = b_lo[:, ax].T, b_hi[:, ax].T
-        hit = live[r] & (d[:, None] >= lo_k) & (d[:, None] <= hi_k)
-        cut[r] = np.where(hit, t[:, None], cut[r])
-        alive = live[r] & ~hit
-        live[r] = alive
-        low = hi_k <= d[:, None]  # body below the mark, where not hit
-        any_low = (alive & low).any(axis=1)
-        any_high = (alive & ~low).any(axis=1)
-        one = any_low != any_high  # every live body on one side: clamp
-        rc, axc, dc, kl = r[one], ax[one], d[one], any_low[one]
-        hi[rc[kl], axc[kl]] = dc[kl]
-        lo[rc[~kl], axc[~kl]] = dc[~kl]
-        if enc is not None:
-            e = one & alive[:, 0] & np.isinf(tau[r])
-            e[e] = _inside(enc, lo[r[e]], hi[r[e]])
-            tau[r[e]] = t[e]
-        split = any_low & any_high
-        s = r[split]
-        t_sep[s], ax_sep[s], d_sep[s], low_sep[s] = (t[split], ax[split],
-                                                     d[split], low[split])
-        keep = ~meet
-        keep[meet] = one
-        idx = idx[keep]
-
-    # each side of a split continues on fresh rain, one batch per side
-    sub = np.flatnonzero(np.isfinite(t_sep))
-    if len(sub) > 0:
-        rng, g, v_lo, v_hi = rain
-        t0, ax, d = t_sep[sub], ax_sep[sub], d_sep[sub]
-        span = max(float(np.max(horizon - t0)), 1e-12)
-        alive, low = live[sub], low_sep[sub]
-        rows = np.arange(len(sub))
-        first = low[rows, alive.argmax(axis=1)]
-        for side in (first, ~first):
-            group = alive & (low == side[:, None])
-            c_lo, c_hi = lo[sub], hi[sub]
-            c_hi[rows, ax] = np.where(side, d, c_hi[rows, ax])
-            c_lo[rows, ax] = np.where(side, c_lo[rows, ax], d)
-            ts = tau[sub]
+    while len(idx) > 0:
+        shape = (len(idx), _CHUNK)
+        times = np.cumsum(rng.exponential(1.0 / rate, shape), axis=1) + t[idx, None]
+        axes = np.minimum(np.searchsorted(cum, rng.random(shape)), len(cum) - 1)
+        ds = v_lo[axes] + rng.random(shape) * v_side[axes]
+        t[idx] = times[:, -1]
+        drawn += times.size
+        at = np.arange(len(idx))  # chunk rows still followed
+        for j in range(_CHUNK):
+            at = at[times[at, j] < horizon]
+            if len(at) == 0:
+                break
+            r, ax, d = idx[at], axes[at, j], ds[at, j]
+            meet = (d > lo[r, ax]) & (d < hi[r, ax])
+            r, ax, d = r[meet], ax[meet], d[meet]
+            tm = times[at[meet], j]
+            lo_k, hi_k = b_lo[:, ax].T, b_hi[:, ax].T
+            hit = live[r] & (d[:, None] >= lo_k) & (d[:, None] <= hi_k)
+            cut[r] = np.where(hit, tm[:, None], cut[r])
+            alive = live[r] & ~hit
+            live[r] = alive
+            if retire:  # body 0 cut unenclosed: the rest reads NaN
+                gone = hit[:, 0] & np.isinf(tau[r])
+                cut[r[gone]] = np.where(alive[gone], np.nan, cut[r[gone]])
+                alive[gone] = False
+            low = hi_k <= d[:, None]  # body below the mark, where not hit
+            any_low = (alive & low).any(axis=1)
+            any_high = (alive & ~low).any(axis=1)
+            one = any_low != any_high  # every live body on one side: clamp
+            rc, axc, dc, kl = r[one], ax[one], d[one], any_low[one]
+            hi[rc[kl], axc[kl]] = dc[kl]
+            lo[rc[~kl], axc[~kl]] = dc[~kl]
             if enc is not None:
-                e = group[:, 0] & np.isinf(ts) & _inside(enc, c_lo, c_hi)
-                ts[e] = t0[e]
-            c, tau[sub] = _fast_lineage(
-                rain, _rain_marks(rng, g, v_lo, v_hi, span, len(sub), t0),
-                c_lo, c_hi, b_lo, b_hi, horizon, enc, ts, group)
-            cut[sub] = np.minimum(cut[sub], c)
-    return cut, tau
+                e = one & alive[:, 0] & np.isinf(tau[r])
+                e[e] = _inside(enc, lo[r[e]], hi[r[e]])
+                tau[r[e]] = tm[e]
+            split = any_low & any_high
+            s = r[split]
+            t_sep[s], ax_sep[s], d_sep[s], low_sep[s] = (tm[split], ax[split],
+                                                         d[split], low[split])
+            keep = ~meet
+            keep[meet] = one
+            at = at[keep]
+        if bands:
+            early = times < np.minimum(cut[idx, 0], horizon)[:, None]
+            for a, (bax, blo, bhi) in enumerate(bands):
+                mark = early & (axes == bax) & (ds > blo) & (ds < bhi)
+                sb[idx, a] = np.minimum(
+                    sb[idx, a], np.where(mark, times, np.inf).min(axis=1))
+        idx = idx[at]
+
+    # each side of a split continues from the split time
+    sub = np.flatnonzero(np.isfinite(t_sep))
+    side = low_sep[sub, live[sub].argmax(axis=1)]
+    for second in (False, True):
+        side = ~side if second else side
+        group = live[sub] & (low_sep[sub] == side[:, None])
+        if second and retire:  # body 0's side left these rows unenclosed
+            drop = np.isinf(tau[sub])
+            cut[sub[drop]] = np.where(group[drop], np.nan, cut[sub[drop]])
+            sub, side, group = sub[~drop], side[~drop], group[~drop]
+        if len(sub) == 0:
+            break
+        rows, ax, d = np.arange(len(sub)), ax_sep[sub], d_sep[sub]
+        c_lo, c_hi = lo[sub], hi[sub]
+        c_hi[rows, ax] = np.where(side, d, c_hi[rows, ax])
+        c_lo[rows, ax] = np.where(side, c_lo[rows, ax], d)
+        ts = tau[sub]
+        if enc is not None:
+            e = group[:, 0] & np.isinf(ts) & _inside(enc, c_lo, c_hi)
+            ts[e] = t_sep[sub][e]
+        c, tau[sub], _, more = _fast_lineage(rain, c_lo, c_hi, b_lo, b_hi,
+                                             t_sep[sub], horizon, enc, ts, group)
+        cut[sub] = np.minimum(cut[sub], c)
+        drawn += more
+    return cut, tau, sb, drawn
 
 
 # ---------------------------------------------------------------------------
@@ -249,14 +243,15 @@ def _generic_zero(measure, window, inner, horizon, n, seed, bands):
 
 
 def _generic_pair(measure, window, body_a, body_b, horizon, n, seed,
-                  enclosure):
+                  enclosure, base=0):
     cut, tau, _ = _generic_scan(measure, window, (body_a, body_b), horizon, n,
-                                seed, enclosure, ())
+                                seed, enclosure, (), base * _BATCH)
     return {"cut_a": cut[:, 0], "cut_b": cut[:, 1], "tau_enc": tau}
 
 
-def _generic_scan(measure, window, bodies, horizon, n, seed, enclosure, bands):
-    """n lineages of `bodies` from the window, one replicate stream each."""
+def _generic_scan(measure, window, bodies, horizon, n, seed, enclosure, bands,
+                  base=0):
+    """n lineages of `bodies`, lineage i on stream(seed, base + i)."""
     rate = measure_hitting(measure, window)
 
     def one(_i, rng):
@@ -266,7 +261,7 @@ def _generic_scan(measure, window, bodies, horizon, n, seed, enclosure, bands):
                                    enclosure, math.inf, bands)
         return cut, tau, sb
 
-    rows = run_replicates(one, n, seed)
+    rows = run_replicates(one, n, seed, base)
     return (np.array([r[0] for r in rows]).reshape(n, len(bodies)),
             np.array([r[1] for r in rows]),
             np.array([r[2] for r in rows]).reshape(n, len(bands)))

@@ -108,6 +108,24 @@ def test_mixing_gap_at_zero_distance_is_variance():
     assert gap == pytest.approx(d.mean() * (1 - d.mean()), abs=1e-12)
 
 
+def test_mixing_stit_grid_points_never_share_a_stream(monkeypatch):
+    # grid point j keys its rain batches from j * ceil(n / _BATCH), so the
+    # grid points of seeds 1 and 2 draw from disjoint streams (with seed + j,
+    # grid point 1 of seed 1 replayed grid point 0 of seed 2)
+    keys = []
+
+    def recording(seed, index):
+        keys.append((seed, index))
+        return stream(seed, index)
+
+    monkeypatch.setattr(rain, "stream", recording)
+    monkeypatch.setattr(rain, "_BATCH", 64)
+    for seed in (1, 2):
+        ex.experiment_mixing_stit(LAM, 1.5, (2, 4, 8), 150, seed)
+    assert len(keys) == 2 * 3 * 3
+    assert len(set(keys)) == len(keys)
+
+
 def test_no_jump_tiny_interval():
     rep = ex.experiment_no_jump(LAM, W1, 1.0, (0.001, 0.05), 500, 73)
     assert rep.rows[0]["freq"] >= 0.98
@@ -147,11 +165,11 @@ REPORT_GOLDEN = {
     "methods": (0.01, "85e07e2c81775b0725fb877d67dff44fd1c6a222728f39114af14bf40287c323"),
     "consistency": (0.01, "e02c82dd106e8b6e8650daf5e9b4d29919f23623d9402c5540905eb74ca60efe"),
     "self_similarity": (0.01, "5a669a4cd2c9735f8150fd3804d96b4432bcf04d807747b3ed9e8b8a1d3d20eb"),
-    "encapsulation_equality": (0.01, "999640769b7d8b57e73862ddf48d14c503266826cc923ee301ef3132e4599560"),
+    "encapsulation_equality": (0.01, "ef1bc62633b98da6003911c32d76a41419b3bd4ab3fbb7c36a00a9910206d208"),
     "encapsulation_bound": (0.01, "4403a542eb6c9d711243907aeb9e83788efcd45dcd2099d489112d6f68e6d58c"),
     "inclusion": (0.01, "771298bb70e95875e80cf8f1a51e7ce6382b35580d98805004e58fc5a754ba76"),
-    "cond_independence": (0.05, "8c91f7192967777ce4cc49d411c85cebee5a36fe052260f15a1bcb417925b6fa"),
-    "mixing_stit": (0.01, "4c9157f221e9cfcb1164576ea0af7021b33f16ec327109207ae9a24bd701a2f6"),
+    "cond_independence": (0.05, "a4ba31f4c1db774942354a20062df9f6c2cab4157ed81d93946849856d7338c8"),
+    "mixing_stit": (0.01, "1d19702ae17794f813f8451f6c7ba1d9fc75d56ba0328a94f11627f0f6859622"),
     "mixing_pht": (0.01, "cf61b1d55628b2cf5205ff23eb3e6c15a1b55e5c7d12e7ffcb422628fc05cc9b"),
     "pht_capacity": (0.01, "fb34a49a312e2079b29f1cf08cb72b05434b19ba24764cf2febc02deaa9a95a2"),
     "determinism": (0.01, "5cd50ff678ae18e8bec3f43afb5290be246bd26f02180a69c3f9cb09bbccbc42"),

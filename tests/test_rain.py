@@ -2,8 +2,10 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
+import pytest
 
 from stitsim import geometry as geo
 from stitsim import rain, stit
@@ -73,8 +75,8 @@ def test_three_body_lineage_fast_vs_generic():
     avoidance event, and each marginal is exponential in the body's mass."""
     V = geo.Box((-2.0, -2.0), (2.0, 6.0))
     bodies = tuple(geo.Face(((-1.0, y), (1.0, y))) for y in (0.0, 2.0, 4.0))
-    fast, _, _ = rain._fast_scan(LAM.axis_rates(2), V, bodies, 1.0, 20_000, 33,
-                                 None, ())
+    fast = rain._fast_scan(LAM.axis_rates(2), V, bodies, 1.0, 20_000, 33,
+                           None, ())[0]
     gen, _, _ = rain._generic_scan(LAM, V, bodies, 1.0, 2_000, 34, None, ())
     for cols in ([0], [1], [2], [0, 1], [1, 2], [0, 2], [0, 1, 2]):
         pf = np.isinf(fast[:, cols]).all(axis=1).mean()
@@ -127,6 +129,92 @@ def test_pair_scan_enclosure_matches_zero_scan():
     assert abs(p1 - p2) <= 5 * binomial_sigma(max(p2, 1e-3), 30_000)
     assert ks_two_sample(a_pair[np.isfinite(a_pair)],
                          a_solo[np.isfinite(a_solo)]).p_value > 0.001
+
+
+ENC_V = geo.Box((-3.2, -3.2), (3.2, 3.2))
+ENC_INNER = geo.Box((-0.3, -0.3), (0.3, 0.3))
+ENC = geo.Box((-1.2, -1.2), (1.2, 1.2))
+ENC_PROBE = geo.Face(((1.6, 0.0), (3.0, 0.0)))
+
+
+def _ks_finite(x, y):
+    return ks_two_sample(x[np.isfinite(x)], y[np.isfinite(y)]).p_value
+
+
+def test_chunk_size_does_not_change_the_law(monkeypatch):
+    """Marks drawn one at a time and in default chunks give the same law on
+    every returned clock: tau_enc, sigma_inner, the band clocks, cut_a, and
+    cut_b on the rows that are not retired."""
+    prob = equality_problem(0.5, 1.0, [1.0, 1.0])
+
+    def scans(seed):
+        zero = rain.zero_cell_scan(prob.measure, prob.outer, prob.inner, 3.0,
+                                   20_000, seed, bands=prob.bands)
+        return zero, rain.pair_scan(LAM, ENC_V, ENC_INNER, ENC_PROBE, 2.0,
+                                    20_000, seed + 1, enclosure=ENC)
+
+    zero, pair = scans(80)
+    with monkeypatch.context() as m:
+        m.setattr(rain, "_CHUNK", 1)
+        zero1, pair1 = scans(82)
+    for key in ("tau_enc", "sigma_inner"):
+        assert _ks_finite(zero[key], zero1[key]) > 0.001, key
+    for a in range(len(prob.bands)):
+        assert _ks_finite(zero["sigma_bands"][:, a],
+                          zero1["sigma_bands"][:, a]) > 0.001, a
+    for key in ("tau_enc", "cut_a", "cut_b"):
+        assert _ks_finite(pair[key], pair1[key]) > 0.001, key
+    for p, p1 in ((np.isfinite(zero["tau_enc"]), np.isfinite(zero1["tau_enc"])),
+                  (np.isnan(pair["cut_b"]), np.isnan(pair1["cut_b"]))):
+        assert abs(p.mean() - p1.mean()) <= 5 * binomial_sigma(p.mean(), 20_000)
+
+
+@pytest.mark.parametrize("probe", [ENC_PROBE, geo.Face(((0.5, 0.0), (0.9, 0.0)))],
+                         ids=["outside", "inside"])
+def test_retired_rows_and_conditioned_law(probe):
+    """A pair scan with an enclosure stops following a row once tau_enc is
+    decided to be inf, and cut_b then reads NaN; on conditioned rows cut_b
+    keeps the law of the generic kernel, which never retires a row.  The
+    probe lies outside the enclosure or inside it, where tau_enc can be set
+    while the bodies still share a cell."""
+    fast = rain.pair_scan(LAM, ENC_V, ENC_INNER, probe, 2.0, 40_000, 84,
+                          enclosure=ENC)
+    tau, cut_a, cut_b = fast["tau_enc"], fast["cut_a"], fast["cut_b"]
+    retired = np.isnan(cut_b)
+    cond = np.isfinite(tau)
+    assert fast["rows_retired"] == int(retired.sum()) > 0
+    assert not (retired & cond).any()
+    assert not np.isnan(cut_a).any() and not np.isnan(tau).any()
+    # a kept unconditioned row ended on its own: body b was cut no later than
+    # body a, or neither body was cut and no split came
+    kept = ~retired & ~cond
+    assert (cut_b[kept] <= cut_a[kept]).all()
+    gen = rain._generic_pair(LAM, ENC_V, ENC_INNER, probe, 2.0, 3_000, 85, ENC)
+    assert not np.isnan(gen["cut_b"]).any()
+    gcond = np.isfinite(gen["tau_enc"])
+    assert abs(cond.mean() - gcond.mean()) <= 5 * binomial_sigma(cond.mean(), 3_000)
+    assert _ks_finite(cut_b[cond], gen["cut_b"][gcond]) > 0.001
+    assert _ks_finite(cut_a, gen["cut_a"]) > 0.001
+    pf, pg = np.isinf(cut_b[cond]).mean(), np.isinf(gen["cut_b"][gcond]).mean()
+    assert abs(pf - pg) <= 5 * binomial_sigma(pf, int(gcond.sum()))
+
+
+def test_zero_scan_memory_does_not_grow_with_horizon():
+    # marks are drawn in chunks for the rows still followed, so a longer
+    # horizon does not hold a longer block of marks
+    prob = equality_problem(1.0, 2.0, [1.0, 1.0])
+
+    def peak(horizon):
+        tracemalloc.start()
+        try:
+            rain.zero_cell_scan(prob.measure, prob.outer, prob.inner, horizon,
+                                rain._BATCH, 86)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1.2)  # first-call allocations
+    assert peak(6.0) < 1.5 * peak(1.2)
 
 
 def _golden_cases():
@@ -186,22 +274,24 @@ def _scan_digest(scan) -> str:
     return h.hexdigest()
 
 
-# _scan_digest of each case.  The values come from earlier scans, which ran
-# a separate origin-cell loop, a separate lone-survivor branch and a separate
-# shared loop for the pair, so they pin that the lineage kernels reproduce
-# those draws exactly.
+# _scan_digest of each case.  The generic values come from earlier scans,
+# which ran a separate origin-cell loop, a separate lone-survivor branch and
+# a separate shared loop for the pair, so they pin that the generic lineage
+# kernel reproduces those draws exactly.  The box values (zero_axis_2d,
+# zero_weighted_3d, pair_fast and their *_batched cases) pin marks drawn on
+# demand in chunks of rain._CHUNK, with retired rows' cut_b read as NaN.
 SCAN_GOLDEN = {
-    "zero_axis_2d": "fddfc44bb84666a4a46a226602852b8a9db2464490d4fae97253fee36562a199",
-    "zero_weighted_3d": "114944d670131cec7d67a5fd6f1a43ff6f0ac4f2cd3895ceaa269359a6b3ffb5",
+    "zero_axis_2d": "e17ad619b7e79ca9469085e704fe9a4c16d9c502c7d82ff530f6b88cfd4d124e",
+    "zero_weighted_3d": "93d5aad9e8ff3230f46c32888b7667c37ec798954cc809fedd291681fb285190",
     "zero_isotropic_bands": "c66c045401e97384ec0758c8f5f0c4e7b9e479c50703f395cc99832f038838c1",
     "zero_isotropic": "0048af9d67f8ddc24b72852e100bc8e5612ae7a81f222e029be2307690369263",
     "generic_zero_box": "b698a79aa1618bc298999df72f4d2d448f0b0287144224d48a248a134f89a68b",
-    "pair_fast": "07db8470e4b97f69e7b402b923e54978cfeff75aa6d725774ea67ea701279f3b",
+    "pair_fast": "51fb6d75e8d610040f5adcbedfade8894fef1d7c743482a5186076b1cfb3c228",
     "generic_pair_box": "4fca03eec80eec5de9757d5c607ee4f2956cf6260681996c7dff13d074cff04c",
     "pair_generic": "049b2ac5927622d68fcd2b5cb6e5b21cc816a297a18078acb6a5ec648bd46e1a",
     "pair_isotropic": "acc36bbe477ad48a12812f8772f4ea7c47b17cb3fcc669e9b11cbac042635d1a",
-    "zero_axis_2d_batched": "b71a663d55623802d600c5faa773cc897f32321171909314ba4e04947de2f020",
-    "pair_fast_batched": "9dd4a129b8f0963afed0d382e92f8c8fe88d0410a271584362acdef8d61bd6bb",
+    "zero_axis_2d_batched": "740ef4ebb05dc9cbaf38282aa4ea71b29342309d23cd23df7e639713c4879db8",
+    "pair_fast_batched": "e1874c43f1b963415879a93b59af96fb0f7e7c981dfbb364f533a1caa66bc179",
 }
 
 
