@@ -67,14 +67,13 @@ class Hyperplane:
     d: float
 
     def __post_init__(self):
-        a = np.asarray(self.u, dtype=float)
-        n = float(a @ a)
-        if abs(n - 1.0) > 64 * UNIT_TOL:
-            a = unit(a)
+        u = tuple(float(x) for x in self.u)
+        if abs(sum(x * x for x in u) - 1.0) > 64 * UNIT_TOL:
+            u = tuple(unit(u).tolist())
         d = float(self.d)
-        if not _lex_positive(a):
-            a, d = -a, -d
-        object.__setattr__(self, "u", tuple(float(x) for x in a))
+        if not _lex_positive(u):
+            u, d = tuple(-x for x in u), -d
+        object.__setattr__(self, "u", u)
         object.__setattr__(self, "d", d)
 
     @cached_property
@@ -131,16 +130,15 @@ class Polygon2D:
         pts = tuple((float(x), float(y)) for x, y in self.points)
         if len(pts) < 3:
             raise ValueError("polygon needs at least 3 vertices")
-        if _signed_area(pts) < 0.0:
+        area = _signed_area(pts)
+        if area < 0.0:
             pts = pts[::-1]
-        for i in range(len(pts)):
-            ax, ay = pts[i]
-            bx, by = pts[(i + 1) % len(pts)]
-            cx, cy = pts[(i + 2) % len(pts)]
-            cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-            if cross < -GEOM_TOL:
+            area = _signed_area(pts)
+        for (ax, ay), (bx, by), (cx, cy) in zip(pts, pts[1:] + pts[:1],
+                                                pts[2:] + pts[:2]):
+            if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) < -GEOM_TOL:
                 raise ValueError("polygon is not convex")
-        if _signed_area(pts) <= 0.0:
+        if area <= 0.0:
             raise ValueError("polygon has zero area")
         object.__setattr__(self, "points", pts)
 
@@ -268,10 +266,7 @@ Polytope = Polygon2D | Box
 
 def _signed_area(pts) -> float:
     a = 0.0
-    n = len(pts)
-    for i in range(n):
-        x1, y1 = pts[i]
-        x2, y2 = pts[(i + 1) % n]
+    for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]):
         a += x1 * y2 - x2 * y1
     return a / 2.0
 
@@ -307,10 +302,6 @@ def facet_body(P: Polytope, a: int) -> Face:
         return Face(tuple(tuple(v) for v in keep))
     v = P.verts
     return Face((tuple(v[a]), tuple(v[(a + 1) % len(v)])))
-
-
-def num_facets(P: Polytope) -> int:
-    return 2 * P.dim if isinstance(P, Box) else len(P.points)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,11 @@ import numpy as np
 from . import geometry as geo
 from .errors import RegimeMismatch, SamplerStall, UnsupportedSupport
 
-# Fixed quadrature for isotropic directional integrals: 256 nodes on [0, pi).
-# Trapezoid coincides with the uniform node average for pi-periodic widths,
-# and its error is far below Monte-Carlo noise at the sample sizes used here.
+# Fixed quadrature for the isotropic separating mass (measure_separating):
+# 256 nodes on [0, pi).  Trapezoid coincides with the uniform node average
+# for pi-periodic gaps, and its error is far below Monte-Carlo noise at the
+# sample sizes used here.  The hitting mass needs none: by Cauchy's formula
+# the mean width of a convex body is its perimeter over pi.
 _N_QUAD = 256
 _QUAD_ANGLES = np.arange(_N_QUAD) * math.pi / _N_QUAD
 _QUAD_DIRS = np.stack([np.cos(_QUAD_ANGLES), np.sin(_QUAD_ANGLES)], axis=1)
@@ -171,15 +173,14 @@ def _discrete_widths(th: Discrete, P) -> np.ndarray:
 
 
 def measure_hitting(measure: DrivingMeasure, P) -> float:
-    """Total mass of hyperplanes meeting P."""
+    """Total mass of hyperplanes meeting P: gamma * sum_c w_c width_c(P) for
+    a discrete measure, Cauchy's gamma * perimeter(P) / pi for the isotropic
+    one (stit.grow_polygons computes the same per cell)."""
     _check_regime(measure, P)
     th = measure.directional
     if isinstance(th, Discrete):
         return measure.gamma * float(th.weights @ _discrete_widths(th, P))
-    v = P.vertices()
-    proj = v @ _QUAD_DIRS.T
-    widths = proj.max(axis=0) - proj.min(axis=0)
-    return measure.gamma * float(widths.mean())
+    return measure.gamma * P.surface() / math.pi
 
 
 def _projection_gaps(A, B, dirs: np.ndarray) -> np.ndarray:
@@ -198,11 +199,6 @@ def measure_separating(measure: DrivingMeasure, A, B) -> float:
         gaps = _projection_gaps(A, B, th.dir_array)
         return measure.gamma * float(th.weights @ gaps)
     return measure.gamma * float(_projection_gaps(A, B, _QUAD_DIRS).mean())
-
-
-def measure_facet_separating(measure: DrivingMeasure, inner, outer, a: int) -> float:
-    """Mass of hyperplanes separating `inner` from facet a of `outer`."""
-    return measure_separating(measure, inner, geo.facet_body(outer, a))
 
 
 @lru_cache(maxsize=64)

@@ -5,18 +5,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_verify_trees_run_ends_with_a_result():
+@pytest.mark.parametrize("workload", ["verify_trees", "simulate_write"])
+def test_run_ends_with_a_result(workload):
     # a pass that crashes outside its operations, or an output check that
-    # raises, ends perfbench/run.py without this line
+    # raises, ends perfbench/run.py without this line; simulate_write's
+    # checks read the box and polygon trees' JSON and SVG (check_tree)
     run = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "verify_trees",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "1", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stderr
     result = json.loads(run.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
+    assert result["failed"] == 0
     assert {"wall_s", "setup_s", "peak_rss_mib",
             "verified_ratio"} <= set(result["metrics"])

@@ -235,8 +235,8 @@ def test_face_and_facets():
     b = geo.Box((-2, -2, -2), (2, 2, 2))
     f = geo.facet_body(b, 0)  # +x facet
     assert all(v[0] == 2.0 for v in f.vertices())
-    assert geo.num_facets(b) == 6
-    assert geo.num_facets(triangle()) == 3
+    assert len(b.facets()) == 6
+    assert len(triangle().facets()) == 3
 
 
 def test_box_higher_dimensions():

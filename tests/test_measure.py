@@ -53,15 +53,20 @@ def test_separating_masses():
     assert ms.measure_separating(lam, a, geo.Box((0, 0), (2, 2))) == 0.0
 
 
+def facet_separating(lam, inner, outer, a):
+    """Mass of hyperplanes separating `inner` from facet a of `outer`."""
+    return ms.measure_separating(lam, inner, geo.facet_body(outer, a))
+
+
 def test_facet_separating_masses():
     lam = ms.axis_measure([1.0, 1.0])
     outer = geo.Box((-2, -2), (2, 2))
     # g_c (beta - alpha) with alpha=1, beta=2
-    assert ms.measure_facet_separating(lam, unit_box(), outer, 0) == pytest.approx(1.0)
+    assert facet_separating(lam, unit_box(), outer, 0) == pytest.approx(1.0)
     lam31 = ms.axis_measure([3.0, 1.0])
-    assert ms.measure_facet_separating(lam31, unit_box(), outer, 2) == pytest.approx(1.0)
+    assert facet_separating(lam31, unit_box(), outer, 2) == pytest.approx(1.0)
     # all four facet masses for the symmetric case
-    masses = [ms.measure_facet_separating(lam, unit_box(), outer, a) for a in range(4)]
+    masses = [facet_separating(lam, unit_box(), outer, a) for a in range(4)]
     assert masses == pytest.approx([1.0, 1.0, 1.0, 1.0])
 
 
@@ -71,12 +76,12 @@ def test_scale_measure_check():
 
     def scaled(r):
         """Separating mass toward facet 0 of the window scaled by r."""
-        return ms.measure_facet_separating(lam, unit_box(), geo.scale(outer, r), 0)
+        return facet_separating(lam, unit_box(), geo.scale(outer, r), 0)
 
     # g_c (r beta - alpha) = 1 * (6 - 1) = 5
     assert scaled(3.0) == pytest.approx(5.0)
     assert scaled(1.0) == pytest.approx(
-        ms.measure_facet_separating(lam, unit_box(), outer, 0))
+        facet_separating(lam, unit_box(), outer, 0))
     v1 = scaled(2.0)
     v2 = scaled(4.0)
     assert v2 > v1

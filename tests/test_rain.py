@@ -277,19 +277,22 @@ def _scan_digest(scan) -> str:
 # _scan_digest of each case.  The generic values come from earlier scans,
 # which ran a separate origin-cell loop, a separate lone-survivor branch and
 # a separate shared loop for the pair, so they pin that the generic lineage
-# kernel reproduces those draws exactly.  The box values (zero_axis_2d,
+# kernel reproduces those draws exactly; the isotropic ones (zero_isotropic*,
+# pair_isotropic) were re-pinned once when the isotropic window rate became
+# Cauchy's perimeter / pi, which scaled every clock by the ratio of the two
+# rates and changed no draw.  The box values (zero_axis_2d,
 # zero_weighted_3d, pair_fast and their *_batched cases) pin marks drawn on
 # demand in chunks of rain._CHUNK, with retired rows' cut_b read as NaN.
 SCAN_GOLDEN = {
     "zero_axis_2d": "e17ad619b7e79ca9469085e704fe9a4c16d9c502c7d82ff530f6b88cfd4d124e",
     "zero_weighted_3d": "93d5aad9e8ff3230f46c32888b7667c37ec798954cc809fedd291681fb285190",
-    "zero_isotropic_bands": "c66c045401e97384ec0758c8f5f0c4e7b9e479c50703f395cc99832f038838c1",
-    "zero_isotropic": "0048af9d67f8ddc24b72852e100bc8e5612ae7a81f222e029be2307690369263",
+    "zero_isotropic_bands": "642dbfa83b5114973565d8da4ff1cad934747d6d2a037f5d219f3edb5e671384",
+    "zero_isotropic": "c8d6f39e4291f63a0eb965c29967d53d17114bceee82c33f81533ec356297d10",
     "generic_zero_box": "b698a79aa1618bc298999df72f4d2d448f0b0287144224d48a248a134f89a68b",
     "pair_fast": "51fb6d75e8d610040f5adcbedfade8894fef1d7c743482a5186076b1cfb3c228",
     "generic_pair_box": "4fca03eec80eec5de9757d5c607ee4f2956cf6260681996c7dff13d074cff04c",
     "pair_generic": "049b2ac5927622d68fcd2b5cb6e5b21cc816a297a18078acb6a5ec648bd46e1a",
-    "pair_isotropic": "acc36bbe477ad48a12812f8772f4ea7c47b17cb3fcc669e9b11cbac042635d1a",
+    "pair_isotropic": "91f6ecc2ae617453cde6b9b37d3741d54c3e40ffd12d4a5cceb6e32a876c2e50",
     "zero_axis_2d_batched": "740ef4ebb05dc9cbaf38282aa4ea71b29342309d23cd23df7e639713c4879db8",
     "pair_fast_batched": "e1874c43f1b963415879a93b59af96fb0f7e7c981dfbb364f533a1caa66bc179",
 }
