@@ -60,18 +60,15 @@ class Band:
 
     def mark_test(self, h: geo.Hyperplane) -> bool:
         """Whether a (canonical) hyperplane belongs to the band."""
-        ua = np.asarray(self.u)
-        cos = float(h.normal @ ua)
-        if cos >= 0:
-            d = h.d
-        else:
-            cos, d = -cos, -h.d
-        if self.half_width == 0.0:
-            if cos < 1.0 - 1e-12:
-                return False
-        elif cos < math.cos(self.half_width):
-            return False
-        return self.d_lo < d < self.d_hi
+        return bool(self.marks_in(h.normal, np.float64(h.d)))
+
+    def marks_in(self, normals, offsets) -> np.ndarray:
+        """Which lines {x : <x, normals[...]> = offsets[...]} belong to the
+        band, each taken in the orientation closest to u."""
+        cos = normals @ np.asarray(self.u, dtype=float)
+        d = np.where(cos >= 0, offsets, -offsets)
+        lim = 1.0 - 1e-12 if self.half_width == 0.0 else math.cos(self.half_width)
+        return (np.abs(cos) >= lim) & (self.d_lo < d) & (d < self.d_hi)
 
     def sample(self, rng) -> geo.Hyperplane:
         ua = np.asarray(self.u, dtype=float)

@@ -9,31 +9,31 @@ of a few bodies of interest is far cheaper than building whole trees and is
 exact for first-cut times, encapsulation times and avoidance indicators.
 
 Each geometry regime has one lineage kernel, the only loop that follows a
-cell through the rain: ``_fast_lineage`` clamps box intervals for a batch of
-replicates at once when the measure lives on the coordinate axes and the
-window is a box, and ``_generic_lineage`` clips one polytope per replicate
-for every other measure and window.  A kernel follows the cell shared by a
+cell through the rain, and each follows a batch of replicates at once:
+``_fast_lineage`` clamps box intervals when the measure lives on the
+coordinate axes and the window is a box, and ``_polygon_lineage`` clips
+convex polygons, in the padded layout of stit.grow_polygons, for every
+other planar measure and window.  A kernel follows the cell shared by a
 group of bodies: a mark that meets a body cuts it and the rest keep the
 cell, and a mark that separates the group splits it, each side continuing
 on its own rain.  The zero-cell scan is the one-body case and the pair scan
-the two-body case.  The box kernel draws marks on demand, _CHUNK at a time
-for the rows it still follows, each row (or side of a split) continuing on
-the batch's stream from its last time.
+the two-body case.  Both kernels draw marks on demand, _CHUNK at a time for
+the rows they still follow, each row (or side of a split) continuing on the
+batch's stream from its last time.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import geometry as geo
-from .measure import (DrivingMeasure, box_axis_rates, measure_hitting,
-                      sample_hitting)
-from .rng import run_replicates, stream
+from .measure import DrivingMeasure, box_axis_rates, measure_hitting
+from .rng import stream
+from .stit import (_clip_side, _lines, _pad, _pad_to, _polygon_vertices,
+                   _project)
 
 _BATCH = 1 << 16
-_CHUNK = 4  # box rain marks drawn per followed row at a time
+_CHUNK = 4  # rain marks drawn per followed row at a time
 
 
 def zero_cell_scan(measure: DrivingMeasure, window, inner, horizon: float,
@@ -49,7 +49,7 @@ def zero_cell_scan(measure: DrivingMeasure, window, inner, horizon: float,
       sigma_inner first rain time on a hyperplane meeting `inner`
       sigma_bands (n, len(bands)) first rain times inside each band, before
                   sigma_inner (inf from sigma_inner on)
-    and, in the box regime, the counts marks_drawn and rows_retired (0).
+    and the counts marks_drawn and rows_retired (0).
     """
     g = box_axis_rates(measure, window)
     band_axis = [b.axis_form() for b in bands]
@@ -68,11 +68,11 @@ def pair_scan(measure: DrivingMeasure, window, body_a, body_b, horizon: float,
     subtrees are independent and each continues under its own rain.  Returns
     arrays cut_a, cut_b and, when `enclosure` is given, tau_enc: the first
     time the a-lineage cell lies strictly inside the enclosure while body_a
-    is uncut.  Box batch b runs on stream(seed, base + b), generic lineage
-    i on stream(seed, base * _BATCH + i).  The box regime also returns the
-    counts marks_drawn and rows_retired: a row retires once tau_enc is
-    decided to be inf (body_a cut first, or a split leaving body_a's side
-    unenclosed), and its cut_b then reads NaN if body_b was still uncut.
+    is uncut.  Batch b of _BATCH lineages runs on stream(seed, base + b).
+    Also returns the counts marks_drawn and rows_retired: in the box regime
+    a row retires once tau_enc is decided to be inf (body_a cut first, or a
+    split leaving body_a's side unenclosed), and its cut_b then reads NaN if
+    body_b was still uncut; the polygon regime follows every row to its end.
     """
     g = box_axis_rates(measure, window)
     if g is not None and (enclosure is None or isinstance(enclosure, geo.Box)):
@@ -101,23 +101,36 @@ def _fast_pair(g, window: geo.Box, body_a, body_b, horizon, n, seed, enclosure,
 
 def _fast_scan(g, window: geo.Box, bodies, horizon, n, seed, enclosure,
                band_axis, base=0):
-    """n lineages of `bodies`, batch b of _BATCH on stream(seed, base + b):
-    the cuts (n, k), the enclosure and band clocks, and the counters."""
+    """n lineages of `bodies` through _fast_lineage, batch b of _BATCH on
+    stream(seed, base + b): the cuts (n, k), the enclosure and band clocks,
+    and the counters."""
     b_lo, b_hi = np.array([geo.support_interval(b, np.eye(window.dim))
                            for b in bodies]).transpose(1, 0, 2)
     enc = None if enclosure is None else (enclosure.lo_arr, enclosure.hi_arr)
     side = window.hi_arr - window.lo_arr
     rate_c = g * side
     cum = np.cumsum(rate_c / rate_c.sum())
-    cut, tau = np.empty((n, len(bodies))), np.empty(n)
-    sbands, drawn = np.empty((n, len(band_axis))), 0
-    for bi, start in enumerate(range(0, n, _BATCH)):
-        nb, stop = min(_BATCH, n - start), min(start + _BATCH, n)
-        rain = (stream(seed, base + bi), rate_c.sum(), cum, window.lo_arr, side)
-        cut[start:stop], tau[start:stop], sbands[start:stop], more = _fast_lineage(
-            rain, np.tile(window.lo_arr, (nb, 1)), np.tile(window.hi_arr, (nb, 1)),
+
+    def lineage(rng, nb):
+        return _fast_lineage(
+            (rng, rate_c.sum(), cum, window.lo_arr, side),
+            np.tile(window.lo_arr, (nb, 1)), np.tile(window.hi_arr, (nb, 1)),
             b_lo, b_hi, np.zeros(nb), horizon, enc, np.full(nb, np.inf),
             np.ones((nb, len(bodies)), dtype=bool), band_axis)
+    return _scan(lineage, n, len(bodies), len(band_axis), seed, base)
+
+
+def _scan(lineage, n, k, n_bands, seed, base):
+    """Run lineage(rng, nb) -> (cut, tau, band clocks, marks drawn) over n
+    rows of k bodies, batch b of _BATCH rows on stream(seed, base + b).
+    Returns the cuts (n, k), tau, the band clocks (n, n_bands) and the
+    counters marks_drawn and rows_retired (rows holding a NaN cut)."""
+    cut, tau = np.empty((n, k)), np.empty(n)
+    sbands, drawn = np.empty((n, n_bands)), 0
+    for bi, start in enumerate(range(0, n, _BATCH)):
+        stop = min(start + _BATCH, n)
+        cut[start:stop], tau[start:stop], sbands[start:stop], more = lineage(
+            stream(seed, base + bi), stop - start)
         drawn += more
     return cut, tau, sbands, {"marks_drawn": drawn, "rows_retired": int(
         np.isnan(cut).any(axis=1).sum())}
@@ -234,99 +247,147 @@ def _fast_lineage(rain, lo, hi, b_lo, b_hi, t, horizon, enc, tau, live,
 
 
 # ---------------------------------------------------------------------------
-# generic regime
+# polygon regime
 
 def _generic_zero(measure, window, inner, horizon, n, seed, bands):
-    cut, tau, sbands = _generic_scan(measure, window, (inner,), horizon, n,
-                                     seed, window, bands)
-    return {"tau_enc": tau, "sigma_inner": cut[:, 0], "sigma_bands": sbands}
+    cut, tau, sbands, work = _generic_scan(measure, window, (inner,), horizon,
+                                           n, seed, window, bands)
+    return {"tau_enc": tau, "sigma_inner": cut[:, 0], "sigma_bands": sbands,
+            **work}
 
 
 def _generic_pair(measure, window, body_a, body_b, horizon, n, seed,
                   enclosure, base=0):
-    cut, tau, _ = _generic_scan(measure, window, (body_a, body_b), horizon, n,
-                                seed, enclosure, (), base * _BATCH)
-    return {"cut_a": cut[:, 0], "cut_b": cut[:, 1], "tau_enc": tau}
+    cut, tau, _, work = _generic_scan(measure, window, (body_a, body_b),
+                                      horizon, n, seed, enclosure, (), base)
+    return {"cut_a": cut[:, 0], "cut_b": cut[:, 1], "tau_enc": tau, **work}
 
 
 def _generic_scan(measure, window, bodies, horizon, n, seed, enclosure, bands,
                   base=0):
-    """n lineages of `bodies`, lineage i on stream(seed, base + i)."""
+    """n lineages of `bodies` through _polygon_lineage, batch b of _BATCH on
+    stream(seed, base + b): the cuts (n, k), the enclosure and band clocks,
+    and the counters (no row retires)."""
+    wv = _polygon_vertices(window)
     rate = measure_hitting(measure, window)
+    B = _pad([np.asarray(b.vertices(), dtype=float) for b in bodies])[0]
+    enc = None
+    if enclosure is not None:
+        normals, offsets = zip(*enclosure.facets())
+        enc = (np.array(normals).T, np.array(offsets))
 
-    def one(_i, rng):
-        cut = [math.inf] * len(bodies)
-        tau, sb = _generic_lineage((rng, measure, window, rate), window, bodies,
-                                   list(range(len(bodies))), cut, 0.0, horizon,
-                                   enclosure, math.inf, bands)
-        return cut, tau, sb
-
-    rows = run_replicates(one, n, seed, base)
-    return (np.array([r[0] for r in rows]).reshape(n, len(bodies)),
-            np.array([r[1] for r in rows]),
-            np.array([r[2] for r in rows]).reshape(n, len(bands)))
-
-
-def _toward(C, h: geo.Hyperplane, low: bool):
-    """Clamp cell C to the side of h below it (low) or above it."""
-    if low:
-        return geo.clip_tolerant(C, h.normal, h.d)
-    return geo.clip_tolerant(C, -h.normal, -h.d)
+    def lineage(rng, nb):
+        return _polygon_lineage(
+            (rng, measure, wv, rate), np.repeat(wv[None], nb, axis=0),
+            np.full(nb, len(wv)), B, np.zeros(nb), horizon, enc,
+            np.full(nb, np.inf), np.ones((nb, len(bodies)), dtype=bool), bands)
+    return _scan(lineage, n, len(bodies), len(bands), seed, base)
 
 
-def _encloses(enclosure, C, tau) -> bool:
-    """Whether body 0's new cell C starts the (unset) enclosure clock."""
-    return (enclosure is not None and math.isinf(tau)
-            and geo.contains(enclosure, C, strict=True))
+def _enclosed(enc, V):
+    """Rows whose cell V lies strictly inside enc = (facet normals (2, f),
+    offsets (f,)), with GEOM_TOL, as geometry.contains(strict=True)."""
+    return (V @ enc[0] < enc[1] - geo.GEOM_TOL).all(axis=(1, 2))
 
 
-def _generic_lineage(rain, C, bodies, live, cut, t, horizon, enclosure, tau,
+def _polygon_lineage(rain, V, count, bodies, t, horizon, enc, tau, live,
                      bands=()):
-    """Follow the cell C shared by the bodies `live` from time t.
+    """Follow the polygon cells shared by k bodies through the rain from t.
 
-    rain = (rng, measure, window, rate) is drawn one hyperplane at a time.
-    A draw that meets C sets cut[i] for each live body i it meets, and
-    clamps C to the side of the rest; one that leaves live bodies on both
-    sides splits the group, and each side continues in its own call, the
-    side of the first live body first.  A cut stays inf if none comes by
-    the horizon or the cell degenerates.  Returns (tau, band clocks): tau,
-    if still inf, becomes the first time body 0's cell lies strictly inside
-    `enclosure` while body 0 is uncut; the clocks are the first rain times
-    inside each band while a body of the group is uncut (the zero scan's one
-    body).
+    The planar counterpart of _fast_lineage.  rain = (rng, measure, window
+    vertices, window hitting mass); each row draws _CHUNK window-level lines
+    at a time from t, which advances in place.  V (nb, K, 2) and count are
+    the cells, in the padded layout of stit.grow_polygons; bodies (k, Kb, 2)
+    the bodies' vertices; live (nb, k) marks the bodies in each row's cell.
+    A line meets a body or cell whose closed projection interval holds it,
+    as geometry.hits.  One that meets the cell cuts the live bodies it meets
+    and clips the cell to the side of the rest, as geometry.clip_tolerant;
+    a piece with fewer than 3 vertices or area at most 1e-12 ends the row,
+    its uncut bodies staying inf.  One that leaves live bodies on both sides
+    splits the row, each side continuing from the split time, the first
+    live body's side first.  Returns (cut, tau, band clocks, marks drawn):
+    each body's first cut time (inf if none by the horizon); tau, where
+    still inf, becomes the first time body 0's cell lies strictly inside
+    enc while body 0 is uncut; each row's first line in each Band while a
+    body of the row is uncut.
     """
-    rng, measure, window, rate = rain
-    sb = [math.inf] * len(bands)
-    while True:
-        t += rng.exponential(1.0 / rate)
-        if t >= horizon:
-            return tau, sb
-        h = sample_hitting(measure, window, rng)
-        meets = geo.hits(h, C)
-        hit = [i for i in live if geo.hits(h, bodies[i])] if meets else []
-        for i in hit:
-            cut[i] = t
-        live = [i for i in live if i not in hit]
-        if not live:
-            return tau, sb
-        for a, band in enumerate(bands):
-            if math.isinf(sb[a]) and band.mark_test(h):
-                sb[a] = t
-        if not meets:
+    rng, measure, wv, rate = rain
+    nb, k = len(V), len(bodies)
+    cut, sb = np.full((nb, k), np.inf), np.full((nb, len(bands)), np.inf)
+    t_sep, u_sep = np.full(nb, np.inf), np.zeros((nb, 2))  # split rows:
+    d_sep, low_sep = np.zeros(nb), np.zeros((nb, k), dtype=bool)  # line, sides
+    idx, drawn = np.arange(nb), 0
+
+    while len(idx) > 0:
+        shape = (len(idx), _CHUNK)
+        times = np.cumsum(rng.exponential(1.0 / rate, shape), axis=1) + t[idx, None]
+        us, ds = _lines(rng, measure, np.broadcast_to(wv, (times.size,) + wv.shape))
+        us, ds = us.reshape(shape + (2,)), ds.reshape(shape)
+        in_band = [b.marks_in(us, ds) for b in bands]
+        t[idx] = times[:, -1]
+        drawn += times.size
+        at = np.arange(len(idx))  # chunk rows still followed
+        for j in range(_CHUNK):
+            at = at[times[at, j] < horizon]
+            if len(at) == 0:
+                break
+            r, u, d, tm = idx[at], us[at, j], ds[at, j], times[at, j]
+            proj = _project(V[r], u)
+            meet = (proj.min(axis=1) <= d) & (d <= proj.max(axis=1))
+            b_proj = bodies @ u.T  # (k, Kb, m)
+            b_lo, b_hi = b_proj.min(axis=1).T, b_proj.max(axis=1).T
+            hit = (live[r] & meet[:, None] & (b_lo <= d[:, None])
+                   & (d[:, None] <= b_hi))
+            cut[r] = np.where(hit, tm[:, None], cut[r])
+            alive = live[r] & ~hit
+            live[r] = alive
+            going = alive.any(axis=1)
+            for a, mark in enumerate(in_band):
+                on = going & mark[at, j] & np.isinf(sb[r, a])
+                sb[r[on], a] = tm[on]
+            low = b_hi <= d[:, None]  # body below the line, where not hit
+            any_low = (alive & low).any(axis=1)
+            any_high = (alive & ~low).any(axis=1)
+            one = np.flatnonzero(meet & (any_low != any_high))  # one side
+            rc = r[one]
+            s = np.where(any_low[one], 1.0, -1.0)[:, None] * (
+                proj[one] - d[one, None])
+            pts, n, ok = _clip_side(V[rc], count[rc], s)
+            V = _pad_to(V, int(n.max(initial=0)))
+            V[rc[ok]], count[rc[ok]] = pts[ok, :V.shape[1]], n[ok]
+            if enc is not None:
+                e = one[ok]
+                e = e[alive[e, 0] & np.isinf(tau[r[e]])]
+                e = e[_enclosed(enc, V[r[e]])]
+                tau[r[e]] = tm[e]
+            split = meet & any_low & any_high
+            sp = r[split]
+            t_sep[sp], u_sep[sp], d_sep[sp], low_sep[sp] = (
+                tm[split], u[split], d[split], low[split])
+            keep = going & ~split
+            keep[one[~ok]] = False  # a degenerate piece ends its row
+            at = at[keep]
+        idx = idx[at]
+
+    # each side of a split continues from the split time
+    sub = np.flatnonzero(np.isfinite(t_sep))
+    side = low_sep[sub, live[sub].argmax(axis=1)]
+    for second in (False, True):
+        side = ~side if second else side
+        s = np.where(side, 1.0, -1.0)[:, None] * (
+            _project(V[sub], u_sep[sub]) - d_sep[sub, None])
+        pts, n, ok = _clip_side(V[sub], count[sub], s)
+        rows, n = sub[ok], n[ok]
+        if len(rows) == 0:
             continue
-        low = [geo.support_function(bodies[i], h.normal) <= h.d for i in live]
-        if low.count(low[0]) < len(low):
-            for side in (low[0], not low[0]):
-                group = [i for i, s in zip(live, low) if s == side]
-                Cs = _toward(C, h, side)
-                if Cs is not None:
-                    if group[0] == 0 and _encloses(enclosure, Cs, tau):
-                        tau = t
-                    tau, _ = _generic_lineage(rain, Cs, bodies, group, cut, t,
-                                              horizon, enclosure, tau)
-            return tau, sb
-        C = _toward(C, h, low[0])
-        if C is None:
-            return tau, sb
-        if live[0] == 0 and _encloses(enclosure, C, tau):
-            tau = t
+        c_V = pts[ok, :int(n.max())]
+        group = live[rows] & (low_sep[rows] == side[ok, None])
+        ts = tau[rows]
+        if enc is not None:
+            e = group[:, 0] & np.isinf(ts) & _enclosed(enc, c_V)
+            ts[e] = t_sep[rows][e]
+        c, tau[rows], _, more = _polygon_lineage(
+            rain, c_V, n, bodies, t_sep[rows], horizon, enc, ts, group)
+        cut[rows] = np.minimum(cut[rows], c)
+        drawn += more
+    return cut, tau, sb, drawn

@@ -561,13 +561,30 @@ def _split(rng, measure, V, count, cuts, where):
 
 
 def _clip_both(V, count, u, d):
-    """Both sides of each cell cut by its line, by one Sutherland-Hodgman
-    pass of geometry.clip_tolerant each, with its 1e-12 duplicate rule
-    applied between neighbouring points.  Returns (ok, children (m, 2, 2K,
-    2), counts (m, 2)); ok is False where a vertex lies within GEOM_TOL of
-    the line or a child has fewer than 3 vertices or area at most 1e-12."""
+    """Both sides of each cell cut by its line, by one _clip_side each.
+    Returns (ok, children (m, 2, 2K, 2), counts (m, 2)); ok is False where a
+    vertex lies within GEOM_TOL of the line or a child has fewer than 3
+    vertices or area at most 1e-12."""
     m, K = V.shape[:2]
     s = _project(V, u) - d[:, None]
+    ok = ~(np.abs(s) < geo.GEOM_TOL).any(axis=1)
+    # the minus side keeps the vertices away from the origin
+    sign = np.where(d > 0, -1.0, 1.0)[:, None]
+    pts, n = np.empty((m, 2, 2 * K, 2)), np.empty((m, 2), dtype=np.int64)
+    for side, sg in enumerate((sign, -sign)):
+        pts[:, side], n[:, side], side_ok = _clip_side(V, count, sg * s)
+        ok &= side_ok
+    return ok, pts, n
+
+
+def _clip_side(V, count, s):
+    """Each cell (V, count) clipped to the side {s <= GEOM_TOL} of its line,
+    s (m, K) being its vertices' signed distances from the line, by one
+    Sutherland-Hodgman pass of geometry.clip_tolerant, with its 1e-12
+    duplicate rule applied between neighbouring points.  Returns (points
+    (m, 2K, 2), counts, ok); ok is False where the piece has fewer than 3
+    vertices or area at most 1e-12."""
+    m, K = V.shape[:2]
     j = np.arange(K)
     valid = j < count[:, None]
     prev = np.where(j == 0, count[:, None] - 1, j - 1)
@@ -576,19 +593,13 @@ def _clip_both(V, count, u, d):
     with np.errstate(divide="ignore", invalid="ignore"):
         x = pv + (ps / (ps - s))[:, :, None] * (V - pv)
     cand = np.stack([x, V], axis=2).reshape(m, 2 * K, 2)
-    # the minus side keeps the vertices away from the origin
-    sign = np.where(d > 0, -1.0, 1.0)[:, None]
-    pts, n = np.empty((m, 2, 2 * K, 2)), np.empty((m, 2), dtype=np.int64)
-    for side, sg in enumerate((sign, -sign)):
-        inside = sg * s <= geo.GEOM_TOL
-        cross = inside != np.take_along_axis(inside, prev, axis=1)
-        keep = np.stack([cross & valid, inside & valid], axis=2).reshape(
-            m, 2 * K)
-        pts[:, side], n[:, side] = _compact(cand, keep)
-    ok = ~(np.abs(s) < geo.GEOM_TOL).any(axis=1) & (n >= 3).all(axis=1)
-    w = np.roll(pts, -1, axis=2)
-    area = (pts[..., 0] * w[..., 1] - w[..., 0] * pts[..., 1]).sum(axis=2) / 2
-    return ok & (area > 1e-12).all(axis=1), pts, n
+    inside = s <= geo.GEOM_TOL
+    cross = inside != np.take_along_axis(inside, prev, axis=1)
+    keep = np.stack([cross & valid, inside & valid], axis=2).reshape(m, 2 * K)
+    pts, n = _compact(cand, keep)
+    w = np.roll(pts, -1, axis=1)
+    area = (pts[..., 0] * w[..., 1] - w[..., 0] * pts[..., 1]).sum(axis=1) / 2
+    return pts, n, (n >= 3) & (area > 1e-12)
 
 
 def _compact(cand, keep):

@@ -25,3 +25,20 @@ def test_run_ends_with_a_result(workload):
     assert result["failed"] == 0
     assert {"wall_s", "setup_s", "peak_rss_mib",
             "verified_ratio"} <= set(result["metrics"])
+
+
+@pytest.mark.parametrize("workload", ["verify_trees", "verify_lineage"])
+def test_traced_run_carries_every_metric(workload):
+    # a traced run whose tracer no longer finds a function that a metric
+    # names still exits 0, but prints a `missing` line and leaves the metric
+    # out of its result line
+    run = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.strip().splitlines()
+    assert not [line for line in lines if line.startswith("missing ")]
+    result = json.loads(lines[-1])
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert {m["name"] for m in spec["per_layer"]} <= set(result["metrics"])

@@ -166,7 +166,7 @@ REPORT_GOLDEN = {
     "consistency": (0.01, "e02c82dd106e8b6e8650daf5e9b4d29919f23623d9402c5540905eb74ca60efe"),
     "self_similarity": (0.01, "5a669a4cd2c9735f8150fd3804d96b4432bcf04d807747b3ed9e8b8a1d3d20eb"),
     "encapsulation_equality": (0.01, "ef1bc62633b98da6003911c32d76a41419b3bd4ab3fbb7c36a00a9910206d208"),
-    "encapsulation_bound": (0.01, "a5e896a097a148131df7f270247b72de44cb4a2f4c6516f913ca41f8fcfa662b"),
+    "encapsulation_bound": (0.01, "88b6f9f3a3e7758300c7d2a8ba50f96e6ed16dbbebf3a84de706c5807ba39b20"),
     "inclusion": (0.01, "771298bb70e95875e80cf8f1a51e7ce6382b35580d98805004e58fc5a754ba76"),
     "cond_independence": (0.05, "a4ba31f4c1db774942354a20062df9f6c2cab4157ed81d93946849856d7338c8"),
     "mixing_stit": (0.01, "1d19702ae17794f813f8451f6c7ba1d9fc75d56ba0328a94f11627f0f6859622"),

@@ -11,7 +11,8 @@ from stitsim import geometry as geo
 from stitsim import rain, stit
 from stitsim.encapsulation import build_window, encapsulation_time
 from stitsim.experiments import equality_problem
-from stitsim.measure import axis_measure, isotropic_measure
+from stitsim.measure import (axis_measure, isotropic_measure, measure_hitting,
+                             measure_separating)
 from stitsim.rng import run_replicates
 from stitsim.stats import binomial_sigma, ks_two_sample
 
@@ -48,12 +49,46 @@ def test_zero_scan_against_tree_encapsulation():
 
 
 def test_sigma_inner_is_exponential():
-    # first rain hit on the inner window ~ Exp(mass(inner)), mass = 4
-    scan = rain.zero_cell_scan(LAM, W, WP, 2.0, 20_000, 24)
-    s = scan["sigma_inner"]
-    p_survive = (s > 1.0).mean()
-    target = math.exp(-4.0)
-    assert abs(p_survive - target) <= 4 * binomial_sigma(target, 20_000)
+    # first rain hit on the inner window ~ Exp(mass(inner)): mass 4 for the
+    # axis measure (box kernel) and Cauchy's gamma * perimeter / pi = 8 / pi
+    # for the isotropic one (polygon kernel)
+    for measure, inner, seed in ((LAM, WP, 24),
+                                 (isotropic_measure(1.0), WP.to_polygon(), 25)):
+        scan = rain.zero_cell_scan(measure, W, inner, 2.0, 20_000, seed)
+        s = scan["sigma_inner"]
+        p_survive = (s > 1.0).mean()
+        target = math.exp(-measure_hitting(measure, inner))
+        assert abs(p_survive - target) <= 4 * binomial_sigma(target, 20_000)
+
+
+def two_body_avoidance(measure, A, B, hull, t):
+    """P(A and B uncut at t) when they start in one cell: with a, b the
+    bodies' hitting masses, M that of hull = conv(A u B) and s the
+    separating mass, e^{-tM} + s (e^{-tM} - e^{-t(a+b)}) / (a + b - M)."""
+    a, b = measure_hitting(measure, A), measure_hitting(measure, B)
+    M, s = measure_hitting(measure, hull), measure_separating(measure, A, B)
+    e = math.exp(-t * M)
+    if math.isclose(a + b, M):
+        return e + s * t * e
+    return e + s * (e - math.exp(-t * (a + b))) / (a + b - M)
+
+
+@pytest.mark.parametrize("measure,window", [
+    (LAM, geo.Box((-2.0, -2.0), (2.0, 3.0))),
+    (LAM, geo.Box((-3.0, -3.0), (3.0, 4.0)).to_polygon()),
+    (isotropic_measure(1.0), geo.Box((-2.0, -2.0), (2.0, 3.0)))],
+    ids=["box", "polygon", "isotropic"])
+def test_two_body_avoidance_law(measure, window):
+    """Joint avoidance of two bodies matches the exact two-body law, in the
+    box kernel and the polygon kernel alike, on windows of either shape."""
+    A = geo.Box((-1.0, -0.2), (1.0, 0.2))
+    B = geo.Box((-1.0, 0.8), (1.0, 1.2))
+    hull = geo.Box((-1.0, -0.2), (1.0, 1.2))
+    t, n = 0.5, 20_000
+    scan = rain.pair_scan(measure, window, A, B, t, n, 87)
+    p = (np.isinf(scan["cut_a"]) & np.isinf(scan["cut_b"])).mean()
+    target = two_body_avoidance(measure, A, B, hull, t)
+    assert abs(p - target) <= 4 * binomial_sigma(target, n)
 
 
 def test_pair_scan_fast_vs_generic():
@@ -77,7 +112,7 @@ def test_three_body_lineage_fast_vs_generic():
     bodies = tuple(geo.Face(((-1.0, y), (1.0, y))) for y in (0.0, 2.0, 4.0))
     fast = rain._fast_scan(LAM.axis_rates(2), V, bodies, 1.0, 20_000, 33,
                            None, ())[0]
-    gen, _, _ = rain._generic_scan(LAM, V, bodies, 1.0, 2_000, 34, None, ())
+    gen = rain._generic_scan(LAM, V, bodies, 1.0, 2_000, 34, None, ())[0]
     for cols in ([0], [1], [2], [0, 1], [1, 2], [0, 2], [0, 1, 2]):
         pf = np.isinf(fast[:, cols]).all(axis=1).mean()
         pg = np.isinf(gen[:, cols]).all(axis=1).mean()
@@ -86,6 +121,27 @@ def test_three_body_lineage_fast_vs_generic():
     for i in range(3):
         p = np.isinf(fast[:, i]).mean()
         assert abs(p - target) <= 4 * binomial_sigma(target, 20_000)
+
+
+def test_polygon_kernel_replays_box_kernel():
+    """On a box window given as a polygon, an axis measure draws the same
+    lines from a stream as the box kernel draws marks, so the polygon
+    kernel's clipped cells must reproduce every clock of the box kernel's
+    clamped intervals: the zero scan's with its bands, and a three-body
+    group's cuts through its splits."""
+    prob = equality_problem(0.5, 1.0, [1.0, 1.0])
+    box = rain.zero_cell_scan(prob.measure, prob.outer, prob.inner, 3.0,
+                              5_000, 88, bands=prob.bands)
+    poly = rain._generic_zero(prob.measure, prob.outer.to_polygon(),
+                              prob.inner, 3.0, 5_000, 88, prob.bands)
+    for key in ("tau_enc", "sigma_inner", "sigma_bands", "marks_drawn"):
+        assert np.array_equal(box[key], poly[key]), key
+    V = geo.Box((-2.0, -2.0), (2.0, 6.0))
+    bodies = tuple(geo.Face(((-1.0, y), (1.0, y))) for y in (0.0, 2.0, 4.0))
+    cut = rain._fast_scan(LAM.axis_rates(2), V, bodies, 1.0, 5_000, 89,
+                          None, ())[0]
+    assert np.array_equal(cut, rain._generic_scan(
+        LAM, V.to_polygon(), bodies, 1.0, 5_000, 89, None, ())[0])
 
 
 def segment_uncut(T, face):
@@ -174,7 +230,7 @@ def test_chunk_size_does_not_change_the_law(monkeypatch):
 def test_retired_rows_and_conditioned_law(probe):
     """A pair scan with an enclosure stops following a row once tau_enc is
     decided to be inf, and cut_b then reads NaN; on conditioned rows cut_b
-    keeps the law of the generic kernel, which never retires a row.  The
+    keeps the law of the polygon kernel, which never retires a row.  The
     probe lies outside the enclosure or inside it, where tau_enc can be set
     while the bodies still share a cell."""
     fast = rain.pair_scan(LAM, ENC_V, ENC_INNER, probe, 2.0, 40_000, 84,
@@ -190,7 +246,7 @@ def test_retired_rows_and_conditioned_law(probe):
     kept = ~retired & ~cond
     assert (cut_b[kept] <= cut_a[kept]).all()
     gen = rain._generic_pair(LAM, ENC_V, ENC_INNER, probe, 2.0, 3_000, 85, ENC)
-    assert not np.isnan(gen["cut_b"]).any()
+    assert gen["rows_retired"] == 0 and not np.isnan(gen["cut_b"]).any()
     gcond = np.isfinite(gen["tau_enc"])
     assert abs(cond.mean() - gcond.mean()) <= 5 * binomial_sigma(cond.mean(), 3_000)
     assert _ks_finite(cut_b[cond], gen["cut_b"][gcond]) > 0.001
@@ -274,25 +330,23 @@ def _scan_digest(scan) -> str:
     return h.hexdigest()
 
 
-# _scan_digest of each case.  The generic values come from earlier scans,
-# which ran a separate origin-cell loop, a separate lone-survivor branch and
-# a separate shared loop for the pair, so they pin that the generic lineage
-# kernel reproduces those draws exactly; the isotropic ones (zero_isotropic*,
-# pair_isotropic) were re-pinned once when the isotropic window rate became
-# Cauchy's perimeter / pi, which scaled every clock by the ratio of the two
-# rates and changed no draw.  The box values (zero_axis_2d,
+# _scan_digest of each case.  The box values (zero_axis_2d,
 # zero_weighted_3d, pair_fast and their *_batched cases) pin marks drawn on
 # demand in chunks of rain._CHUNK, with retired rows' cut_b read as NaN.
+# The polygon values (zero_isotropic*, generic_*_box, pair_generic,
+# pair_isotropic) pin rain._polygon_lineage: window-level lines drawn in
+# chunks of rain._CHUNK for the rows still followed, batch b of a scan on
+# stream(seed, base + b).
 SCAN_GOLDEN = {
     "zero_axis_2d": "e17ad619b7e79ca9469085e704fe9a4c16d9c502c7d82ff530f6b88cfd4d124e",
     "zero_weighted_3d": "93d5aad9e8ff3230f46c32888b7667c37ec798954cc809fedd291681fb285190",
-    "zero_isotropic_bands": "642dbfa83b5114973565d8da4ff1cad934747d6d2a037f5d219f3edb5e671384",
-    "zero_isotropic": "c8d6f39e4291f63a0eb965c29967d53d17114bceee82c33f81533ec356297d10",
-    "generic_zero_box": "b698a79aa1618bc298999df72f4d2d448f0b0287144224d48a248a134f89a68b",
+    "zero_isotropic_bands": "6de3964f850c24d893d8ff4f67eb3aa6ea754ad635e3225853b6fe6563329fc9",
+    "zero_isotropic": "ee9232028b26d13fd718fc8aaffdf332a6e67a2b368c17f2357d07ef5bfa9b0d",
+    "generic_zero_box": "dc5a631ac6631f18c451166aab3db97844c33411a4d03a9d4d9680e7bfa12a04",
     "pair_fast": "51fb6d75e8d610040f5adcbedfade8894fef1d7c743482a5186076b1cfb3c228",
-    "generic_pair_box": "4fca03eec80eec5de9757d5c607ee4f2956cf6260681996c7dff13d074cff04c",
-    "pair_generic": "049b2ac5927622d68fcd2b5cb6e5b21cc816a297a18078acb6a5ec648bd46e1a",
-    "pair_isotropic": "91f6ecc2ae617453cde6b9b37d3741d54c3e40ffd12d4a5cceb6e32a876c2e50",
+    "generic_pair_box": "68b85853727ab24dccd5bf0805fbf9ba2ba9fe5fee1c3b83447de3f29207f243",
+    "pair_generic": "155956d90fb4a1d234bf1c4a3ae2fd922916c1eaf64b03f16b8d2cee62a5847f",
+    "pair_isotropic": "507594556118f5579e2b022207f8362cca1f15e74055a9d1e55cb79cc36000cd",
     "zero_axis_2d_batched": "740ef4ebb05dc9cbaf38282aa4ea71b29342309d23cd23df7e639713c4879db8",
     "pair_fast_batched": "e1874c43f1b963415879a93b59af96fb0f7e7c981dfbb364f533a1caa66bc179",
 }
