@@ -57,6 +57,8 @@ def measure_to_json(m: DrivingMeasure) -> dict:
 
 
 def _require_keys(d: dict, allowed: set[str], required: set[str], where: str):
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {d!r:.40}")
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")

@@ -155,16 +155,14 @@ def encapsulation_time(tree: CellTree, inner) -> float:
     and returns math.inf when encapsulation does not occur by the simulated
     horizon.
     """
-    outer = tree.window
-    node = tree.nodes[0]
+    outer, kids, birth, i = tree.window, tree.children, tree.birth, 0
     while True:
-        cell = node.polytope
+        cell = tree.cell(i)
         if geo.origin_strictly_inside(cell) and _encapsulates(cell, inner, outer):
-            return node.birth_time
-        if node.children is None:
+            return float(birth[i])
+        if kids[i] < 0:
             return math.inf
-        a, b = (tree.nodes[i] for i in node.children)
-        node = a if geo.origin_strictly_inside(a.polytope) else b
+        i = kids[i] + (not geo.origin_strictly_inside(tree.cell(kids[i])))
 
 
 def sufficient_event_time(params: BoundParams, horizon: float, rng):

@@ -111,17 +111,17 @@ def _fast_scan(g, window: geo.Box, bodies, horizon, n, seed, enclosure,
     rate_c = g * side
     cum = np.cumsum(rate_c / rate_c.sum())
 
-    def lineage(rng, nb):
+    def follow(rng, nb):
         return _fast_lineage(
             (rng, rate_c.sum(), cum, window.lo_arr, side),
             np.tile(window.lo_arr, (nb, 1)), np.tile(window.hi_arr, (nb, 1)),
             b_lo, b_hi, np.zeros(nb), horizon, enc, np.full(nb, np.inf),
             np.ones((nb, len(bodies)), dtype=bool), band_axis)
-    return _scan(lineage, n, len(bodies), len(band_axis), seed, base)
+    return _scan(follow, n, len(bodies), len(band_axis), seed, base)
 
 
-def _scan(lineage, n, k, n_bands, seed, base):
-    """Run lineage(rng, nb) -> (cut, tau, band clocks, marks drawn) over n
+def _scan(follow, n, k, n_bands, seed, base):
+    """Run follow(rng, nb) -> (cut, tau, band clocks, marks drawn) over n
     rows of k bodies, batch b of _BATCH rows on stream(seed, base + b).
     Returns the cuts (n, k), tau, the band clocks (n, n_bands) and the
     counters marks_drawn and rows_retired (rows holding a NaN cut)."""
@@ -129,7 +129,7 @@ def _scan(lineage, n, k, n_bands, seed, base):
     sbands, drawn = np.empty((n, n_bands)), 0
     for bi, start in enumerate(range(0, n, _BATCH)):
         stop = min(start + _BATCH, n)
-        cut[start:stop], tau[start:stop], sbands[start:stop], more = lineage(
+        cut[start:stop], tau[start:stop], sbands[start:stop], more = follow(
             stream(seed, base + bi), stop - start)
         drawn += more
     return cut, tau, sbands, {"marks_drawn": drawn, "rows_retired": int(
@@ -276,12 +276,12 @@ def _generic_scan(measure, window, bodies, horizon, n, seed, enclosure, bands,
         normals, offsets = zip(*enclosure.facets())
         enc = (np.array(normals).T, np.array(offsets))
 
-    def lineage(rng, nb):
+    def follow(rng, nb):
         return _polygon_lineage(
             (rng, measure, wv, rate), np.repeat(wv[None], nb, axis=0),
             np.full(nb, len(wv)), B, np.zeros(nb), horizon, enc,
             np.full(nb, np.inf), np.ones((nb, len(bodies)), dtype=bool), bands)
-    return _scan(lineage, n, len(bodies), len(bands), seed, base)
+    return _scan(follow, n, len(bodies), len(bands), seed, base)
 
 
 def _enclosed(enc, V):

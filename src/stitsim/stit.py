@@ -17,8 +17,8 @@ one generation at a time over flat arrays, and ``advance`` picks it.
 stays a box, and the experiments read its arrays directly.
 ``grow_polygons`` serves every other planar measure and window: its cells
 are convex polygons, split by a vectorised Sutherland-Hodgman pass, and an
-isotropic cell's hitting mass is Cauchy's gamma * perimeter / pi.  One
-graft turns either kernel's arrays into a ``CellTree``.
+isotropic cell's hitting mass is Cauchy's gamma * perimeter / pi.  A
+``CellTree`` is one tree's forest plus parent ids; polytopes come on demand.
 
 A tree, or a batch of trees, is built from one random stream (see rng).
 """
@@ -26,7 +26,8 @@ A tree, or a batch of trees, is built from one random stream (see rng).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -42,41 +43,51 @@ _SPLIT_RETRY_CAP = 100
 
 
 @dataclass
-class CellNode:
-    id: int
-    polytope: geo.Polytope
-    birth_time: float
-    death_time: float | None = None
-    parent: int | None = None
-    children: tuple[int, int] | None = None
-    splitting_hyperplane: geo.Hyperplane | None = None
-    # each rejected draw as (unit normal, offset); halfspace_representation
-    # makes it a Hyperplane
-    rejected_hyperplanes: list[tuple[tuple[float, ...], float]] = field(
-        default_factory=list)
-
-    @property
-    def alive(self) -> bool:
-        return self.death_time is None
-
-
-@dataclass
 class CellTree:
+    """One trajectory: the rows of `forest` are its nodes in id order and
+    parent[i] is node i's parent, -1 for the root, node 0.
+
+    Every advance appends the children of the cells it divides in the
+    order of its forest, so parent ids are below their children's and the
+    children of a cell are two neighbouring ids, minus first.  A node is
+    born at its parent's death (the root at 0); a cell alive at
+    current_time has death inf.
+    """
+
     window: geo.Polytope
     measure: DrivingMeasure
     method: str
-    nodes: list[CellNode]
+    forest: BoxForest | PolygonForest
+    parent: np.ndarray
     current_time: float
-    jump_times: list[float]
 
-    def lineage(self, cell_id: int) -> list[int]:
-        """Ids from the root down to cell_id inclusive."""
-        path = []
-        cur = cell_id
-        while cur is not None:
-            path.append(cur)
-            cur = self.nodes[cur].parent
-        return path[::-1]
+    @property
+    def birth(self) -> np.ndarray:
+        return np.concatenate([[0.0], self.forest.death[self.parent[1:]]])
+
+    @property
+    def jump_times(self) -> list[float]:
+        return np.sort(self.forest.death[~self.forest.alive]).tolist()
+
+    @property
+    def children(self) -> np.ndarray:
+        """Each node's minus child, the plus one being next; -1 if live."""
+        first = np.full(len(self.parent), -1)
+        first[self.parent[1::2]] = np.arange(1, len(self.parent), 2)
+        return first
+
+    def cell(self, i: int) -> geo.Polytope:
+        """Node i's polytope; the root's is the window itself."""
+        return self.window if i == 0 else self.forest.cells([i])[0]
+
+    @property
+    def nodes(self) -> list[SimpleNamespace]:
+        """Only for perfbench/tracer.py, which counts splits and misses by
+        each node's children (None if live) and rejected_hyperplanes."""
+        misses = np.bincount(self.forest.rejected[0], minlength=len(self.parent))
+        return [SimpleNamespace(children=None if k < 0 else (k, k + 1),
+                                rejected_hyperplanes=range(r))
+                for k, r in zip(self.children.tolist(), misses.tolist())]
 
 
 @dataclass(frozen=True)
@@ -119,21 +130,14 @@ class BoxForest:
     def alive(self) -> np.ndarray:
         return np.isinf(self.death)
 
-    def divisions(self, roots: list[geo.Box]):
-        """(cut, minus, plus) of each divided node in order, `roots` being
-        the starting cells.  Each child is split off its parent's box, so
-        the two share their coordinate objects, as a tree holds a great many
-        of them."""
-        units = [tuple(e) for e in np.eye(self.lo.shape[1]).tolist()]
-        boxes = list(roots)
-        dead = np.flatnonzero(~self.alive)
-        for j, c, d in zip(dead.tolist(), self.axis[dead].tolist(),
-                           self.cut[dead].tolist()):
-            lo, hi = boxes[j].lo, boxes[j].hi
-            low = geo.Box(lo, hi[:c] + (d,) + hi[c + 1:])
-            high = geo.Box(lo[:c] + (d,) + lo[c + 1:], hi)
-            boxes += (high, low) if d > 0 else (low, high)
-            yield (geo.Hyperplane(units[c], d), *boxes[-2:])
+    def cells(self, rows) -> list[geo.Box]:
+        return [geo.Box(tuple(a), tuple(b))
+                for a, b in zip(self.lo[rows].tolist(), self.hi[rows].tolist())]
+
+    def cuts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each node's cut as (unit normals, offsets), 0 for a live cell."""
+        ell = self.lo.shape[1]
+        return (self.axis[:, None] == np.arange(ell)).astype(float), self.cut
 
     def misses(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         at, ax, d = self.rejected
@@ -162,18 +166,15 @@ class PolygonForest:
     def alive(self) -> np.ndarray:
         return np.isinf(self.death)
 
-    def divisions(self, roots: list[geo.Polytope]):
-        """(cut, minus, plus) of each divided node in order, `roots` being
-        the starting cells."""
-        count = self.count[len(roots):]
-        x, y = self.verts[len(roots):][
-            np.arange(self.verts.shape[1]) < count[:, None]].T.tolist()
+    def cells(self, rows) -> list[geo.Polygon2D]:
+        V, count = self.verts[rows], self.count[rows]
+        x, y = V[np.arange(V.shape[1]) < count[:, None]].T.tolist()
         ends = np.cumsum(count).tolist()
-        cells = (geo.Polygon2D(tuple(zip(x[e - k:e], y[e - k:e])))
-                 for e, k in zip(ends, count.tolist()))
-        dead = ~self.alive
-        for u, d in zip(self.normal[dead].tolist(), self.offset[dead].tolist()):
-            yield geo.Hyperplane(tuple(u), d), next(cells), next(cells)
+        return [geo.Polygon2D(tuple(zip(x[e - k:e], y[e - k:e])))
+                for e, k in zip(ends, count.tolist())]
+
+    def cuts(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.normal, self.offset
 
     def misses(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.rejected
@@ -186,10 +187,13 @@ def simulate(measure: DrivingMeasure, window: geo.Polytope, t: float, rng,
         raise ValueError("horizon must be positive")
     if method not in ("direct", "rejection"):
         raise ValueError(f"unknown method {method!r}")
-    tree = CellTree(window=window, measure=measure, method=method,
-                    nodes=[CellNode(0, window, 0.0)], current_time=0.0,
-                    jump_times=[])
-    return advance(tree, t, rng)
+    rep, g = np.zeros(1, dtype=np.int64), box_axis_rates(measure, window)
+    f = (grow_polygons(measure, window, [_polygon_vertices(window)], rep, 0.0,
+                       t, rng, method) if g is None else
+         grow_boxes(g, window, window.lo_arr[None], window.hi_arr[None], rep,
+                    0.0, t, rng, method))
+    return CellTree(window, measure, method, f, np.concatenate(
+        [[-1], np.repeat(np.flatnonzero(~f.alive), 2)]), t)
 
 
 def advance(tree: CellTree, dt: float, rng) -> CellTree:
@@ -198,54 +202,42 @@ def advance(tree: CellTree, dt: float, rng) -> CellTree:
     Lifetimes are memoryless, so the live cells' divisions are drawn afresh
     from the current time; the law of the continued process is unchanged.
     The live cells grow as one batch: through grow_boxes for an axis measure
-    on a box window, else through grow_polygons.
+    on a box window, else through grow_polygons.  The live nodes take their
+    new deaths and cuts, and the forest's other nodes, the children, are
+    appended in its order with their parent ids, and so are its misses.
     """
     if not dt > 0:  # also catches NaN
         raise ValueError("dt must be positive")
-    live = [n for n in tree.nodes if n.alive]
+    f = tree.forest
+    live = np.flatnonzero(f.alive)
     rep = np.zeros(len(live), dtype=np.int64)
     t0, horizon = tree.current_time, tree.current_time + dt
     g = box_axis_rates(tree.measure, tree.window)
     if g is None:
-        f = grow_polygons(tree.measure, tree.window,
-                          [_polygon_vertices(n.polytope) for n in live], rep,
-                          t0, horizon, rng, tree.method)
+        new = grow_polygons(tree.measure, tree.window,
+                            [f.verts[i, :k] for i, k in
+                             zip(live, f.count[live].tolist())],
+                            rep, t0, horizon, rng, tree.method)
     else:
-        f = grow_boxes(g, tree.window, np.array([n.polytope.lo for n in live]),
-                       np.array([n.polytope.hi for n in live]), rep, t0,
-                       horizon, rng, tree.method)
-    _graft(tree, f, [n.id for n in live])
+        new = grow_boxes(g, tree.window, f.lo[live], f.hi[live], rep, t0,
+                         horizon, rng, tree.method)
+    m, n = len(live), len(f.death)
+    ids = np.concatenate([live, np.arange(n, n + len(new.death) - m)])
+    cols = []
+    for name in [c.name for c in fields(f)][:-1]:
+        a, b = getattr(f, name), getattr(new, name)
+        if a.ndim == 3:  # padded vertices
+            width = max(a.shape[1], b.shape[1])
+            a, b = _pad_to(a, width), _pad_to(b, width)
+        cols.append(np.concatenate([a, b[m:]]))
+        cols[-1][live] = b[:m]
+    at, *miss = new.rejected
+    tree.forest = type(f)(*cols, rejected=tuple(map(
+        np.concatenate, zip(f.rejected, (ids[at], *miss)))))
+    tree.parent = np.concatenate([tree.parent,
+                                  np.repeat(ids[~new.alive], 2)])
     tree.current_time = horizon
     return tree
-
-
-def _graft(tree: CellTree, f: BoxForest | PolygonForest,
-           live: list[int]) -> None:
-    """Append a forest grown from the tree's live cells `live` (one tree) to
-    the tree: its divisions in generation order, so every parent id is
-    below its children's, then its misses."""
-    nodes, m = tree.nodes, len(live)
-    ids = np.concatenate([np.asarray(live, dtype=np.int64),
-                          np.arange(len(nodes), len(nodes) + len(f.rep) - m)])
-    dead = np.flatnonzero(~f.alive)
-    for i, when, cut in zip(ids[dead].tolist(), f.death[dead].tolist(),
-                            f.divisions([nodes[i].polytope for i in live])):
-        _divide(nodes, nodes[i], when, *cut)
-    # misses come in draw order, so each node's stay in time order
-    at, normals, offsets = f.misses()
-    for i, u, d in zip(ids[at].tolist(), normals.tolist(), offsets.tolist()):
-        nodes[i].rejected_hyperplanes.append((tuple(u), d))
-    tree.jump_times.extend(sorted(nodes[i].death_time
-                                  for i in ids[dead].tolist()))
-
-
-def _divide(nodes: list[CellNode], cell: CellNode, when: float,
-            h: geo.Hyperplane, minus, plus) -> None:
-    """Record the division of `cell` at `when` by h into (minus, plus)."""
-    cell.death_time, cell.splitting_hyperplane = when, h
-    cell.children = kids = (len(nodes), len(nodes) + 1)
-    for kid, poly in zip(kids, (minus, plus)):
-        nodes.append(CellNode(kid, poly, when, parent=cell.id))
 
 
 def _check_work(dt: float, window_rate: float) -> None:
@@ -491,8 +483,10 @@ def _lines(rng, measure: DrivingMeasure, V: np.ndarray):
         k = np.minimum((cum < x[:, None]).sum(axis=1), len(th.weights) - 1)
         u, lo, hi = th.dir_array[k], lo[rows, k], hi[rows, k]
     else:
-        diam = np.sqrt(((V[:, :, None] - V[:, None]) ** 2).sum(axis=3)
-                       .max(axis=(1, 2)))
+        # a window broadcast to all rows (stride 0) needs one diameter
+        W = V[:1] if V.strides[0] == 0 else V
+        diam = np.broadcast_to(np.sqrt(((W[:, :, None] - W[:, None]) ** 2)
+                                       .sum(axis=3).max(axis=(1, 2))), m)
         u, lo, hi = np.empty((m, 2)), np.empty(m), np.empty(m)
         todo = rows
         for _ in range(_SAMPLER_CAP):
@@ -630,9 +624,9 @@ def slice_at(tree: CellTree, s: float) -> Tessellation:
     """Cells alive at time s (born at or before s, not yet divided)."""
     if not (0.0 < s <= tree.current_time):
         raise OutOfRange(f"s must lie in (0, {tree.current_time}]")
-    cells = tuple(n.polytope for n in tree.nodes
-                  if n.birth_time <= s and (n.death_time is None or n.death_time > s))
-    return Tessellation(tree.window, cells)
+    alive = np.flatnonzero((tree.birth <= s) & (tree.forest.death > s))
+    cells = [tree.window] if alive[0] == 0 else tree.forest.cells(alive)
+    return Tessellation(tree.window, tuple(cells))
 
 
 def zero_cell(T: Tessellation) -> geo.Polytope:
@@ -656,17 +650,18 @@ def halfspace_representation(tree: CellTree, cell_id: int) -> list[geo.HalfSpace
     """
     if tree.method != "rejection":
         raise MethodMismatch("half-space representation needs a rejection tree")
-    path = tree.lineage(cell_id)
-    target = tree.nodes[cell_id]
-    ref = target.polytope.centroid()
-    out: list[geo.HalfSpace] = []
-    for i, nid in enumerate(path):
-        node = tree.nodes[nid]
-        for u, d in node.rejected_hyperplanes:
-            out.append(_halfspace_toward(geo.Hyperplane(u, d), ref))
-        if i < len(path) - 1 and node.splitting_hyperplane is not None:
-            out.append(_halfspace_toward(node.splitting_hyperplane, ref))
-    return out
+    path = [cell_id]
+    while path[-1] > 0:
+        path.append(int(tree.parent[path[-1]]))
+    ref = tree.cell(cell_id).centroid()
+    at, normals, offsets = tree.forest.misses()
+    u, d = tree.forest.cuts()
+    cuts = []
+    for i in reversed(path):
+        cuts += [(normals[k], offsets[k]) for k in np.flatnonzero(at == i)]
+        cuts += [(u[i], d[i])] if i != cell_id else []
+    return [_halfspace_toward(geo.Hyperplane(tuple(v), c), ref)
+            for v, c in cuts]
 
 
 def _halfspace_toward(h: geo.Hyperplane, point) -> geo.HalfSpace:
@@ -739,24 +734,28 @@ def tiling_defect(T: Tessellation) -> float:
 
 
 def tree_to_json(tree: CellTree) -> dict:
+    """The tree as plain JSON, its nodes in id order and each cut in
+    geometry.Hyperplane's canonical form (normal lexicographically
+    positive)."""
     from .config import measure_to_json
-    nodes = []
-    for n in tree.nodes:
-        nodes.append({
-            "id": n.id,
-            "parent": n.parent,
-            "birth": n.birth_time,
-            "death": n.death_time,
-            "hyperplane": (geo.hyperplane_to_json(n.splitting_hyperplane)
-                           if n.splitting_hyperplane else None),
-            "rejected": len(n.rejected_hyperplanes),
-        })
+    f = tree.forest
+    u, d = f.cuts()
+    flip = ~(u[np.arange(len(u)), (u != 0).argmax(axis=1)] > 0)
+    u, d = np.where(flip[:, None], -u, u).tolist(), np.where(flip, -d, d).tolist()
+    rejected = np.bincount(f.rejected[0], minlength=len(d)).tolist()
+    parent = [None] + tree.parent[1:].tolist()
+    nodes = [{"id": i, "parent": parent[i], "birth": b,
+              "death": None if x == math.inf else x,
+              "hyperplane": None if x == math.inf else {"u": u[i], "d": d[i]},
+              "rejected": rejected[i]}
+             for i, (b, x) in enumerate(zip(tree.birth.tolist(),
+                                            f.death.tolist()))]
     return {
         "kind": "cell_tree",
         "window": geo.polytope_to_json(tree.window),
         "measure": measure_to_json(tree.measure),
         "method": tree.method,
         "current_time": tree.current_time,
-        "jump_times": list(tree.jump_times),
+        "jump_times": tree.jump_times,
         "nodes": nodes,
     }

@@ -83,6 +83,20 @@ def test_simulate_config_errors(tmp_path):
                  "--seed", "1", "--out", str(tmp_path / "z.json")]) == 2
 
 
+@pytest.mark.parametrize("cfg", [
+    5, None, {**STIT_CONFIG, "measure": 5},
+    {**STIT_CONFIG, "measure": ["gamma", "directional"]},
+], ids=["top_level_number", "top_level_null", "measure_number",
+        "measure_list"])
+def test_simulate_refuses_a_config_that_is_not_an_object(tmp_path, capsys,
+                                                         cfg):
+    # exit 1 means a failed verification, so a malformed file must exit 2
+    assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                 "--seed", "1", "--out", str(tmp_path / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "must be a JSON object" in err
+
+
 def test_bound_csv(capsys):
     assert main(["bound", "--lambda-inner", "4", "--masses", "1,1,1,1",
                  "--t-grid", "0:2:0.5"]) == 0

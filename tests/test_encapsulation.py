@@ -59,12 +59,12 @@ def test_encapsulation_needs_a_cut_per_facet():
         if not math.isfinite(a_s):
             continue
         found += 1
-        node = tree.nodes[0]
-        lineage_jumps = []
-        while node.children is not None and node.death_time <= a_s:
-            lineage_jumps.append(node.death_time)
-            a, b = (tree.nodes[j] for j in node.children)
-            node = a if geo.origin_strictly_inside(a.polytope) else b
+        kids, death = tree.children, tree.forest.death
+        i, lineage_jumps = 0, []
+        while kids[i] >= 0 and death[i] <= a_s:
+            lineage_jumps.append(death[i])
+            a = int(kids[i])
+            i = a if geo.origin_strictly_inside(tree.cell(a)) else a + 1
         assert len(lineage_jumps) >= 4
         assert a_s in lineage_jumps
     assert found >= 2

@@ -11,9 +11,9 @@ from stitsim import geometry as geo
 from stitsim import rain, stit
 from stitsim.encapsulation import build_window, encapsulation_time
 from stitsim.experiments import equality_problem
-from stitsim.measure import (axis_measure, isotropic_measure, measure_hitting,
-                             measure_separating)
-from stitsim.rng import run_replicates
+from stitsim.measure import (axis_measure, box_axis_rates, isotropic_measure,
+                             measure_hitting, measure_separating)
+from stitsim.rng import stream
 from stitsim.stats import binomial_sigma, ks_two_sample
 
 LAM = axis_measure([1.0, 1.0])
@@ -35,15 +35,46 @@ def test_zero_scan_fast_vs_generic():
                          ).p_value > 0.001
 
 
+def tree_forest(window, t, n, rng):
+    """n whole trees of LAM on the box window, grown to t as one batch."""
+    return stit.grow_boxes(box_axis_rates(LAM, window), window,
+                           np.tile(window.lo_arr, (n, 1)),
+                           np.tile(window.hi_arr, (n, 1)), np.arange(n), 0.0,
+                           t, rng)
+
+
+def tree_encapsulation(f, n, outer, inner):
+    """encapsulation_time of each of the n trees of the box forest f: the
+    earliest birth of a cell that holds `inner` and lies strictly inside
+    `outer`.  Such a cell holds the origin, so it is on the origin-cell
+    lineage, whose cells are nested."""
+    tol = geo.GEOM_TOL
+    born = np.concatenate([np.zeros(n),
+                           f.death[np.repeat(np.flatnonzero(~f.alive), 2)]])
+    enc = ((f.lo <= inner.lo_arr + tol) & (f.hi >= inner.hi_arr - tol)
+           & (f.lo > outer.lo_arr + tol) & (f.hi < outer.hi_arr - tol)
+           ).all(axis=1)
+    tau = np.full(n, np.inf)
+    np.minimum.at(tau, f.rep[enc], born[enc])
+    return tau
+
+
 def test_zero_scan_against_tree_encapsulation():
     horizon = 2.5
     scan = rain.zero_cell_scan(LAM, W, WP, horizon, 60_000, 22)
     a_scan = scan["tau_enc"]
-
-    def one(_i, rng):
-        return encapsulation_time(stit.simulate(LAM, W, horizon, rng), WP)
-
-    a_tree = np.asarray(run_replicates(one, 4_000, 23))
+    # the array reading is encapsulation_time: a one-tree batch grows the
+    # tree that simulate grows from the same stream (about half of these
+    # trees encapsulate the small inner box)
+    small = geo.Box((-0.2, -0.2), (0.2, 0.2))
+    for i in range(40):
+        f = tree_forest(W, horizon, 1, stream(23, i))
+        tree = stit.simulate(LAM, W, horizon, stream(23, i))
+        for inner in (WP, small):
+            assert tree_encapsulation(f, 1, W, inner)[0] == \
+                encapsulation_time(tree, inner)
+    a_tree = tree_encapsulation(tree_forest(W, horizon, 4_000, stream(23, 0)),
+                                4_000, W, WP)
     p1, p2 = np.isfinite(a_scan).mean(), np.isfinite(a_tree).mean()
     assert abs(p1 - p2) <= 5 * binomial_sigma(max(p2, 1e-3), 4_000)
 
@@ -144,8 +175,16 @@ def test_polygon_kernel_replays_box_kernel():
         LAM, V.to_polygon(), bodies, 1.0, 5_000, 89, None, ())[0])
 
 
-def segment_uncut(T, face):
-    return any(geo.contains(c, face) for c in T.cells)
+def segment_uncut(f, n, face):
+    """Whether a live cell of each of the n trees of the box forest f holds
+    `face`, as geometry.contains decides it."""
+    tol, v = geo.GEOM_TOL, face.vertices()
+    live = f.alive
+    holds = ((f.lo[live] <= v.min(axis=0) + tol)
+             & (f.hi[live] >= v.max(axis=0) - tol)).all(axis=1)
+    out = np.zeros(n, dtype=bool)
+    out[f.rep[live][holds]] = True
+    return out
 
 
 def test_pair_scan_against_tree_oracle():
@@ -159,11 +198,16 @@ def test_pair_scan_against_tree_oracle():
     ke = np.isinf(scan["cut_b"]).mean()
     kj = (np.isinf(scan["cut_a"]) & np.isinf(scan["cut_b"])).mean()
 
-    def one(_i, rng):
-        T = stit.slice_at(stit.simulate(LAM, V, t, rng), t)
-        return segment_uncut(T, A), segment_uncut(T, B)
-
-    arr = np.asarray(run_replicates(one, 3_000, 28), dtype=float)
+    # the array reading is geometry.contains on the tree's slice at t
+    for i in range(40):
+        f = tree_forest(V, t, 1, stream(28, i))
+        T = stit.slice_at(stit.simulate(LAM, V, t, stream(28, i)), t)
+        for face in (A, B):
+            assert segment_uncut(f, 1, face)[0] == any(
+                geo.contains(c, face) for c in T.cells)
+    f = tree_forest(V, t, 3_000, stream(28, 0))
+    arr = np.column_stack([segment_uncut(f, 3_000, A),
+                           segment_uncut(f, 3_000, B)]).astype(float)
     td, te, tj = arr[:, 0].mean(), arr[:, 1].mean(), (arr[:, 0] * arr[:, 1]).mean()
     assert abs(kd - td) <= 5 * binomial_sigma(kd, 3_000)
     assert abs(ke - te) <= 5 * binomial_sigma(ke, 3_000)

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ W2 = geo.Box((-2.0, -2.0), (2.0, 2.0))
 
 def test_no_jump_tree_is_trivial():
     tree = stit.simulate(LAM, W1, 1e-9, stream(0, 0))
-    assert len(tree.nodes) == 1
+    assert tree.parent.tolist() == [-1]
     assert tree.jump_times == []
     assert stit.slice_at(tree, 1e-9).cells == (W1,)
 
@@ -53,22 +54,23 @@ def test_first_split_survival_probability():
 
 def test_tree_structural_invariants():
     tree = stit.simulate(LAM, W2, 1.2, stream(2, 0))
-    assert tree.nodes[0].birth_time == 0.0
-    assert tree.nodes[0].polytope == W2
+    birth, death = tree.birth, tree.forest.death
+    u, d = tree.forest.cuts()
+    assert birth[0] == 0.0 and tree.parent[0] == -1
+    assert tree.cell(0) == W2
     splits = 0
-    for node in tree.nodes:
-        if node.children is None:
-            assert node.death_time is None
+    for i, a in enumerate(tree.children.tolist()):
+        if a < 0:
+            assert death[i] == math.inf
             continue
         splits += 1
-        assert node.death_time is not None and node.birth_time < node.death_time
-        a, b = (tree.nodes[i] for i in node.children)
-        assert a.birth_time == node.death_time == b.birth_time
-        assert a.parent == node.id == b.parent
+        assert birth[i] < death[i] < math.inf
+        assert birth[a] == death[i] == birth[a + 1]
+        assert tree.parent[a] == i == tree.parent[a + 1]
         # children partition the parent across the recorded hyperplane
-        assert a.polytope.area() + b.polytope.area() == pytest.approx(
-            node.polytope.area(), rel=1e-9)
-        assert geo.hits(node.splitting_hyperplane, node.polytope)
+        assert tree.cell(a).area() + tree.cell(a + 1).area() == pytest.approx(
+            tree.cell(i).area(), rel=1e-9)
+        assert geo.hits(geo.Hyperplane(tuple(u[i]), d[i]), tree.cell(i))
     assert splits == len(tree.jump_times)
     assert tree.jump_times == sorted(tree.jump_times)
     # at most one cell dies per jump time
@@ -149,14 +151,15 @@ def test_zero_cell_shrinks_along_trajectory():
 def test_halfspace_representation():
     tree = stit.simulate(LAM, W2, 1.0, stream(10, 0), method="rejection")
     assert stit.halfspace_representation(tree, 0) == []
-    for node in tree.nodes:
-        hs = stit.halfspace_representation(tree, node.id)
+    assert len(tree.forest.rejected[0]) > 10
+    for i in range(len(tree.parent)):
+        hs = stit.halfspace_representation(tree, i)
         cur = W2
         for half in hs:
             n, c = half.normal_form()
             cur = geo.clip_tolerant(cur, n, c)
             assert cur is not None
-        assert cur.area() == pytest.approx(node.polytope.area(), rel=1e-9)
+        assert cur.area() == pytest.approx(tree.cell(i).area(), rel=1e-9)
     direct_tree = stit.simulate(LAM, W2, 0.5, stream(10, 1))
     with pytest.raises(MethodMismatch):
         stit.halfspace_representation(direct_tree, 0)
@@ -167,12 +170,12 @@ def test_polygon_halfspace_representation():
     # with the ancestors' cuts they carve every cell out of the window
     tree = stit.simulate(isotropic_measure(1.0), PENTAGON, 1.5, stream(10, 2),
                          method="rejection")
-    assert sum(len(n.rejected_hyperplanes) for n in tree.nodes) > 10
-    for node in tree.nodes:
+    assert len(tree.forest.rejected[0]) > 10
+    for i in range(len(tree.parent)):
         cur = PENTAGON
-        for half in stit.halfspace_representation(tree, node.id):
+        for half in stit.halfspace_representation(tree, i):
             cur = geo.clip_tolerant(cur, *half.normal_form())
-        assert cur.area() == pytest.approx(node.polytope.area(), rel=1e-9)
+        assert cur.area() == pytest.approx(tree.cell(i).area(), rel=1e-9)
 
 
 def test_number_cells():
@@ -273,12 +276,12 @@ def test_summary_stats():
 
 def test_zeta_subadditive_on_every_split():
     tree = stit.simulate(LAM, W2, 1.5, stream(16, 0))
-    for node in tree.nodes:
-        if node.children is None:
-            continue
-        a, b = (tree.nodes[i].polytope for i in node.children)
+    kids = tree.children
+    assert (kids >= 0).sum() > 10
+    for i in np.flatnonzero(kids >= 0).tolist():
+        a, b = tree.cell(kids[i]), tree.cell(kids[i] + 1)
         assert measure_hitting(LAM, a) + measure_hitting(LAM, b) >= \
-            measure_hitting(LAM, node.polytope) - 1e-9
+            measure_hitting(LAM, tree.cell(i)) - 1e-9
 
 
 def test_isotropic_polygon_tree():
@@ -287,9 +290,11 @@ def test_isotropic_polygon_tree():
     tree = stit.simulate(iso, window, 1.0, stream(17, 0))
     T = stit.slice_at(tree, 1.0)
     assert stit.tiling_defect(T) <= 1e-6
-    for node in tree.nodes:
-        if node.children is not None:
-            assert geo.hits(node.splitting_hyperplane, node.polytope)
+    u, d = tree.forest.cuts()
+    dead = np.flatnonzero(~tree.forest.alive).tolist()
+    assert dead
+    for i in dead:
+        assert geo.hits(geo.Hyperplane(tuple(u[i]), d[i]), tree.cell(i))
 
 
 def test_determinism_bit_identical():
@@ -428,10 +433,11 @@ def test_box_rejection_keeps_only_misses():
     # every recorded draw of a box rejection tree is a window cut that
     # misses its cell: the construction really rejects
     tree = stit.simulate(LAM, W2, 2.0, stream(41, 0), "rejection")
-    draws = [(node.polytope, cut) for node in tree.nodes
-             for cut in node.rejected_hyperplanes]
+    at, normals, offsets = tree.forest.misses()
+    draws = [(tree.cell(i), u, d) for i, u, d in zip(
+        at.tolist(), normals.tolist(), offsets.tolist())]
     assert len(draws) > 20
-    for box, (u, d) in draws:
+    for box, u, d in draws:
         c = geo.coordinate_axis(u)
         assert u[c] == 1.0 and W2.lo[c] <= d <= W2.hi[c]
         assert not box.lo[c] < d < box.hi[c]
@@ -539,3 +545,24 @@ def test_first_moments_are_exact(seed, name):
     for k, target in targets.items():
         z = (x[:, k].mean() - target) / (x[:, k].std(ddof=1) / math.sqrt(n))
         assert abs(z) <= 4, (k, x[:, k].mean(), target, z)
+
+
+def test_lines_on_a_broadcast_window_skip_the_pairwise_array():
+    # Window rain draws every line from one window broadcast to all rows;
+    # its diameter is computed once, not through an (m, K, K, 2) array of
+    # vertex differences (64 MiB here).  The draws are those of the same
+    # window materialised row by row.
+    iso = isotropic_measure(1.0)
+    wv = np.array([(math.cos(a), math.sin(a)) for a in np.arange(8) * math.pi / 4])
+    m = 65_536
+    tracemalloc.start()
+    try:
+        stit._lines(stream(90, 0), iso, np.broadcast_to(wv, (m, 8, 2)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m * 8 * 8 * 2 * 8 / 2
+    small = np.broadcast_to(wv, (500, 8, 2))
+    a = stit._lines(stream(91, 0), iso, small)
+    b = stit._lines(stream(91, 0), iso, small.copy())
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
