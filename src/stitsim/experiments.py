@@ -31,7 +31,7 @@ from .errors import (AmbiguousZeroCell, DegenerateCut, RegimeMismatch,
                      TooFewConditioned, WindowMismatch)
 from .measure import (DrivingMeasure, axis_measure, box_axis_rates,
                       isotropic_measure)
-from .pht import empty_probability, simulate_pht, tail_event_hits_ball
+from .pht import draw_patterns, empty_probability, pattern_hits
 from .rng import run_replicates, stream
 from .stats import (binomial_sigma, estimate_from_hits, gap_estimate,
                     ks_two_sample)
@@ -42,6 +42,7 @@ POWER_FACTOR = 3.0  # mismatched time factor that self_similarity must reject
 MIN_CONDITIONED = 200  # fewest conditioned replicates cond_independence accepts
 MIN_N = 100  # fewest replicates any experiment runs, whatever the n-scale
 _BATCH = 1 << 7  # trees grown as one batch: memory does not grow with n
+_PHT_CHUNK = 1 << 8  # PHT patterns drawn as one chunk: rows stay under 1 MiB
 
 
 @dataclass
@@ -125,11 +126,18 @@ def _tree_sample(measure, window, t, n, seed, stat, method="direct", base=0):
     return np.concatenate(run_replicates(chunk, -(-n // _BATCH), seed, base))
 
 
-def _pht_sample(measure, rho, window, n, seed, stat):
-    """[stat(pattern)] over n Poisson hyperplane patterns, replicate i on
-    stream(seed, i)."""
-    return run_replicates(
-        lambda _i, rng: stat(simulate_pht(measure, rho, window, rng)), n, seed)
+def _pht_sample(measure, rho, window, bodies, n, seed, base=0):
+    """(n, len(bodies)) bools: whether each of n Poisson hyperplane patterns
+    on the window meets each body.  The patterns are drawn in chunks of
+    _PHT_CHUNK, chunk c on stream(seed, base + c), so an arm of n patterns
+    uses the ceil(n / _PHT_CHUNK) keys from base on."""
+
+    def chunk(c, rng):
+        nb = min(_PHT_CHUNK, n - c * _PHT_CHUNK)
+        return pattern_hits(*draw_patterns(measure, rho, window, rng, nb),
+                            bodies)
+
+    return np.concatenate(run_replicates(chunk, -(-n // _PHT_CHUNK), seed, base))
 
 
 def _leaves(f: stit.BoxForest, window):
@@ -486,11 +494,8 @@ def experiment_mixing_pht(measure, rho, h_grid, n, seed) -> Report:
     ok = True
     for j, h in enumerate(h_grid):
         window = geo.Box((-1.0 - margin, -margin), (1.0 + margin, h + margin))
-        body_e = _segment(float(h))
-        arr = np.asarray(_pht_sample(
-            measure, rho, window, n, seed + j,
-            lambda pat: (tail_event_hits_ball(pat, body_d),
-                         tail_event_hits_ball(pat, body_e))), dtype=float)
+        arr = _pht_sample(measure, rho, window, (body_d, _segment(float(h))),
+                          n, seed, base=j * -(-n // _PHT_CHUNK)).astype(float)
         gap, sigma = gap_estimate(arr[:, 0], arr[:, 1])
         p_hat = float(arr[:, 0].mean())
         p_sigma = binomial_sigma(p_target, n)
@@ -510,8 +515,7 @@ def experiment_mixing_pht(measure, rho, h_grid, n, seed) -> Report:
 
 def experiment_pht_capacity(measure, rho, window, body, n, seed) -> Report:
     """Avoidance frequency of a test body matches exp(-rho mass(body))."""
-    hits_ = sum(_pht_sample(measure, rho, window, n, seed,
-                            lambda pat: not tail_event_hits_ball(pat, body)))
+    hits_ = int((~_pht_sample(measure, rho, window, (body,), n, seed)).sum())
     return _binomial_report(
         "pht_capacity", seed,
         _config(measure=measure, rho=rho, n=n, window=window, body=body),

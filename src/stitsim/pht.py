@@ -2,7 +2,9 @@
 
 A pattern is held as two arrays: unit normals (count, dim) and signed
 offsets (count,), row i being the hyperplane {x : <x, normals[i]> =
-offsets[i]} in canonical form (lexicographically positive normal).
+offsets[i]} in canonical form (lexicographically positive normal).  A
+batch of patterns is the same two arrays, the patterns' rows one after
+another, plus their counts.
 """
 
 from __future__ import annotations
@@ -40,13 +42,17 @@ class PoissonHyperplanePattern:
                      zip(self.normals.tolist(), self.offsets.tolist()))
 
 
-def simulate_pht(measure: DrivingMeasure, rho: float, window: geo.Polytope,
-                 rng) -> PoissonHyperplanePattern:
-    """Poisson(rho * mass(window)) hyperplanes, i.i.d. from the restriction.
+def draw_patterns(measure: DrivingMeasure, rho: float, window: geo.Polytope,
+                  rng, size: int):
+    """(counts, normals, offsets) of `size` independent patterns on one stream.
 
-    For a discrete measure, hyperplane i is drawn from the doubles 2i and
-    2i + 1 after the Poisson count (axis, then offset), the order in which
-    a loop of sample_hitting would consume them.
+    The `size` Poisson(rho * mass(window)) counts come first, in one call,
+    then the rows of pattern 0, 1, ... in order: pattern j is rows
+    counts[:j].sum() up to counts[:j + 1].sum().  For a discrete measure row
+    i is drawn from the doubles 2i and 2i + 1 after the counts (axis, then
+    offset), the order in which a loop of sample_hitting would consume them.
+    Generator.poisson(lam, size) consumes the stream as `size` scalar calls
+    do, so size 1 is exactly simulate_pht's draw.
     """
     if not rho >= 0:  # also catches NaN
         raise ValueError(f"rho must be a non-negative number, got {rho!r}")
@@ -55,19 +61,45 @@ def simulate_pht(measure: DrivingMeasure, rho: float, window: geo.Polytope,
         raise ExplosionGuard(
             f"PHT with rho={rho:g} on a window of hitting mass {mass:g} expects "
             f"{rho * mass:g} hyperplanes, over the cap of {stit.EVENT_CAP}")
-    count = int(rng.poisson(rho * mass)) if rho > 0 else 0
-    if count > stit.EVENT_CAP:
+    counts = (rng.poisson(rho * mass, size) if rho > 0
+              else np.zeros(size, dtype=np.int64))
+    if size and counts.max() > stit.EVENT_CAP:
         raise ExplosionGuard(
             f"PHT with rho={rho:g} on a window of hitting mass {mass:g} drew "
-            f"{count} hyperplanes, over the cap of {stit.EVENT_CAP}")
+            f"{counts.max()} hyperplanes, over the cap of {stit.EVENT_CAP}")
+    total = int(counts.sum())
     if table is None:
-        hs = [sample_hitting(measure, window, rng) for _ in range(count)]
-        return PoissonHyperplanePattern.from_hyperplanes(window, rho, hs)
-    normals, cum, total, lo, span = table
-    u = rng.random(2 * count).reshape(count, 2)
-    k = np.minimum(np.searchsorted(cum, u[:, 0] * total), len(cum) - 1)
-    return PoissonHyperplanePattern(window, rho, normals[k],
-                                    lo[k] + span[k] * u[:, 1])
+        pattern = PoissonHyperplanePattern.from_hyperplanes(
+            window, rho, (sample_hitting(measure, window, rng)
+                          for _ in range(total)))
+        return counts, pattern.normals, pattern.offsets
+    normals, cum, mass_sum, lo, span = table
+    u = rng.random(2 * total).reshape(total, 2)
+    k = np.minimum(np.searchsorted(cum, u[:, 0] * mass_sum), len(cum) - 1)
+    return counts, np.take(normals, k, axis=0), lo[k] + span[k] * u[:, 1]
+
+
+def simulate_pht(measure: DrivingMeasure, rho: float, window: geo.Polytope,
+                 rng) -> PoissonHyperplanePattern:
+    """Poisson(rho * mass(window)) hyperplanes, i.i.d. from the restriction:
+    the one-pattern case of draw_patterns."""
+    _, normals, offsets = draw_patterns(measure, rho, window, rng, 1)
+    return PoissonHyperplanePattern(window, rho, normals, offsets)
+
+
+def pattern_hits(counts: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
+                 bodies) -> np.ndarray:
+    """(len(counts), len(bodies)) bools: whether some row of pattern j (laid
+    out as draw_patterns returns them) meets body b.  A pattern with no rows
+    meets nothing: each pattern's hits are a difference of running sums, not
+    a reduceat, which would read the next row for an empty segment."""
+    ends = np.cumsum(counts)
+    out = np.empty((len(counts), len(bodies)), dtype=bool)
+    for b, body in enumerate(bodies):
+        lo, hi = geo.support_interval(body, normals)
+        run = np.concatenate(([0], np.cumsum((lo <= offsets) & (offsets <= hi))))
+        out[:, b] = run[ends] > run[ends - counts]
+    return out
 
 
 def empty_probability(measure: DrivingMeasure, rho: float, body) -> float:

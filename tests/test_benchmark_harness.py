@@ -10,7 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["verify_trees", "simulate_write"])
+@pytest.mark.parametrize("workload", ["verify_trees", "verify_pht",
+                                      "simulate_write"])
 def test_run_ends_with_a_result(workload):
     # a pass that crashes outside its operations, or an output check that
     # raises, ends perfbench/run.py without this line; simulate_write's

@@ -11,6 +11,7 @@ import pytest
 from stitsim import experiments as ex
 from stitsim import geometry as geo
 from stitsim import rain, stit
+from stitsim import rng as rng_module
 from stitsim.config import dumps_canonical
 from stitsim.errors import TooFewConditioned, WindowMismatch
 from stitsim.measure import axis_measure, measure_hitting
@@ -126,6 +127,31 @@ def test_mixing_stit_grid_points_never_share_a_stream(monkeypatch):
     assert len(set(keys)) == len(keys)
 
 
+
+def test_pht_experiments_never_build_a_key_twice(monkeypatch):
+    # each experiment draws its patterns in chunks on stream(seed, base + c),
+    # mixing_pht's grid point j from base j * ceil(n / _PHT_CHUNK), so over
+    # two adjacent seeds neither experiment builds a key twice (with seed + j,
+    # grid point 1 of seed 1 replayed grid point 0 of seed 2)
+    keys = {"mixing_pht": [], "pht_capacity": []}
+    current = []
+
+    def recording(seed, index=0):
+        keys[current[-1]].append((seed, index))
+        return stream(seed, index)
+
+    monkeypatch.setattr(rng_module, "stream", recording)
+    monkeypatch.setattr(ex, "_PHT_CHUNK", 64)
+    for seed in (1, 2):
+        current.append("mixing_pht")
+        ex.experiment_mixing_pht(LAM, 1.0, (2, 8, 32), 150, seed)
+        current.append("pht_capacity")
+        ex.experiment_pht_capacity(LAM, 1.0, W2, W1, 150, seed)
+    assert len(keys["mixing_pht"]) == 2 * 3 * 3
+    assert len(keys["pht_capacity"]) == 2 * 3
+    for built in keys.values():
+        assert len(set(built)) == len(built)
+
 def test_no_jump_tiny_interval():
     rep = ex.experiment_no_jump(LAM, W1, 1.0, (0.001, 0.05), 500, 73)
     assert rep.rows[0]["freq"] >= 0.98
@@ -170,8 +196,8 @@ REPORT_GOLDEN = {
     "inclusion": (0.01, "771298bb70e95875e80cf8f1a51e7ce6382b35580d98805004e58fc5a754ba76"),
     "cond_independence": (0.05, "a4ba31f4c1db774942354a20062df9f6c2cab4157ed81d93946849856d7338c8"),
     "mixing_stit": (0.01, "1d19702ae17794f813f8451f6c7ba1d9fc75d56ba0328a94f11627f0f6859622"),
-    "mixing_pht": (0.01, "cf61b1d55628b2cf5205ff23eb3e6c15a1b55e5c7d12e7ffcb422628fc05cc9b"),
-    "pht_capacity": (0.01, "fb34a49a312e2079b29f1cf08cb72b05434b19ba24764cf2febc02deaa9a95a2"),
+    "mixing_pht": (0.01, "dffe5bfd74ac859f632bd9d26da52bead1ec0a6e1d7bf576738a094f59d2da78"),
+    "pht_capacity": (0.01, "3095e22089932b0c0f79a9e554e87386f96c0d4e53a3cd5f6d9c8f20c0755973"),
     "determinism": (0.01, "5cd50ff678ae18e8bec3f43afb5290be246bd26f02180a69c3f9cb09bbccbc42"),
 }
 

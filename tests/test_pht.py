@@ -12,12 +12,14 @@ from stitsim import geometry as geo
 from stitsim.cli import main
 from stitsim.config import dumps_canonical, run_config_from_json, sanitize
 from stitsim.errors import ExplosionGuard
+from stitsim.experiments import _pht_sample
 from stitsim.measure import (Discrete, DrivingMeasure, axis_measure,
                              isotropic_measure, measure_hitting, sample_hitting)
-from stitsim.pht import (PoissonHyperplanePattern, empty_probability,
-                         pattern_to_json, simulate_pht, tail_event_hits_ball)
-from stitsim.rng import run_replicates, stream
-from stitsim.stats import binomial_sigma
+from stitsim.pht import (PoissonHyperplanePattern, draw_patterns,
+                         empty_probability, pattern_hits, pattern_to_json,
+                         simulate_pht, tail_event_hits_ball)
+from stitsim.rng import stream
+from stitsim.stats import binomial_sigma, ks_two_sample
 from stitsim.stit import Tessellation
 
 LAM = axis_measure([1.0, 1.0])
@@ -61,12 +63,8 @@ def test_empty_probability_values():
 
 
 def test_empty_probability_monte_carlo():
-    def one(_i, rng):
-        pat = simulate_pht(LAM, 1.0, W2, rng)
-        return not tail_event_hits_ball(pat, W1)
-
     n = 30_000
-    hits = sum(run_replicates(one, n, 63))
+    hits = n - int(_pht_sample(LAM, 1.0, W2, (W1,), n, 63).sum())
     target = math.exp(-4.0)
     assert abs(hits / n - target) <= 4 * binomial_sigma(target, n)
 
@@ -80,11 +78,7 @@ def test_tail_event():
 
     seg = geo.Face(((-1.0, 0.0), (1.0, 0.0)))
     n = 20_000
-
-    def one(_i, rng):
-        return tail_event_hits_ball(simulate_pht(LAM, 1.0, W2, rng), seg)
-
-    hits = sum(run_replicates(one, n, 64))
+    hits = int(_pht_sample(LAM, 1.0, W2, (seg,), n, 64).sum())
     target = 1.0 - math.exp(-1.0 * measure_hitting(LAM, seg))
     assert abs(hits / n - target) <= 4 * binomial_sigma(target, n)
 
@@ -97,12 +91,7 @@ def test_capacity_functional_random_bodies():
         hi = lo + rng.uniform(0.2, 1.0, 2)
         bodies.append(geo.Box(tuple(lo), tuple(hi)))
     n = 20_000
-
-    def one(_i, rng_i):
-        pat = simulate_pht(LAM, 1.0, W2, rng_i)
-        return tuple(not tail_event_hits_ball(pat, b) for b in bodies)
-
-    arr = np.asarray(run_replicates(one, n, 66), dtype=float)
+    arr = ~_pht_sample(LAM, 1.0, W2, bodies, n, 66)
     for j, b in enumerate(bodies):
         target = empty_probability(LAM, 1.0, b)
         assert abs(arr[:, j].mean() - target) <= 4 * binomial_sigma(target, n)
@@ -254,3 +243,81 @@ def test_drawn_count_over_cap(monkeypatch):
         else:
             assert len(simulate_pht(LAM, 1.0, W2, stream(95, i)).offsets) == count
     assert 0 < raised < 40
+
+
+# ---------------------------------------------------------------------------
+# the batched draw and hit test against the one-pattern oracles
+
+
+@pytest.mark.parametrize("case", sorted(DISCRETE_CASES) + ["isotropic"])
+def test_batch_draw_is_scalar_counts_then_sample_hitting(case):
+    # the batch's counts come from one poisson call, which consumes the
+    # stream as one scalar call per pattern; its rows then follow as a loop
+    # of sample_hitting would draw them
+    measure, window = DISCRETE_CASES.get(case, (isotropic_measure(1.0), HEX))
+    lam = 0.5 * measure_hitting(measure, window)
+    counts, normals, offsets = draw_patterns(measure, 0.5, window,
+                                             stream(96, 0), 30)
+    rng = stream(96, 0)
+    ref_counts = [int(rng.poisson(lam)) for _ in range(30)]
+    ref = tuple(sample_hitting(measure, window, rng)
+                for _ in range(sum(ref_counts)))
+    assert counts.tolist() == ref_counts
+    assert PoissonHyperplanePattern(window, 0.5, normals,
+                                    offsets).hyperplanes == ref
+
+
+def test_batch_counts_match_simulate_pht():
+    batch = np.concatenate([draw_patterns(LAM, 1.0, W2, stream(97, c), 1000)[0]
+                            for c in range(5)])
+    single = [len(simulate_pht(LAM, 1.0, W2, stream(98, i)).offsets)
+              for i in range(5000)]
+    assert ks_two_sample(batch, single).p_value > 0.005
+
+
+MIXING_WINDOW = geo.Box((-3.2, -2.2), (3.2, 10.2))  # mixing_pht at h = 8
+SEG0 = geo.Face(((-1.0, 0.0), (1.0, 0.0)))
+SEG8 = geo.Face(((-1.0, 8.0), (1.0, 8.0)))
+
+
+@pytest.mark.parametrize("window, bodies", [
+    (W2, (W1,)),  # pht_capacity
+    (MIXING_WINDOW, (SEG0, SEG8)),  # mixing_pht
+])
+def test_batch_hit_frequencies(window, bodies):
+    n = 20_000  # 78 full chunks and a partial one
+    hit = _pht_sample(LAM, 1.0, window, bodies, n, 99)
+    assert hit.shape == (n, len(bodies)) and hit.dtype == bool
+    for b, body in enumerate(bodies):
+        target = 1.0 - empty_probability(LAM, 1.0, body)
+        assert abs(hit[:, b].mean() - target) <= 4 * binomial_sigma(target, n)
+
+
+def _patterns(window, rho, counts, normals, offsets):
+    ends = np.cumsum(counts)
+    return [PoissonHyperplanePattern(window, rho, normals[e - c:e],
+                                     offsets[e - c:e])
+            for c, e in zip(counts, ends)]
+
+
+def test_batch_hits_empty_patterns_and_oracle():
+    counts, normals, offsets = draw_patterns(LAM, 0.2, W2, stream(100, 0), 300)
+    # empty patterns at the start, in the middle and at the end of a chunk
+    k = len(counts) // 2
+    counts = np.concatenate([[0, 0], counts[:k], [0], counts[k:], [0]])
+    bodies = (W1, SEG0, geo.Face(((0.5, -1.5), (1.5, 1.0))))
+    hit = pattern_hits(counts, normals, offsets, bodies)
+    pats = _patterns(W2, 0.2, counts, normals, offsets)
+    assert [len(p.offsets) == 0 for p in pats].count(True) > 4
+    for j, pat in enumerate(pats):
+        for b, body in enumerate(bodies):
+            assert hit[j, b] == tail_event_hits_ball(pat, body)
+    assert not hit[[0, 1, k + 2, -1]].any()
+    assert hit.any()
+
+
+def test_all_empty_chunk_hits_nothing():
+    counts, normals, offsets = draw_patterns(LAM, 1e-9, W2, stream(101, 0), 4096)
+    assert counts.sum() == 0 and normals.shape == (0, 2)
+    hit = pattern_hits(counts, normals, offsets, (W1, SEG0))
+    assert hit.shape == (4096, 2) and not hit.any()
