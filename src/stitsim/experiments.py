@@ -104,10 +104,9 @@ def _with_resample(body):
 
 def _grow(measure, window, nb, t, rng, method="direct") -> stit.BoxForest:
     """nb fresh box trees on the window grown to t, as one batch."""
-    g = box_axis_rates(measure, window)
-    if g is None:
+    if box_axis_rates(measure, window) is None:
         raise RegimeMismatch("tree experiments need an axis measure on a box")
-    return stit.grow_boxes(g, window, np.tile(window.lo_arr, (nb, 1)),
+    return stit.grow_boxes(measure, window, np.tile(window.lo_arr, (nb, 1)),
                            np.tile(window.hi_arr, (nb, 1)), np.arange(nb),
                            0.0, t, rng, method)
 

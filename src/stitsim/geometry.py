@@ -54,6 +54,14 @@ def _lex_positive(u: np.ndarray) -> bool:
     return False
 
 
+def canonical_rows(u: np.ndarray, d: np.ndarray):
+    """Hyperplanes {x : <x, u[i]> = d[i]} in Hyperplane's canonical form:
+    a row whose normal's first non-zero entry is not positive is negated,
+    offset too."""
+    flip = ~(u[np.arange(len(u)), (u != 0).argmax(axis=1)] > 0)
+    return np.where(flip[:, None], -u, u), np.where(flip, -d, d)
+
+
 @dataclass(frozen=True)
 class Hyperplane:
     """Hyperplane {x : <x,u> = d} with unit normal u and signed distance d.
@@ -472,6 +480,88 @@ def intersect(P, Q):
         if cur is None:
             return None
     return cur
+
+
+# ---------------------------------------------------------------------------
+# padded polygon arrays: m convex polygons as vertices V (m, K, 2), each
+# row's count counterclockwise vertices padded with copies of its first, and
+# the counts.  The planar tree and rain kernels and the line drawer read it.
+
+def polygon_vertices(P) -> np.ndarray:
+    """Counterclockwise vertices of a polygon or 2-D box."""
+    return (P.to_polygon() if isinstance(P, Box) else P).verts
+
+
+def pad_to(V: np.ndarray, width: int) -> np.ndarray:
+    """V (m, K, 2) widened to `width` vertices with copies of vertex 0."""
+    extra = width - V.shape[1]
+    if extra <= 0:
+        return V
+    return np.concatenate([V, np.repeat(V[:, :1], extra, axis=1)], axis=1)
+
+
+def pad_polygons(polys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(padded (m, K, 2) vertices, counts) of a list of vertex arrays."""
+    count = np.array([len(v) for v in polys], dtype=np.int64)
+    width = int(count.max(initial=1))
+    V = np.empty((len(polys), width, 2))
+    for i, v in enumerate(polys):
+        V[i] = pad_to(v[None], width)[0]
+    return V, count
+
+
+def project(V: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """<v, u[i]> for every vertex v of cell i: (m, K)."""
+    return V[:, :, 0] * u[:, None, 0] + V[:, :, 1] * u[:, None, 1]
+
+
+def clip_side(V, count, s):
+    """Each cell (V, count) clipped to the side {s <= GEOM_TOL} of its line,
+    s (m, K) being its vertices' signed distances from the line, by one
+    Sutherland-Hodgman pass of clip_tolerant, with its 1e-12 duplicate rule
+    applied between neighbouring points.  Returns (points (m, 2K, 2),
+    counts, ok); ok is False where the piece has fewer than 3 vertices or
+    area at most 1e-12."""
+    m, K = V.shape[:2]
+    j = np.arange(K)
+    valid = j < count[:, None]
+    prev = np.where(j == 0, count[:, None] - 1, j - 1)
+    ps = np.take_along_axis(s, prev, axis=1)
+    pv = np.take_along_axis(V, prev[:, :, None], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = pv + (ps / (ps - s))[:, :, None] * (V - pv)
+    cand = np.stack([x, V], axis=2).reshape(m, 2 * K, 2)
+    inside = s <= GEOM_TOL
+    cross = inside != np.take_along_axis(inside, prev, axis=1)
+    keep = np.stack([cross & valid, inside & valid], axis=2).reshape(m, 2 * K)
+    pts, n = _compact(cand, keep)
+    w = np.roll(pts, -1, axis=1)
+    area = (pts[..., 0] * w[..., 1] - w[..., 0] * pts[..., 1]).sum(axis=1) / 2
+    return pts, n, (n >= 3) & (area > 1e-12)
+
+
+def _compact(cand, keep):
+    """The kept points of each row in order, dropping a point within 1e-12
+    (in both coordinates) of the one before it and a last point within
+    1e-12 of the first, padded with copies of the first.  (pts, counts)"""
+    order = np.argsort(~keep, axis=1, kind="stable")
+    pts = np.take_along_axis(cand, order[:, :, None], axis=1)
+    n = keep.sum(axis=1)
+    j = np.arange(cand.shape[1])
+    near = (np.abs(np.diff(pts, axis=1)) <= 1e-12).all(axis=2)
+    dup = np.zeros(keep.shape, dtype=bool)
+    dup[:, 1:] = near & (j[1:] < n[:, None])
+    last = pts[np.arange(len(pts)), np.maximum(n - 1, 0)]
+    dup[np.arange(len(pts)), np.maximum(n - 1, 0)] |= (
+        (n >= 2) & (np.abs(last - pts[:, 0]) <= 1e-12).all(axis=1))
+    if dup.any():
+        keep = (j < n[:, None]) & ~dup
+        order = np.argsort(~keep, axis=1, kind="stable")
+        pts = np.take_along_axis(pts, order[:, :, None], axis=1)
+        n = keep.sum(axis=1)
+    pad = j >= n[:, None]
+    pts[pad] = np.broadcast_to(pts[:, :1], pts.shape)[pad]
+    return pts, n
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,12 @@ The directional part theta is either a discrete even distribution stored as
 unoriented axes (one representative per +-u pair) or the uniform distribution
 on the circle.  Directions are parameterized over [0, pi) throughout, so a
 weight w_c is the full unoriented mass of its axis.
+
+The STIT trees, the rain lineages and the PHT patterns draw hyperplanes in
+bulk through one drawer per geometry regime, picked with box_axis_rates:
+the box drawer (box_table, draw_box_marks) for an axis measure on a box,
+the line drawer (draw_lines) for every other planar case.  sample_hitting,
+one hyperplane at a time, is their scalar reference.
 """
 
 from __future__ import annotations
@@ -131,7 +137,7 @@ def box_axis_rates(measure: DrivingMeasure, window) -> np.ndarray | None:
     is a box and the measure lives on its coordinate axes.  None otherwise.
 
     This is the one test that selects the box regime's kernels (the STIT
-    tree kernel and the rain lineage kernel).
+    tree kernel, the rain lineage kernel and the box drawer).
     """
     if not isinstance(window, geo.Box):
         return None
@@ -202,30 +208,73 @@ def measure_separating(measure: DrivingMeasure, A, B) -> float:
 
 
 @lru_cache(maxsize=64)
-def _sampling_table(measure: DrivingMeasure, P):
-    """(mass, table) for drawing many hyperplanes that meet P.
-
-    mass is measure_hitting(measure, P).  For a discrete measure, table is
-    (normals, cum, total, lo, span): the axis normals, the cumulative
-    width-weighted axis probabilities and their total, and per axis the low
-    end and the length of the offset range of the hyperplanes meeting P.
-    These are the numbers sample_hitting computes on every draw, so the axis
-    searchsorted(cum, U0 * total) and the offset lo + span * U1 repeat its
-    draw from the same two doubles.  table is None for the isotropic
-    measure.  The result is cached per (measure, P) and its arrays are
-    read-only.
+def box_table(measure: DrivingMeasure, window):
+    """The box drawer's table: (rate, cum, lo, side), rate the window's
+    hitting mass g . side, cum the cumulative axis probabilities
+    cumsum(g * side) / rate, lo and side the window's low corner and side
+    lengths; None outside the box regime (box_axis_rates None).  The result
+    is cached per (measure, window) and its arrays are read-only.
     """
-    mass = measure_hitting(measure, P)
-    th = measure.directional
-    if not isinstance(th, Discrete):
-        return mass, None
-    probs = th.weights * _discrete_widths(th, P)
-    lo = np.array([-geo.support_function(P, -u) for u in th.dir_array])
-    hi = np.array([geo.support_function(P, u) for u in th.dir_array])
-    normals, cum, span = th.dir_array.copy(), np.cumsum(probs), hi - lo
-    for a in (normals, cum, lo, span):
+    g = box_axis_rates(measure, window)
+    if g is None:
+        return None
+    side = window.hi_arr - window.lo_arr
+    rate = float(g @ side)
+    cum, lo = np.cumsum(g * side) / rate, window.lo_arr.copy()
+    for a in (cum, lo, side):
         a.flags.writeable = False
-    return mass, (normals, cum, probs.sum(), lo, span)
+    return rate, cum, lo, side
+
+
+def draw_box_marks(table, u_axis, u_offset):
+    """(axes, offsets) of box marks, from the caller's uniforms (any shape):
+    an axis with probability g_c side_c / rate by one left searchsorted of
+    u_axis in the table's cum, an offset uniform on the window's side along
+    it from u_offset."""
+    _, cum, lo, side = table
+    axis = np.minimum(np.searchsorted(cum, u_axis), len(cum) - 1)
+    return axis, lo[axis] + u_offset * side[axis]
+
+
+def draw_lines(rng, measure: DrivingMeasure, V: np.ndarray):
+    """One line per cell from the measure restricted to the lines meeting
+    it, as sample_hitting draws: a discrete axis weighted by w_c width_c or
+    an isotropic direction accepted with probability width / diameter, then
+    an offset uniform in the cell's support interval.  V (m, K, dim) holds
+    the cells' vertices (padded, or one window broadcast to every row).
+    Returns (normals, offsets)."""
+    m = len(V)
+    th = measure.directional
+    rows = np.arange(m)
+    if isinstance(th, Discrete):
+        proj = V @ th.dir_array.T
+        lo, hi = proj.min(axis=1), proj.max(axis=1)
+        cum = np.cumsum(th.weights * (hi - lo), axis=1)
+        x = rng.random(m) * cum[:, -1]
+        k = np.minimum((cum < x[:, None]).sum(axis=1), len(th.weights) - 1)
+        u, lo, hi = th.dir_array[k], lo[rows, k], hi[rows, k]
+    else:
+        # a window broadcast to all rows (stride 0) needs one diameter
+        W = V[:1] if V.strides[0] == 0 else V
+        diam = np.broadcast_to(np.sqrt(((W[:, :, None] - W[:, None]) ** 2)
+                                       .sum(axis=3).max(axis=(1, 2))), m)
+        u, lo, hi = np.empty((m, 2)), np.empty(m), np.empty(m)
+        todo = rows
+        for _ in range(_SAMPLER_CAP):
+            if not len(todo):
+                break
+            phi = rng.random(len(todo)) * math.pi
+            c = np.column_stack([np.cos(phi), np.sin(phi)])
+            proj = geo.project(V[todo], c)
+            p_lo, p_hi = proj.min(axis=1), proj.max(axis=1)
+            ok = rng.random(len(todo)) * diam[todo] <= p_hi - p_lo
+            r = todo[ok]
+            u[r], lo[r], hi[r] = c[ok], p_lo[ok], p_hi[ok]
+            todo = todo[~ok]
+        else:
+            if len(todo):
+                raise SamplerStall("isotropic direction sampler exceeded cap")
+    return u, lo + rng.random(m) * (hi - lo)
 
 
 def sample_hitting(measure: DrivingMeasure, P, rng) -> geo.Hyperplane:

@@ -4,7 +4,9 @@ A pattern is held as two arrays: unit normals (count, dim) and signed
 offsets (count,), row i being the hyperplane {x : <x, normals[i]> =
 offsets[i]} in canonical form (lexicographically positive normal).  A
 batch of patterns is the same two arrays, the patterns' rows one after
-another, plus their counts.
+another, plus their counts.  Rows are drawn through measure's window-level
+drawers: the box drawer for an axis measure on a box window, else one call
+of the line drawer on the window broadcast to every row.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import numpy as np
 from . import geometry as geo
 from . import stit
 from .errors import ExplosionGuard
-from .measure import (DrivingMeasure, _sampling_table, measure_hitting,
-                      sample_hitting)
+from .measure import (DrivingMeasure, box_table, draw_box_marks, draw_lines,
+                      measure_hitting)
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,13 +30,6 @@ class PoissonHyperplanePattern:
     rho: float
     normals: np.ndarray
     offsets: np.ndarray
-
-    @classmethod
-    def from_hyperplanes(cls, window: geo.Polytope, rho: float,
-                         hs) -> PoissonHyperplanePattern:
-        hs = tuple(hs)
-        normals = np.array([h.u for h in hs], dtype=float).reshape(len(hs), window.dim)
-        return cls(window, rho, normals, np.array([h.d for h in hs], dtype=float))
 
     @cached_property
     def hyperplanes(self) -> tuple[geo.Hyperplane, ...]:
@@ -48,15 +43,19 @@ def draw_patterns(measure: DrivingMeasure, rho: float, window: geo.Polytope,
 
     The `size` Poisson(rho * mass(window)) counts come first, in one call,
     then the rows of pattern 0, 1, ... in order: pattern j is rows
-    counts[:j].sum() up to counts[:j + 1].sum().  For a discrete measure row
-    i is drawn from the doubles 2i and 2i + 1 after the counts (axis, then
-    offset), the order in which a loop of sample_hitting would consume them.
-    Generator.poisson(lam, size) consumes the stream as `size` scalar calls
-    do, so size 1 is exactly simulate_pht's draw.
+    counts[:j].sum() up to counts[:j + 1].sum().  For an axis measure on a
+    box mass(window) is the box drawer's rate and row i its mark from the
+    doubles 2i and 2i + 1 after the counts (axis, then offset), the order in
+    which a loop of sample_hitting would consume them.  Otherwise every row comes from one
+    line drawer call on the window, normals in canonical form; the rows
+    follow sample_hitting's law, not its draws.  Generator.poisson(lam,
+    size) consumes the stream as `size` scalar calls do, so size 1 is
+    exactly simulate_pht's draw.
     """
     if not rho >= 0:  # also catches NaN
         raise ValueError(f"rho must be a non-negative number, got {rho!r}")
-    mass, table = _sampling_table(measure, window)
+    table = box_table(measure, window)  # one cached call per chunk
+    mass = measure_hitting(measure, window) if table is None else table[0]
     if rho * mass > stit.EVENT_CAP:
         raise ExplosionGuard(
             f"PHT with rho={rho:g} on a window of hitting mass {mass:g} expects "
@@ -69,14 +68,12 @@ def draw_patterns(measure: DrivingMeasure, rho: float, window: geo.Polytope,
             f"{counts.max()} hyperplanes, over the cap of {stit.EVENT_CAP}")
     total = int(counts.sum())
     if table is None:
-        pattern = PoissonHyperplanePattern.from_hyperplanes(
-            window, rho, (sample_hitting(measure, window, rng)
-                          for _ in range(total)))
-        return counts, pattern.normals, pattern.offsets
-    normals, cum, mass_sum, lo, span = table
+        V = window.vertices()
+        return counts, *geo.canonical_rows(*draw_lines(
+            rng, measure, np.broadcast_to(V, (total,) + V.shape)))
     u = rng.random(2 * total).reshape(total, 2)
-    k = np.minimum(np.searchsorted(cum, u[:, 0] * mass_sum), len(cum) - 1)
-    return counts, np.take(normals, k, axis=0), lo[k] + span[k] * u[:, 1]
+    axis, offsets = draw_box_marks(table, u[:, 0], u[:, 1])
+    return counts, np.eye(window.dim).take(axis, axis=0), offsets
 
 
 def simulate_pht(measure: DrivingMeasure, rho: float, window: geo.Polytope,

@@ -11,15 +11,16 @@ exact for first-cut times, encapsulation times and avoidance indicators.
 Each geometry regime has one lineage kernel, the only loop that follows a
 cell through the rain, and each follows a batch of replicates at once:
 ``_fast_lineage`` clamps box intervals when the measure lives on the
-coordinate axes and the window is a box, and ``_polygon_lineage`` clips
-convex polygons, in the padded layout of stit.grow_polygons, for every
-other planar measure and window.  A kernel follows the cell shared by a
-group of bodies: a mark that meets a body cuts it and the rest keep the
-cell, and a mark that separates the group splits it, each side continuing
-on its own rain.  The zero-cell scan is the one-body case and the pair scan
-the two-body case.  Both kernels draw marks on demand, _CHUNK at a time for
-the rows they still follow, each row (or side of a split) continuing on the
-batch's stream from its last time.
+coordinate axes and the window is a box, its marks from measure's box
+drawer, and ``_polygon_lineage`` clips convex polygons in geometry's padded
+layout for every other planar measure and window, its lines from measure's
+line drawer.  A kernel follows the cell shared by a group of bodies: a
+mark that meets a body cuts it and the rest keep the cell, and a mark that
+separates the group splits it, each side continuing on its own rain.  The
+zero-cell scan is the one-body case and the pair scan the two-body case.
+Both kernels draw marks on demand, _CHUNK at a time for the rows they still
+follow, each row (or side of a split) continuing on the batch's stream from
+its last time.
 """
 
 from __future__ import annotations
@@ -27,10 +28,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import geometry as geo
-from .measure import DrivingMeasure, box_axis_rates, measure_hitting
+from .measure import (DrivingMeasure, box_axis_rates, box_table,
+                      draw_box_marks, draw_lines, measure_hitting)
 from .rng import stream
-from .stit import (_clip_side, _lines, _pad, _pad_to, _polygon_vertices,
-                   _project)
 
 _BATCH = 1 << 16
 _CHUNK = 4  # rain marks drawn per followed row at a time
@@ -54,7 +54,7 @@ def zero_cell_scan(measure: DrivingMeasure, window, inner, horizon: float,
     g = box_axis_rates(measure, window)
     band_axis = [b.axis_form() for b in bands]
     if g is not None and all(f is not None for f in band_axis):
-        return _fast_zero(g, window, inner, horizon, n, seed, band_axis)
+        return _fast_zero(measure, window, inner, horizon, n, seed, band_axis)
     return _generic_zero(measure, window, inner, horizon, n, seed, bands)
 
 
@@ -76,8 +76,8 @@ def pair_scan(measure: DrivingMeasure, window, body_a, body_b, horizon: float,
     """
     g = box_axis_rates(measure, window)
     if g is not None and (enclosure is None or isinstance(enclosure, geo.Box)):
-        return _fast_pair(g, window, body_a, body_b, horizon, n, seed, enclosure,
-                          base)
+        return _fast_pair(measure, window, body_a, body_b, horizon, n, seed,
+                          enclosure, base)
     return _generic_pair(measure, window, body_a, body_b, horizon, n, seed,
                          enclosure, base)
 
@@ -85,21 +85,21 @@ def pair_scan(measure: DrivingMeasure, window, body_a, body_b, horizon: float,
 # ---------------------------------------------------------------------------
 # box regime
 
-def _fast_zero(g, window: geo.Box, inner, horizon, n, seed, band_axis):
-    cut, tau, sbands, work = _fast_scan(g, window, (inner,), horizon, n, seed,
-                                        window, band_axis)
+def _fast_zero(measure, window: geo.Box, inner, horizon, n, seed, band_axis):
+    cut, tau, sbands, work = _fast_scan(measure, window, (inner,), horizon, n,
+                                        seed, window, band_axis)
     return {"tau_enc": tau, "sigma_inner": cut[:, 0], "sigma_bands": sbands,
             **work}
 
 
-def _fast_pair(g, window: geo.Box, body_a, body_b, horizon, n, seed, enclosure,
-               base=0):
-    cut, tau, _, work = _fast_scan(g, window, (body_a, body_b), horizon, n,
-                                   seed, enclosure, (), base)
+def _fast_pair(measure, window: geo.Box, body_a, body_b, horizon, n, seed,
+               enclosure, base=0):
+    cut, tau, _, work = _fast_scan(measure, window, (body_a, body_b), horizon,
+                                   n, seed, enclosure, (), base)
     return {"cut_a": cut[:, 0], "cut_b": cut[:, 1], "tau_enc": tau, **work}
 
 
-def _fast_scan(g, window: geo.Box, bodies, horizon, n, seed, enclosure,
+def _fast_scan(measure, window: geo.Box, bodies, horizon, n, seed, enclosure,
                band_axis, base=0):
     """n lineages of `bodies` through _fast_lineage, batch b of _BATCH on
     stream(seed, base + b): the cuts (n, k), the enclosure and band clocks,
@@ -107,13 +107,10 @@ def _fast_scan(g, window: geo.Box, bodies, horizon, n, seed, enclosure,
     b_lo, b_hi = np.array([geo.support_interval(b, np.eye(window.dim))
                            for b in bodies]).transpose(1, 0, 2)
     enc = None if enclosure is None else (enclosure.lo_arr, enclosure.hi_arr)
-    side = window.hi_arr - window.lo_arr
-    rate_c = g * side
-    cum = np.cumsum(rate_c / rate_c.sum())
 
     def follow(rng, nb):
         return _fast_lineage(
-            (rng, rate_c.sum(), cum, window.lo_arr, side),
+            (rng, box_table(measure, window)),
             np.tile(window.lo_arr, (nb, 1)), np.tile(window.hi_arr, (nb, 1)),
             b_lo, b_hi, np.zeros(nb), horizon, enc, np.full(nb, np.inf),
             np.ones((nb, len(bodies)), dtype=bool), band_axis)
@@ -145,8 +142,8 @@ def _fast_lineage(rain, lo, hi, b_lo, b_hi, t, horizon, enc, tau, live,
                   bands=()):
     """Follow the box cells shared by k bodies through the rain from time t.
 
-    rain = (rng, rate, cumulative axis weights, window lo, window sides);
-    each row draws _CHUNK marks at a time from t, which advances in place.
+    rain = (rng, the window's box_table); each row draws _CHUNK marks at a
+    time from t, which advances in place.
     lo and hi (nb, ell) are the cells, clamped in place; b_lo and b_hi
     (k, ell) the bodies' intervals; live (nb, k) marks the bodies in each
     row's cell.  A mark that meets the cell cuts the live bodies it meets
@@ -159,7 +156,7 @@ def _fast_lineage(rain, lo, hi, b_lo, b_hi, t, horizon, enc, tau, live,
     mark inside each axis band (axis, lo, hi) before body 0's cut.  With enc
     and k > 1 rows retire as pair_scan describes.
     """
-    rng, rate, cum, v_lo, v_side = rain
+    rng, table = rain
     nb, k = len(lo), len(b_lo)
     retire = enc is not None and k > 1
     cut, sb = np.full((nb, k), np.inf), np.full((nb, len(bands)), np.inf)
@@ -170,9 +167,9 @@ def _fast_lineage(rain, lo, hi, b_lo, b_hi, t, horizon, enc, tau, live,
 
     while len(idx) > 0:
         shape = (len(idx), _CHUNK)
-        times = np.cumsum(rng.exponential(1.0 / rate, shape), axis=1) + t[idx, None]
-        axes = np.minimum(np.searchsorted(cum, rng.random(shape)), len(cum) - 1)
-        ds = v_lo[axes] + rng.random(shape) * v_side[axes]
+        times = (np.cumsum(rng.exponential(1.0 / table[0], shape), axis=1)
+                 + t[idx, None])
+        axes, ds = draw_box_marks(table, rng.random(shape), rng.random(shape))
         t[idx] = times[:, -1]
         drawn += times.size
         at = np.arange(len(idx))  # chunk rows still followed
@@ -268,9 +265,9 @@ def _generic_scan(measure, window, bodies, horizon, n, seed, enclosure, bands,
     """n lineages of `bodies` through _polygon_lineage, batch b of _BATCH on
     stream(seed, base + b): the cuts (n, k), the enclosure and band clocks,
     and the counters (no row retires)."""
-    wv = _polygon_vertices(window)
+    wv = geo.polygon_vertices(window)
     rate = measure_hitting(measure, window)
-    B = _pad([np.asarray(b.vertices(), dtype=float) for b in bodies])[0]
+    B = geo.pad_polygons([np.asarray(b.vertices(), dtype=float) for b in bodies])[0]
     enc = None
     if enclosure is not None:
         normals, offsets = zip(*enclosure.facets())
@@ -296,8 +293,8 @@ def _polygon_lineage(rain, V, count, bodies, t, horizon, enc, tau, live,
 
     The planar counterpart of _fast_lineage.  rain = (rng, measure, window
     vertices, window hitting mass); each row draws _CHUNK window-level lines
-    at a time from t, which advances in place.  V (nb, K, 2) and count are
-    the cells, in the padded layout of stit.grow_polygons; bodies (k, Kb, 2)
+    from the line drawer at a time from t, which advances in place.  V (nb,
+    K, 2) and count are the cells, in geometry's padded layout; bodies (k, Kb, 2)
     the bodies' vertices; live (nb, k) marks the bodies in each row's cell.
     A line meets a body or cell whose closed projection interval holds it,
     as geometry.hits.  One that meets the cell cuts the live bodies it meets
@@ -321,7 +318,8 @@ def _polygon_lineage(rain, V, count, bodies, t, horizon, enc, tau, live,
     while len(idx) > 0:
         shape = (len(idx), _CHUNK)
         times = np.cumsum(rng.exponential(1.0 / rate, shape), axis=1) + t[idx, None]
-        us, ds = _lines(rng, measure, np.broadcast_to(wv, (times.size,) + wv.shape))
+        us, ds = draw_lines(rng, measure,
+                            np.broadcast_to(wv, (times.size,) + wv.shape))
         us, ds = us.reshape(shape + (2,)), ds.reshape(shape)
         in_band = [b.marks_in(us, ds) for b in bands]
         t[idx] = times[:, -1]
@@ -332,7 +330,7 @@ def _polygon_lineage(rain, V, count, bodies, t, horizon, enc, tau, live,
             if len(at) == 0:
                 break
             r, u, d, tm = idx[at], us[at, j], ds[at, j], times[at, j]
-            proj = _project(V[r], u)
+            proj = geo.project(V[r], u)
             meet = (proj.min(axis=1) <= d) & (d <= proj.max(axis=1))
             b_proj = bodies @ u.T  # (k, Kb, m)
             b_lo, b_hi = b_proj.min(axis=1).T, b_proj.max(axis=1).T
@@ -352,8 +350,8 @@ def _polygon_lineage(rain, V, count, bodies, t, horizon, enc, tau, live,
             rc = r[one]
             s = np.where(any_low[one], 1.0, -1.0)[:, None] * (
                 proj[one] - d[one, None])
-            pts, n, ok = _clip_side(V[rc], count[rc], s)
-            V = _pad_to(V, int(n.max(initial=0)))
+            pts, n, ok = geo.clip_side(V[rc], count[rc], s)
+            V = geo.pad_to(V, int(n.max(initial=0)))
             V[rc[ok]], count[rc[ok]] = pts[ok, :V.shape[1]], n[ok]
             if enc is not None:
                 e = one[ok]
@@ -375,8 +373,8 @@ def _polygon_lineage(rain, V, count, bodies, t, horizon, enc, tau, live,
     for second in (False, True):
         side = ~side if second else side
         s = np.where(side, 1.0, -1.0)[:, None] * (
-            _project(V[sub], u_sep[sub]) - d_sep[sub, None])
-        pts, n, ok = _clip_side(V[sub], count[sub], s)
+            geo.project(V[sub], u_sep[sub]) - d_sep[sub, None])
+        pts, n, ok = geo.clip_side(V[sub], count[sub], s)
         rows, n = sub[ok], n[ok]
         if len(rows) == 0:
             continue

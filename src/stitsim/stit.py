@@ -16,9 +16,12 @@ one generation at a time over flat arrays, and ``advance`` picks it.
 ``grow_boxes`` serves an axis measure on a box window, where every cell
 stays a box, and the experiments read its arrays directly.
 ``grow_polygons`` serves every other planar measure and window: its cells
-are convex polygons, split by a vectorised Sutherland-Hodgman pass, and an
-isotropic cell's hitting mass is Cauchy's gamma * perimeter / pi.  A
-``CellTree`` is one tree's forest plus parent ids; polytopes come on demand.
+are convex polygons in geometry's padded layout, split by a vectorised
+Sutherland-Hodgman pass, and an isotropic cell's hitting mass is Cauchy's
+gamma * perimeter / pi.  Both kernels draw through measure's drawer for
+their regime (box marks or lines), and in ``rejection`` both run one
+window-rain loop.  A ``CellTree`` is one tree's forest plus parent ids;
+polytopes come on demand.
 
 A tree, or a batch of trees, is built from one random stream (see rng).
 """
@@ -34,9 +37,9 @@ import numpy as np
 from . import geometry as geo
 from .errors import (AmbiguousZeroCell, DegenerateCut, ExplosionGuard,
                      InsufficientNests, MethodMismatch, OutOfRange,
-                     SamplerStall, WindowMismatch)
-from .measure import (_SAMPLER_CAP, Discrete, DrivingMeasure, box_axis_rates,
-                      measure_hitting)
+                     WindowMismatch)
+from .measure import (Discrete, DrivingMeasure, box_axis_rates, box_table,
+                      draw_box_marks, draw_lines, measure_hitting)
 
 EVENT_CAP = 10 ** 7
 _SPLIT_RETRY_CAP = 100
@@ -147,11 +150,10 @@ class BoxForest:
 @dataclass(frozen=True)
 class PolygonForest:
     """The nodes of a batch of planar trees as flat arrays, in the order of
-    BoxForest.  verts (N, K, 2) holds each cell's count counterclockwise
-    vertices, padded with copies of its first vertex.  A divided cell has
-    its cut (normal, offset), the line {x : <x, normal> = offset}; a cell
-    alive at the horizon has death inf.  rejected holds the rejection
-    method's misses as (node, normal, offset) in draw order.
+    BoxForest, the cells (verts, count) in geometry's padded layout.  A
+    divided cell has its cut (normal, offset), the line {x : <x, normal> =
+    offset}; a cell alive at the horizon has death inf.  rejected holds the
+    rejection method's misses as (node, normal, offset) in draw order.
     """
 
     rep: np.ndarray
@@ -188,10 +190,10 @@ def simulate(measure: DrivingMeasure, window: geo.Polytope, t: float, rng,
     if method not in ("direct", "rejection"):
         raise ValueError(f"unknown method {method!r}")
     rep, g = np.zeros(1, dtype=np.int64), box_axis_rates(measure, window)
-    f = (grow_polygons(measure, window, [_polygon_vertices(window)], rep, 0.0,
-                       t, rng, method) if g is None else
-         grow_boxes(g, window, window.lo_arr[None], window.hi_arr[None], rep,
-                    0.0, t, rng, method))
+    f = (grow_polygons(measure, window, [geo.polygon_vertices(window)], rep,
+                       0.0, t, rng, method) if g is None else
+         grow_boxes(measure, window, window.lo_arr[None], window.hi_arr[None],
+                    rep, 0.0, t, rng, method))
     return CellTree(window, measure, method, f, np.concatenate(
         [[-1], np.repeat(np.flatnonzero(~f.alive), 2)]), t)
 
@@ -212,15 +214,14 @@ def advance(tree: CellTree, dt: float, rng) -> CellTree:
     live = np.flatnonzero(f.alive)
     rep = np.zeros(len(live), dtype=np.int64)
     t0, horizon = tree.current_time, tree.current_time + dt
-    g = box_axis_rates(tree.measure, tree.window)
-    if g is None:
+    if box_axis_rates(tree.measure, tree.window) is None:
         new = grow_polygons(tree.measure, tree.window,
                             [f.verts[i, :k] for i, k in
                              zip(live, f.count[live].tolist())],
                             rep, t0, horizon, rng, tree.method)
     else:
-        new = grow_boxes(g, tree.window, f.lo[live], f.hi[live], rep, t0,
-                         horizon, rng, tree.method)
+        new = grow_boxes(tree.measure, tree.window, f.lo[live], f.hi[live],
+                         rep, t0, horizon, rng, tree.method)
     m, n = len(live), len(f.death)
     ids = np.concatenate([live, np.arange(n, n + len(new.death) - m)])
     cols = []
@@ -228,7 +229,7 @@ def advance(tree: CellTree, dt: float, rng) -> CellTree:
         a, b = getattr(f, name), getattr(new, name)
         if a.ndim == 3:  # padded vertices
             width = max(a.shape[1], b.shape[1])
-            a, b = _pad_to(a, width), _pad_to(b, width)
+            a, b = geo.pad_to(a, width), geo.pad_to(b, width)
         cols.append(np.concatenate([a, b[m:]]))
         cols[-1][live] = b[:m]
     at, *miss = new.rejected
@@ -269,27 +270,48 @@ def _stuck(t: float, live: int) -> DegenerateCut:
                          f"{_SPLIT_RETRY_CAP} tries, {_state(t, live)}")
 
 
+def _window_rain(rng, rate, draw, meets, mark, t, horizon):
+    """The first window-level mark after t[i] that meets cell i by the
+    horizon, in the rejection method: marks come at `rate`, draw(n) gives n
+    of them as (u, d) from the regime's drawer and meets(i, u, d) tells
+    whether each meets its cell i.  mark holds each cell's u until one
+    meets it.  Returns the meeting marks' times (inf when none), u and d,
+    and the misses before them as (cell, u, d) in draw order."""
+    m = len(t)
+    when, offset = np.full(m, np.inf), np.zeros(m)
+    idx, t, misses = np.arange(m), t.copy(), []
+    while len(idx):
+        t[idx] += rng.standard_exponential(len(idx)) / rate
+        idx = idx[t[idx] <= horizon]
+        u, d = draw(len(idx))
+        hit = meets(idx, u, d)
+        misses.append((idx[~hit], u[~hit], d[~hit]))
+        h = idx[hit]
+        when[h], mark[h], offset[h] = t[h], u[hit], d[hit]
+        idx = idx[~hit]
+    return when, mark, offset, tuple(map(np.concatenate, zip(*misses)))
+
+
 # ---------------------------------------------------------------------------
 # box regime
 
-def grow_boxes(g, window: geo.Box, lo, hi, rep, t0: float, horizon: float,
-               rng, method: str = "direct") -> BoxForest:
+def grow_boxes(measure: DrivingMeasure, window: geo.Box, lo, hi, rep,
+               t0: float, horizon: float, rng,
+               method: str = "direct") -> BoxForest:
     """Divide the box cells (lo, hi) (m, ell) of the trees rep from t0 to
-    the horizon, under the axis measure with per-axis rates g on `window`.
+    the horizon, under an axis measure on the box `window`.
 
     Every live cell of a generation draws its division at once: in
     `direct` a death time Exp(mass(cell)) after its birth and a cut drawn
-    in the cell; in `rejection` window-level marks (time, axis, offset),
-    one per round for each cell no mark has hit yet, the first hit dividing
-    the cell.  Cells dying by the horizon split into the next generation.
-    The running cap counts divisions and rejected draws.
+    in the cell; in `rejection` window-level marks (time, axis, offset)
+    from the box drawer, one per round for each cell no mark has hit yet,
+    the first hit dividing the cell.  Cells dying by the horizon split
+    into the next generation.  The running cap counts divisions and
+    rejected draws.
     """
-    g = np.asarray(g, dtype=float)
-    side = window.hi_arr - window.lo_arr
-    window_rate = float(g @ side)
-    _check_work(horizon - t0, window_rate)
-    rain = (np.cumsum(g * side) / window_rate, window.lo_arr, side,
-            window_rate)
+    g = box_axis_rates(measure, window)
+    table = box_table(measure, window)
+    _check_work(horizon - t0, table[0])
     birth = np.full(len(lo), float(t0))
     gens, start, events, done = [], 0, 0, 0
     misses = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
@@ -297,8 +319,11 @@ def grow_boxes(g, window: geo.Box, lo, hi, rep, t0: float, horizon: float,
     while len(lo):
         m = len(lo)
         if method == "rejection":
-            death, axis, cut, (at, ax, d) = _window_rain(rng, rain, lo, hi,
-                                                         birth, horizon)
+            death, axis, cut, (at, ax, d) = _window_rain(
+                rng, table[0],
+                lambda n: draw_box_marks(table, rng.random(n), rng.random(n)),
+                lambda i, ax, d: (d > lo[i, ax]) & (d < hi[i, ax]),
+                np.full(m, -1), birth, horizon)
             misses.append((start + at, ax, d))
             events += len(at)
         else:
@@ -342,31 +367,6 @@ def _box_cuts(rng, g, lo, hi, ax, d, where):
     raise _stuck(*where)
 
 
-def _window_rain(rng, rain, lo, hi, t, horizon):
-    """The first window-level mark after t[i] that hits box i by the horizon.
-
-    rain = (cumulative axis probabilities, window lo, window side, window
-    rate).  Returns the marks' times (inf when none), axes and offsets, and
-    the misses before them as (box, axis, offset) in draw order.
-    """
-    cum, v_lo, v_side, rate = rain
-    m = len(lo)
-    when, axis, cut = np.full(m, np.inf), np.full(m, -1), np.zeros(m)
-    idx, t, misses = np.arange(m), t.copy(), []
-    while len(idx):
-        t[idx] += rng.standard_exponential(len(idx)) / rate
-        idx = idx[t[idx] <= horizon]
-        ax = np.minimum(np.searchsorted(cum, rng.random(len(idx)),
-                                        side="right"), len(cum) - 1)
-        d = v_lo[ax] + rng.random(len(idx)) * v_side[ax]
-        hit = (d > lo[idx, ax]) & (d < hi[idx, ax])
-        misses.append((idx[~hit], ax[~hit], d[~hit]))
-        h = idx[hit]
-        when[h], axis[h], cut[h] = t[h], ax[hit], d[hit]
-        idx = idx[~hit]
-    return when, axis, cut, tuple(map(np.concatenate, zip(*misses)))
-
-
 # ---------------------------------------------------------------------------
 # polygon regime
 
@@ -392,8 +392,8 @@ def grow_polygons(measure: DrivingMeasure, window: geo.Polytope, verts, rep,
     if not window_rate > 0:
         raise ValueError("window has zero hitting mass")
     _check_work(horizon - t0, window_rate)
-    wv = _polygon_vertices(window)
-    V, count = _pad([np.asarray(v, dtype=float) for v in verts])
+    wv = geo.polygon_vertices(window)
+    V, count = geo.pad_polygons([np.asarray(v, dtype=float) for v in verts])
     birth = np.full(len(V), float(t0))
     gens, start, events, done = [], 0, 0, 0
     misses = [(np.zeros(0, dtype=np.int64), np.zeros((0, 2)), np.zeros(0))]
@@ -401,8 +401,13 @@ def grow_polygons(measure: DrivingMeasure, window: geo.Polytope, verts, rep,
         m = len(V)
         normal, offset = np.zeros((m, 2)), np.zeros(m)
         if method == "rejection":
-            death, normal, offset, (at, mu, md) = _polygon_rain(
-                rng, measure, wv, window_rate, V, birth, horizon)
+            def meets(i, u, d):
+                proj = geo.project(V[i], u)
+                return (proj.min(axis=1) <= d) & (d <= proj.max(axis=1))
+            death, normal, offset, (at, mu, md) = _window_rain(
+                rng, window_rate, lambda n: draw_lines(
+                    rng, measure, np.broadcast_to(wv, (n,) + wv.shape)),
+                meets, normal, birth, horizon)
             misses.append((start + at, mu, md))
             events += len(at)
         else:
@@ -421,37 +426,9 @@ def grow_polygons(measure: DrivingMeasure, window: geo.Polytope, verts, rep,
         rep, birth = np.repeat(rep[dies], 2), np.repeat(death[dies], 2)
         start, done = start + m, done + m - len(dies)
     width = max(g[1].shape[1] for g in gens)
-    gens = [(r, _pad_to(v, width), *rest) for r, v, *rest in gens]
+    gens = [(r, geo.pad_to(v, width), *rest) for r, v, *rest in gens]
     return PolygonForest(*map(np.concatenate, zip(*gens)),
                          rejected=tuple(map(np.concatenate, zip(*misses))))
-
-
-def _polygon_vertices(P) -> np.ndarray:
-    """Counterclockwise vertices of a polygon or 2-D box."""
-    return (P.to_polygon() if isinstance(P, geo.Box) else P).verts
-
-
-def _pad_to(V: np.ndarray, width: int) -> np.ndarray:
-    """V (m, K, 2) widened to `width` vertices with copies of vertex 0."""
-    extra = width - V.shape[1]
-    if extra <= 0:
-        return V
-    return np.concatenate([V, np.repeat(V[:, :1], extra, axis=1)], axis=1)
-
-
-def _pad(polys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """(padded (m, K, 2) vertices, counts) of a list of vertex arrays."""
-    count = np.array([len(v) for v in polys], dtype=np.int64)
-    width = int(count.max(initial=1))
-    V = np.empty((len(polys), width, 2))
-    for i, v in enumerate(polys):
-        V[i] = _pad_to(v[None], width)[0]
-    return V, count
-
-
-def _project(V: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """<v, u[i]> for every vertex v of cell i: (m, K)."""
-    return V[:, :, 0] * u[:, None, 0] + V[:, :, 1] * u[:, None, 1]
 
 
 def _masses(measure: DrivingMeasure, V: np.ndarray) -> np.ndarray:
@@ -464,67 +441,6 @@ def _masses(measure: DrivingMeasure, V: np.ndarray) -> np.ndarray:
     edges = np.roll(V, -1, axis=1) - V
     return measure.gamma * np.hypot(edges[..., 0], edges[..., 1]).sum(
         axis=1) / math.pi
-
-
-def _lines(rng, measure: DrivingMeasure, V: np.ndarray):
-    """One line per cell from the measure restricted to the lines meeting
-    it, as sample_hitting draws: a discrete axis weighted by w_c width_c or
-    an isotropic direction accepted with probability width / diameter, then
-    an offset uniform in the cell's support interval.  Returns (normals,
-    offsets)."""
-    m = len(V)
-    th = measure.directional
-    rows = np.arange(m)
-    if isinstance(th, Discrete):
-        proj = V @ th.dir_array.T
-        lo, hi = proj.min(axis=1), proj.max(axis=1)
-        cum = np.cumsum(th.weights * (hi - lo), axis=1)
-        x = rng.random(m) * cum[:, -1]
-        k = np.minimum((cum < x[:, None]).sum(axis=1), len(th.weights) - 1)
-        u, lo, hi = th.dir_array[k], lo[rows, k], hi[rows, k]
-    else:
-        # a window broadcast to all rows (stride 0) needs one diameter
-        W = V[:1] if V.strides[0] == 0 else V
-        diam = np.broadcast_to(np.sqrt(((W[:, :, None] - W[:, None]) ** 2)
-                                       .sum(axis=3).max(axis=(1, 2))), m)
-        u, lo, hi = np.empty((m, 2)), np.empty(m), np.empty(m)
-        todo = rows
-        for _ in range(_SAMPLER_CAP):
-            if not len(todo):
-                break
-            phi = rng.random(len(todo)) * math.pi
-            c = np.column_stack([np.cos(phi), np.sin(phi)])
-            proj = _project(V[todo], c)
-            p_lo, p_hi = proj.min(axis=1), proj.max(axis=1)
-            ok = rng.random(len(todo)) * diam[todo] <= p_hi - p_lo
-            r = todo[ok]
-            u[r], lo[r], hi[r] = c[ok], p_lo[ok], p_hi[ok]
-            todo = todo[~ok]
-        else:
-            if len(todo):
-                raise SamplerStall("isotropic direction sampler exceeded cap")
-    return u, lo + rng.random(m) * (hi - lo)
-
-
-def _polygon_rain(rng, measure, wv, rate, V, t, horizon):
-    """The first window-level line after t[i] that hits cell i by the
-    horizon, for the window with vertices wv and hitting mass rate.
-    Returns the lines' times (inf when none), normals and offsets, and the
-    misses before them as (cell, normal, offset) in draw order."""
-    m = len(V)
-    when, normal, offset = np.full(m, np.inf), np.zeros((m, 2)), np.zeros(m)
-    idx, t, misses = np.arange(m), t.copy(), []
-    while len(idx):
-        t[idx] += rng.standard_exponential(len(idx)) / rate
-        idx = idx[t[idx] <= horizon]
-        u, d = _lines(rng, measure, np.broadcast_to(wv, (len(idx),) + wv.shape))
-        proj = _project(V[idx], u)
-        hit = (proj.min(axis=1) <= d) & (d <= proj.max(axis=1))
-        misses.append((idx[~hit], u[~hit], d[~hit]))
-        h = idx[hit]
-        when[h], normal[h], offset[h] = t[h], u[hit], d[hit]
-        idx = idx[~hit]
-    return when, normal, offset, tuple(map(np.concatenate, zip(*misses)))
 
 
 def _split(rng, measure, V, count, cuts, where):
@@ -541,7 +457,7 @@ def _split(rng, measure, V, count, cuts, where):
     todo, draw = np.arange(m), cuts is None
     for _ in range(_SPLIT_RETRY_CAP):
         if draw and len(todo):
-            u[todo], d[todo] = _lines(rng, measure, V[todo])
+            u[todo], d[todo] = draw_lines(rng, measure, V[todo])
         ok, pts, n = _clip_both(V[todo], count[todo], u[todo], d[todo])
         kids[todo[ok]], k_count[todo[ok]] = pts[ok], n[ok]
         todo, draw = todo[~ok], True
@@ -555,69 +471,20 @@ def _split(rng, measure, V, count, cuts, where):
 
 
 def _clip_both(V, count, u, d):
-    """Both sides of each cell cut by its line, by one _clip_side each.
+    """Both sides of each cell cut by its line, by one geometry.clip_side each.
     Returns (ok, children (m, 2, 2K, 2), counts (m, 2)); ok is False where a
     vertex lies within GEOM_TOL of the line or a child has fewer than 3
     vertices or area at most 1e-12."""
     m, K = V.shape[:2]
-    s = _project(V, u) - d[:, None]
+    s = geo.project(V, u) - d[:, None]
     ok = ~(np.abs(s) < geo.GEOM_TOL).any(axis=1)
     # the minus side keeps the vertices away from the origin
     sign = np.where(d > 0, -1.0, 1.0)[:, None]
     pts, n = np.empty((m, 2, 2 * K, 2)), np.empty((m, 2), dtype=np.int64)
     for side, sg in enumerate((sign, -sign)):
-        pts[:, side], n[:, side], side_ok = _clip_side(V, count, sg * s)
+        pts[:, side], n[:, side], side_ok = geo.clip_side(V, count, sg * s)
         ok &= side_ok
     return ok, pts, n
-
-
-def _clip_side(V, count, s):
-    """Each cell (V, count) clipped to the side {s <= GEOM_TOL} of its line,
-    s (m, K) being its vertices' signed distances from the line, by one
-    Sutherland-Hodgman pass of geometry.clip_tolerant, with its 1e-12
-    duplicate rule applied between neighbouring points.  Returns (points
-    (m, 2K, 2), counts, ok); ok is False where the piece has fewer than 3
-    vertices or area at most 1e-12."""
-    m, K = V.shape[:2]
-    j = np.arange(K)
-    valid = j < count[:, None]
-    prev = np.where(j == 0, count[:, None] - 1, j - 1)
-    ps = np.take_along_axis(s, prev, axis=1)
-    pv = np.take_along_axis(V, prev[:, :, None], axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = pv + (ps / (ps - s))[:, :, None] * (V - pv)
-    cand = np.stack([x, V], axis=2).reshape(m, 2 * K, 2)
-    inside = s <= geo.GEOM_TOL
-    cross = inside != np.take_along_axis(inside, prev, axis=1)
-    keep = np.stack([cross & valid, inside & valid], axis=2).reshape(m, 2 * K)
-    pts, n = _compact(cand, keep)
-    w = np.roll(pts, -1, axis=1)
-    area = (pts[..., 0] * w[..., 1] - w[..., 0] * pts[..., 1]).sum(axis=1) / 2
-    return pts, n, (n >= 3) & (area > 1e-12)
-
-
-def _compact(cand, keep):
-    """The kept points of each row in order, dropping a point within 1e-12
-    (in both coordinates) of the one before it and a last point within
-    1e-12 of the first, padded with copies of the first.  (pts, counts)"""
-    order = np.argsort(~keep, axis=1, kind="stable")
-    pts = np.take_along_axis(cand, order[:, :, None], axis=1)
-    n = keep.sum(axis=1)
-    j = np.arange(cand.shape[1])
-    near = (np.abs(np.diff(pts, axis=1)) <= 1e-12).all(axis=2)
-    dup = np.zeros(keep.shape, dtype=bool)
-    dup[:, 1:] = near & (j[1:] < n[:, None])
-    last = pts[np.arange(len(pts)), np.maximum(n - 1, 0)]
-    dup[np.arange(len(pts)), np.maximum(n - 1, 0)] |= (
-        (n >= 2) & (np.abs(last - pts[:, 0]) <= 1e-12).all(axis=1))
-    if dup.any():
-        keep = (j < n[:, None]) & ~dup
-        order = np.argsort(~keep, axis=1, kind="stable")
-        pts = np.take_along_axis(pts, order[:, :, None], axis=1)
-        n = keep.sum(axis=1)
-    pad = j >= n[:, None]
-    pts[pad] = np.broadcast_to(pts[:, :1], pts.shape)[pad]
-    return pts, n
 
 
 def slice_at(tree: CellTree, s: float) -> Tessellation:
@@ -739,9 +606,7 @@ def tree_to_json(tree: CellTree) -> dict:
     positive)."""
     from .config import measure_to_json
     f = tree.forest
-    u, d = f.cuts()
-    flip = ~(u[np.arange(len(u)), (u != 0).argmax(axis=1)] > 0)
-    u, d = np.where(flip[:, None], -u, u).tolist(), np.where(flip, -d, d).tolist()
+    u, d = (a.tolist() for a in geo.canonical_rows(*f.cuts()))
     rejected = np.bincount(f.rejected[0], minlength=len(d)).tolist()
     parent = [None] + tree.parent[1:].tolist()
     nodes = [{"id": i, "parent": parent[i], "birth": b,

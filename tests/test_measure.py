@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 import scipy.stats
 
@@ -96,6 +97,24 @@ def test_sample_hitting_direction_frequencies():
     vertical = sum(ms.sample_hitting(lam, box, rng).u[0] == 1.0 for _ in range(n))
     sigma = math.sqrt((2 / 3) * (1 / 3) / n)
     assert abs(vertical / n - 2 / 3) <= 4 * sigma
+
+
+def test_box_drawer_law():
+    # weighted 3-D axis measure: axis c with probability g_c side_c / rate,
+    # then an offset uniform on the window's side along it
+    g = np.array([0.6, 0.6, 0.8])
+    box = geo.Box((-1.0, -2.0, -0.5), (1.0, 2.0, 1.5))
+    table = ms.box_table(ms.axis_measure(g), box)
+    side = box.hi_arr - box.lo_arr
+    assert table[0] == pytest.approx(g @ side)
+    rng = stream(14, 0)
+    n = 30_000
+    axis, d = ms.draw_box_marks(table, rng.random(n), rng.random(n))
+    for c, p in enumerate(g * side / (g @ side)):
+        assert abs((axis == c).mean() - p) <= 4 * math.sqrt(p * (1 - p) / n)
+        stat = scipy.stats.kstest(
+            d[axis == c], scipy.stats.uniform(loc=box.lo[c], scale=side[c]).cdf)
+        assert stat.pvalue > 0.005
 
 
 def test_sample_hitting_postcondition():

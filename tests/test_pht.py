@@ -12,9 +12,10 @@ from stitsim import geometry as geo
 from stitsim.cli import main
 from stitsim.config import dumps_canonical, run_config_from_json, sanitize
 from stitsim.errors import ExplosionGuard
-from stitsim.experiments import _pht_sample
-from stitsim.measure import (Discrete, DrivingMeasure, axis_measure,
-                             isotropic_measure, measure_hitting, sample_hitting)
+from stitsim.experiments import _PHT_CHUNK, _pht_sample
+from stitsim.measure import (Discrete, DrivingMeasure, axis_measure, box_table,
+                             draw_lines, isotropic_measure, measure_hitting,
+                             sample_hitting)
 from stitsim.pht import (PoissonHyperplanePattern, draw_patterns,
                          empty_probability, pattern_hits, pattern_to_json,
                          simulate_pht, tail_event_hits_ball)
@@ -70,10 +71,10 @@ def test_empty_probability_monte_carlo():
 
 
 def test_tail_event():
-    empty = PoissonHyperplanePattern.from_hyperplanes(W2, 1.0, ())
+    empty = PoissonHyperplanePattern(W2, 1.0, np.zeros((0, 2)), np.zeros(0))
     assert not tail_event_hits_ball(empty, W1)
-    through_origin = PoissonHyperplanePattern.from_hyperplanes(
-        W2, 1.0, (geo.Hyperplane((1.0, 0.0), 1e-3),))
+    through_origin = PoissonHyperplanePattern(W2, 1.0, np.array([[1.0, 0.0]]),
+                                              np.array([1e-3]))
     assert tail_event_hits_ball(through_origin, W1)
 
     seg = geo.Face(((-1.0, 0.0), (1.0, 0.0)))
@@ -137,7 +138,9 @@ def test_long_range_dependence_witness():
 
 
 # ---------------------------------------------------------------------------
-# the array sampler and hit test against the per-hyperplane reference
+# the array sampler and hit test against the per-hyperplane reference:
+# box-drawer rows are sample_hitting's draw for draw, line-drawer rows
+# (every other case) follow its law
 
 R3 = math.sqrt(3.0) / 2.0
 HEX = geo.Polygon2D(((-2.0, -1.0), (2.0, -1.5), (2.5, 1.0), (0.0, 2.5),
@@ -153,11 +156,39 @@ DISCRETE_CASES = {
         ((1.0, 0.0), 0.3), ((0.6, 0.8), 0.3), ((-0.8, 0.6), 0.4)))),
         geo.Box((-2.0, -1.0), (3.0, 2.0))),
 }
+BOX_CASES = ("axis", "box_3d", "weighted_axis")
+
+
+def _angles(normals):
+    return np.arctan2(normals[:, 1], normals[:, 0])
+
+
+def _assert_sample_hitting_law(measure, window):
+    """Rows of about 13,000 hyperplanes against as many sample_hitting
+    draws: the mean count is rho * mass within 4 sigma, every normal is in
+    canonical form, and the canonical angle and the offset each pass a
+    two-sample KS test."""
+    rho, size = 2.0, 1300
+    lam = rho * measure_hitting(measure, window)
+    counts, normals, offsets = draw_patterns(measure, rho, window,
+                                             stream(91, 0), size)
+    assert abs(counts.mean() - lam) <= 4 * math.sqrt(lam / size)
+    assert len(offsets) >= 10_000
+    assert all(np.array_equal(a, b) for a, b in
+               zip(geo.canonical_rows(normals, offsets), (normals, offsets)))
+    rng = stream(91, 1)
+    ref = [sample_hitting(measure, window, rng) for _ in range(len(offsets))]
+    ref_normals = np.array([h.u for h in ref])
+    assert ks_two_sample(_angles(normals), _angles(ref_normals)).p_value > 0.005
+    assert ks_two_sample(offsets, [h.d for h in ref]).p_value > 0.005
 
 
 @pytest.mark.parametrize("case", sorted(DISCRETE_CASES))
 def test_array_sampler_matches_sample_hitting(case):
     measure, window = DISCRETE_CASES[case]
+    if case not in BOX_CASES:
+        _assert_sample_hitting_law(measure, window)
+        return
     mass = measure_hitting(measure, window)
     for i in range(40):
         pat = simulate_pht(measure, 3.0, window, stream(90, i))
@@ -169,12 +200,7 @@ def test_array_sampler_matches_sample_hitting(case):
 
 
 def test_isotropic_pattern_matches_sample_hitting():
-    measure = isotropic_measure(1.0)
-    pat = simulate_pht(measure, 5.0, HEX, stream(91, 0))
-    rng = stream(91, 0)
-    count = int(rng.poisson(5.0 * measure_hitting(measure, HEX)))
-    assert pat.hyperplanes == tuple(sample_hitting(measure, HEX, rng)
-                                    for _ in range(count))
+    _assert_sample_hitting_law(isotropic_measure(1.0), HEX)
 
 
 def _random_bodies(rng, dim):
@@ -208,7 +234,8 @@ def test_hit_test_empty_pattern():
     for window, body in ((W2, W1), (W2, geo.Face(((0.0, 0.0), (1.0, 0.0)))),
                          (HEX, HEX), (geo.Box((0.0,) * 3, (1.0,) * 3),
                                       geo.Box((0.0,) * 3, (1.0,) * 3))):
-        empty = PoissonHyperplanePattern.from_hyperplanes(window, 1.0, ())
+        empty = PoissonHyperplanePattern(window, 1.0,
+                                         np.zeros((0, window.dim)), np.zeros(0))
         assert empty.normals.shape == (0, window.dim)
         assert not tail_event_hits_ball(empty, body)
 
@@ -252,19 +279,27 @@ def test_drawn_count_over_cap(monkeypatch):
 @pytest.mark.parametrize("case", sorted(DISCRETE_CASES) + ["isotropic"])
 def test_batch_draw_is_scalar_counts_then_sample_hitting(case):
     # the batch's counts come from one poisson call, which consumes the
-    # stream as one scalar call per pattern; its rows then follow as a loop
-    # of sample_hitting would draw them
+    # stream as one scalar call per pattern; its box rows then follow as a
+    # loop of sample_hitting would draw them, and every other case's rows
+    # are one line-drawer call on the rest of the stream, whose law is
+    # sample_hitting's (test_array_sampler_matches_sample_hitting)
     measure, window = DISCRETE_CASES.get(case, (isotropic_measure(1.0), HEX))
     lam = 0.5 * measure_hitting(measure, window)
     counts, normals, offsets = draw_patterns(measure, 0.5, window,
                                              stream(96, 0), 30)
     rng = stream(96, 0)
     ref_counts = [int(rng.poisson(lam)) for _ in range(30)]
-    ref = tuple(sample_hitting(measure, window, rng)
-                for _ in range(sum(ref_counts)))
     assert counts.tolist() == ref_counts
-    assert PoissonHyperplanePattern(window, 0.5, normals,
-                                    offsets).hyperplanes == ref
+    pat = PoissonHyperplanePattern(window, 0.5, normals, offsets)
+    if case in BOX_CASES:
+        assert pat.hyperplanes == tuple(sample_hitting(measure, window, rng)
+                                        for _ in range(sum(ref_counts)))
+        return
+    V = window.vertices()
+    ref = geo.canonical_rows(*draw_lines(
+        rng, measure, np.broadcast_to(V, (sum(ref_counts),) + V.shape)))
+    assert np.array_equal(normals, ref[0]) and np.array_equal(offsets, ref[1])
+    assert all(geo.hits(h, window) for h in pat.hyperplanes)
 
 
 def test_batch_counts_match_simulate_pht():
@@ -321,3 +356,15 @@ def test_all_empty_chunk_hits_nothing():
     assert counts.sum() == 0 and normals.shape == (0, 2)
     hit = pattern_hits(counts, normals, offsets, (W1, SEG0))
     assert hit.shape == (4096, 2) and not hit.any()
+    counts, normals, offsets = draw_patterns(isotropic_measure(1.0), 1e-9, HEX,
+                                             stream(101, 1), 4096)
+    assert counts.sum() == 0 and normals.shape == (0, 2) and offsets.shape == (0,)
+
+
+def test_pht_sample_builds_the_box_table_once():
+    # every chunk of patterns on one (measure, window) reuses one table:
+    # rebuilding it per chunk would slow pht_capacity and mixing_pht
+    box_table.cache_clear()
+    _pht_sample(LAM, 1.0, W2, (W1,), 40 * _PHT_CHUNK, 104)
+    info = box_table.cache_info()
+    assert (info.misses, info.hits) == (1, 39)

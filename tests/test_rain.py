@@ -11,7 +11,7 @@ from stitsim import geometry as geo
 from stitsim import rain, stit
 from stitsim.encapsulation import build_window, encapsulation_time
 from stitsim.experiments import equality_problem
-from stitsim.measure import (axis_measure, box_axis_rates, isotropic_measure,
+from stitsim.measure import (axis_measure, isotropic_measure,
                              measure_hitting, measure_separating)
 from stitsim.rng import stream
 from stitsim.stats import binomial_sigma, ks_two_sample
@@ -37,7 +37,7 @@ def test_zero_scan_fast_vs_generic():
 
 def tree_forest(window, t, n, rng):
     """n whole trees of LAM on the box window, grown to t as one batch."""
-    return stit.grow_boxes(box_axis_rates(LAM, window), window,
+    return stit.grow_boxes(LAM, window,
                            np.tile(window.lo_arr, (n, 1)),
                            np.tile(window.hi_arr, (n, 1)), np.arange(n), 0.0,
                            t, rng)
@@ -141,7 +141,7 @@ def test_three_body_lineage_fast_vs_generic():
     avoidance event, and each marginal is exponential in the body's mass."""
     V = geo.Box((-2.0, -2.0), (2.0, 6.0))
     bodies = tuple(geo.Face(((-1.0, y), (1.0, y))) for y in (0.0, 2.0, 4.0))
-    fast = rain._fast_scan(LAM.axis_rates(2), V, bodies, 1.0, 20_000, 33,
+    fast = rain._fast_scan(LAM, V, bodies, 1.0, 20_000, 33,
                            None, ())[0]
     gen = rain._generic_scan(LAM, V, bodies, 1.0, 2_000, 34, None, ())[0]
     for cols in ([0], [1], [2], [0, 1], [1, 2], [0, 2], [0, 1, 2]):
@@ -169,7 +169,7 @@ def test_polygon_kernel_replays_box_kernel():
         assert np.array_equal(box[key], poly[key]), key
     V = geo.Box((-2.0, -2.0), (2.0, 6.0))
     bodies = tuple(geo.Face(((-1.0, y), (1.0, y))) for y in (0.0, 2.0, 4.0))
-    cut = rain._fast_scan(LAM.axis_rates(2), V, bodies, 1.0, 5_000, 89,
+    cut = rain._fast_scan(LAM, V, bodies, 1.0, 5_000, 89,
                           None, ())[0]
     assert np.array_equal(cut, rain._generic_scan(
         LAM, V.to_polygon(), bodies, 1.0, 5_000, 89, None, ())[0])

@@ -15,7 +15,7 @@ from stitsim.errors import (AmbiguousZeroCell, DegenerateCut, ExplosionGuard,
                             InsufficientNests, MethodMismatch, OutOfRange,
                             WindowMismatch)
 from stitsim.measure import (Discrete, DrivingMeasure, axis_measure,
-                             box_axis_rates, isotropic_measure,
+                             box_axis_rates, draw_lines, isotropic_measure,
                              measure_hitting)
 from stitsim.rng import run_replicates, stream
 from stitsim.stats import binomial_sigma, ks_two_sample
@@ -477,10 +477,9 @@ def _polygon_stats(f, n, window):
 def _grow(measure, window, t, method, n, rng):
     """The statistics of n fresh trees on the window grown to t as one
     batch, by grow_boxes for an axis measure on a box, else grow_polygons."""
-    g = box_axis_rates(measure, window)
-    if g is not None:
+    if box_axis_rates(measure, window) is not None:
         return _box_stats(stit.grow_boxes(
-            g, window, np.tile(window.lo_arr, (n, 1)),
+            measure, window, np.tile(window.lo_arr, (n, 1)),
             np.tile(window.hi_arr, (n, 1)), np.arange(n), 0.0, t, rng,
             method), n, window)
     poly = window.to_polygon() if isinstance(window, geo.Box) else window
@@ -557,12 +556,12 @@ def test_lines_on_a_broadcast_window_skip_the_pairwise_array():
     m = 65_536
     tracemalloc.start()
     try:
-        stit._lines(stream(90, 0), iso, np.broadcast_to(wv, (m, 8, 2)))
+        draw_lines(stream(90, 0), iso, np.broadcast_to(wv, (m, 8, 2)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < m * 8 * 8 * 2 * 8 / 2
     small = np.broadcast_to(wv, (500, 8, 2))
-    a = stit._lines(stream(91, 0), iso, small)
-    b = stit._lines(stream(91, 0), iso, small.copy())
+    a = draw_lines(stream(91, 0), iso, small)
+    b = draw_lines(stream(91, 0), iso, small.copy())
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
