@@ -19,7 +19,6 @@ import numpy as np
 from . import geometry as geo
 from .errors import UnsupportedSupport
 from .measure import DrivingMeasure, Isotropic2D, measure_hitting
-from .stit import CellTree, Tessellation, zero_cell
 
 # Facet offset, band interval and isotropic arc half-width of the adapted
 # window construction (0 < BAND[0] < BAND[1] < OFFSET).  The values are
@@ -58,10 +57,6 @@ class Band:
             return c, self.d_lo, self.d_hi
         return c, -self.d_hi, -self.d_lo
 
-    def mark_test(self, h: geo.Hyperplane) -> bool:
-        """Whether a (canonical) hyperplane belongs to the band."""
-        return bool(self.marks_in(h.normal, np.float64(h.d)))
-
     def marks_in(self, normals, offsets) -> np.ndarray:
         """Which lines {x : <x, normals[...]> = offsets[...]} belong to the
         band, each taken in the orientation closest to u."""
@@ -69,15 +64,6 @@ class Band:
         d = np.where(cos >= 0, offsets, -offsets)
         lim = 1.0 - 1e-12 if self.half_width == 0.0 else math.cos(self.half_width)
         return (np.abs(cos) >= lim) & (self.d_lo < d) & (d < self.d_hi)
-
-    def sample(self, rng) -> geo.Hyperplane:
-        ua = np.asarray(self.u, dtype=float)
-        if self.half_width > 0.0:
-            phi = math.atan2(ua[1], ua[0]) + rng.uniform(-self.half_width,
-                                                         self.half_width)
-            ua = np.array([math.cos(phi), math.sin(phi)])
-        d = rng.uniform(self.d_lo, self.d_hi)
-        return geo.Hyperplane(tuple(ua), d)
 
 
 @dataclass(frozen=True)
@@ -105,27 +91,6 @@ class EncapsulationProblem:
         return BoundParams(measure_hitting(self.measure, self.inner),
                            tuple(b.mass for b in self.bands))
 
-    def validate(self, rng) -> None:
-        """Check 100 sampled hyperplanes of each band separate inner from
-        their facet."""
-        for a, band in enumerate(self.bands):
-            facet = geo.facet_body(self.outer, _facet_toward(self.outer, band.u))
-            for _ in range(100):
-                h = band.sample(rng)
-                if not geo.separates(h, self.inner, facet):
-                    raise ValueError(f"band {a} contains a non-separating hyperplane")
-
-    def to_json(self) -> dict:
-        from .config import measure_to_json
-        return {
-            "inner": geo.polytope_to_json(self.inner),
-            "outer": geo.polytope_to_json(self.outer),
-            "measure": measure_to_json(self.measure),
-            "bands": [{"u": list(b.u), "d_lo": b.d_lo, "d_hi": b.d_hi,
-                       "half_width": b.half_width, "mass": b.mass}
-                      for b in self.bands],
-        }
-
 
 def _facet_toward(outer, u) -> int:
     """Index of the outer facet whose outward normal best matches u."""
@@ -136,49 +101,6 @@ def _facet_toward(outer, u) -> int:
         if dot > best_dot:
             best, best_dot = a, dot
     return best
-
-
-def is_encapsulated(T: Tessellation, inner, outer) -> bool:
-    return _encapsulates(zero_cell(T), inner, outer)
-
-
-def _encapsulates(cell, inner, outer) -> bool:
-    """`cell` contains `inner` and lies strictly inside `outer`."""
-    return geo.contains(cell, inner, strict=False) and \
-        geo.contains(outer, cell, strict=True)
-
-
-def encapsulation_time(tree: CellTree, inner) -> float:
-    """First jump time after which the origin cell encapsulates `inner`.
-
-    Walks the origin-cell lineage, re-checking the predicate at every jump,
-    and returns math.inf when encapsulation does not occur by the simulated
-    horizon.
-    """
-    outer, kids, birth, i = tree.window, tree.children, tree.birth, 0
-    while True:
-        cell = tree.cell(i)
-        if geo.origin_strictly_inside(cell) and _encapsulates(cell, inner, outer):
-            return float(birth[i])
-        if kids[i] < 0:
-            return math.inf
-        i = kids[i] + (not geo.origin_strictly_inside(tree.cell(kids[i])))
-
-
-def sufficient_event_time(params: BoundParams, horizon: float, rng):
-    """Sample the sufficient encapsulation event from its exponential clocks.
-
-    sigma' ~ Exp(lambda_inner) is the first hit on the inner window and
-    sigma_a ~ Exp(mass_a) the first hyperplane in band a; the bands and the
-    inner hitting set are disjoint, so the clocks are independent.  Returns
-    (True, M) with M = max_a sigma_a when M <= min(sigma', horizon), else
-    (False, None).
-    """
-    sigma_inner = rng.exponential(1.0 / params.lambda_inner)
-    m = max(rng.exponential(1.0 / g) for g in params.band_masses)
-    if m <= min(sigma_inner, horizon):
-        return True, m
-    return False, None
 
 
 def lower_bound(t: float, params: BoundParams) -> float:
@@ -220,30 +142,6 @@ def _simpson_bound_integral(t, lam, ms):
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return float((ys * w).sum() * (xs[1] - xs[0]) / 3.0)
-
-
-def t_star(eps: float, lambda_inner: float) -> float:
-    """Largest t with exp(-t * lambda_inner) reaching sqrt(1 - eps).
-
-    Values strictly below the returned boundary satisfy the strict
-    inequality.
-    """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    if lambda_inner <= 0:
-        raise ValueError("lambda_inner must be positive")
-    return -0.5 * math.log1p(-eps) / lambda_inner
-
-
-def r_of_s(s: float, eps: float, min_band_mass: float, ell: int) -> float:
-    """Scale factor r >= 1 with (1 - exp(-s r L))^(2 ell) > sqrt(1 - eps)."""
-    if s <= 0 or min_band_mass <= 0 or ell < 1:
-        raise ValueError("s, L and ell must be positive")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    target = 1.0 - (1.0 - eps) ** (1.0 / (4 * ell))
-    r = -math.log(target) / (s * min_band_mass)
-    return max(1.0, r * (1.0 + 1e-9))
 
 
 def build_window(inner: geo.Polytope,

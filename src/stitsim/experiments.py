@@ -248,7 +248,7 @@ def experiment_capacity(measure, t, inner, window, n, seed) -> Report:
 
 
 def _binomial_report(name, seed, config, hits_, n, target) -> Report:
-    est = estimate_from_hits(hits_, n, seed)
+    est = estimate_from_hits(hits_, n)
     sigma = binomial_sigma(target, n)
     ok = abs(est.p_hat - target) <= SIGMAS * sigma
     row = {"p_hat": est.p_hat, "ci_lo": est.ci_lo, "ci_hi": est.ci_hi,
@@ -361,7 +361,7 @@ def experiment_encapsulation(problem: EncapsulationProblem, t_grid, n, seed,
     ok = True
     for t in t_grid:
         hits_ = int((a_s <= t).sum())
-        est = estimate_from_hits(hits_, n, seed)
+        est = estimate_from_hits(hits_, n)
         bound = lower_bound(t, params)
         sigma = binomial_sigma(bound if bound > 0 else est.p_hat, n)
         if mode == "equality":

@@ -120,14 +120,6 @@ class HalfSpace:
         return -u, -d
 
 
-def positive_side(h: Hyperplane) -> HalfSpace:
-    return HalfSpace(h, +1)
-
-
-def negative_side(h: Hyperplane) -> HalfSpace:
-    return HalfSpace(h, -1)
-
-
 @dataclass(frozen=True)
 class Polygon2D:
     """Convex polygon with counterclockwise vertices, non-degenerate area."""
@@ -392,39 +384,6 @@ def origin_strictly_inside(P) -> bool:
 # ---------------------------------------------------------------------------
 # clipping
 
-def _clip_polygon_points(pts, n, c):
-    """One Sutherland-Hodgman pass of pts against {<x,n> <= c}."""
-    out = []
-    k = len(pts)
-    prev = pts[-1]
-    prev_s = prev[0] * n[0] + prev[1] * n[1] - c
-    for i in range(k):
-        cur = pts[i]
-        cur_s = cur[0] * n[0] + cur[1] * n[1] - c
-        if cur_s <= GEOM_TOL:
-            if prev_s > GEOM_TOL:
-                t = prev_s / (prev_s - cur_s)
-                out.append((prev[0] + t * (cur[0] - prev[0]),
-                            prev[1] + t * (cur[1] - prev[1])))
-            out.append(cur)
-        elif prev_s <= GEOM_TOL:
-            t = prev_s / (prev_s - cur_s)
-            out.append((prev[0] + t * (cur[0] - prev[0]),
-                        prev[1] + t * (cur[1] - prev[1])))
-        prev, prev_s = cur, cur_s
-    return _dedupe(out)
-
-
-def _dedupe(pts):
-    out = []
-    for p in pts:
-        if not out or abs(p[0] - out[-1][0]) > 1e-12 or abs(p[1] - out[-1][1]) > 1e-12:
-            out.append(p)
-    if len(out) >= 2 and abs(out[0][0] - out[-1][0]) <= 1e-12 and abs(out[0][1] - out[-1][1]) <= 1e-12:
-        out.pop()
-    return out
-
-
 def clip_tolerant(P, n, c):
     """P intersected with {<x,n> <= c}; None when the interior is empty.
 
@@ -446,10 +405,10 @@ def clip_tolerant(P, n, c):
         if P.dim != 2:
             raise RegimeMismatch("non-axis cut of a box requires dimension 2")
         P = P.to_polygon()
-    pts = _clip_polygon_points(list(P.points), n, c)
-    if len(pts) < 3 or _signed_area(pts) <= 1e-12:
-        return None
-    return Polygon2D(tuple(pts))
+    V = P.verts[None]
+    pts, k, ok = clip_side(V, np.array([len(V[0])]),
+                           project(V, np.asarray(n, dtype=float)[None]) - c)
+    return Polygon2D(tuple(map(tuple, pts[0, :k[0]]))) if ok[0] else None
 
 
 def clip(P, hs: HalfSpace):
@@ -518,23 +477,24 @@ def project(V: np.ndarray, u: np.ndarray) -> np.ndarray:
 def clip_side(V, count, s):
     """Each cell (V, count) clipped to the side {s <= GEOM_TOL} of its line,
     s (m, K) being its vertices' signed distances from the line, by one
-    Sutherland-Hodgman pass of clip_tolerant, with its 1e-12 duplicate rule
-    applied between neighbouring points.  Returns (points (m, 2K, 2),
-    counts, ok); ok is False where the piece has fewer than 3 vertices or
-    area at most 1e-12."""
+    Sutherland-Hodgman pass that drops a point within 1e-12 of the one
+    before it (clip_tolerant's polygon case is one row of it).  Returns
+    (points (m, 2K, 2), counts, ok); ok is False where the piece has fewer
+    than 3 vertices or area at most 1e-12."""
     m, K = V.shape[:2]
     j = np.arange(K)
     valid = j < count[:, None]
     prev = np.where(j == 0, count[:, None] - 1, j - 1)
     ps = np.take_along_axis(s, prev, axis=1)
     pv = np.take_along_axis(V, prev[:, :, None], axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = pv + (ps / (ps - s))[:, :, None] * (V - pv)
-    cand = np.stack([x, V], axis=2).reshape(m, 2 * K, 2)
     inside = s <= GEOM_TOL
     cross = inside != np.take_along_axis(inside, prev, axis=1)
     keep = np.stack([cross & valid, inside & valid], axis=2).reshape(m, 2 * K)
-    pts, n = _compact(cand, keep)
+    # an edge parallel to the line gives a non-finite crossing, never kept
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = pv + (ps / (ps - s))[:, :, None] * (V - pv)
+        cand = np.stack([x, V], axis=2).reshape(m, 2 * K, 2)
+        pts, n = _compact(cand, keep)
     w = np.roll(pts, -1, axis=1)
     area = (pts[..., 0] * w[..., 1] - w[..., 0] * pts[..., 1]).sum(axis=1) / 2
     return pts, n, (n >= 3) & (area > 1e-12)
@@ -565,7 +525,7 @@ def _compact(cand, keep):
 
 
 # ---------------------------------------------------------------------------
-# rigid motions and scaling
+# scaling
 
 def scale(P, r: float):
     if r <= 0:
@@ -575,33 +535,11 @@ def scale(P, r: float):
     return Polygon2D(tuple((r * x, r * y) for x, y in P.points))
 
 
-def translate(P, h):
-    ha = np.asarray(h, dtype=float)
-    if isinstance(P, Box):
-        return Box(tuple(P.lo_arr + ha), tuple(P.hi_arr + ha))
-    return Polygon2D(tuple((x + ha[0], y + ha[1]) for x, y in P.points))
-
-
 # ---------------------------------------------------------------------------
-# JSON forms
+# JSON form
 
 def polytope_to_json(P) -> dict:
     if isinstance(P, Box):
         return {"kind": "box", "lo": list(P.lo), "hi": list(P.hi)}
     return {"kind": "polygon", "vertices": [list(p) for p in P.points]}
 
-
-def polytope_from_json(d: dict):
-    if d["kind"] == "box":
-        return Box(tuple(d["lo"]), tuple(d["hi"]))
-    if d["kind"] == "polygon":
-        return Polygon2D(tuple(tuple(p) for p in d["vertices"]))
-    raise ValueError(f"unknown polytope kind {d['kind']!r}")
-
-
-def hyperplane_to_json(H: Hyperplane) -> dict:
-    return {"u": list(H.u), "d": H.d}
-
-
-def hyperplane_from_json(d: dict) -> Hyperplane:
-    return Hyperplane(tuple(d["u"]), d["d"])

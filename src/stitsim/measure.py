@@ -246,16 +246,17 @@ def draw_lines(rng, measure: DrivingMeasure, V: np.ndarray):
     m = len(V)
     th = measure.directional
     rows = np.arange(m)
+    # a window broadcast to all rows (stride 0) is measured once
+    W = V[:1] if V.strides[0] == 0 else V
     if isinstance(th, Discrete):
-        proj = V @ th.dir_array.T
+        proj = W @ th.dir_array.T
         lo, hi = proj.min(axis=1), proj.max(axis=1)
         cum = np.cumsum(th.weights * (hi - lo), axis=1)
+        lo, hi, cum = (np.broadcast_to(a, (m, a.shape[1])) for a in (lo, hi, cum))
         x = rng.random(m) * cum[:, -1]
         k = np.minimum((cum < x[:, None]).sum(axis=1), len(th.weights) - 1)
         u, lo, hi = th.dir_array[k], lo[rows, k], hi[rows, k]
     else:
-        # a window broadcast to all rows (stride 0) needs one diameter
-        W = V[:1] if V.strides[0] == 0 else V
         diam = np.broadcast_to(np.sqrt(((W[:, :, None] - W[:, None]) ** 2)
                                        .sum(axis=3).max(axis=(1, 2))), m)
         u, lo, hi = np.empty((m, 2)), np.empty(m), np.empty(m)

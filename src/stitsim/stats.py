@@ -15,18 +15,14 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 @dataclass(frozen=True)
 class EstimateWithCI:
     p_hat: float
-    n: int
     ci_lo: float
     ci_hi: float
-    seed: int
 
 
 @dataclass(frozen=True)
 class KSResult:
     statistic: float
     p_value: float
-    n1: int
-    n2: int
 
 
 def wilson_interval(successes: int, n: int) -> tuple[float, float]:
@@ -40,9 +36,9 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def estimate_from_hits(successes: int, n: int, seed: int) -> EstimateWithCI:
+def estimate_from_hits(successes: int, n: int) -> EstimateWithCI:
     lo, hi = wilson_interval(successes, n)
-    return EstimateWithCI(p_hat=successes / n, n=n, ci_lo=lo, ci_hi=hi, seed=seed)
+    return EstimateWithCI(p_hat=successes / n, ci_lo=lo, ci_hi=hi)
 
 
 def binomial_sigma(p: float, n: int) -> float:
@@ -82,7 +78,7 @@ def ks_two_sample(xs, ys) -> KSResult:
     d = float(np.abs(cdf1 - cdf2).max())
     ne = math.sqrt(n1 * n2 / (n1 + n2))
     p = kolmogorov_sf((ne + 0.12 + 0.11 / ne) * d)
-    return KSResult(statistic=d, p_value=p, n1=n1, n2=n2)
+    return KSResult(statistic=d, p_value=p)
 
 
 def gap_estimate(x, y) -> tuple[float, float]:

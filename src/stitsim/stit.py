@@ -593,13 +593,6 @@ def summary_stats(T: Tessellation) -> StatRecord:
                       zero_cell_area=zero_cell(T).area())
 
 
-def tiling_defect(T: Tessellation) -> float:
-    """Relative difference between the cell-area sum and the window area."""
-    total = sum(c.area() for c in T.cells)
-    wa = T.window.area()
-    return abs(total - wa) / wa
-
-
 def tree_to_json(tree: CellTree) -> dict:
     """The tree as plain JSON, its nodes in id order and each cut in
     geometry.Hyperplane's canonical form (normal lexicographically

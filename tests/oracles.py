@@ -1,0 +1,122 @@
+"""Reference implementations that the tests compare stitsim against.
+
+Each one is the direct, object-level reading of a definition: slow, but
+easy to check by eye.  The package's array kernels compute the same
+quantities for whole batches, and the tests tie the two together.
+"""
+
+import math
+
+import numpy as np
+
+from stitsim import geometry as geo
+from stitsim.encapsulation import BoundParams, EncapsulationProblem, _facet_toward
+
+
+def encapsulates(cell, inner, outer) -> bool:
+    """`cell` contains `inner` and lies strictly inside `outer`."""
+    return geo.contains(cell, inner, strict=False) and \
+        geo.contains(outer, cell, strict=True)
+
+
+def encapsulation_time(tree, inner) -> float:
+    """First jump time after which the origin cell of the CellTree `tree`
+    encapsulates `inner`.
+
+    Walks the origin-cell lineage, re-checking the predicate at every jump,
+    and returns math.inf when encapsulation does not occur by the simulated
+    horizon.
+    """
+    outer, kids, birth, i = tree.window, tree.children, tree.birth, 0
+    while True:
+        cell = tree.cell(i)
+        if geo.origin_strictly_inside(cell) and encapsulates(cell, inner, outer):
+            return float(birth[i])
+        if kids[i] < 0:
+            return math.inf
+        i = kids[i] + (not geo.origin_strictly_inside(tree.cell(kids[i])))
+
+
+def sufficient_event_time(params: BoundParams, horizon: float, rng):
+    """Sample the sufficient encapsulation event from its exponential clocks.
+
+    sigma' ~ Exp(lambda_inner) is the first hit on the inner window and
+    sigma_a ~ Exp(mass_a) the first hyperplane in band a; the bands and the
+    inner hitting set are disjoint, so the clocks are independent.  Returns
+    (True, M) with M = max_a sigma_a when M <= min(sigma', horizon), else
+    (False, None).
+    """
+    sigma_inner = rng.exponential(1.0 / params.lambda_inner)
+    m = max(rng.exponential(1.0 / g) for g in params.band_masses)
+    if m <= min(sigma_inner, horizon):
+        return True, m
+    return False, None
+
+
+def band_sample(band, rng) -> geo.Hyperplane:
+    """A hyperplane of the band: a direction uniform in its arc, an
+    oriented distance uniform in (d_lo, d_hi)."""
+    ua = np.asarray(band.u, dtype=float)
+    if band.half_width > 0.0:
+        phi = math.atan2(ua[1], ua[0]) + rng.uniform(-band.half_width,
+                                                     band.half_width)
+        ua = np.array([math.cos(phi), math.sin(phi)])
+    d = rng.uniform(band.d_lo, band.d_hi)
+    return geo.Hyperplane(tuple(ua), d)
+
+
+def validate(problem: EncapsulationProblem, rng) -> None:
+    """Check 100 sampled hyperplanes of each band separate the inner window
+    from their facet of the outer one."""
+    for a, band in enumerate(problem.bands):
+        facet = geo.facet_body(problem.outer, _facet_toward(problem.outer, band.u))
+        for _ in range(100):
+            h = band_sample(band, rng)
+            if not geo.separates(h, problem.inner, facet):
+                raise ValueError(f"band {a} contains a non-separating hyperplane")
+
+
+def clip_polygon(pts, n, c):
+    """One Sutherland-Hodgman pass of the vertex list pts against
+    {<x,n> <= c}, point by point, dropping a point within 1e-12 of the last
+    kept one and a last point within 1e-12 of the first; None when fewer
+    than 3 points or an area of at most 1e-12 remain."""
+    def near(p, q):
+        return abs(p[0] - q[0]) <= 1e-12 and abs(p[1] - q[1]) <= 1e-12
+
+    raw = []
+    prev = pts[-1]
+    prev_s = prev[0] * n[0] + prev[1] * n[1] - c
+    for cur in pts:
+        cur_s = cur[0] * n[0] + cur[1] * n[1] - c
+        if (cur_s <= geo.GEOM_TOL) != (prev_s <= geo.GEOM_TOL):
+            t = prev_s / (prev_s - cur_s)
+            raw.append((prev[0] + t * (cur[0] - prev[0]),
+                        prev[1] + t * (cur[1] - prev[1])))
+        if cur_s <= geo.GEOM_TOL:
+            raw.append(tuple(cur))
+        prev, prev_s = cur, cur_s
+    out = []
+    for p in raw:
+        if not out or not near(p, out[-1]):
+            out.append(p)
+    if len(out) >= 2 and near(out[0], out[-1]):
+        out.pop()
+    area = sum(x1 * y2 - x2 * y1
+               for (x1, y1), (x2, y2) in zip(out, out[1:] + out[:1])) / 2
+    return out if len(out) >= 3 and area > 1e-12 else None
+
+
+def tiling_defect(T) -> float:
+    """Relative difference between the cell-area sum and the window area."""
+    total = sum(c.area() for c in T.cells)
+    wa = T.window.area()
+    return abs(total - wa) / wa
+
+
+def translate(P, h):
+    """The polytope P shifted by the vector h."""
+    ha = np.asarray(h, dtype=float)
+    if isinstance(P, geo.Box):
+        return geo.Box(tuple(P.lo_arr + ha), tuple(P.hi_arr + ha))
+    return geo.Polygon2D(tuple((x + ha[0], y + ha[1]) for x, y in P.points))

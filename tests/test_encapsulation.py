@@ -10,16 +10,16 @@ import scipy.integrate
 
 from stitsim import geometry as geo
 from stitsim import rain, stit
-from stitsim.encapsulation import (BoundParams, build_window,
-                                   encapsulation_time, is_encapsulated,
-                                   lower_bound, r_of_s, sufficient_event_time,
-                                   t_star)
+from stitsim.encapsulation import BoundParams, build_window, lower_bound
 from stitsim.errors import UnsupportedSupport
 from stitsim.experiments import equality_problem
 from stitsim.measure import (Discrete, DrivingMeasure, axis_measure,
                              isotropic_measure)
 from stitsim.rng import stream
 from stitsim.stats import binomial_sigma, ks_two_sample
+
+from oracles import (band_sample, encapsulates, encapsulation_time,
+                     sufficient_event_time, validate)
 
 LAM = axis_measure([1.0, 1.0])
 W = geo.Box((-2.0, -2.0), (2.0, 2.0))
@@ -35,13 +35,16 @@ def frame_tessellation(inner):
     return stit.Tessellation(W, cells)
 
 
-def test_is_encapsulated_examples():
+def test_encapsulates_examples():
+    def zero_cell_encapsulates(T):
+        return encapsulates(stit.zero_cell(T), WP, W)
+
     trivial = stit.Tessellation(W, (W,))
-    assert not is_encapsulated(trivial, WP, W)  # zero cell not strictly inside
-    assert is_encapsulated(frame_tessellation(WP), WP, W)
+    assert not zero_cell_encapsulates(trivial)  # zero cell not strictly inside
+    assert zero_cell_encapsulates(frame_tessellation(WP))
     # zero cell misses a corner of the inner window
     clipped = frame_tessellation(geo.Box((-1.0, -1.0), (0.9, 1.0)))
-    assert not is_encapsulated(clipped, WP, W)
+    assert not zero_cell_encapsulates(clipped)
 
 
 def test_encapsulation_time_no_jumps():
@@ -172,7 +175,7 @@ def test_build_window_axis_case():
     for band in prob.bands:
         assert band.mass == pytest.approx(1.0)
         assert (band.d_lo, band.d_hi) == (2.0, 3.0)
-    prob.validate(stream(48, 0))
+    validate(prob, stream(48, 0))
     # bands are pairwise disjoint in (axis, signed distance)
     forms = [b.axis_form() for b in prob.bands]
     assert all(f is not None for f in forms)
@@ -190,7 +193,7 @@ def test_build_window_isotropic_case():
     for band in prob.bands:
         assert band.mass == pytest.approx(0.125)
         assert band.half_width == pytest.approx(math.pi / 16)
-    prob.validate(stream(49, 0))
+    validate(prob, stream(49, 0))
 
 
 def test_build_window_oblique_directions():
@@ -198,7 +201,7 @@ def test_build_window_oblique_directions():
     m = DrivingMeasure(1.0, Discrete((((1.0, 0.0), 0.5), ((s, s), 0.5))))
     prob = build_window(WP.to_polygon(), m)
     assert len(prob.bands) == 4
-    prob.validate(stream(50, 0))
+    validate(prob, stream(50, 0))
     assert all(b.mass == pytest.approx(0.5) for b in prob.bands)
 
 
@@ -210,44 +213,22 @@ def test_build_window_unsupported_support():
         build_window(geo.Box((-1, -1, -1), (1, 1, 1)), m)
 
 
-def test_t_star():
-    assert t_star(0.19, 4.0) == pytest.approx(0.02634012891445657, abs=1e-12)
-    assert t_star(1e-9, 4.0) < 1e-9
-    # strictness just below the boundary
-    ts = t_star(0.19, 4.0)
-    assert math.exp(-0.9 * ts * 4.0) > math.sqrt(1 - 0.19)
-
-
-def test_r_of_s():
-    r = r_of_s(0.1, 0.19, 1.0, 2)
-    assert r == pytest.approx(36.498028446237335, rel=1e-6)
-    assert (1 - math.exp(-0.1 * r * 1.0)) ** 4 > math.sqrt(1 - 0.19)
-    assert r_of_s(100.0, 0.19, 1.0, 2) == 1.0
-
-
-def test_problem_serialization():
-    prob = build_window(WP, LAM)
-    d = prob.to_json()
-    assert d["outer"] == {"kind": "box", "lo": [-4.0, -4.0], "hi": [4.0, 4.0]}
-    assert len(d["bands"]) == 4
-    assert all(b["mass"] == pytest.approx(1.0) for b in d["bands"])
-    from stitsim.config import dumps_canonical
-    assert dumps_canonical(d)  # canonical-serializable
-
-
 def test_band_mark_test_and_sampling():
     prob = build_window(WP, LAM)
     rng = stream(51, 0)
+
+    def marked(band, h):
+        return bool(band.marks_in(h.normal, np.float64(h.d)))
+
     for band in prob.bands:
         for _ in range(50):
-            h = band.sample(rng)
-            assert band.mark_test(h)
+            assert marked(band, band_sample(band, rng))
         # hyperplanes outside the distance interval are rejected
         u = np.asarray(band.u)
-        assert not band.mark_test(geo.Hyperplane(tuple(u), band.d_hi + 0.5))
+        assert not marked(band, geo.Hyperplane(tuple(u), band.d_hi + 0.5))
         others = [b for b in prob.bands if b is not band]
-        h = band.sample(rng)
-        assert not any(b.mark_test(h) for b in others)
+        h = band_sample(band, rng)
+        assert not any(marked(b, h) for b in others)
 
 
 def test_coupled_inclusion_axis_and_isotropic():

@@ -1,13 +1,17 @@
 """Geometry kernel tests: worked examples plus randomized invariants."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from stitsim import geometry as geo
+from stitsim.config import dumps_canonical, window_from_json
 from stitsim.errors import DegenerateCut, NonPositiveScale
 from stitsim.rng import stream
+
+from oracles import translate
 
 SQ2 = math.sqrt(2.0) / 2.0
 
@@ -84,7 +88,7 @@ def test_width_examples():
 
 
 def test_clip_box_examples():
-    got = geo.clip(unit_box(), geo.positive_side(geo.Hyperplane((1.0, 0.0), 0.25)))
+    got = geo.clip(unit_box(), geo.HalfSpace(geo.Hyperplane((1.0, 0.0), 0.25), +1))
     assert isinstance(got, geo.Box)
     assert got.hi[0] == pytest.approx(0.25)
     # x <= 0: the boundary passes through the origin, so the signed
@@ -92,12 +96,12 @@ def test_clip_box_examples():
     half = geo.clip_tolerant(unit_box(), np.array([1.0, 0.0]), 0.0)
     assert half == geo.Box((-1.0, -1.0), (0.0, 1.0))
     # half-space containing the whole box leaves it unchanged
-    same = geo.clip(unit_box(), geo.positive_side(geo.Hyperplane((1.0, 0.0), 5.0)))
+    same = geo.clip(unit_box(), geo.HalfSpace(geo.Hyperplane((1.0, 0.0), 5.0), +1))
     assert same == unit_box()
 
 
 def test_clip_triangle_area_oracle():
-    hs = geo.positive_side(geo.Hyperplane((1.0, 0.0), 1.0))
+    hs = geo.HalfSpace(geo.Hyperplane((1.0, 0.0), 1.0), +1)
     got = geo.clip(triangle(), hs)
     assert isinstance(got, geo.Polygon2D)
     assert got.area() == pytest.approx(shoelace(got.points))
@@ -108,7 +112,7 @@ def test_clip_triangle_area_oracle():
 def test_clip_degenerate_cut():
     h = geo.Hyperplane((1.0, 0.0), 1.0)  # passes through two box vertices
     with pytest.raises(DegenerateCut):
-        geo.clip(unit_box(), geo.positive_side(h))
+        geo.clip(unit_box(), geo.HalfSpace(h, +1))
 
 
 def test_hits_examples():
@@ -135,7 +139,7 @@ def test_contains_examples():
 
 def test_scale_translate_examples():
     assert geo.scale(unit_box(), 2.0) == geo.Box((-2, -2), (2, 2))
-    assert geo.translate(unit_box(), (5, 0)) == geo.Box((4, -1), (6, 1))
+    assert translate(unit_box(), (5, 0)) == geo.Box((4, -1), (6, 1))
     tri2 = geo.scale(geo.Polygon2D(((0, 0), (1, 0), (0, 1))), 2.0)
     assert tri2.points == ((0, 0), (2, 0), (0, 2))
     with pytest.raises(NonPositiveScale):
@@ -152,8 +156,8 @@ def test_clip_partition_property():
         lo, hi = -geo.support_function(P, (-u[0], -u[1])), geo.support_function(P, u)
         h = geo.Hyperplane(u, rng.uniform(lo + 0.05, hi - 0.05))
         try:
-            plus = geo.clip(P, geo.positive_side(h))
-            minus = geo.clip(P, geo.negative_side(h))
+            plus = geo.clip(P, geo.HalfSpace(h, +1))
+            minus = geo.clip(P, geo.HalfSpace(h, -1))
         except DegenerateCut:
             continue
         assert plus is not None and minus is not None
@@ -170,8 +174,8 @@ def test_hits_iff_both_clips_nonempty():
         d = rng.uniform(-3, 3)
         h = geo.Hyperplane(u, d)
         try:
-            plus = geo.clip(P, geo.positive_side(h))
-            minus = geo.clip(P, geo.negative_side(h))
+            plus = geo.clip(P, geo.HalfSpace(h, +1))
+            minus = geo.clip(P, geo.HalfSpace(h, -1))
         except DegenerateCut:
             continue
         both = plus is not None and minus is not None
@@ -181,8 +185,8 @@ def test_hits_iff_both_clips_nonempty():
 def test_separates_implies_not_hits():
     rng = stream(4, 0)
     for _ in range(40):
-        a = geo.translate(random_polygon(rng, scale=0.8), rng.uniform(-1, 1, 2))
-        b = geo.translate(random_polygon(rng, scale=0.8), rng.uniform(4, 6, 2))
+        a = translate(random_polygon(rng, scale=0.8), rng.uniform(-1, 1, 2))
+        b = translate(random_polygon(rng, scale=0.8), rng.uniform(4, 6, 2))
         phi = rng.uniform(0, math.pi)
         h = geo.Hyperplane((math.cos(phi), math.sin(phi)), rng.uniform(-4, 4))
         if geo.separates(h, a, b):
@@ -205,7 +209,7 @@ def test_contains_partial_order():
     rng = stream(6, 0)
     for _ in range(25):
         raw = random_polygon(rng, scale=3.0)
-        P = geo.translate(raw, -raw.centroid())  # origin inside: scaling nests
+        P = translate(raw, -raw.centroid())  # origin inside: scaling nests
         Q = geo.scale(P, 0.7)
         R = geo.scale(P, 0.4)
         assert geo.contains(P, P)
@@ -226,9 +230,12 @@ def test_canonical_hyperplane_representative():
 
 def test_json_round_trips():
     for P in (unit_box(), triangle()):
-        assert geo.polytope_from_json(geo.polytope_to_json(P)) == P
+        text = dumps_canonical(geo.polytope_to_json(P))
+        assert window_from_json(json.loads(text)) == P
+    # a cut as tree_to_json writes it
     h = geo.Hyperplane((SQ2, SQ2), 1.23456789012345678)
-    assert geo.hyperplane_from_json(geo.hyperplane_to_json(h)) == h
+    back = json.loads(dumps_canonical({"u": list(h.u), "d": h.d}))
+    assert geo.Hyperplane(tuple(back["u"]), back["d"]) == h
 
 
 def test_face_and_facets():

@@ -1,6 +1,6 @@
 """Property tests of the geometry kernel: predicates agree with each other,
-intersection is symmetric, clipping partitions and only shrinks, hyperplanes
-serialize."""
+intersection is symmetric, clipping partitions, only shrinks and clips each
+row of a batch as the scalar pass clips it alone, hyperplanes serialize."""
 
 import json
 import math
@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from stitsim import geometry as geo
 from stitsim.config import dumps_canonical
 from stitsim.errors import DegenerateCut
+
+from oracles import clip_polygon
 
 # derandomized so the suite stays deterministic; no example database on disk
 PROPS = settings(max_examples=150, deadline=None, derandomize=True,
@@ -84,6 +86,35 @@ def test_clipping_partitions_the_area(p, h):
     assert math.isclose(total, p.volume(), rel_tol=1e-9, abs_tol=1e-8)
 
 
+@st.composite
+def clip_cases(draw):
+    """A body and a line, half of the lines through one of its vertices,
+    where the duplicate-point rule acts."""
+    p, h = draw(bodies), draw(hyperplanes())
+    if draw(st.booleans()):
+        v = geo.polygon_vertices(p)
+        x = v[draw(st.integers(0, len(v) - 1))]
+        h = geo.Hyperplane(h.u, float(x[0] * h.normal[0] + x[1] * h.normal[1]))
+    return p, h
+
+
+@PROPS
+@given(st.lists(clip_cases(), min_size=1, max_size=4))
+def test_clip_side_rows_match_the_scalar_clip(cases):
+    # the tree and rain kernels clip padded batches of cells, clip_tolerant
+    # one row; each row gets what a point-by-point pass over its cell gives
+    polys = [geo.polygon_vertices(p) for p, _ in cases]
+    V, count = geo.pad_polygons(polys)
+    u = np.array([h.normal for _, h in cases])
+    d = np.array([h.d for _, h in cases])
+    pts, k, ok = geo.clip_side(V, count, geo.project(V, u) - d[:, None])
+    for i, (v, (_, h)) in enumerate(zip(polys, cases)):
+        want = clip_polygon(v.tolist(), h.normal, h.d)
+        assert ok[i] == (want is not None)
+        if want is not None:
+            assert pts[i, :k[i]].tolist() == [list(p) for p in want]
+
+
 @PROPS
 @given(bodies, hyperplanes(), st.booleans())
 def test_support_interval_shrinks_under_clip(p, h, positive):
@@ -109,7 +140,7 @@ def test_support_interval_shrinks_under_clip(p, h, positive):
 def test_canonical_hyperplane_round_trips_through_json(u, d):
     assume(math.hypot(*u) > 1e-3)
     h = geo.Hyperplane(tuple(u), d)
-    back = geo.hyperplane_from_json(
-        json.loads(dumps_canonical(geo.hyperplane_to_json(h))))
-    assert back == h
+    # the cut's JSON form in tree_to_json
+    back = json.loads(dumps_canonical({"u": list(h.u), "d": h.d}))
+    assert geo.Hyperplane(tuple(back["u"]), back["d"]) == h
     assert geo.Hyperplane(tuple(-x for x in h.u), -h.d) == h

@@ -23,6 +23,8 @@ from stitsim.rng import stream
 from stitsim.stats import binomial_sigma, ks_two_sample
 from stitsim.stit import Tessellation
 
+from oracles import tiling_defect
+
 LAM = axis_measure([1.0, 1.0])
 W1 = geo.Box((-1.0, -1.0), (1.0, 1.0))
 W2 = geo.Box((-2.0, -2.0), (2.0, 2.0))
@@ -115,7 +117,6 @@ def cells_of_pattern(pattern: PoissonHyperplanePattern) -> Tessellation:
 
 
 def test_cells_of_pattern_tile_window():
-    from stitsim.stit import tiling_defect
     rng = stream(68, 0)
     for _ in range(10):
         pat = simulate_pht(LAM, 1.0, W2, rng)

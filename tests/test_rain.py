@@ -9,12 +9,14 @@ import pytest
 
 from stitsim import geometry as geo
 from stitsim import rain, stit
-from stitsim.encapsulation import build_window, encapsulation_time
+from stitsim.encapsulation import build_window
 from stitsim.experiments import equality_problem
 from stitsim.measure import (axis_measure, isotropic_measure,
                              measure_hitting, measure_separating)
 from stitsim.rng import stream
 from stitsim.stats import binomial_sigma, ks_two_sample
+
+from oracles import encapsulation_time
 
 LAM = axis_measure([1.0, 1.0])
 W = geo.Box((-2.0, -2.0), (2.0, 2.0))

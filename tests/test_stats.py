@@ -14,7 +14,7 @@ from stitsim.stats import (estimate_from_hits, gap_estimate, kolmogorov_sf,
 def frequency(event, n, seed):
     """Replicate frequency of a boolean event, as the experiments compute it."""
     hits = sum(run_replicates(lambda _i, rng: bool(event(rng)), n, seed))
-    return estimate_from_hits(hits, n, seed)
+    return estimate_from_hits(hits, n)
 
 
 def test_mc_estimate_constant_true():

@@ -20,6 +20,8 @@ from stitsim.measure import (Discrete, DrivingMeasure, axis_measure,
 from stitsim.rng import run_replicates, stream
 from stitsim.stats import binomial_sigma, ks_two_sample
 
+from oracles import tiling_defect
+
 LAM = axis_measure([1.0, 1.0])
 W1 = geo.Box((-1.0, -1.0), (1.0, 1.0))
 W2 = geo.Box((-2.0, -2.0), (2.0, 2.0))
@@ -77,7 +79,7 @@ def test_tree_structural_invariants():
     assert len(set(tree.jump_times)) == len(tree.jump_times)
     # tiling at several slices
     for s in (0.2, 0.7, 1.2):
-        assert stit.tiling_defect(stit.slice_at(tree, s)) <= 1e-6
+        assert tiling_defect(stit.slice_at(tree, s)) <= 1e-6
 
 
 def test_slice_monotone_and_bounds():
@@ -124,7 +126,7 @@ def test_advance_preserves_tiling():
     tree = stit.simulate(LAM, W2, 0.5, stream(8, 0))
     stit.advance(tree, 0.7, stream(8, 1))
     assert tree.current_time == pytest.approx(1.2)
-    assert stit.tiling_defect(stit.slice_at(tree, 1.2)) <= 1e-6
+    assert tiling_defect(stit.slice_at(tree, 1.2)) <= 1e-6
 
 
 def test_zero_cell():
@@ -223,7 +225,7 @@ def test_iterate():
              for _ in range(len(T.cells))]
     result = stit.iterate(T, nests)
     assert len(result.cells) == brute_force_nest_count(T, nests)
-    assert stit.tiling_defect(result) <= 1e-6
+    assert tiling_defect(result) <= 1e-6
     with pytest.raises(InsufficientNests):
         stit.iterate(T, nests[:max(0, len(T.cells) - 1)])
 
@@ -234,7 +236,7 @@ def test_restrict():
     same = stit.restrict(T, W2)
     assert len(same.cells) == len(T.cells)
     inner = stit.restrict(T, geo.Box((-1, -1), (1, 1)))
-    assert stit.tiling_defect(inner) <= 1e-6
+    assert tiling_defect(inner) <= 1e-6
     # a sub-window inside one cell restricts to the trivial tessellation
     z = stit.zero_cell(T)
     c = z.centroid()
@@ -289,7 +291,7 @@ def test_isotropic_polygon_tree():
     window = W1.to_polygon()
     tree = stit.simulate(iso, window, 1.0, stream(17, 0))
     T = stit.slice_at(tree, 1.0)
-    assert stit.tiling_defect(T) <= 1e-6
+    assert tiling_defect(T) <= 1e-6
     u, d = tree.forest.cuts()
     dead = np.flatnonzero(~tree.forest.alive).tolist()
     assert dead
@@ -547,21 +549,28 @@ def test_first_moments_are_exact(seed, name):
 
 
 def test_lines_on_a_broadcast_window_skip_the_pairwise_array():
-    # Window rain draws every line from one window broadcast to all rows;
-    # its diameter is computed once, not through an (m, K, K, 2) array of
-    # vertex differences (64 MiB here).  The draws are those of the same
+    # Window rain draws every line from one window broadcast to all rows.
+    # The isotropic measure computes its diameter once, not through an
+    # (m, K, K, 2) array of vertex differences (64 MiB here); a discrete
+    # measure projects it once, not through an (m, K, 3) array of every
+    # row's projections (12 MiB here).  The draws are those of the same
     # window materialised row by row.
-    iso = isotropic_measure(1.0)
+    s3 = math.sqrt(3.0) / 2.0
+    oblique3 = DrivingMeasure(1.0, Discrete((((1.0, 0.0), 0.5),
+                                             ((0.5, s3), 0.25),
+                                             ((-0.5, s3), 0.25))))
     wv = np.array([(math.cos(a), math.sin(a)) for a in np.arange(8) * math.pi / 4])
     m = 65_536
-    tracemalloc.start()
-    try:
-        draw_lines(stream(90, 0), iso, np.broadcast_to(wv, (m, 8, 2)))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < m * 8 * 8 * 2 * 8 / 2
-    small = np.broadcast_to(wv, (500, 8, 2))
-    a = draw_lines(stream(91, 0), iso, small)
-    b = draw_lines(stream(91, 0), iso, small.copy())
-    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    for measure, bound in ((isotropic_measure(1.0), m * 8 * 8 * 2 * 8 / 2),
+                           (oblique3, m * 8 * 3 * 8 / 2)):
+        tracemalloc.start()
+        try:
+            draw_lines(stream(90, 0), measure, np.broadcast_to(wv, (m, 8, 2)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+        small = np.broadcast_to(wv, (500, 8, 2))
+        a = draw_lines(stream(91, 0), measure, small)
+        b = draw_lines(stream(91, 0), measure, small.copy())
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
