@@ -197,8 +197,8 @@ def _stat_sample(measure, window, t, n, seed, method="direct", base=0,
     return arr[:, 0], arr[:, 1]
 
 
-def _work(scan) -> dict:  # the box rain's counters (the generic has none)
-    return {k: scan[k] for k in ("marks_drawn", "rows_retired") if k in scan}
+def _work(scan) -> dict:
+    return {k: scan[k] for k in ("marks_drawn", "rows_retired")}
 
 
 def _monotone_steps(values, sigmas) -> list[bool]:

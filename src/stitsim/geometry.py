@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -134,10 +134,17 @@ class Polygon2D:
         if area < 0.0:
             pts = pts[::-1]
             area = _signed_area(pts)
+        turning = 0.0  # 2 pi for a convex polygon, 4 pi for a pentagram
         for (ax, ay), (bx, by), (cx, cy) in zip(pts, pts[1:] + pts[:1],
                                                 pts[2:] + pts[:2]):
-            if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) < -GEOM_TOL:
+            cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+            if cross < -GEOM_TOL:
                 raise ValueError("polygon is not convex")
+            turning += math.atan2(cross, (bx - ax) * (cx - bx)
+                                  + (by - ay) * (cy - by))
+        if turning > 3.0 * math.pi:
+            raise ValueError("polygon is not convex: its edges wind more "
+                             "than once")
         if area <= 0.0:
             raise ValueError("polygon has zero area")
         object.__setattr__(self, "points", pts)
@@ -522,6 +529,128 @@ def _compact(cand, keep):
     pad = j >= n[:, None]
     pts[pad] = np.broadcast_to(pts[:, :1], pts.shape)[pad]
     return pts, n
+
+
+# ---------------------------------------------------------------------------
+# cell arrays: m cells of one regime, in the form the rain lineage cuts
+# them.  A mark (u, d) is the hyperplane {x : <x, u> = d}; u is an axis
+# index for box cells and a unit normal for polygon cells.
+
+class BoxCells:
+    """m boxes [lo, hi], lo and hi (m, ell), cut by axis marks."""
+
+    def __init__(self, lo: np.ndarray, hi: np.ndarray):
+        self.lo, self.hi = lo, hi
+
+    @classmethod
+    def of(cls, bodies) -> "BoxCells":
+        """The bodies' bounding boxes: their exact extents along every axis."""
+        lo, hi = np.array([support_interval(b, np.eye(b.dim)) for b in bodies]
+                          ).transpose(1, 0, 2)
+        return cls(lo, hi)
+
+    @classmethod
+    def tile(cls, P: Box, m: int) -> "BoxCells":
+        return cls(np.tile(P.lo_arr, (m, 1)), np.tile(P.hi_arr, (m, 1)))
+
+    def meets(self, rows, u, d):
+        """Whether mark i crosses the open interior of cell rows[i]."""
+        return (d > self.lo[rows, u]) & (d < self.hi[rows, u])
+
+    def interval(self, u):
+        """(lo, hi) (len(u), m): each cell's closed extent along each mark."""
+        return self.lo[:, u].T, self.hi[:, u].T
+
+    def clamp(self, rows, u, d, below):
+        """Cut cell rows[i] in place to its side of mark i, the side below
+        it where below[i].  Returns ok, always true for boxes."""
+        self.hi[rows[below], u[below]] = d[below]
+        self.lo[rows[~below], u[~below]] = d[~below]
+        return np.ones(len(rows), dtype=bool)
+
+    def side(self, rows, u, d, below):
+        """(children, ok): copies of cells rows cut as clamp cuts them."""
+        child = BoxCells(self.lo[rows], self.hi[rows])
+        return child, child.clamp(np.arange(len(rows)), u, d, below)
+
+    def inside(self, enc: Box, rows=slice(None)):
+        """Cells rows strictly inside the box enc, with no tolerance."""
+        return ((self.lo[rows] > enc.lo_arr).all(axis=1)
+                & (self.hi[rows] < enc.hi_arr).all(axis=1))
+
+    @staticmethod
+    def in_band(band, u, d):
+        """Which marks lie in the band, an axis band (Band.axis_form)."""
+        axis, lo, hi = band.axis_form()
+        return (u == axis) & (d > lo) & (d < hi)
+
+
+class PolygonCells:
+    """m convex polygons in the padded layout (V, count), cut by lines."""
+
+    def __init__(self, V: np.ndarray, count: np.ndarray):
+        self.V, self.count = V, count
+
+    @classmethod
+    def of(cls, bodies) -> "PolygonCells":
+        return cls(*pad_polygons([np.asarray(b.vertices(), dtype=float)
+                                  for b in bodies]))
+
+    @classmethod
+    def tile(cls, P, m: int) -> "PolygonCells":
+        v = polygon_vertices(P)
+        return cls(np.repeat(v[None], m, axis=0), np.full(m, len(v)))
+
+    def meets(self, rows, u, d):
+        """Whether line i meets cell rows[i]: its offset lies in the cell's
+        closed projection interval, as hits decides."""
+        proj = project(self.V[rows], u)
+        return (proj.min(axis=1) <= d) & (d <= proj.max(axis=1))
+
+    def interval(self, u):
+        """(lo, hi) (len(u), m): each cell's closed extent along each line."""
+        proj = self.V @ u.T
+        return proj.min(axis=1).T, proj.max(axis=1).T
+
+    def clamp(self, rows, u, d, below):
+        """Clip cell rows[i] in place to its side of line i, the side below
+        it where below[i], as clip_tolerant does.  Returns ok, False where
+        the piece is degenerate (clip_side); that cell is left as it was."""
+        s = np.where(below, 1.0, -1.0)[:, None] * (
+            project(self.V[rows], u) - d[:, None])
+        pts, n, ok = clip_side(self.V[rows], self.count[rows], s)
+        self.V = pad_to(self.V, int(n.max(initial=0)))
+        kept = rows[ok]
+        self.V[kept], self.count[kept] = pts[ok, :self.V.shape[1]], n[ok]
+        return ok
+
+    def side(self, rows, u, d, below):
+        """(children, ok): copies of cells rows cut as clamp cuts them,
+        only where ok."""
+        child = PolygonCells(self.V[rows], self.count[rows])
+        ok = child.clamp(np.arange(len(rows)), u, d, below)
+        return PolygonCells(child.V[ok], child.count[ok]), ok
+
+    def inside(self, enc, rows=slice(None)):
+        """Whether cells rows lie strictly inside the polytope enc, with
+        GEOM_TOL, as contains(enc, cell, strict=True)."""
+        normals, offsets = _facet_arrays(enc)
+        return (self.V[rows] @ normals < offsets - GEOM_TOL).all(axis=(1, 2))
+
+    @staticmethod
+    def in_band(band, u, d):
+        """Which lines lie in the band (Band.marks_in)."""
+        return band.marks_in(u, d)
+
+
+@lru_cache(maxsize=64)
+def _facet_arrays(P):
+    """P.facets() as read-only arrays: normals (dim, f) and offsets (f,)."""
+    normals, offsets = zip(*P.facets())
+    arrays = np.array(normals).T, np.array(offsets)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 # ---------------------------------------------------------------------------

@@ -322,7 +322,7 @@ def grow_boxes(measure: DrivingMeasure, window: geo.Box, lo, hi, rep,
             death, axis, cut, (at, ax, d) = _window_rain(
                 rng, table[0],
                 lambda n: draw_box_marks(table, rng.random(n), rng.random(n)),
-                lambda i, ax, d: (d > lo[i, ax]) & (d < hi[i, ax]),
+                geo.BoxCells(lo, hi).meets,
                 np.full(m, -1), birth, horizon)
             misses.append((start + at, ax, d))
             events += len(at)
@@ -401,13 +401,10 @@ def grow_polygons(measure: DrivingMeasure, window: geo.Polytope, verts, rep,
         m = len(V)
         normal, offset = np.zeros((m, 2)), np.zeros(m)
         if method == "rejection":
-            def meets(i, u, d):
-                proj = geo.project(V[i], u)
-                return (proj.min(axis=1) <= d) & (d <= proj.max(axis=1))
             death, normal, offset, (at, mu, md) = _window_rain(
                 rng, window_rate, lambda n: draw_lines(
                     rng, measure, np.broadcast_to(wv, (n,) + wv.shape)),
-                meets, normal, birth, horizon)
+                geo.PolygonCells(V, count).meets, normal, birth, horizon)
             misses.append((start + at, mu, md))
             events += len(at)
         else:

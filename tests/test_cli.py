@@ -1,6 +1,7 @@
 """Command-line interface behavior and exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -287,6 +288,19 @@ def test_simulate_rejects_window_out_of_range(tmp_path, capsys, window):
     assert not (tmp_path / "x.json").exists()
     edge = window_from_json({"kind": "box", "lo": [-500, -500], "hi": [500, 500]})
     assert edge.hi == (500.0, 500.0)
+
+
+def test_simulate_rejects_star_polygon_window(tmp_path, capsys):
+    # a pentagram turns the same way at every vertex but is not convex
+    star = [[math.cos(math.radians(90 + 144 * k)),
+             math.sin(math.radians(90 + 144 * k))] for k in range(5)]
+    path = write_config(tmp_path, {**STIT_CONFIG, "measure": {
+        "gamma": 2.0, "directional": {"kind": "isotropic2d"}},
+        "window": {"kind": "polygon", "vertices": star}})
+    assert main(["simulate", "--config", path, "--seed", "3",
+                 "--out", str(tmp_path / "x.json")]) == 2
+    assert "wind more than once" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
 
 
 @pytest.mark.parametrize("rho", [1e12, 1e30])

@@ -46,6 +46,23 @@ def random_polygon(rng, n=9, scale=2.0):
     return geo.Polygon2D(tuple(map(tuple, pts[hull.vertices])))
 
 
+def pentagram():
+    """The five unit-circle points at 90 + 144 k degrees: every turn goes
+    left, but the edges wind twice around the centre."""
+    return tuple((math.cos(math.radians(90 + 144 * k)),
+                  math.sin(math.radians(90 + 144 * k))) for k in range(5))
+
+
+def test_polygon_rejects_non_convex_vertex_lists():
+    with pytest.raises(ValueError, match="not convex"):
+        geo.Polygon2D(((0, 0), (2, 0), (1, 0.5), (2, 2), (0, 2)))  # reflex
+    with pytest.raises(ValueError, match="wind more than once"):
+        geo.Polygon2D(pentagram())
+    # either orientation of a convex polygon, many-sided ones included
+    assert geo.Polygon2D(triangle().points[::-1]).points == triangle().points
+    assert len(regular_gon(64).points) == 64
+
+
 def test_support_function_examples():
     assert geo.support_function(unit_box(), (1, 0)) == pytest.approx(1.0)
     assert geo.support_function(unit_box(), (SQ2, SQ2)) == pytest.approx(math.sqrt(2))

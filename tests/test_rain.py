@@ -143,9 +143,10 @@ def test_three_body_lineage_fast_vs_generic():
     avoidance event, and each marginal is exponential in the body's mass."""
     V = geo.Box((-2.0, -2.0), (2.0, 6.0))
     bodies = tuple(geo.Face(((-1.0, y), (1.0, y))) for y in (0.0, 2.0, 4.0))
-    fast = rain._fast_scan(LAM, V, bodies, 1.0, 20_000, 33,
-                           None, ())[0]
-    gen = rain._generic_scan(LAM, V, bodies, 1.0, 2_000, 34, None, ())[0]
+    fast = rain._scan(rain._box_regime(LAM, V), V, bodies, 1.0, 20_000, 33,
+                      None, ())[0]
+    gen = rain._scan(rain._polygon_regime(LAM, V), V, bodies, 1.0, 2_000, 34,
+                     None, ())[0]
     for cols in ([0], [1], [2], [0, 1], [1, 2], [0, 2], [0, 1, 2]):
         pf = np.isinf(fast[:, cols]).all(axis=1).mean()
         pg = np.isinf(gen[:, cols]).all(axis=1).mean()
@@ -160,8 +161,9 @@ def test_polygon_kernel_replays_box_kernel():
     """On a box window given as a polygon, an axis measure draws the same
     lines from a stream as the box kernel draws marks, so the polygon
     kernel's clipped cells must reproduce every clock of the box kernel's
-    clamped intervals: the zero scan's with its bands, and a three-body
-    group's cuts through its splits."""
+    clamped intervals: the zero scan's with its bands, a three-body group's
+    cuts through its splits, and a pair scan's with an enclosure, retired
+    rows included."""
     prob = equality_problem(0.5, 1.0, [1.0, 1.0])
     box = rain.zero_cell_scan(prob.measure, prob.outer, prob.inner, 3.0,
                               5_000, 88, bands=prob.bands)
@@ -171,10 +173,18 @@ def test_polygon_kernel_replays_box_kernel():
         assert np.array_equal(box[key], poly[key]), key
     V = geo.Box((-2.0, -2.0), (2.0, 6.0))
     bodies = tuple(geo.Face(((-1.0, y), (1.0, y))) for y in (0.0, 2.0, 4.0))
-    cut = rain._fast_scan(LAM, V, bodies, 1.0, 5_000, 89,
-                          None, ())[0]
-    assert np.array_equal(cut, rain._generic_scan(
-        LAM, V.to_polygon(), bodies, 1.0, 5_000, 89, None, ())[0])
+    P = V.to_polygon()
+    cut = rain._scan(rain._box_regime(LAM, V), V, bodies, 1.0, 5_000, 89,
+                     None, ())[0]
+    assert np.array_equal(cut, rain._scan(rain._polygon_regime(LAM, P), P,
+                                          bodies, 1.0, 5_000, 89, None, ())[0])
+    box = rain.pair_scan(LAM, ENC_V, ENC_INNER, ENC_PROBE, 2.0, 5_000, 90,
+                         enclosure=ENC)
+    poly = rain._generic_pair(LAM, ENC_V.to_polygon(), ENC_INNER, ENC_PROBE,
+                              2.0, 5_000, 90, ENC)
+    assert box["rows_retired"] > 0
+    for key in ("cut_a", "cut_b", "tau_enc", "marks_drawn", "rows_retired"):
+        assert np.array_equal(box[key], poly[key], equal_nan=True), key
 
 
 def segment_uncut(f, n, face):
@@ -271,34 +281,53 @@ def test_chunk_size_does_not_change_the_law(monkeypatch):
         assert abs(p.mean() - p1.mean()) <= 5 * binomial_sigma(p.mean(), 20_000)
 
 
-@pytest.mark.parametrize("probe", [ENC_PROBE, geo.Face(((0.5, 0.0), (0.9, 0.0)))],
-                         ids=["outside", "inside"])
-def test_retired_rows_and_conditioned_law(probe):
-    """A pair scan with an enclosure stops following a row once tau_enc is
-    decided to be inf, and cut_b then reads NaN; on conditioned rows cut_b
-    keeps the law of the polygon kernel, which never retires a row.  The
-    probe lies outside the enclosure or inside it, where tau_enc can be set
-    while the bodies still share a cell."""
-    fast = rain.pair_scan(LAM, ENC_V, ENC_INNER, probe, 2.0, 40_000, 84,
-                          enclosure=ENC)
-    tau, cut_a, cut_b = fast["tau_enc"], fast["cut_a"], fast["cut_b"]
+def _retired_rows(scan):
+    """Check a pair scan's retirement invariants; returns tau, cut_a, cut_b
+    and the conditioned rows (tau finite)."""
+    tau, cut_a, cut_b = scan["tau_enc"], scan["cut_a"], scan["cut_b"]
     retired = np.isnan(cut_b)
     cond = np.isfinite(tau)
-    assert fast["rows_retired"] == int(retired.sum()) > 0
+    assert scan["rows_retired"] == int(retired.sum()) > 0
     assert not (retired & cond).any()
     assert not np.isnan(cut_a).any() and not np.isnan(tau).any()
     # a kept unconditioned row ended on its own: body b was cut no later than
     # body a, or neither body was cut and no split came
     kept = ~retired & ~cond
     assert (cut_b[kept] <= cut_a[kept]).all()
-    gen = rain._generic_pair(LAM, ENC_V, ENC_INNER, probe, 2.0, 3_000, 85, ENC)
-    assert gen["rows_retired"] == 0 and not np.isnan(gen["cut_b"]).any()
-    gcond = np.isfinite(gen["tau_enc"])
+    return tau, cut_a, cut_b, cond
+
+
+@pytest.mark.parametrize("probe", [ENC_PROBE, geo.Face(((0.5, 0.0), (0.9, 0.0)))],
+                         ids=["outside", "inside"])
+def test_retired_rows_and_conditioned_law(probe):
+    """A pair scan with an enclosure stops following a row once tau_enc is
+    decided to be inf, and cut_b then reads NaN, in the box and the polygon
+    kernel alike.  The probe lies outside the enclosure or inside it, where
+    tau_enc can be set while the bodies still share a cell.  The kernels
+    agree in law, and both match whole trees, which never retire: on
+    P(tau_enc finite) and on P(probe uncut at the horizon | tau_enc
+    finite)."""
+    horizon = 2.0
+    fast = rain.pair_scan(LAM, ENC_V, ENC_INNER, probe, horizon, 40_000, 84,
+                          enclosure=ENC)
+    gen = rain._generic_pair(LAM, ENC_V, ENC_INNER, probe, horizon, 3_000, 85,
+                             ENC)
+    tau, cut_a, cut_b, cond = _retired_rows(fast)
+    _, g_cut_a, g_cut_b, gcond = _retired_rows(gen)
     assert abs(cond.mean() - gcond.mean()) <= 5 * binomial_sigma(cond.mean(), 3_000)
-    assert _ks_finite(cut_b[cond], gen["cut_b"][gcond]) > 0.001
-    assert _ks_finite(cut_a, gen["cut_a"]) > 0.001
-    pf, pg = np.isinf(cut_b[cond]).mean(), np.isinf(gen["cut_b"][gcond]).mean()
+    assert _ks_finite(cut_b[cond], g_cut_b[gcond]) > 0.001
+    assert _ks_finite(cut_a, g_cut_a) > 0.001
+    pf, pg = np.isinf(cut_b[cond]).mean(), np.isinf(g_cut_b[gcond]).mean()
     assert abs(pf - pg) <= 5 * binomial_sigma(pf, int(gcond.sum()))
+
+    n = 3_000
+    f = tree_forest(ENC_V, horizon, n, stream(91, 0))
+    tcond = np.isfinite(tree_encapsulation(f, n, ENC, ENC_INNER))
+    tuncut = segment_uncut(f, n, probe)[tcond].mean()
+    for c, b in ((cond, cut_b), (gcond, g_cut_b)):
+        assert abs(c.mean() - tcond.mean()) <= 5 * binomial_sigma(tcond.mean(), n)
+        assert abs(np.isinf(b[c]).mean() - tuncut) <= 5 * binomial_sigma(
+            tuncut, int(tcond.sum()))
 
 
 def test_zero_scan_memory_does_not_grow_with_horizon():
@@ -376,13 +405,13 @@ def _scan_digest(scan) -> str:
     return h.hexdigest()
 
 
-# _scan_digest of each case.  The box values (zero_axis_2d,
-# zero_weighted_3d, pair_fast and their *_batched cases) pin marks drawn on
-# demand in chunks of rain._CHUNK, with retired rows' cut_b read as NaN.
-# The polygon values (zero_isotropic*, generic_*_box, pair_generic,
-# pair_isotropic) pin rain._polygon_lineage: window-level lines drawn in
-# chunks of rain._CHUNK for the rows still followed, batch b of a scan on
-# stream(seed, base + b).
+# _scan_digest of each case.  They pin rain._lineage: marks drawn on
+# demand in chunks of rain._CHUNK for the rows still followed, batch b of a
+# scan on stream(seed, base + b), and the pair scans with an enclosure
+# reading retired rows' cut_b as NaN.  The box values (zero_axis_2d,
+# zero_weighted_3d, pair_fast and their *_batched cases) pin box cells and
+# the box drawer, the polygon values (zero_isotropic*, generic_*_box,
+# pair_generic, pair_isotropic) polygon cells and the line drawer.
 SCAN_GOLDEN = {
     "zero_axis_2d": "e17ad619b7e79ca9469085e704fe9a4c16d9c502c7d82ff530f6b88cfd4d124e",
     "zero_weighted_3d": "93d5aad9e8ff3230f46c32888b7667c37ec798954cc809fedd291681fb285190",
@@ -390,9 +419,9 @@ SCAN_GOLDEN = {
     "zero_isotropic": "ee9232028b26d13fd718fc8aaffdf332a6e67a2b368c17f2357d07ef5bfa9b0d",
     "generic_zero_box": "dc5a631ac6631f18c451166aab3db97844c33411a4d03a9d4d9680e7bfa12a04",
     "pair_fast": "51fb6d75e8d610040f5adcbedfade8894fef1d7c743482a5186076b1cfb3c228",
-    "generic_pair_box": "68b85853727ab24dccd5bf0805fbf9ba2ba9fe5fee1c3b83447de3f29207f243",
-    "pair_generic": "155956d90fb4a1d234bf1c4a3ae2fd922916c1eaf64b03f16b8d2cee62a5847f",
-    "pair_isotropic": "507594556118f5579e2b022207f8362cca1f15e74055a9d1e55cb79cc36000cd",
+    "generic_pair_box": "3c70a9f71ae5b6485c8260f3a470504f8e2fce597eeff63c610b3bb95bb5b8cc",
+    "pair_generic": "d21db9c787c32d1b32f135349c2a57b3304f6bc6eaa140732d8a2ba98fecff8e",
+    "pair_isotropic": "8d5b766446e8262141e895ca04ca339bddb1b870caf156e593c80c4fa0f338b2",
     "zero_axis_2d_batched": "740ef4ebb05dc9cbaf38282aa4ea71b29342309d23cd23df7e639713c4879db8",
     "pair_fast_batched": "e1874c43f1b963415879a93b59af96fb0f7e7c981dfbb364f533a1caa66bc179",
 }
