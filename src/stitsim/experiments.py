@@ -30,7 +30,7 @@ from .encapsulation import (Band, EncapsulationProblem, build_window,
 from .errors import (AmbiguousZeroCell, DegenerateCut, RegimeMismatch,
                      TooFewConditioned, WindowMismatch)
 from .measure import (DrivingMeasure, axis_measure, box_axis_rates,
-                      isotropic_measure)
+                      isotropic_measure, regime)
 from .pht import draw_patterns, empty_probability, pattern_hits
 from .rng import run_replicates, stream
 from .stats import (binomial_sigma, estimate_from_hits, gap_estimate,
@@ -92,23 +92,26 @@ def _scaled(n: int, n_scale: float) -> int:
 
 def _with_resample(body):
     """Re-run a replicate on measure-zero geometric degeneracies."""
+    attempts = 20
+
     def run(i, rng):
-        for _ in range(20):
+        for _ in range(attempts):
             try:
                 return body(i, rng)
-            except (AmbiguousZeroCell, DegenerateCut):
-                continue
-        raise AmbiguousZeroCell("persistently degenerate trajectory")
+            except (AmbiguousZeroCell, DegenerateCut) as e:
+                last = e
+        raise AmbiguousZeroCell(
+            f"persistently degenerate trajectory: replicate {i} failed all "
+            f"{attempts} attempts") from last
     return run
 
 
-def _grow(measure, window, nb, t, rng, method="direct") -> stit.BoxForest:
+def _grow(measure, window, nb, t, rng, method="direct") -> stit.Forest:
     """nb fresh box trees on the window grown to t, as one batch."""
     if box_axis_rates(measure, window) is None:
         raise RegimeMismatch("tree experiments need an axis measure on a box")
-    return stit.grow_boxes(measure, window, np.tile(window.lo_arr, (nb, 1)),
-                           np.tile(window.hi_arr, (nb, 1)), np.arange(nb),
-                           0.0, t, rng, method)
+    return stit.grow(measure, window, geo.BoxCells.tile(window, nb),
+                     np.arange(nb), 0.0, t, rng, method)
 
 
 def _tree_sample(measure, window, t, n, seed, stat, method="direct", base=0):
@@ -139,10 +142,10 @@ def _pht_sample(measure, rho, window, bodies, n, seed, base=0):
     return np.concatenate(run_replicates(chunk, -(-n // _PHT_CHUNK), seed, base))
 
 
-def _leaves(f: stit.BoxForest, window):
-    """Cells (rep, lo, hi, window) of the state at the horizon."""
+def _leaves(f: stit.Forest, window):
+    """Cells (rep, lo, hi, window) of a box forest's state at the horizon."""
     live = f.alive
-    return f.rep[live], f.lo[live], f.hi[live], window
+    return f.rep[live], f.cells.lo[live], f.cells.hi[live], window
 
 
 def _pieces(cells, lo, hi, window):
@@ -531,14 +534,14 @@ def experiment_no_jump(measure, inner, t, t2_grid, n, seed) -> Report:
     zeta is random, so the comparison is informational only.
     """
     t2_grid = sorted(t2_grid)
-    g = box_axis_rates(measure, inner)
+    masses = regime(measure, inner).masses
 
     def stat(f, nb, _rng):
         jumps = [(f.death >= t - t2) & (f.death < t) for t2 in t2_grid]
-        rep, lo, hi, _ = _leaves(f, inner)
+        live = f.alive
         return np.column_stack(
             [np.bincount(f.rep[j], minlength=nb) == 0 for j in jumps]
-            + [np.bincount(rep, (hi - lo) @ g, nb)])
+            + [np.bincount(f.rep[live], masses(f.cells.take(live)), nb)])
 
     out = _tree_sample(measure, inner, t, n, seed, stat)
     flags = out[:, :-1]

@@ -532,8 +532,8 @@ def _compact(cand, keep):
 
 
 # ---------------------------------------------------------------------------
-# cell arrays: m cells of one regime, in the form the rain lineage cuts
-# them.  A mark (u, d) is the hyperplane {x : <x, u> = d}; u is an axis
+# cell arrays: m cells of one regime, in the form the tree and rain kernels
+# cut them.  A mark (u, d) is the hyperplane {x : <x, u> = d}; u is an axis
 # index for box cells and a unit normal for polygon cells.
 
 class BoxCells:
@@ -553,6 +553,43 @@ class BoxCells:
     def tile(cls, P: Box, m: int) -> "BoxCells":
         return cls(np.tile(P.lo_arr, (m, 1)), np.tile(P.hi_arr, (m, 1)))
 
+    @classmethod
+    def concat(cls, parts) -> "BoxCells":
+        return cls(np.concatenate([p.lo for p in parts]),
+                   np.concatenate([p.hi for p in parts]))
+
+    def __len__(self) -> int:
+        return len(self.lo)
+
+    def take(self, rows) -> "BoxCells":
+        return BoxCells(self.lo[rows], self.hi[rows])
+
+    def polytopes(self, rows) -> list[Box]:
+        return [Box(tuple(a), tuple(b)) for a, b in
+                zip(self.lo[rows].tolist(), self.hi[rows].tolist())]
+
+    @staticmethod
+    def unmarked(m: int) -> np.ndarray:
+        """m empty marks, axis -1."""
+        return np.full(m, -1)
+
+    def normals(self, u) -> np.ndarray:
+        """The unit normals of marks u, the zero vector for an empty one."""
+        return (u[:, None] == np.arange(self.lo.shape[1])).astype(float)
+
+    def split(self, u, d):
+        """(children, ok): cell i cut by mark i into its two children, side
+        by side, minus (the side away from the origin) first; ok is False
+        where the mark lies within 1e-9 of a face of the cell or 1e-12 of
+        the origin."""
+        rows = np.arange(len(d))
+        ok = ((d - self.lo[rows, u] > 1e-9) & (self.hi[rows, u] - d > 1e-9)
+              & (np.abs(d) > 1e-12))
+        lo, hi = np.repeat(self.lo, 2, axis=0), np.repeat(self.hi, 2, axis=0)
+        lo[2 * rows + (d <= 0), u] = d
+        hi[2 * rows + (d > 0), u] = d
+        return BoxCells(lo, hi), ok
+
     def meets(self, rows, u, d):
         """Whether mark i crosses the open interior of cell rows[i]."""
         return (d > self.lo[rows, u]) & (d < self.hi[rows, u])
@@ -570,7 +607,7 @@ class BoxCells:
 
     def side(self, rows, u, d, below):
         """(children, ok): copies of cells rows cut as clamp cuts them."""
-        child = BoxCells(self.lo[rows], self.hi[rows])
+        child = self.take(rows)
         return child, child.clamp(np.arange(len(rows)), u, d, below)
 
     def inside(self, enc: Box, rows=slice(None)):
@@ -600,6 +637,56 @@ class PolygonCells:
     def tile(cls, P, m: int) -> "PolygonCells":
         v = polygon_vertices(P)
         return cls(np.repeat(v[None], m, axis=0), np.full(m, len(v)))
+
+    @classmethod
+    def concat(cls, parts) -> "PolygonCells":
+        """The parts' rows in order, padded to the widest part."""
+        width = max(p.V.shape[1] for p in parts)
+        return cls(np.concatenate([pad_to(p.V, width) for p in parts]),
+                   np.concatenate([p.count for p in parts]))
+
+    def __len__(self) -> int:
+        return len(self.count)
+
+    def take(self, rows) -> "PolygonCells":
+        """Cells rows, padded to the largest count among them."""
+        count = self.count[rows]
+        return PolygonCells(self.V[rows, :int(count.max(initial=1))], count)
+
+    def polytopes(self, rows) -> list[Polygon2D]:
+        V, count = self.V[rows], self.count[rows]
+        x, y = V[np.arange(V.shape[1]) < count[:, None]].T.tolist()
+        ends = np.cumsum(count).tolist()
+        return [Polygon2D(tuple(zip(x[e - k:e], y[e - k:e])))
+                for e, k in zip(ends, count.tolist())]
+
+    @staticmethod
+    def unmarked(m: int) -> np.ndarray:
+        """m empty marks, the zero normal."""
+        return np.zeros((m, 2))
+
+    @staticmethod
+    def normals(u) -> np.ndarray:
+        return u
+
+    def split(self, u, d):
+        """(children, ok): cell i cut by line i into its two children, side
+        by side, minus (the side away from the origin) first, by one
+        clip_side each and padded to the largest child count; ok is False
+        where a vertex lies within GEOM_TOL of the line or a child is
+        degenerate (clip_side)."""
+        m, K = self.V.shape[:2]
+        s = project(self.V, u) - d[:, None]
+        ok = ~(np.abs(s) < GEOM_TOL).any(axis=1)
+        sign = np.where(d > 0, -1.0, 1.0)[:, None]
+        pts, n = np.empty((m, 2, 2 * K, 2)), np.empty((m, 2), dtype=np.int64)
+        for side, sg in enumerate((sign, -sign)):
+            pts[:, side], n[:, side], side_ok = clip_side(self.V, self.count,
+                                                          sg * s)
+            ok &= side_ok
+        width = int(n.max(initial=1))
+        return PolygonCells(pts[:, :, :width].reshape(2 * m, width, 2),
+                            n.reshape(2 * m)), ok
 
     def meets(self, rows, u, d):
         """Whether line i meets cell rows[i]: its offset lies in the cell's

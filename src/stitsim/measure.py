@@ -10,6 +10,12 @@ bulk through one drawer per geometry regime, picked with box_axis_rates:
 the box drawer (box_table, draw_box_marks) for an axis measure on a box,
 the line drawer (draw_lines) for every other planar case.  sample_hitting,
 one hyperplane at a time, is their scalar reference.
+
+A Regime is the measure's law on one window as the tree and rain kernels
+read it: the window's cell type (geometry.BoxCells or PolygonCells), its
+hitting mass and drawer, each cell's hitting mass, and one mark drawn from
+each cell's own law.  box_regime and polygon_regime build it, and regime
+picks between them for the trees.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -181,7 +188,7 @@ def _discrete_widths(th: Discrete, P) -> np.ndarray:
 def measure_hitting(measure: DrivingMeasure, P) -> float:
     """Total mass of hyperplanes meeting P: gamma * sum_c w_c width_c(P) for
     a discrete measure, Cauchy's gamma * perimeter(P) / pi for the isotropic
-    one (stit.grow_polygons computes the same per cell)."""
+    one (a Regime's masses computes the same for a batch of cells)."""
     _check_regime(measure, P)
     th = measure.directional
     if isinstance(th, Discrete):
@@ -274,8 +281,14 @@ def draw_lines(rng, measure: DrivingMeasure, V: np.ndarray):
             todo = todo[~ok]
         else:
             if len(todo):
-                raise SamplerStall("isotropic direction sampler exceeded cap")
+                raise _stall(len(todo), m)
     return u, lo + rng.random(m) * (hi - lo)
+
+
+def _stall(undrawn: int, m: int) -> SamplerStall:
+    return SamplerStall(f"isotropic direction sampler stopped with {undrawn} "
+                        f"of {m} rows undrawn after its cap of {_SAMPLER_CAP} "
+                        f"rounds")
 
 
 def sample_hitting(measure: DrivingMeasure, P, rng) -> geo.Hyperplane:
@@ -298,7 +311,77 @@ def sample_hitting(measure: DrivingMeasure, P, rng) -> geo.Hyperplane:
             if rng.random() * diam <= geo.width(P, u):
                 break
         else:
-            raise SamplerStall("isotropic direction sampler exceeded cap")
+            raise _stall(1, 1)
     lo, hi = -geo.support_function(P, -u), geo.support_function(P, u)
     d = rng.uniform(lo, hi)
     return geo.Hyperplane(tuple(u), d)
+
+
+class Regime(NamedTuple):
+    """The measure's law on one window, as the tree and rain kernels read it.
+
+    cells is the window's cell type and rate its hitting mass.  draw(rng,
+    shape) gives marks (u, d) of that shape from the window's law,
+    masses(cells) each cell's hitting mass, and mark(rng, cells) one mark
+    per cell from the measure restricted to the hyperplanes meeting it.
+    """
+
+    cells: type
+    rate: float
+    draw: Callable
+    masses: Callable
+    mark: Callable
+
+
+def box_regime(measure: DrivingMeasure, window: geo.Box) -> Regime:
+    """Box cells cut by marks (axis, offset) from the box drawer; a cell's
+    mass is g . side, and its own mark takes an axis with probability
+    g_c side_c / mass and an offset uniform along that side."""
+    table, g = box_table(measure, window), box_axis_rates(measure, window)
+
+    def mark(rng, cells):
+        side = cells.hi - cells.lo
+        rows = np.arange(len(side))
+        cum = np.cumsum(g * side, axis=1)
+        x = rng.random(len(side)) * cum[:, -1]
+        axis = np.minimum((x[:, None] >= cum).sum(axis=1), len(g) - 1)
+        return axis, (cells.lo[rows, axis]
+                      + rng.random(len(side)) * side[rows, axis])
+
+    return Regime(geo.BoxCells, table[0],
+                  lambda rng, shape: draw_box_marks(
+                      table, rng.random(shape), rng.random(shape)),
+                  lambda cells: (cells.hi - cells.lo) @ g, mark)
+
+
+def polygon_regime(measure: DrivingMeasure, window) -> Regime:
+    """Padded polygon cells cut by lines from the line drawer; a cell's mass
+    is gamma * sum_c w_c width_c(cell) for a discrete measure and Cauchy's
+    gamma * perimeter / pi for the isotropic one."""
+    wv = geo.polygon_vertices(window)
+    th = measure.directional
+
+    def draw(rng, shape):
+        us, ds = draw_lines(rng, measure, np.broadcast_to(
+            wv, (math.prod(shape),) + wv.shape))
+        return us.reshape(shape + (2,)), ds.reshape(shape)
+
+    def masses(cells):
+        if isinstance(th, Discrete):
+            proj = cells.V @ th.dir_array.T
+            return measure.gamma * ((proj.max(axis=1) - proj.min(axis=1))
+                                    @ th.weights)
+        edges = np.roll(cells.V, -1, axis=1) - cells.V
+        return measure.gamma * np.hypot(edges[..., 0], edges[..., 1]).sum(
+            axis=1) / math.pi
+
+    return Regime(geo.PolygonCells, measure_hitting(measure, window), draw,
+                  masses, lambda rng, cells: draw_lines(rng, measure, cells.V))
+
+
+def regime(measure: DrivingMeasure, window) -> Regime:
+    """The trees' regime on `window`: box_regime where box_axis_rates holds
+    (every cell stays a box), else polygon_regime."""
+    if box_axis_rates(measure, window) is None:
+        return polygon_regime(measure, window)
+    return box_regime(measure, window)

@@ -9,18 +9,20 @@ of a few bodies of interest is far cheaper than building whole trees and is
 exact for first-cut times, encapsulation times and avoidance indicators.
 
 One kernel, ``_lineage``, is the only loop that follows a cell through the
-rain, and it follows a batch of replicates at once.  The geometry regime
-supplies its cell type and its drawer: box intervals (geometry.BoxCells)
-cut by marks from measure's box drawer when the measure lives on the
+rain, and it follows a batch of replicates at once.  The geometry regime, a
+measure.Regime built by the constructors the trees use too, supplies its
+cell type and its drawer: box intervals (geometry.BoxCells) cut by marks
+from measure's box drawer (box_regime) when the measure lives on the
 coordinate axes and the window is a box, and convex polygons in geometry's
 padded layout (geometry.PolygonCells) cut by lines from measure's line
-drawer for every other planar measure and window.  The kernel follows the
-cell shared by a group of bodies: a mark that meets a body cuts it and the
-rest keep the cell, and a mark that separates the group splits it, each
-side continuing on its own rain.  The zero-cell scan is the one-body case
-and the pair scan the two-body case.  Marks are drawn on demand, _CHUNK at
-a time for the rows still followed, each row (or side of a split)
-continuing on the batch's stream from its last time.
+drawer (polygon_regime) for every other planar measure and window; each
+scan picks its regime itself, since its bodies decide too.  The kernel
+follows the cell shared by a group of bodies: a mark that meets a body cuts
+it and the rest keep the cell, and a mark that separates the group splits
+it, each side continuing on its own rain.  The zero-cell scan is the
+one-body case and the pair scan the two-body case.  Marks are drawn on
+demand, _CHUNK at a time for the rows still followed, each row (or side of
+a split) continuing on the batch's stream from its last time.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import geometry as geo
-from .measure import (DrivingMeasure, box_axis_rates, box_table,
-                      draw_box_marks, draw_lines, measure_hitting)
+from .measure import (DrivingMeasure, box_axis_rates, box_regime,
+                      polygon_regime)
 from .rng import stream
 
 _BATCH = 1 << 16
@@ -85,44 +87,24 @@ def pair_scan(measure: DrivingMeasure, window, body_a, body_b, horizon: float,
 # the regimes: each wrapper picks its regime, whatever the window's type
 
 def _fast_zero(measure, window: geo.Box, inner, horizon, n, seed, bands):
-    return _zero(_box_regime, measure, window, inner, horizon, n, seed, bands)
+    return _zero(box_regime, measure, window, inner, horizon, n, seed, bands)
 
 
 def _fast_pair(measure, window: geo.Box, body_a, body_b, horizon, n, seed,
                enclosure, base=0):
-    return _pair(_box_regime, measure, window, body_a, body_b, horizon, n,
+    return _pair(box_regime, measure, window, body_a, body_b, horizon, n,
                  seed, enclosure, base)
 
 
 def _generic_zero(measure, window, inner, horizon, n, seed, bands):
-    return _zero(_polygon_regime, measure, window, inner, horizon, n, seed,
+    return _zero(polygon_regime, measure, window, inner, horizon, n, seed,
                  bands)
 
 
 def _generic_pair(measure, window, body_a, body_b, horizon, n, seed,
                   enclosure, base=0):
-    return _pair(_polygon_regime, measure, window, body_a, body_b, horizon, n,
+    return _pair(polygon_regime, measure, window, body_a, body_b, horizon, n,
                  seed, enclosure, base)
-
-
-def _box_regime(measure, window: geo.Box):
-    """(BoxCells, rate, draw): the window's hitting mass and draw(rng,
-    shape) -> (axes, offsets) from the box drawer."""
-    table = box_table(measure, window)
-    return geo.BoxCells, table[0], lambda rng, shape: draw_box_marks(
-        table, rng.random(shape), rng.random(shape))
-
-
-def _polygon_regime(measure, window):
-    """(PolygonCells, rate, draw): the window's hitting mass and draw(rng,
-    shape) -> (normals, offsets) from the line drawer on the window."""
-    wv = geo.polygon_vertices(window)
-
-    def draw(rng, shape):
-        us, ds = draw_lines(rng, measure, np.broadcast_to(
-            wv, (shape[0] * shape[1],) + wv.shape))
-        return us.reshape(shape + (2,)), ds.reshape(shape)
-    return geo.PolygonCells, measure_hitting(measure, window), draw
 
 
 def _zero(regime, measure, window, inner, horizon, n, seed, bands):
@@ -142,12 +124,12 @@ def _pair(regime, measure, window, body_a, body_b, horizon, n, seed,
 
 def _scan(regime, window, bodies, horizon, n, seed, enclosure, bands,
           base=0):
-    """n lineages of `bodies` from `window` through _lineage, regime =
-    (cell type, rate, draw), batch b of _BATCH rows on stream(seed,
+    """n lineages of `bodies` from `window` through _lineage, under the
+    measure.Regime `regime`, batch b of _BATCH rows on stream(seed,
     base + b).  Returns the cuts (n, k), tau, the band clocks (n,
     len(bands)) and the counters marks_drawn and rows_retired (rows holding
     a NaN cut)."""
-    cells, rate, draw = regime
+    cells = regime.cells
     k, body_cells = len(bodies), cells.of(bodies)
     cut, tau = np.empty((n, k)), np.empty(n)
     sbands, drawn = np.empty((n, len(bands))), 0
@@ -155,7 +137,8 @@ def _scan(regime, window, bodies, horizon, n, seed, enclosure, bands,
         stop = min(start + _BATCH, n)
         nb = stop - start
         cut[start:stop], tau[start:stop], sbands[start:stop], more = _lineage(
-            (stream(seed, base + bi), rate, draw), cells.tile(window, nb),
+            (stream(seed, base + bi), regime.rate, regime.draw),
+            cells.tile(window, nb),
             body_cells, np.zeros(nb), horizon, enclosure, np.full(nb, np.inf),
             np.ones((nb, k), dtype=bool), bands)
         drawn += more

@@ -11,17 +11,15 @@ hyperplanes meeting it.  Two equivalent constructions are provided:
   first hit divides the cell.
 
 A cell's lifetime and cut depend only on that cell (Mecke, Nagel & Weiss
-2008), so each geometry regime has one kernel that grows a batch of trees
-one generation at a time over flat arrays, and ``advance`` picks it.
-``grow_boxes`` serves an axis measure on a box window, where every cell
-stays a box, and the experiments read its arrays directly.
-``grow_polygons`` serves every other planar measure and window: its cells
-are convex polygons in geometry's padded layout, split by a vectorised
-Sutherland-Hodgman pass, and an isotropic cell's hitting mass is Cauchy's
-gamma * perimeter / pi.  Both kernels draw through measure's drawer for
-their regime (box marks or lines), and in ``rejection`` both run one
-window-rain loop.  A ``CellTree`` is one tree's forest plus parent ids;
-polytopes come on demand.
+2008), so one kernel, ``grow``, grows a batch of trees one generation at a
+time over flat arrays, for both geometry regimes.  The regime
+(measure.regime) supplies the cells' type and the law's per-cell pieces:
+box cells under an axis measure on a box window, where every cell stays a
+box, and convex polygons in geometry's padded layout, split by a
+vectorised Sutherland-Hodgman pass, for every other planar measure and
+window.  The experiments read a box forest's arrays directly.  A
+``CellTree`` is one tree's forest plus parent ids; polytopes come on
+demand.
 
 A tree, or a batch of trees, is built from one random stream (see rng).
 """
@@ -29,7 +27,7 @@ A tree, or a batch of trees, is built from one random stream (see rng).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -38,8 +36,7 @@ from . import geometry as geo
 from .errors import (AmbiguousZeroCell, DegenerateCut, ExplosionGuard,
                      InsufficientNests, MethodMismatch, OutOfRange,
                      WindowMismatch)
-from .measure import (Discrete, DrivingMeasure, box_axis_rates, box_table,
-                      draw_box_marks, draw_lines, measure_hitting)
+from .measure import DrivingMeasure, Regime, regime
 
 EVENT_CAP = 10 ** 7
 _SPLIT_RETRY_CAP = 100
@@ -60,7 +57,7 @@ class CellTree:
     window: geo.Polytope
     measure: DrivingMeasure
     method: str
-    forest: BoxForest | PolygonForest
+    forest: Forest
     parent: np.ndarray
     current_time: float
 
@@ -81,7 +78,7 @@ class CellTree:
 
     def cell(self, i: int) -> geo.Polytope:
         """Node i's polytope; the root's is the window itself."""
-        return self.window if i == 0 else self.forest.cells([i])[0]
+        return self.window if i == 0 else self.forest.cells.polytopes([i])[0]
 
     @property
     def nodes(self) -> list[SimpleNamespace]:
@@ -107,79 +104,39 @@ class StatRecord:
 
 
 @dataclass(frozen=True)
-class BoxForest:
-    """The nodes of a batch of box trees as flat arrays, in generation order.
+class Forest:
+    """The nodes of a batch of trees as flat arrays, in generation order.
 
     The batch's starting cells come first.  Each generation is followed by
     the children of its dying cells, in the cells' order, the two children
     of a cell side by side with minus, the side away from the origin,
     first; a child is born at its parent's death.  So the children of the
     k-th divided node are nodes m + 2k and m + 2k + 1, m the number of
-    starting cells.  rep is each node's tree.  A cell alive at the horizon
-    has death inf and axis -1; a divided cell has its cut (axis, cut).
-    rejected holds the rejection method's misses as (node, axis, offset) in
-    draw order.
+    starting cells.  rep is each node's tree and cells its cell, of the
+    regime's cell type.  A divided cell has its cut, the mark (u, d) in the
+    cell type's convention (an axis index or a unit normal u); a cell alive
+    at the horizon has death inf and an empty mark.  rejected holds the
+    rejection method's misses as (node, u, d) in draw order.
     """
 
     rep: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
+    cells: geo.BoxCells | geo.PolygonCells
     death: np.ndarray
-    axis: np.ndarray
-    cut: np.ndarray
+    u: np.ndarray
+    d: np.ndarray
     rejected: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     @property
     def alive(self) -> np.ndarray:
         return np.isinf(self.death)
-
-    def cells(self, rows) -> list[geo.Box]:
-        return [geo.Box(tuple(a), tuple(b))
-                for a, b in zip(self.lo[rows].tolist(), self.hi[rows].tolist())]
 
     def cuts(self) -> tuple[np.ndarray, np.ndarray]:
         """Each node's cut as (unit normals, offsets), 0 for a live cell."""
-        ell = self.lo.shape[1]
-        return (self.axis[:, None] == np.arange(ell)).astype(float), self.cut
+        return self.cells.normals(self.u), self.d
 
     def misses(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        at, ax, d = self.rejected
-        return at, np.eye(self.lo.shape[1])[ax], d
-
-
-@dataclass(frozen=True)
-class PolygonForest:
-    """The nodes of a batch of planar trees as flat arrays, in the order of
-    BoxForest, the cells (verts, count) in geometry's padded layout.  A
-    divided cell has its cut (normal, offset), the line {x : <x, normal> =
-    offset}; a cell alive at the horizon has death inf.  rejected holds the
-    rejection method's misses as (node, normal, offset) in draw order.
-    """
-
-    rep: np.ndarray
-    verts: np.ndarray
-    count: np.ndarray
-    death: np.ndarray
-    normal: np.ndarray
-    offset: np.ndarray
-    rejected: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-    @property
-    def alive(self) -> np.ndarray:
-        return np.isinf(self.death)
-
-    def cells(self, rows) -> list[geo.Polygon2D]:
-        V, count = self.verts[rows], self.count[rows]
-        x, y = V[np.arange(V.shape[1]) < count[:, None]].T.tolist()
-        ends = np.cumsum(count).tolist()
-        return [geo.Polygon2D(tuple(zip(x[e - k:e], y[e - k:e])))
-                for e, k in zip(ends, count.tolist())]
-
-    def cuts(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.normal, self.offset
-
-    def misses(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.rejected
+        at, u, d = self.rejected
+        return at, self.cells.normals(u), d
 
 
 def simulate(measure: DrivingMeasure, window: geo.Polytope, t: float, rng,
@@ -189,11 +146,8 @@ def simulate(measure: DrivingMeasure, window: geo.Polytope, t: float, rng,
         raise ValueError("horizon must be positive")
     if method not in ("direct", "rejection"):
         raise ValueError(f"unknown method {method!r}")
-    rep, g = np.zeros(1, dtype=np.int64), box_axis_rates(measure, window)
-    f = (grow_polygons(measure, window, [geo.polygon_vertices(window)], rep,
-                       0.0, t, rng, method) if g is None else
-         grow_boxes(measure, window, window.lo_arr[None], window.hi_arr[None],
-                    rep, 0.0, t, rng, method))
+    f = grow(measure, window, regime(measure, window).cells.tile(window, 1),
+             np.zeros(1, dtype=np.int64), 0.0, t, rng, method)
     return CellTree(window, measure, method, f, np.concatenate(
         [[-1], np.repeat(np.flatnonzero(~f.alive), 2)]), t)
 
@@ -203,41 +157,34 @@ def advance(tree: CellTree, dt: float, rng) -> CellTree:
 
     Lifetimes are memoryless, so the live cells' divisions are drawn afresh
     from the current time; the law of the continued process is unchanged.
-    The live cells grow as one batch: through grow_boxes for an axis measure
-    on a box window, else through grow_polygons.  The live nodes take their
-    new deaths and cuts, and the forest's other nodes, the children, are
-    appended in its order with their parent ids, and so are its misses.
+    The live cells grow as one batch.  The live nodes take their new deaths
+    and cuts, and the batch's other nodes, the children, are appended in its
+    order with their parent ids, and so are its misses.
     """
     if not dt > 0:  # also catches NaN
         raise ValueError("dt must be positive")
     f = tree.forest
     live = np.flatnonzero(f.alive)
-    rep = np.zeros(len(live), dtype=np.int64)
-    t0, horizon = tree.current_time, tree.current_time + dt
-    if box_axis_rates(tree.measure, tree.window) is None:
-        new = grow_polygons(tree.measure, tree.window,
-                            [f.verts[i, :k] for i, k in
-                             zip(live, f.count[live].tolist())],
-                            rep, t0, horizon, rng, tree.method)
-    else:
-        new = grow_boxes(tree.measure, tree.window, f.lo[live], f.hi[live],
-                         rep, t0, horizon, rng, tree.method)
     m, n = len(live), len(f.death)
-    ids = np.concatenate([live, np.arange(n, n + len(new.death) - m)])
-    cols = []
-    for name in [c.name for c in fields(f)][:-1]:
-        a, b = getattr(f, name), getattr(new, name)
-        if a.ndim == 3:  # padded vertices
-            width = max(a.shape[1], b.shape[1])
-            a, b = geo.pad_to(a, width), geo.pad_to(b, width)
-        cols.append(np.concatenate([a, b[m:]]))
-        cols[-1][live] = b[:m]
+    new = grow(tree.measure, tree.window, f.cells.take(live),
+               np.zeros(m, dtype=np.int64), tree.current_time,
+               tree.current_time + dt, rng, tree.method)
+    kids = np.arange(m, len(new.death))
+    ids = np.concatenate([live, n - m + kids])
+
+    def merged(old, grown):
+        out = np.concatenate([old, grown[kids]])
+        out[live] = grown[:m]
+        return out
+
     at, *miss = new.rejected
-    tree.forest = type(f)(*cols, rejected=tuple(map(
-        np.concatenate, zip(f.rejected, (ids[at], *miss)))))
+    tree.forest = Forest(
+        merged(f.rep, new.rep), f.cells.concat([f.cells, new.cells.take(kids)]),
+        merged(f.death, new.death), merged(f.u, new.u), merged(f.d, new.d),
+        tuple(map(np.concatenate, zip(f.rejected, (ids[at], *miss)))))
     tree.parent = np.concatenate([tree.parent,
                                   np.repeat(ids[~new.alive], 2)])
-    tree.current_time = horizon
+    tree.current_time += dt
     return tree
 
 
@@ -270,218 +217,100 @@ def _stuck(t: float, live: int) -> DegenerateCut:
                          f"{_SPLIT_RETRY_CAP} tries, {_state(t, live)}")
 
 
-def _window_rain(rng, rate, draw, meets, mark, t, horizon):
+def _window_rain(rng, law: Regime, cells, t, horizon):
     """The first window-level mark after t[i] that meets cell i by the
-    horizon, in the rejection method: marks come at `rate`, draw(n) gives n
-    of them as (u, d) from the regime's drawer and meets(i, u, d) tells
-    whether each meets its cell i.  mark holds each cell's u until one
-    meets it.  Returns the meeting marks' times (inf when none), u and d,
-    and the misses before them as (cell, u, d) in draw order."""
+    horizon, in the rejection method: marks come at law.rate from law.draw,
+    and the cell type's meets tells whether each meets its cell.  Returns
+    the meeting marks' times (inf when none) and marks (u, d), empty where
+    none, and the misses before them as (cell, u, d) in draw order."""
     m = len(t)
-    when, offset = np.full(m, np.inf), np.zeros(m)
+    when, u, d = np.full(m, np.inf), cells.unmarked(m), np.zeros(m)
     idx, t, misses = np.arange(m), t.copy(), []
     while len(idx):
-        t[idx] += rng.standard_exponential(len(idx)) / rate
+        t[idx] += rng.standard_exponential(len(idx)) / law.rate
         idx = idx[t[idx] <= horizon]
-        u, d = draw(len(idx))
-        hit = meets(idx, u, d)
-        misses.append((idx[~hit], u[~hit], d[~hit]))
+        mu, md = law.draw(rng, (len(idx),))
+        hit = cells.meets(idx, mu, md)
+        misses.append((idx[~hit], mu[~hit], md[~hit]))
         h = idx[hit]
-        when[h], mark[h], offset[h] = t[h], u[hit], d[hit]
+        when[h], u[h], d[h] = t[h], mu[hit], md[hit]
         idx = idx[~hit]
-    return when, mark, offset, tuple(map(np.concatenate, zip(*misses)))
+    return when, u, d, tuple(map(np.concatenate, zip(*misses)))
 
 
-# ---------------------------------------------------------------------------
-# box regime
-
-def grow_boxes(measure: DrivingMeasure, window: geo.Box, lo, hi, rep,
-               t0: float, horizon: float, rng,
-               method: str = "direct") -> BoxForest:
-    """Divide the box cells (lo, hi) (m, ell) of the trees rep from t0 to
-    the horizon, under an axis measure on the box `window`.
+def grow(measure: DrivingMeasure, window: geo.Polytope, cells, rep,
+         t0: float, horizon: float, rng, method: str = "direct") -> Forest:
+    """Divide the cells (of the regime's cell type, measure.regime) of the
+    trees rep from t0 to the horizon.
 
     Every live cell of a generation draws its division at once: in
-    `direct` a death time Exp(mass(cell)) after its birth and a cut drawn
-    in the cell; in `rejection` window-level marks (time, axis, offset)
-    from the box drawer, one per round for each cell no mark has hit yet,
-    the first hit dividing the cell.  Cells dying by the horizon split
-    into the next generation.  The running cap counts divisions and
-    rejected draws.
+    `direct` a death time Exp(mass(cell)) after its birth and a mark drawn
+    from the cell's own law; in `rejection` window-level marks at rate
+    mass(window), one per round for each cell no mark has met yet, the
+    first that meets the cell dividing it.  A mark is redrawn from the
+    cell's own law while the cell type's split finds it degenerate.  Cells
+    dying by the horizon split into the next generation.  The running cap
+    counts divisions and rejected draws.
     """
-    g = box_axis_rates(measure, window)
-    table = box_table(measure, window)
-    _check_work(horizon - t0, table[0])
-    birth = np.full(len(lo), float(t0))
-    gens, start, events, done = [], 0, 0, 0
-    misses = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-               np.zeros(0))]
-    while len(lo):
-        m = len(lo)
-        if method == "rejection":
-            death, axis, cut, (at, ax, d) = _window_rain(
-                rng, table[0],
-                lambda n: draw_box_marks(table, rng.random(n), rng.random(n)),
-                geo.BoxCells(lo, hi).meets,
-                np.full(m, -1), birth, horizon)
-            misses.append((start + at, ax, d))
-            events += len(at)
-        else:
-            death = birth + rng.standard_exponential(m) / ((hi - lo) @ g)
-            axis, cut = np.full(m, -1), np.zeros(m)
-        dies = np.flatnonzero(death <= horizon)
-        death[death > horizon] = np.inf
-        where = (float(birth.min()), done + m)
-        events = _check_events(events + len(dies), *where)
-        c_lo, c_hi = lo[dies], hi[dies]
-        ax, d = _box_cuts(rng, g, c_lo, c_hi, axis[dies], cut[dies], where)
-        axis[dies], cut[dies] = ax, d
-        gens.append((rep, lo, hi, death, axis, cut))
-        pair = 2 * np.arange(len(dies))
-        lo, hi = np.repeat(c_lo, 2, axis=0), np.repeat(c_hi, 2, axis=0)
-        lo[pair + (d <= 0), ax] = d
-        hi[pair + (d > 0), ax] = d
-        rep, birth = np.repeat(rep[dies], 2), np.repeat(death[dies], 2)
-        start, done = start + m, done + m - len(dies)
-    return BoxForest(*map(np.concatenate, zip(*gens)),
-                     rejected=tuple(map(np.concatenate, zip(*misses))))
-
-
-def _box_cuts(rng, g, lo, hi, ax, d, where):
-    """A cut (ax, d) of every box, drawn from the axis measure restricted to
-    the box where ax is -1 and again while it lies within 1e-9 of a face of
-    the box or 1e-12 of the origin.  where = (t, live) for the error."""
-    rows = np.arange(len(lo))
-    for _ in range(_SPLIT_RETRY_CAP + 1):
-        bad = (ax < 0) | ~((d - lo[rows, ax] > 1e-9)
-                           & (hi[rows, ax] - d > 1e-9) & (np.abs(d) > 1e-12))
-        if not bad.any():
-            return ax, d
-        b = rows[bad]
-        side = hi[b] - lo[b]
-        cum = np.cumsum(g * side, axis=1)
-        u = rng.random(len(b)) * cum[:, -1]
-        ax[b] = np.minimum((u[:, None] >= cum).sum(axis=1), len(g) - 1)
-        d[b] = (lo[b, ax[b]]
-                + rng.random(len(b)) * side[np.arange(len(b)), ax[b]])
-    raise _stuck(*where)
-
-
-# ---------------------------------------------------------------------------
-# polygon regime
-
-def grow_polygons(measure: DrivingMeasure, window: geo.Polytope, verts, rep,
-                  t0: float, horizon: float, rng,
-                  method: str = "direct") -> PolygonForest:
-    """Divide the convex polygon cells `verts` (a sequence of (k, 2)
-    counterclockwise vertex arrays) of the trees rep from t0 to the
-    horizon, under any planar measure on the polygon or 2-D box `window`.
-
-    The planar counterpart of grow_boxes.  Every live cell of a generation
-    draws its division at once: in `direct` a death time Exp(mass(cell))
-    after its birth, mass(cell) being gamma * sum_c w_c width_c(cell) for a
-    discrete measure and Cauchy's gamma * perimeter / pi for the isotropic
-    one, and a line drawn from the measure restricted to the cell; in
-    `rejection` window-level lines at rate mass(window), the first that
-    hits the cell dividing it.  A line is redrawn from the cell's own law
-    while it passes within GEOM_TOL of a vertex or leaves a child with
-    fewer than 3 vertices or area at most 1e-12.  The running cap counts
-    divisions and rejected draws.
-    """
-    window_rate = measure_hitting(measure, window)
-    if not window_rate > 0:
+    law = regime(measure, window)
+    if not law.rate > 0:
         raise ValueError("window has zero hitting mass")
-    _check_work(horizon - t0, window_rate)
-    wv = geo.polygon_vertices(window)
-    V, count = geo.pad_polygons([np.asarray(v, dtype=float) for v in verts])
-    birth = np.full(len(V), float(t0))
+    _check_work(horizon - t0, law.rate)
+    birth = np.full(len(cells), float(t0))
     gens, start, events, done = [], 0, 0, 0
-    misses = [(np.zeros(0, dtype=np.int64), np.zeros((0, 2)), np.zeros(0))]
-    while len(V):
-        m = len(V)
-        normal, offset = np.zeros((m, 2)), np.zeros(m)
+    misses = [(np.zeros(0, dtype=np.int64), cells.unmarked(0), np.zeros(0))]
+    while len(cells):
+        m = len(cells)
         if method == "rejection":
-            death, normal, offset, (at, mu, md) = _window_rain(
-                rng, window_rate, lambda n: draw_lines(
-                    rng, measure, np.broadcast_to(wv, (n,) + wv.shape)),
-                geo.PolygonCells(V, count).meets, normal, birth, horizon)
+            death, u, d, (at, mu, md) = _window_rain(rng, law, cells, birth,
+                                                     horizon)
             misses.append((start + at, mu, md))
             events += len(at)
         else:
-            death = birth + rng.standard_exponential(m) / _masses(measure, V)
+            death = birth + rng.standard_exponential(m) / law.masses(cells)
+            u, d = cells.unmarked(m), np.zeros(m)
         dies = np.flatnonzero(death <= horizon)
         death[death > horizon] = np.inf
         where = (float(birth.min()), done + m)
         events = _check_events(events + len(dies), *where)
-        u, d, kids, k_count = _split(
-            rng, measure, V[dies], count[dies],
-            None if method == "direct" else (normal[dies], offset[dies]),
-            where)
-        normal[dies], offset[dies] = u, d
-        gens.append((rep, V, count, death, normal, offset))
-        V, count = kids, k_count
+        c_u, c_d = u[dies], d[dies]
+        kids = _split(rng, law, cells.take(dies), c_u, c_d,
+                      method == "direct", where)
+        u[dies], d[dies] = c_u, c_d
+        gens.append((rep, cells, death, u, d))
+        cells = kids
         rep, birth = np.repeat(rep[dies], 2), np.repeat(death[dies], 2)
         start, done = start + m, done + m - len(dies)
-    width = max(g[1].shape[1] for g in gens)
-    gens = [(r, geo.pad_to(v, width), *rest) for r, v, *rest in gens]
-    return PolygonForest(*map(np.concatenate, zip(*gens)),
-                         rejected=tuple(map(np.concatenate, zip(*misses))))
+    reps, parts, *cols = zip(*gens)
+    return Forest(np.concatenate(reps), law.cells.concat(parts),
+                  *map(np.concatenate, cols),
+                  tuple(map(np.concatenate, zip(*misses))))
 
 
-def _masses(measure: DrivingMeasure, V: np.ndarray) -> np.ndarray:
-    """Hitting mass of every cell, as measure_hitting computes it."""
-    th = measure.directional
-    if isinstance(th, Discrete):
-        proj = V @ th.dir_array.T
-        return measure.gamma * ((proj.max(axis=1) - proj.min(axis=1))
-                                @ th.weights)
-    edges = np.roll(V, -1, axis=1) - V
-    return measure.gamma * np.hypot(edges[..., 0], edges[..., 1]).sum(
-        axis=1) / math.pi
-
-
-def _split(rng, measure, V, count, cuts, where):
-    """Split every cell (V, count) by a line: `cuts` = (normals, offsets),
-    or None to draw every line from its cell's law, which also redraws a
-    line that passes within GEOM_TOL of a vertex or leaves a degenerate
-    child.  Returns the lines and the children (2m, K', 2) with their
-    counts, minus (the side away from the origin) before plus for each
-    cell.  where = (t, live) for the error."""
-    m = len(V)
-    u, d = (np.zeros((m, 2)), np.zeros(m)) if cuts is None else cuts
-    kids = np.empty((m, 2, 2 * V.shape[1], 2))
-    k_count = np.zeros((m, 2), dtype=np.int64)
-    todo, draw = np.arange(m), cuts is None
+def _split(rng, law: Regime, cells, u, d, draw: bool, where):
+    """The children of every cell cut by its mark (u, d), minus before plus
+    for each cell.  The marks are drawn from each cell's own law first
+    where `draw`, and again while the cell type's split finds them
+    degenerate; u and d are updated in place.  where = (t, live) for the
+    error."""
+    todo, sub, parts = np.arange(len(cells)), cells, []
     for _ in range(_SPLIT_RETRY_CAP):
         if draw and len(todo):
-            u[todo], d[todo] = draw_lines(rng, measure, V[todo])
-        ok, pts, n = _clip_both(V[todo], count[todo], u[todo], d[todo])
-        kids[todo[ok]], k_count[todo[ok]] = pts[ok], n[ok]
+            u[todo], d[todo] = law.mark(rng, sub)
+        kids, ok = sub.split(u[todo], d[todo])
+        parts.append((todo[ok], kids if ok.all() else
+                      kids.take(np.repeat(ok, 2))))
         todo, draw = todo[~ok], True
         if not len(todo):
             break
+        sub = cells.take(todo)
     else:
         raise _stuck(*where)
-    width = int(k_count.max(initial=1))
-    return (u, d, kids[:, :, :width].reshape(2 * m, width, 2),
-            k_count.reshape(2 * m))
-
-
-def _clip_both(V, count, u, d):
-    """Both sides of each cell cut by its line, by one geometry.clip_side each.
-    Returns (ok, children (m, 2, 2K, 2), counts (m, 2)); ok is False where a
-    vertex lies within GEOM_TOL of the line or a child has fewer than 3
-    vertices or area at most 1e-12."""
-    m, K = V.shape[:2]
-    s = geo.project(V, u) - d[:, None]
-    ok = ~(np.abs(s) < geo.GEOM_TOL).any(axis=1)
-    # the minus side keeps the vertices away from the origin
-    sign = np.where(d > 0, -1.0, 1.0)[:, None]
-    pts, n = np.empty((m, 2, 2 * K, 2)), np.empty((m, 2), dtype=np.int64)
-    for side, sg in enumerate((sign, -sign)):
-        pts[:, side], n[:, side], side_ok = geo.clip_side(V, count, sg * s)
-        ok &= side_ok
-    return ok, pts, n
+    if len(parts) == 1:
+        return parts[0][1]
+    order = np.argsort(np.concatenate([rows for rows, _ in parts]))
+    return law.cells.concat([k for _, k in parts]).take(
+        (2 * order[:, None] + [0, 1]).ravel())
 
 
 def slice_at(tree: CellTree, s: float) -> Tessellation:
@@ -489,7 +318,8 @@ def slice_at(tree: CellTree, s: float) -> Tessellation:
     if not (0.0 < s <= tree.current_time):
         raise OutOfRange(f"s must lie in (0, {tree.current_time}]")
     alive = np.flatnonzero((tree.birth <= s) & (tree.forest.death > s))
-    cells = [tree.window] if alive[0] == 0 else tree.forest.cells(alive)
+    cells = ([tree.window] if alive[0] == 0
+             else tree.forest.cells.polytopes(alive))
     return Tessellation(tree.window, tuple(cells))
 
 

@@ -13,7 +13,8 @@ from stitsim import geometry as geo
 from stitsim import rain, stit
 from stitsim import rng as rng_module
 from stitsim.config import dumps_canonical
-from stitsim.errors import TooFewConditioned, WindowMismatch
+from stitsim.errors import (AmbiguousZeroCell, DegenerateCut,
+                            TooFewConditioned, WindowMismatch)
 from stitsim.measure import axis_measure, measure_hitting
 from stitsim.rng import stream
 from stitsim.stats import gap_estimate
@@ -35,6 +36,21 @@ def test_capacity_target_doubling_identity():
     lam_inner = measure_hitting(LAM, W1)
     assert math.exp(-2 * t * lam_inner) == pytest.approx(
         math.exp(-t * lam_inner) ** 2)
+
+
+def test_resample_names_the_replicate_and_chains_the_last_error():
+    attempts = []
+
+    def body(i, rng):
+        attempts.append(i)
+        raise DegenerateCut(f"attempt {len(attempts)} at t=0.5")
+
+    with pytest.raises(AmbiguousZeroCell,
+                       match="replicate 3 failed all 20 attempts") as e:
+        ex._with_resample(body)(3, stream(0, 0))
+    assert attempts == [3] * 20
+    assert isinstance(e.value.__cause__, DegenerateCut)
+    assert str(e.value.__cause__) == "attempt 20 at t=0.5"
 
 
 def test_smoke_tree_experiments():

@@ -11,8 +11,9 @@ from stitsim import geometry as geo
 from stitsim import rain, stit
 from stitsim.encapsulation import build_window
 from stitsim.experiments import equality_problem
-from stitsim.measure import (axis_measure, isotropic_measure,
-                             measure_hitting, measure_separating)
+from stitsim.measure import (axis_measure, box_regime, isotropic_measure,
+                             measure_hitting, measure_separating,
+                             polygon_regime)
 from stitsim.rng import stream
 from stitsim.stats import binomial_sigma, ks_two_sample
 
@@ -38,11 +39,10 @@ def test_zero_scan_fast_vs_generic():
 
 
 def tree_forest(window, t, n, rng):
-    """n whole trees of LAM on the box window, grown to t as one batch."""
-    return stit.grow_boxes(LAM, window,
-                           np.tile(window.lo_arr, (n, 1)),
-                           np.tile(window.hi_arr, (n, 1)), np.arange(n), 0.0,
-                           t, rng)
+    """n whole trees of LAM on the box window, grown to t as one batch by
+    stit.grow on box cells."""
+    return stit.grow(LAM, window, geo.BoxCells.tile(window, n), np.arange(n),
+                     0.0, t, rng)
 
 
 def tree_encapsulation(f, n, outer, inner):
@@ -53,8 +53,9 @@ def tree_encapsulation(f, n, outer, inner):
     tol = geo.GEOM_TOL
     born = np.concatenate([np.zeros(n),
                            f.death[np.repeat(np.flatnonzero(~f.alive), 2)]])
-    enc = ((f.lo <= inner.lo_arr + tol) & (f.hi >= inner.hi_arr - tol)
-           & (f.lo > outer.lo_arr + tol) & (f.hi < outer.hi_arr - tol)
+    lo, hi = f.cells.lo, f.cells.hi
+    enc = ((lo <= inner.lo_arr + tol) & (hi >= inner.hi_arr - tol)
+           & (lo > outer.lo_arr + tol) & (hi < outer.hi_arr - tol)
            ).all(axis=1)
     tau = np.full(n, np.inf)
     np.minimum.at(tau, f.rep[enc], born[enc])
@@ -143,9 +144,9 @@ def test_three_body_lineage_fast_vs_generic():
     avoidance event, and each marginal is exponential in the body's mass."""
     V = geo.Box((-2.0, -2.0), (2.0, 6.0))
     bodies = tuple(geo.Face(((-1.0, y), (1.0, y))) for y in (0.0, 2.0, 4.0))
-    fast = rain._scan(rain._box_regime(LAM, V), V, bodies, 1.0, 20_000, 33,
+    fast = rain._scan(box_regime(LAM, V), V, bodies, 1.0, 20_000, 33,
                       None, ())[0]
-    gen = rain._scan(rain._polygon_regime(LAM, V), V, bodies, 1.0, 2_000, 34,
+    gen = rain._scan(polygon_regime(LAM, V), V, bodies, 1.0, 2_000, 34,
                      None, ())[0]
     for cols in ([0], [1], [2], [0, 1], [1, 2], [0, 2], [0, 1, 2]):
         pf = np.isinf(fast[:, cols]).all(axis=1).mean()
@@ -174,9 +175,9 @@ def test_polygon_kernel_replays_box_kernel():
     V = geo.Box((-2.0, -2.0), (2.0, 6.0))
     bodies = tuple(geo.Face(((-1.0, y), (1.0, y))) for y in (0.0, 2.0, 4.0))
     P = V.to_polygon()
-    cut = rain._scan(rain._box_regime(LAM, V), V, bodies, 1.0, 5_000, 89,
+    cut = rain._scan(box_regime(LAM, V), V, bodies, 1.0, 5_000, 89,
                      None, ())[0]
-    assert np.array_equal(cut, rain._scan(rain._polygon_regime(LAM, P), P,
+    assert np.array_equal(cut, rain._scan(polygon_regime(LAM, P), P,
                                           bodies, 1.0, 5_000, 89, None, ())[0])
     box = rain.pair_scan(LAM, ENC_V, ENC_INNER, ENC_PROBE, 2.0, 5_000, 90,
                          enclosure=ENC)
@@ -192,8 +193,8 @@ def segment_uncut(f, n, face):
     `face`, as geometry.contains decides it."""
     tol, v = geo.GEOM_TOL, face.vertices()
     live = f.alive
-    holds = ((f.lo[live] <= v.min(axis=0) + tol)
-             & (f.hi[live] >= v.max(axis=0) - tol)).all(axis=1)
+    holds = ((f.cells.lo[live] <= v.min(axis=0) + tol)
+             & (f.cells.hi[live] >= v.max(axis=0) - tol)).all(axis=1)
     out = np.zeros(n, dtype=bool)
     out[f.rep[live][holds]] = True
     return out

@@ -15,8 +15,8 @@ from stitsim.errors import (AmbiguousZeroCell, DegenerateCut, ExplosionGuard,
                             InsufficientNests, MethodMismatch, OutOfRange,
                             WindowMismatch)
 from stitsim.measure import (Discrete, DrivingMeasure, axis_measure,
-                             box_axis_rates, draw_lines, isotropic_measure,
-                             measure_hitting)
+                             draw_lines, isotropic_measure, measure_hitting,
+                             regime)
 from stitsim.rng import run_replicates, stream
 from stitsim.stats import binomial_sigma, ks_two_sample
 
@@ -378,6 +378,31 @@ GOLDEN_TREES = {
 }
 
 
+MASS_FORESTS = {
+    # name: (measure, window, t) of a forest whose every node is checked
+    "axis_2d": (LAM, W2, 2.0),
+    "weighted_axis_3d": GOLDEN_TREES["weighted_axis_3d"][:3],
+    "isotropic_polygon": (isotropic_measure(1.0), PENTAGON, 2.0),
+    "oblique_polygon": (OBLIQUE, PENTAGON, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MASS_FORESTS))
+def test_regime_masses_match_measure_hitting(name):
+    # the tree kernel's lifetimes read the regime's per-cell masses; they
+    # are measure_hitting of each cell, also on polygon rows padded past
+    # their vertex count
+    measure, window, t = MASS_FORESTS[name]
+    cells = stit.simulate(measure, window, t, stream(42, 0)).forest.cells
+    got = regime(measure, window).masses(cells)
+    want = [measure_hitting(measure, P)
+            for P in cells.polytopes(np.arange(len(cells)))]
+    assert len(cells) > 20
+    if isinstance(cells, geo.PolygonCells):
+        assert len(np.unique(cells.count)) > 1
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
 def golden_tree_payload(measure, window, t, method, seed):
     tree = stit.simulate(measure, window, t / 2, stream(seed, 0), method)
     stit.advance(tree, t / 2, stream(seed, 1))
@@ -447,8 +472,8 @@ def test_box_rejection_keeps_only_misses():
 
 def _box_stats(f, n, window):
     """(cell_count, boundary, zero-cell area, jump count) of the n trees of
-    a BoxForest at its horizon."""
-    rep, lo, hi = f.rep[f.alive], f.lo[f.alive], f.hi[f.alive]
+    a forest of box cells at its horizon."""
+    rep, lo, hi = f.rep[f.alive], f.cells.lo[f.alive], f.cells.hi[f.alive]
     side = hi - lo
     zero = ((lo < -geo.GEOM_TOL) & (hi > geo.GEOM_TOL)).all(axis=1)
     return np.column_stack([
@@ -459,10 +484,10 @@ def _box_stats(f, n, window):
 
 
 def _polygon_stats(f, n, window):
-    """The statistics of _box_stats for the n trees of a PolygonForest; the
-    zero cell is the cell whose every edge lies more than GEOM_TOL from the
-    origin, on its left."""
-    rep, V = f.rep[f.alive], f.verts[f.alive]
+    """The statistics of _box_stats for the n trees of a forest of polygon
+    cells; the zero cell is the cell whose every edge lies more than
+    GEOM_TOL from the origin, on its left."""
+    rep, V = f.rep[f.alive], f.cells.V[f.alive]
     W = np.roll(V, -1, axis=1)
     e = W - V
     length = np.hypot(e[..., 0], e[..., 1])  # 0 on padding
@@ -478,16 +503,13 @@ def _polygon_stats(f, n, window):
 
 def _grow(measure, window, t, method, n, rng):
     """The statistics of n fresh trees on the window grown to t as one
-    batch, by grow_boxes for an axis measure on a box, else grow_polygons."""
-    if box_axis_rates(measure, window) is not None:
-        return _box_stats(stit.grow_boxes(
-            measure, window, np.tile(window.lo_arr, (n, 1)),
-            np.tile(window.hi_arr, (n, 1)), np.arange(n), 0.0, t, rng,
-            method), n, window)
-    poly = window.to_polygon() if isinstance(window, geo.Box) else window
-    return _polygon_stats(stit.grow_polygons(
-        measure, window, [poly.verts] * n, np.arange(n), 0.0, t, rng,
-        method), n, poly)
+    batch by stit.grow, on the cells of the window's regime: box cells for
+    an axis measure on a box, else polygon cells."""
+    cells = regime(measure, window).cells
+    f = stit.grow(measure, window, cells.tile(window, n), np.arange(n), 0.0,
+                  t, rng, method)
+    stats = _box_stats if cells is geo.BoxCells else _polygon_stats
+    return stats(f, n, window)
 
 
 # (window, t) of every tree experiment's arms: first_split, capacity,
@@ -500,8 +522,10 @@ LAW_CASES = [(W1, 0.25), (W2, 0.25), (W1, 1.0), (W2, 1.0), (W2, 0.5), (W1, 1.5)]
 @pytest.mark.parametrize("method", ["direct", "rejection"])
 @pytest.mark.parametrize("case", range(len(LAW_CASES)))
 def test_box_kernel_agrees_with_event_loop_in_law(case, method):
-    # The reference is grow_polygons on the window as a polygon, which
-    # shares no code with grow_boxes: the two kernels on separate streams.
+    # The reference is stit.grow on the window as a polygon: box cells
+    # against polygon cells through the one generation loop, on separate
+    # streams, so the box cells' split, mass and mark are checked against
+    # the polygon cells' clipping and line drawer.
     # 12 cases of 3 distinct statistics (the jump count is the cell count
     # less one): each KS test gates at 0.005 / 36, so the family fails
     # falsely at most 0.5% of the time; n = 600 rejects a kernel whose
