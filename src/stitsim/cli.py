@@ -51,6 +51,9 @@ def cmd_simulate(args) -> int:
         if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError(f"cannot write {path}: not a file in an "
                               "existing directory")
+    if args.svg and os.path.realpath(args.svg) == os.path.realpath(args.out):
+        raise ConfigError(f"--svg and --out name the same file {args.out}; "
+                          "the SVG would overwrite the JSON")
     rng = stream(args.seed, 0)
     if cfg.model == "stit":
         tree = stit.simulate(cfg.measure, cfg.window, cfg.time, rng, cfg.method)
@@ -131,7 +134,11 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"cannot create --out-dir {args.out_dir}: {e}") from e
     all_ok = True
     for name in names:
-        report = EXPERIMENTS[name](seed=args.seed, n_scale=args.n_scale)
+        try:
+            report = EXPERIMENTS[name](seed=args.seed, n_scale=args.n_scale)
+        except StitSimError as e:
+            raise type(e)(f"in experiment {name} at seed {args.seed}: "
+                          f"{e}") from e
         report.write(args.out_dir)
         status = "PASS" if report.passed else "FAIL"
         note = " (reduced power)" if args.n_scale < 1.0 else ""

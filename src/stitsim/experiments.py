@@ -27,10 +27,9 @@ from . import rain, stit
 from .config import config_hash, dumps_canonical, measure_to_json, sanitize
 from .encapsulation import (Band, EncapsulationProblem, build_window,
                             lower_bound)
-from .errors import (AmbiguousZeroCell, DegenerateCut, RegimeMismatch,
-                     TooFewConditioned, WindowMismatch)
-from .measure import (DrivingMeasure, axis_measure, box_axis_rates,
-                      isotropic_measure, regime)
+from .errors import AmbiguousZeroCell, DegenerateCut, TooFewConditioned
+from .measure import (DrivingMeasure, axis_measure, isotropic_measure,
+                      regime)
 from .pht import draw_patterns, empty_probability, pattern_hits
 from .rng import run_replicates, stream
 from .stats import (binomial_sigma, estimate_from_hits, gap_estimate,
@@ -107,15 +106,15 @@ def _with_resample(body):
 
 
 def _grow(measure, window, nb, t, rng, method="direct") -> stit.Forest:
-    """nb fresh box trees on the window grown to t, as one batch."""
-    if box_axis_rates(measure, window) is None:
-        raise RegimeMismatch("tree experiments need an axis measure on a box")
-    return stit.grow(measure, window, geo.BoxCells.tile(window, nb),
+    """nb fresh trees on the window grown to t, as one batch on the cells
+    of the window's regime."""
+    return stit.grow(measure, window,
+                     regime(measure, window).cells.tile(window, nb),
                      np.arange(nb), 0.0, t, rng, method)
 
 
 def _tree_sample(measure, window, t, n, seed, stat, method="direct", base=0):
-    """stat(forest, nb, rng) rows over n box trees grown to t.  The trees
+    """stat(forest, nb, rng) rows over n trees grown to t.  The trees
     grow in chunks of _BATCH, chunk c as one batch on stream(seed, base + c);
     stat returns one row per tree of the chunk and may draw further from
     its rng."""
@@ -142,59 +141,14 @@ def _pht_sample(measure, rho, window, bodies, n, seed, base=0):
     return np.concatenate(run_replicates(chunk, -(-n // _PHT_CHUNK), seed, base))
 
 
-def _leaves(f: stit.Forest, window):
-    """Cells (rep, lo, hi, window) of a box forest's state at the horizon."""
-    live = f.alive
-    return f.rep[live], f.cells.lo[live], f.cells.hi[live], window
-
-
-def _pieces(cells, lo, hi, window):
-    """Each cell intersected with the box (lo, hi) (broadcast over rows),
-    keeping the pieces that geo.intersect and stit.restrict keep."""
-    rep, c_lo, c_hi, _ = cells
-    c_lo, c_hi = np.maximum(c_lo, lo), np.minimum(c_hi, hi)
-    side = c_hi - c_lo
-    keep = (side > geo.GEOM_TOL).all(axis=1) & (side.prod(axis=1) >= 1e-12)
-    return rep[keep], c_lo[keep], c_hi[keep], window
-
-
-def _restrict(cells, sub):
-    """The cells' pieces in the sub-window `sub`, as stit.restrict."""
-    if not geo.contains(cells[3], sub, strict=False):
-        raise WindowMismatch("sub-window not contained in the window")
-    return _pieces(cells, sub.lo_arr, sub.hi_arr, sub)
-
-
-def _nested(measure, window, s, frames, rng):
-    """One fresh full-window nest grown to s per frame, clipped to the
-    frame."""
-    rep, lo, hi, _ = frames
-    f = _grow(measure, window, len(rep), s, rng)
-    at, n_lo, n_hi, _ = _leaves(f, window)
-    return _pieces((rep[at], n_lo, n_hi, window), lo[at], hi[at], window)
-
-
-def _count_boundary(cells, nb):
-    """(cell_count, boundary) per tree: the boundary is half the summed
-    surface of the cells less the window's, as in stit.summary_stats."""
-    rep, lo, hi, window = cells
-    side = hi - lo
-    surface = sum(2.0 * np.prod(np.delete(side, c, axis=1), axis=1)
-                  for c in range(side.shape[1]))
-    return np.column_stack([
-        np.bincount(rep, minlength=nb),
-        (np.bincount(rep, surface, nb) - window.surface()) / 2.0])
-
-
 def _stat_sample(measure, window, t, n, seed, method="direct", base=0,
                  transform=None):
     """(cell_count, boundary) columns of the state at t over n trees, after
-    transform(cells, rng) -> cells if given."""
+    transform(tessellation, rng) -> tessellation if given."""
 
     def stat(f, nb, rng):
-        cells = _leaves(f, window)
-        return _count_boundary(
-            cells if transform is None else transform(cells, rng), nb)
+        T = f.leaves(window, nb)
+        return stit.summary_stats(T if transform is None else transform(T, rng))
 
     arr = _tree_sample(measure, window, t, n, seed, stat, method, base)
     return arr[:, 0], arr[:, 1]
@@ -240,8 +194,8 @@ def experiment_first_split(measure, window, t, n, seed) -> Report:
 def experiment_capacity(measure, t, inner, window, n, seed) -> Report:
     """Restriction to an inner window is trivial with prob exp(-t mass(inner))."""
     def trivial(f, nb, _rng):
-        rep = _restrict(_leaves(f, window), inner)[0]
-        return np.bincount(rep, minlength=nb) == 1
+        return stit.summary_stats(
+            stit.restrict(f.leaves(window, nb), inner))[:, 0] == 1
 
     hits_ = int(_tree_sample(measure, window, t, n, seed, trivial).sum())
     return _binomial_report(
@@ -276,7 +230,7 @@ def experiment_consistency(measure, window, inner, t, n, seed) -> Report:
     """Restriction commutes with simulation in distribution."""
     c1, b1 = _stat_sample(
         measure, window, t, n, seed,
-        transform=lambda cells, _rng: _restrict(cells, inner))
+        transform=lambda T, _rng: stit.restrict(T, inner))
     c2, b2 = _stat_sample(measure, inner, t, n, seed, base=n)
     rows, ok = _ks_rows([("cell_count", c1, c2), ("boundary", b1, b2)], n, n)
     return Report("consistency", seed, _config(
@@ -288,9 +242,14 @@ def experiment_iteration(measure, window, t, s, n, seed) -> Report:
     state at t."""
     c1, b1 = _stat_sample(measure, window, t + s, n, seed, base=0)
 
-    c2, b2 = _stat_sample(
-        measure, window, t, n, seed, base=n,
-        transform=lambda frames, rng: _nested(measure, window, s, frames, rng))
+    def nested(T, rng):
+        # one fresh full-window nest grown to s per cell of T
+        nb = len(T.cells)
+        return stit.iterate(
+            T, _grow(measure, window, nb, s, rng).leaves(window, nb))
+
+    c2, b2 = _stat_sample(measure, window, t, n, seed, base=n,
+                          transform=nested)
     rows, ok = _ks_rows([("cell_count", c1, c2), ("boundary", b1, b2)], n, n)
     return Report("iteration", seed,
                   _config(measure=measure, t=t, s=s, n=n, window=window),
@@ -306,8 +265,8 @@ def experiment_self_similarity(measure, window, t, n, seed) -> Report:
         # the half window's cells scaled by 2 tile the window
         return _stat_sample(
             measure, half, factor * t, n, seed, base=base,
-            transform=lambda cells, _rng: (cells[0], 2.0 * cells[1],
-                                           2.0 * cells[2], window))
+            transform=lambda T, _rng: stit.Tessellation(
+                window, T.rep, T.cells.scale(2.0), T.n))
 
     c1, b1 = _stat_sample(measure, window, t, n, seed, base=0)
     c2, b2 = scaled_sample(2.0, n)

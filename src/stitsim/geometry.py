@@ -498,12 +498,14 @@ def clip_side(V, count, s):
     cross = inside != np.take_along_axis(inside, prev, axis=1)
     keep = np.stack([cross & valid, inside & valid], axis=2).reshape(m, 2 * K)
     # an edge parallel to the line gives a non-finite crossing, never kept
+    # (and the padding of an emptied row, whose area is then nan)
     with np.errstate(divide="ignore", invalid="ignore"):
         x = pv + (ps / (ps - s))[:, :, None] * (V - pv)
         cand = np.stack([x, V], axis=2).reshape(m, 2 * K, 2)
         pts, n = _compact(cand, keep)
-    w = np.roll(pts, -1, axis=1)
-    area = (pts[..., 0] * w[..., 1] - w[..., 0] * pts[..., 1]).sum(axis=1) / 2
+        w = np.roll(pts, -1, axis=1)
+        area = (pts[..., 0] * w[..., 1]
+                - w[..., 0] * pts[..., 1]).sum(axis=1) / 2
     return pts, n, (n >= 3) & (area > 1e-12)
 
 
@@ -551,6 +553,8 @@ class BoxCells:
 
     @classmethod
     def tile(cls, P: Box, m: int) -> "BoxCells":
+        if not isinstance(P, Box):
+            raise RegimeMismatch("box cells hold only boxes")
         return cls(np.tile(P.lo_arr, (m, 1)), np.tile(P.hi_arr, (m, 1)))
 
     @classmethod
@@ -567,6 +571,30 @@ class BoxCells:
     def polytopes(self, rows) -> list[Box]:
         return [Box(tuple(a), tuple(b)) for a, b in
                 zip(self.lo[rows].tolist(), self.hi[rows].tolist())]
+
+    def overlap(self, other: "BoxCells"):
+        """(pieces, keep): cell i met with cell i of other, kept where every
+        side exceeds GEOM_TOL (as intersect) and the volume is at least
+        1e-12."""
+        lo, hi = np.maximum(self.lo, other.lo), np.minimum(self.hi, other.hi)
+        side = hi - lo
+        keep = (side > GEOM_TOL).all(axis=1) & (side.prod(axis=1) >= 1e-12)
+        return BoxCells(lo[keep], hi[keep]), keep
+
+    def surfaces(self) -> np.ndarray:
+        """Each cell's surface, as Box.surface."""
+        side = self.hi - self.lo
+        return sum(2.0 * np.prod(np.delete(side, c, axis=1), axis=1)
+                   for c in range(side.shape[1]))
+
+    def scale(self, r: float) -> "BoxCells":
+        return BoxCells(r * self.lo, r * self.hi)
+
+    def outlines(self) -> list:
+        """Each 2-D cell's counterclockwise corners, as Box.to_polygon."""
+        (x0, y0), (x1, y1) = self.lo.T.tolist(), self.hi.T.tolist()
+        return [((a, b), (c, b), (c, d), (a, d))
+                for a, b, c, d in zip(x0, y0, x1, y1)]
 
     @staticmethod
     def unmarked(m: int) -> np.ndarray:
@@ -659,6 +687,36 @@ class PolygonCells:
         ends = np.cumsum(count).tolist()
         return [Polygon2D(tuple(zip(x[e - k:e], y[e - k:e])))
                 for e, k in zip(ends, count.tolist())]
+
+    def overlap(self, other: "PolygonCells"):
+        """(pieces, keep): cell i clipped, as clamp clips it, to the inner
+        side of every edge of cell i of other in turn, as intersect clips a
+        polygon to another's facets; kept where no clip left a degenerate
+        piece (clip_side), which also drops an area below 1e-12."""
+        cut = PolygonCells(self.V.copy(), self.count.copy())
+        keep = np.ones(len(self), dtype=bool)
+        ends = np.roll(other.V, -1, axis=1)
+        for k in range(other.V.shape[1]):
+            rows = np.flatnonzero(keep & (k < other.count))
+            a = other.V[rows, k]
+            e = ends[rows, k] - a
+            u = np.stack([e[:, 1], -e[:, 0]], axis=1)
+            u /= np.sqrt(u[:, 0] * u[:, 0] + u[:, 1] * u[:, 1])[:, None]
+            keep[rows] = cut.clamp(rows, u, (u * a).sum(axis=1),
+                                   np.ones(len(rows), dtype=bool))
+        return cut.take(keep), keep
+
+    def surfaces(self) -> np.ndarray:
+        """Each cell's perimeter; the padding adds zero-length edges."""
+        e = np.roll(self.V, -1, axis=1) - self.V
+        return np.hypot(e[..., 0], e[..., 1]).sum(axis=1)
+
+    def scale(self, r: float) -> "PolygonCells":
+        return PolygonCells(r * self.V, self.count)
+
+    def outlines(self) -> list:
+        """Each cell's counterclockwise vertices."""
+        return [v[:k] for v, k in zip(self.V.tolist(), self.count.tolist())]
 
     @staticmethod
     def unmarked(m: int) -> np.ndarray:

@@ -371,9 +371,7 @@ def polygon_regime(measure: DrivingMeasure, window) -> Regime:
             proj = cells.V @ th.dir_array.T
             return measure.gamma * ((proj.max(axis=1) - proj.min(axis=1))
                                     @ th.weights)
-        edges = np.roll(cells.V, -1, axis=1) - cells.V
-        return measure.gamma * np.hypot(edges[..., 0], edges[..., 1]).sum(
-            axis=1) / math.pi
+        return measure.gamma * cells.surfaces() / math.pi
 
     return Regime(geo.PolygonCells, measure_hitting(measure, window), draw,
                   masses, lambda rng, cells: draw_lines(rng, measure, cells.V))

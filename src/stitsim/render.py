@@ -44,20 +44,14 @@ class _Canvas:
         return "\n".join(self.parts + ["</svg>"]) + "\n"
 
 
-def _outline(P) -> list[tuple[float, float]]:
-    if isinstance(P, geo.Box):
-        (x0, y0), (x1, y1) = P.lo, P.hi
-        return [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-    return list(P.points)
-
-
 def render_tessellation(T: Tessellation) -> str:
+    """One tessellation (T.n == 1) as SVG: its cells, then the window."""
     if T.window.dim != 2:
         raise ValueError("SVG rendering is 2-D only")
     cv = _Canvas(T.window)
-    for cell in T.cells:
-        cv.path(_outline(cell), closed=True)
-    cv.path(_outline(T.window), closed=True)
+    for pts in T.cells.outlines():
+        cv.path(pts, closed=True)
+    cv.path(geo.polygon_vertices(T.window).tolist(), closed=True)
     return cv.text()
 
 
@@ -91,5 +85,5 @@ def render_pattern(pattern: PoissonHyperplanePattern) -> str:
     keep, start, end = _chords(pattern.normals, pattern.offsets, pattern.window)
     for p, q in zip(start[keep].tolist(), end[keep].tolist()):
         cv.path([p, q], closed=False)
-    cv.path(_outline(pattern.window), closed=True)
+    cv.path(geo.polygon_vertices(pattern.window).tolist(), closed=True)
     return cv.text()

@@ -3,7 +3,7 @@
 Every unit of work draws from its own Philox stream keyed by (seed, index),
 so results do not depend on the order units run in and two runs with the
 same seed are bit-identical.  A unit is one replicate, or one batch for the
-batched kernels: a chunk of box trees grown together is keyed base + chunk,
+batched kernels: a chunk of trees grown together is keyed base + chunk,
 where the arms of one experiment take bases 0, n, 2n, ... and an arm of n
 trees has at most n chunks, so arms never share a stream.  A chunk of
 Poisson hyperplane patterns is keyed the same way, base + chunk, with

@@ -17,9 +17,13 @@ time over flat arrays, for both geometry regimes.  The regime
 box cells under an axis measure on a box window, where every cell stays a
 box, and convex polygons in geometry's padded layout, split by a
 vectorised Sutherland-Hodgman pass, for every other planar measure and
-window.  The experiments read a box forest's arrays directly.  A
-``CellTree`` is one tree's forest plus parent ids; polytopes come on
-demand.
+window.  A ``CellTree`` is one tree's forest plus parent ids; polytopes
+come on demand.
+
+A ``Tessellation`` holds n tessellations of one window as one cell array:
+a tree's slice (``slice_at``) or a batch forest's state at its horizon
+(``Forest.leaves``).  ``restrict``, ``iterate`` and ``summary_stats`` act
+on all n at once, and the experiments run them.
 
 A tree, or a batch of trees, is built from one random stream (see rng).
 """
@@ -33,8 +37,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import geometry as geo
-from .errors import (AmbiguousZeroCell, DegenerateCut, ExplosionGuard,
-                     InsufficientNests, MethodMismatch, OutOfRange,
+from .errors import (DegenerateCut, ExplosionGuard, InsufficientNests,
+                     MethodMismatch, OutOfRange, RegimeMismatch,
                      WindowMismatch)
 from .measure import DrivingMeasure, Regime, regime
 
@@ -92,15 +96,13 @@ class CellTree:
 
 @dataclass(frozen=True)
 class Tessellation:
+    """n tessellations of one window as one cell array of the regime's
+    type; row i is a cell of tessellation rep[i]."""
+
     window: geo.Polytope
-    cells: tuple[geo.Polytope, ...]
-
-
-@dataclass(frozen=True)
-class StatRecord:
-    cell_count: int
-    boundary: float
-    zero_cell_area: float
+    rep: np.ndarray
+    cells: geo.BoxCells | geo.PolygonCells
+    n: int
 
 
 @dataclass(frozen=True)
@@ -137,6 +139,12 @@ class Forest:
     def misses(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         at, u, d = self.rejected
         return at, self.cells.normals(u), d
+
+    def leaves(self, window: geo.Polytope, n: int) -> Tessellation:
+        """The batch's n trees at the horizon, as tessellations of the
+        window they grew on: its live cells."""
+        live = self.alive
+        return Tessellation(window, self.rep[live], self.cells.take(live), n)
 
 
 def simulate(measure: DrivingMeasure, window: geo.Polytope, t: float, rng,
@@ -318,21 +326,8 @@ def slice_at(tree: CellTree, s: float) -> Tessellation:
     if not (0.0 < s <= tree.current_time):
         raise OutOfRange(f"s must lie in (0, {tree.current_time}]")
     alive = np.flatnonzero((tree.birth <= s) & (tree.forest.death > s))
-    cells = ([tree.window] if alive[0] == 0
-             else tree.forest.cells.polytopes(alive))
-    return Tessellation(tree.window, tuple(cells))
-
-
-def zero_cell(T: Tessellation) -> geo.Polytope:
-    """The unique cell containing the origin in its interior."""
-    return T.cells[zero_cell_index(T)]
-
-
-def zero_cell_index(T: Tessellation) -> int:
-    for i, c in enumerate(T.cells):
-        if geo.origin_strictly_inside(c):
-            return i
-    raise AmbiguousZeroCell("origin within tolerance of a cell boundary")
+    return Tessellation(tree.window, np.zeros(len(alive), dtype=np.int64),
+                        tree.forest.cells.take(alive), 1)
 
 
 def halfspace_representation(tree: CellTree, cell_id: int) -> list[geo.HalfSpace]:
@@ -365,59 +360,37 @@ def _halfspace_toward(h: geo.Hyperplane, point) -> geo.HalfSpace:
     return geo.HalfSpace(h, +1 if lower == origin_lower else -1)
 
 
-def number_cells(T: Tessellation) -> list[int]:
-    """Cell indices ordered by centroid distance from the origin.
-
-    The cell containing the origin always comes first; ties break
-    lexicographically on centroid coordinates, so the numbering does not
-    depend on input order.
-    """
-    z = zero_cell_index(T)
-    rest = [i for i in range(len(T.cells)) if i != z]
-
-    def key(i):
-        c = T.cells[i].centroid()
-        return (float(c @ c), *map(float, c))
-
-    rest.sort(key=key)
-    return [z] + rest
-
-
-def iterate(T: Tessellation, Rs: list[Tessellation]) -> Tessellation:
-    """Nest Rs[k] into the k-th cell of T (in number_cells order)."""
-    order = number_cells(T)
-    if len(Rs) < len(order):
-        raise InsufficientNests(f"need {len(order)} nests, got {len(Rs)}")
-    pieces = []
-    for k, idx in enumerate(order):
-        frame = T.cells[idx]
-        R = Rs[k]
-        if R.window != T.window:
-            raise WindowMismatch("all nested tessellations must share the window")
-        for cell in R.cells:
-            piece = geo.intersect(frame, cell)
-            if piece is not None and piece.area() >= 1e-12:
-                pieces.append(piece)
-    return Tessellation(T.window, tuple(pieces))
-
-
 def restrict(T: Tessellation, sub: geo.Polytope) -> Tessellation:
-    """The tessellation induced on a sub-window."""
+    """The tessellations induced on a sub-window: every cell's piece in it,
+    where the piece has an interior (the cell type's overlap).  Raises
+    RegimeMismatch when the cell type cannot hold sub."""
     if not geo.contains(T.window, sub, strict=False):
         raise WindowMismatch("sub-window not contained in the window")
-    pieces = []
-    for cell in T.cells:
-        piece = geo.intersect(cell, sub)
-        if piece is not None and piece.area() >= 1e-12:
-            pieces.append(piece)
-    return Tessellation(sub, tuple(pieces))
+    pieces, keep = T.cells.overlap(type(T.cells).tile(sub, len(T.cells)))
+    return Tessellation(sub, T.rep[keep], pieces, T.n)
 
 
-def summary_stats(T: Tessellation) -> StatRecord:
-    """Cheap discriminating statistics of one tessellation."""
-    boundary = (sum(c.surface() for c in T.cells) - T.window.surface()) / 2.0
-    return StatRecord(cell_count=len(T.cells), boundary=boundary,
-                      zero_cell_area=zero_cell(T).area())
+def iterate(T: Tessellation, R: Tessellation) -> Tessellation:
+    """Nest tessellation j of R, one per cell of T, into cell j of T: the
+    pieces of nest j's cells in frame j, grouped by the frames'
+    tessellations."""
+    if R.window != T.window:
+        raise WindowMismatch("all nested tessellations must share the window")
+    if type(R.cells) is not type(T.cells):
+        raise RegimeMismatch("nests and frames must share a cell type")
+    if R.n != len(T.cells):
+        raise InsufficientNests(f"need {len(T.cells)} nests, got {R.n}")
+    pieces, keep = R.cells.overlap(T.cells.take(R.rep))
+    return Tessellation(T.window, T.rep[R.rep[keep]], pieces, T.n)
+
+
+def summary_stats(T: Tessellation) -> np.ndarray:
+    """(n, 2): each tessellation's cell count and boundary, half the summed
+    surface of its cells less the window's."""
+    return np.column_stack([
+        np.bincount(T.rep, minlength=T.n),
+        (np.bincount(T.rep, T.cells.surfaces(), T.n) - T.window.surface())
+        / 2.0])
 
 
 def tree_to_json(tree: CellTree) -> dict:

@@ -6,11 +6,13 @@ quantities for whole batches, and the tests tie the two together.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from stitsim import geometry as geo
 from stitsim.encapsulation import BoundParams, EncapsulationProblem, _facet_toward
+from stitsim.errors import AmbiguousZeroCell, InsufficientNests, WindowMismatch
 
 
 def encapsulates(cell, inner, outer) -> bool:
@@ -120,3 +122,94 @@ def translate(P, h):
     if isinstance(P, geo.Box):
         return geo.Box(tuple(P.lo_arr + ha), tuple(P.hi_arr + ha))
     return geo.Polygon2D(tuple((x + ha[0], y + ha[1]) for x, y in P.points))
+
+
+# ---------------------------------------------------------------------------
+# one tessellation as a tuple of polytopes, and its operations cell by cell;
+# stit runs the same operations on cell arrays holding many tessellations
+
+@dataclass(frozen=True)
+class Tessellation:
+    window: geo.Polytope
+    cells: tuple[geo.Polytope, ...]
+
+
+@dataclass(frozen=True)
+class StatRecord:
+    cell_count: int
+    boundary: float
+    zero_cell_area: float
+
+
+def as_polytopes(T) -> list[Tessellation]:
+    """Each of the n tessellations of the stit.Tessellation T, its cells as
+    polytopes in row order."""
+    return [Tessellation(T.window, tuple(
+        T.cells.polytopes(np.flatnonzero(T.rep == i)))) for i in range(T.n)]
+
+
+def zero_cell(T: Tessellation) -> geo.Polytope:
+    """The unique cell containing the origin in its interior."""
+    return T.cells[zero_cell_index(T)]
+
+
+def zero_cell_index(T: Tessellation) -> int:
+    for i, c in enumerate(T.cells):
+        if geo.origin_strictly_inside(c):
+            return i
+    raise AmbiguousZeroCell("origin within tolerance of a cell boundary")
+
+
+def number_cells(T: Tessellation) -> list[int]:
+    """Cell indices ordered by centroid distance from the origin.
+
+    The cell containing the origin always comes first; ties break
+    lexicographically on centroid coordinates, so the numbering does not
+    depend on input order.
+    """
+    z = zero_cell_index(T)
+    rest = [i for i in range(len(T.cells)) if i != z]
+
+    def key(i):
+        c = T.cells[i].centroid()
+        return (float(c @ c), *map(float, c))
+
+    rest.sort(key=key)
+    return [z] + rest
+
+
+def iterate(T: Tessellation, Rs: list[Tessellation]) -> Tessellation:
+    """Nest Rs[k] into the k-th cell of T (in number_cells order)."""
+    order = number_cells(T)
+    if len(Rs) < len(order):
+        raise InsufficientNests(f"need {len(order)} nests, got {len(Rs)}")
+    pieces = []
+    for k, idx in enumerate(order):
+        frame = T.cells[idx]
+        R = Rs[k]
+        if R.window != T.window:
+            raise WindowMismatch("all nested tessellations must share the window")
+        for cell in R.cells:
+            piece = geo.intersect(frame, cell)
+            if piece is not None and piece.area() >= 1e-12:
+                pieces.append(piece)
+    return Tessellation(T.window, tuple(pieces))
+
+
+def restrict(T: Tessellation, sub: geo.Polytope) -> Tessellation:
+    """The tessellation induced on a sub-window."""
+    if not geo.contains(T.window, sub, strict=False):
+        raise WindowMismatch("sub-window not contained in the window")
+    pieces = []
+    for cell in T.cells:
+        piece = geo.intersect(cell, sub)
+        if piece is not None and piece.area() >= 1e-12:
+            pieces.append(piece)
+    return Tessellation(sub, tuple(pieces))
+
+
+def summary_stats(T: Tessellation) -> StatRecord:
+    """Cheap discriminating statistics of one tessellation."""
+    boundary = (sum(c.surface() for c in T.cells) - T.window.surface()) / 2.0
+    return StatRecord(cell_count=len(T.cells), boundary=boundary,
+                      zero_cell_area=zero_cell(T).area())

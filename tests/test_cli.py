@@ -200,8 +200,9 @@ STIT_3D_CONFIG = {
     (STIT_CONFIG, "missing/x.json", None),
     (PHT_CONFIG, "x.json", "missing/x.svg"),
     (STIT_CONFIG, ".", None),
+    (STIT_CONFIG, "x.json", "x.json"),
 ], ids=["svg_of_3d_stit", "svg_of_3d_pht", "out_dir_missing", "svg_dir_missing",
-        "out_is_a_directory"])
+        "out_is_a_directory", "svg_is_out"])
 def test_simulate_refuses_unwritable_outputs_before_any_draw(
         tmp_path, capsys, monkeypatch, cfg, out, svg):
     from stitsim import cli
@@ -238,6 +239,27 @@ def test_verify_creates_out_dir_before_any_experiment(tmp_path, capsys,
     monkeypatch.setitem(cli.EXPERIMENTS, "capacity", report_into_existing_dir)
     assert main(["verify", "capacity", "--out-dir", str(out_dir)]) == 0
     assert json.loads((out_dir / "capacity.json").read_text())["pass"] is True
+
+
+def test_verify_runtime_error_names_experiment_and_seed(tmp_path, capsys,
+                                                        monkeypatch):
+    from stitsim import cli
+    from stitsim.errors import ExplosionGuard
+
+    cause = ExplosionGuard("more than 10 events in one advance")
+
+    def explode(seed, n_scale):
+        raise cause
+
+    monkeypatch.setitem(cli.EXPERIMENTS, "capacity", explode)
+    argv = ["verify", "capacity", "--seed", "7", "--out-dir", str(tmp_path)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "runtime error: ExplosionGuard: in experiment capacity at seed 7: "
+        "more than 10 events in one advance\n")
+    with pytest.raises(ExplosionGuard) as e:
+        cli.cmd_verify(cli.build_parser().parse_args(argv))
+    assert e.value.__cause__ is cause
 
 
 def test_verify_has_no_threads_flag():

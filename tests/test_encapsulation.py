@@ -18,8 +18,9 @@ from stitsim.measure import (Discrete, DrivingMeasure, axis_measure,
 from stitsim.rng import stream
 from stitsim.stats import binomial_sigma, ks_two_sample
 
-from oracles import (band_sample, encapsulates, encapsulation_time,
-                     sufficient_event_time, validate)
+from oracles import (Tessellation, band_sample, encapsulates,
+                     encapsulation_time, sufficient_event_time, validate,
+                     zero_cell)
 
 LAM = axis_measure([1.0, 1.0])
 W = geo.Box((-2.0, -2.0), (2.0, 2.0))
@@ -32,14 +33,14 @@ def frame_tessellation(inner):
     cells = (inner,
              geo.Box((-2, -2), (x0, 2)), geo.Box((x1, -2), (2, 2)),
              geo.Box((x0, -2), (x1, y0)), geo.Box((x0, y1), (x1, 2)))
-    return stit.Tessellation(W, cells)
+    return Tessellation(W, cells)
 
 
 def test_encapsulates_examples():
     def zero_cell_encapsulates(T):
-        return encapsulates(stit.zero_cell(T), WP, W)
+        return encapsulates(zero_cell(T), WP, W)
 
-    trivial = stit.Tessellation(W, (W,))
+    trivial = Tessellation(W, (W,))
     assert not zero_cell_encapsulates(trivial)  # zero cell not strictly inside
     assert zero_cell_encapsulates(frame_tessellation(WP))
     # zero cell misses a corner of the inner window

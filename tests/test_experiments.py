@@ -15,13 +15,22 @@ from stitsim import rng as rng_module
 from stitsim.config import dumps_canonical
 from stitsim.errors import (AmbiguousZeroCell, DegenerateCut,
                             TooFewConditioned, WindowMismatch)
-from stitsim.measure import axis_measure, measure_hitting
+from stitsim.measure import (Discrete, DrivingMeasure, axis_measure,
+                             isotropic_measure, measure_hitting)
 from stitsim.rng import stream
 from stitsim.stats import gap_estimate
 
+import oracles
+from oracles import as_polytopes
+
 LAM = axis_measure([1.0, 1.0])
+ISO = isotropic_measure(1.0)
+OBLIQUE = DrivingMeasure(1.5, Discrete((((1.0, 0.5), 0.6), ((-0.3, 1.0), 0.4))))
 W1 = geo.Box((-1.0, -1.0), (1.0, 1.0))
 W2 = geo.Box((-2.0, -2.0), (2.0, 2.0))
+PENTAGON = geo.Polygon2D(((-1.6, -0.9), (1.4, -1.2), (1.8, 0.7), (0.2, 1.9),
+                          (-1.3, 1.1)))
+INNER = geo.Polygon2D(((-1.0, -0.6), (1.0, -0.8), (0.8, 0.9), (-0.7, 0.8)))
 
 
 def test_capacity_small_t_target_near_one():
@@ -29,6 +38,19 @@ def test_capacity_small_t_target_near_one():
     assert rep.passed
     assert rep.rows[0]["p_hat"] >= 0.97
     assert rep.rows[0]["target"] == pytest.approx(math.exp(-0.02))
+
+
+def test_survival_experiments_on_a_polygon_window():
+    # the tree experiments grow polygon cells on a non-box window: the
+    # window, and a polygon inside it, stay uncut with prob exp(-t mass)
+    t, n = 0.2, 1000
+    first = ex.experiment_first_split(ISO, PENTAGON, t, n, 71)
+    cap = ex.experiment_capacity(ISO, t, INNER, PENTAGON, n, 72)
+    for rep, body in ((first, PENTAGON), (cap, INNER)):
+        assert rep.passed, rep.rows
+        assert rep.rows[0]["target"] == pytest.approx(
+            math.exp(-t * measure_hitting(ISO, body)))
+        assert 0.3 < rep.rows[0]["target"] < 0.8
 
 
 def test_capacity_target_doubling_identity():
@@ -238,44 +260,53 @@ def test_report_write(tmp_path):
     assert (tmp_path / "demo.csv").read_text() == "a,b,c\n1.5,inf,\n2,,0.1\n"
 
 
-def _tessellations(cells, nb):
-    """One stit.Tessellation per tree from array cells (rep, lo, hi, window)."""
-    rep, lo, hi, window = cells
-    return [stit.Tessellation(window, tuple(
-        geo.Box(tuple(a), tuple(b)) for a, b in zip(lo[rep == i], hi[rep == i])))
-        for i in range(nb)]
-
-
-def _assert_stats(cells, tessellations):
-    got = ex._count_boundary(cells, len(tessellations))
-    want = [stit.summary_stats(T) for T in tessellations]
+def _assert_stats(T, references):
+    """stit.summary_stats of T against the oracle's per tessellation."""
+    got = stit.summary_stats(T)
+    want = [oracles.summary_stats(R) for R in references]
     assert got[:, 0].tolist() == [s.cell_count for s in want]
     assert got[:, 1] == pytest.approx([s.boundary for s in want], abs=1e-9)
 
 
-def test_array_statistics_match_tessellation_functions():
-    # the tree experiments' array statistics against stit's per-tessellation
-    # ones on the same trees: summary_stats, restrict, iterate and scaling
-    nb = 40
-    cells = ex._leaves(ex._grow(LAM, W2, nb, 1.0, stream(74, 0)), W2)
-    tess = _tessellations(cells, nb)
-    _assert_stats(cells, tess)
-    _assert_stats(ex._restrict(cells, W1), [stit.restrict(T, W1) for T in tess])
-    rep, lo, hi, _ = cells
-    scaled = (rep, 2.0 * lo, 2.0 * hi, geo.scale(W2, 2.0))
-    _assert_stats(scaled, [stit.Tessellation(geo.scale(W2, 2.0), tuple(
-        geo.scale(c, 2.0) for c in T.cells)) for T in tess])
-    # iteration: nest j goes into frame j; stit.iterate takes the nests in
+def _check_against_oracles(measure, window, sub, t, s, nb, seed):
+    """stit's summary_stats, restrict, scaling and iterate on a batch of nb
+    trees against the oracles' per-polytope versions of the same trees."""
+    T = ex._grow(measure, window, nb, t, stream(seed, 0)).leaves(window, nb)
+    tess = as_polytopes(T)
+    _assert_stats(T, tess)
+    _assert_stats(stit.restrict(T, sub),
+                  [oracles.restrict(P, sub) for P in tess])
+    big = geo.scale(window, 2.0)
+    _assert_stats(stit.Tessellation(big, T.rep, T.cells.scale(2.0), nb), [
+        oracles.Tessellation(big, tuple(geo.scale(c, 2.0) for c in P.cells))
+        for P in tess])
+    # iteration: nest j goes into frame j; the oracle takes the nests in
     # number_cells order of each tree's frames
-    nests = _tessellations(ex._leaves(
-        ex._grow(LAM, W2, len(rep), 0.5, stream(74, 1)), W2), len(rep))
-    nested = ex._nested(LAM, W2, 0.5, cells, stream(74, 1))
-    frames = [np.flatnonzero(rep == i) for i in range(nb)]
-    _assert_stats(nested, [
-        stit.iterate(T, [nests[frames[i][k]] for k in stit.number_cells(T)])
-        for i, T in enumerate(tess)])
+    m = len(T.cells)
+    R = ex._grow(measure, window, m, s, stream(seed, 1)).leaves(window, m)
+    nests = as_polytopes(R)
+    frames = [np.flatnonzero(T.rep == i) for i in range(nb)]
+    _assert_stats(stit.iterate(T, R), [
+        oracles.iterate(P, [nests[frames[i][k]]
+                            for k in oracles.number_cells(P)])
+        for i, P in enumerate(tess)])
     with pytest.raises(WindowMismatch):
-        ex._restrict(cells, geo.Box((-3, -3), (3, 3)))
+        stit.restrict(T, geo.Box((-3, -3), (3, 3)))
+    return T
+
+
+def test_array_statistics_match_tessellation_functions():
+    # the tree experiments' tessellation functions on box cells
+    T = _check_against_oracles(LAM, W2, W1, 1.0, 0.5, 40, 74)
+    assert isinstance(T.cells, geo.BoxCells) and len(T.cells) > 200
+
+
+@pytest.mark.parametrize("measure", [ISO, OBLIQUE], ids=["isotropic", "oblique"])
+@pytest.mark.parametrize("sub", [INNER, geo.Box((-0.8, -0.6), (0.9, 0.8))],
+                         ids=["polygon", "box"])
+def test_polygon_tessellation_functions_match_oracles(measure, sub):
+    T = _check_against_oracles(measure, PENTAGON, sub, 0.8, 0.4, 6, 76)
+    assert isinstance(T.cells, geo.PolygonCells) and len(T.cells) > 30
 
 
 def test_tree_sample_memory_does_not_grow_with_n():

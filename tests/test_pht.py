@@ -21,9 +21,8 @@ from stitsim.pht import (PoissonHyperplanePattern, draw_patterns,
                          simulate_pht, tail_event_hits_ball)
 from stitsim.rng import stream
 from stitsim.stats import binomial_sigma, ks_two_sample
-from stitsim.stit import Tessellation
 
-from oracles import tiling_defect
+from oracles import Tessellation, tiling_defect
 
 LAM = axis_measure([1.0, 1.0])
 W1 = geo.Box((-1.0, -1.0), (1.0, 1.0))

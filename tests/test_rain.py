@@ -17,7 +17,7 @@ from stitsim.measure import (axis_measure, box_regime, isotropic_measure,
 from stitsim.rng import stream
 from stitsim.stats import binomial_sigma, ks_two_sample
 
-from oracles import encapsulation_time
+from oracles import as_polytopes, encapsulation_time
 
 LAM = axis_measure([1.0, 1.0])
 W = geo.Box((-2.0, -2.0), (2.0, 2.0))
@@ -217,7 +217,7 @@ def test_pair_scan_against_tree_oracle():
         T = stit.slice_at(stit.simulate(LAM, V, t, stream(28, i)), t)
         for face in (A, B):
             assert segment_uncut(f, 1, face)[0] == any(
-                geo.contains(c, face) for c in T.cells)
+                geo.contains(c, face) for c in as_polytopes(T)[0].cells)
     f = tree_forest(V, t, 3_000, stream(28, 0))
     arr = np.column_stack([segment_uncut(f, 3_000, A),
                            segment_uncut(f, 3_000, B)]).astype(float)

@@ -13,25 +13,44 @@ from stitsim import stit
 from stitsim.config import dumps_canonical, sanitize
 from stitsim.errors import (AmbiguousZeroCell, DegenerateCut, ExplosionGuard,
                             InsufficientNests, MethodMismatch, OutOfRange,
-                            WindowMismatch)
+                            RegimeMismatch, WindowMismatch)
 from stitsim.measure import (Discrete, DrivingMeasure, axis_measure,
                              draw_lines, isotropic_measure, measure_hitting,
                              regime)
 from stitsim.rng import run_replicates, stream
 from stitsim.stats import binomial_sigma, ks_two_sample
 
-from oracles import tiling_defect
+import oracles
+from oracles import Tessellation, as_polytopes, tiling_defect
 
 LAM = axis_measure([1.0, 1.0])
 W1 = geo.Box((-1.0, -1.0), (1.0, 1.0))
 W2 = geo.Box((-2.0, -2.0), (2.0, 2.0))
 
 
+def cells_at(tree, s) -> Tessellation:
+    """The tree's slice at s as polytopes."""
+    return as_polytopes(stit.slice_at(tree, s))[0]
+
+
+def trivial(window, n) -> stit.Tessellation:
+    """n copies of the one-cell tessellation of a box window."""
+    return stit.Tessellation(window, np.arange(n), geo.BoxCells.tile(window, n),
+                             n)
+
+
+def batch(measure, window, t, n, rng) -> stit.Tessellation:
+    """n fresh trees on the window at t, as one batch."""
+    cells = regime(measure, window).cells.tile(window, n)
+    return stit.grow(measure, window, cells, np.arange(n), 0.0, t,
+                     rng).leaves(window, n)
+
+
 def test_no_jump_tree_is_trivial():
     tree = stit.simulate(LAM, W1, 1e-9, stream(0, 0))
     assert tree.parent.tolist() == [-1]
     assert tree.jump_times == []
-    assert stit.slice_at(tree, 1e-9).cells == (W1,)
+    assert cells_at(tree, 1e-9).cells == (W1,)
 
 
 @pytest.mark.parametrize("t, method, message", [
@@ -79,7 +98,7 @@ def test_tree_structural_invariants():
     assert len(set(tree.jump_times)) == len(tree.jump_times)
     # tiling at several slices
     for s in (0.2, 0.7, 1.2):
-        assert tiling_defect(stit.slice_at(tree, s)) <= 1e-6
+        assert tiling_defect(cells_at(tree, s)) <= 1e-6
 
 
 def test_slice_monotone_and_bounds():
@@ -87,8 +106,7 @@ def test_slice_monotone_and_bounds():
     counts = [len(stit.slice_at(tree, s).cells) for s in np.linspace(0.05, 1.0, 12)]
     assert counts == sorted(counts)
     if tree.jump_times:
-        before = stit.slice_at(tree, tree.jump_times[0] * 0.5)
-        assert before.cells == (W2,)
+        assert cells_at(tree, tree.jump_times[0] * 0.5).cells == (W2,)
     with pytest.raises(OutOfRange):
         stit.slice_at(tree, 1.5)
     with pytest.raises(OutOfRange):
@@ -99,8 +117,7 @@ def test_method_equivalence_quick():
     def stats_of(method, seed):
         def one(_i, rng):
             T = stit.slice_at(stit.simulate(LAM, W1, 1.0, rng, method), 1.0)
-            s = stit.summary_stats(T)
-            return s.cell_count, s.boundary
+            return stit.summary_stats(T)[0]
         return np.asarray(run_replicates(one, 700, seed), dtype=float)
 
     a = stats_of("direct", 4)
@@ -126,17 +143,17 @@ def test_advance_preserves_tiling():
     tree = stit.simulate(LAM, W2, 0.5, stream(8, 0))
     stit.advance(tree, 0.7, stream(8, 1))
     assert tree.current_time == pytest.approx(1.2)
-    assert tiling_defect(stit.slice_at(tree, 1.2)) <= 1e-6
+    assert tiling_defect(cells_at(tree, 1.2)) <= 1e-6
 
 
 def test_zero_cell():
-    assert stit.zero_cell(stit.Tessellation(W1, (W1,))) == W1
+    assert oracles.zero_cell(Tessellation(W1, (W1,))) == W1
     # one cut at x = 0.3 > 0: the origin-side cell is x <= 0.3
     left = geo.Box((-1, -1), (0.3, 1))
     right = geo.Box((0.3, -1), (1, 1))
-    assert stit.zero_cell(stit.Tessellation(W1, (right, left))) == left
+    assert oracles.zero_cell(Tessellation(W1, (right, left))) == left
     with pytest.raises(AmbiguousZeroCell):
-        stit.zero_cell(stit.Tessellation(
+        oracles.zero_cell(Tessellation(
             W1, (geo.Box((-1, -1), (0, 1)), geo.Box((0, -1), (1, 1)))))
 
 
@@ -144,7 +161,7 @@ def test_zero_cell_shrinks_along_trajectory():
     tree = stit.simulate(LAM, W2, 1.5, stream(9, 0))
     previous = None
     for s in np.linspace(0.1, 1.5, 10):
-        cell = stit.zero_cell(stit.slice_at(tree, s))
+        cell = oracles.zero_cell(cells_at(tree, s))
         if previous is not None:
             assert geo.contains(previous, cell)
         previous = cell
@@ -181,27 +198,26 @@ def test_polygon_halfspace_representation():
 
 
 def test_number_cells():
-    assert stit.number_cells(stit.Tessellation(W1, (W1,))) == [0]
+    assert oracles.number_cells(Tessellation(W1, (W1,))) == [0]
     left = geo.Box((-1, -1), (0.3, 1))
     right = geo.Box((0.3, -1), (1, 1))
-    assert stit.number_cells(stit.Tessellation(W1, (right, left))) == [1, 0]
+    assert oracles.number_cells(Tessellation(W1, (right, left))) == [1, 0]
     # permutation invariance of the induced spatial order
     tree = stit.simulate(LAM, W2, 1.0, stream(11, 0))
-    T = stit.slice_at(tree, 1.0)
-    order = stit.number_cells(T)
+    T = cells_at(tree, 1.0)
+    order = oracles.number_cells(T)
     perm = list(reversed(range(len(T.cells))))
-    T2 = stit.Tessellation(W2, tuple(T.cells[i] for i in perm))
-    order2 = stit.number_cells(T2)
+    T2 = Tessellation(W2, tuple(T.cells[i] for i in perm))
+    order2 = oracles.number_cells(T2)
     assert [T.cells[i] for i in order] == [T2.cells[i] for i in order2]
 
 
-def brute_force_nest_count(T, Rs):
-    """Interval arithmetic count of nested cells with interior overlap."""
-    order = stit.number_cells(T)
-    count = 0
-    for k, idx in enumerate(order):
-        frame = T.cells[idx]
-        for cell in Rs[k].cells:
+def brute_force_nest_count(T, R):
+    """Interval arithmetic count of nest cells with interior overlap with
+    their frame, nest j going into cell j of T."""
+    count, nests = 0, as_polytopes(R)
+    for j, frame in enumerate(as_polytopes(T)[0].cells):
+        for cell in nests[j].cells:
             w = min(frame.hi[0], cell.hi[0]) - max(frame.lo[0], cell.lo[0])
             h = min(frame.hi[1], cell.hi[1]) - max(frame.lo[1], cell.lo[1])
             if w > 1e-9 and h > 1e-9 and w * h >= 1e-12:
@@ -213,21 +229,23 @@ def test_iterate():
     rng = stream(12, 0)
     R = stit.slice_at(stit.simulate(LAM, W2, 0.8, rng), 0.8)
     # nesting into the trivial tessellation returns the nest
-    got = stit.iterate(stit.Tessellation(W2, (W2,)), [R])
-    assert sorted(c.area() for c in got.cells) == pytest.approx(
-        sorted(c.area() for c in R.cells))
+    got = stit.iterate(trivial(W2, 1), R)
+    assert sorted(c.area() for c in as_polytopes(got)[0].cells) == \
+        pytest.approx(sorted(c.area() for c in as_polytopes(R)[0].cells))
     # trivial nests leave the base unchanged
     T = stit.slice_at(stit.simulate(LAM, W2, 0.6, rng), 0.6)
-    trivial = [stit.Tessellation(W2, (W2,))] * len(T.cells)
-    assert len(stit.iterate(T, trivial).cells) == len(T.cells)
+    m = len(T.cells)
+    assert len(stit.iterate(T, trivial(W2, m)).cells) == m
     # nested cell count against interval-arithmetic oracle
-    nests = [stit.slice_at(stit.simulate(LAM, W2, 0.5, rng), 0.5)
-             for _ in range(len(T.cells))]
+    nests = batch(LAM, W2, 0.5, m, rng)
     result = stit.iterate(T, nests)
     assert len(result.cells) == brute_force_nest_count(T, nests)
-    assert tiling_defect(result) <= 1e-6
-    with pytest.raises(InsufficientNests):
-        stit.iterate(T, nests[:max(0, len(T.cells) - 1)])
+    assert tiling_defect(as_polytopes(result)[0]) <= 1e-6
+    for k in (m - 1, m + 1):
+        with pytest.raises(InsufficientNests):
+            stit.iterate(T, trivial(W2, k))
+    with pytest.raises(WindowMismatch):
+        stit.iterate(T, trivial(W1, m))
 
 
 def test_restrict():
@@ -236,15 +254,17 @@ def test_restrict():
     same = stit.restrict(T, W2)
     assert len(same.cells) == len(T.cells)
     inner = stit.restrict(T, geo.Box((-1, -1), (1, 1)))
-    assert tiling_defect(inner) <= 1e-6
+    assert tiling_defect(as_polytopes(inner)[0]) <= 1e-6
     # a sub-window inside one cell restricts to the trivial tessellation
-    z = stit.zero_cell(T)
-    c = z.centroid()
+    c = oracles.zero_cell(as_polytopes(T)[0]).centroid()
     eps = 1e-3
     tiny = geo.Box((c[0] - eps, c[1] - eps), (c[0] + eps, c[1] + eps))
     assert len(stit.restrict(T, tiny).cells) == 1
     with pytest.raises(WindowMismatch):
         stit.restrict(T, geo.Box((-3, -3), (3, 3)))
+    # box cells hold no polygon sub-window
+    with pytest.raises(RegimeMismatch):
+        stit.restrict(T, geo.Box((-1, -1), (1, 1)).to_polygon())
 
 
 def test_restrict_consistency_in_distribution():
@@ -252,11 +272,11 @@ def test_restrict_consistency_in_distribution():
 
     def restricted(_i, rng):
         T = stit.slice_at(stit.simulate(LAM, W2, 1.0, rng), 1.0)
-        return stit.summary_stats(stit.restrict(T, inner)).boundary
+        return stit.summary_stats(stit.restrict(T, inner))[0, 1]
 
     def direct(_i, rng):
         T = stit.slice_at(stit.simulate(LAM, inner, 1.0, rng), 1.0)
-        return stit.summary_stats(T).boundary
+        return stit.summary_stats(T)[0, 1]
 
     a = np.asarray(run_replicates(restricted, 700, 14))
     b = np.asarray(run_replicates(direct, 700, 15))
@@ -264,15 +284,17 @@ def test_restrict_consistency_in_distribution():
 
 
 def test_summary_stats():
-    s = stit.summary_stats(stit.Tessellation(W1, (W1,)))
-    assert s.cell_count == 1
-    assert s.boundary == pytest.approx(0.0, abs=1e-12)
-    assert s.zero_cell_area == pytest.approx(4.0)
-    # one full vertical cut: internal boundary length 2
-    cut = stit.Tessellation(W1, (geo.Box((-1, -1), (0.25, 1)),
-                                 geo.Box((0.25, -1), (1, 1))))
-    s2 = stit.summary_stats(cut)
-    assert s2.cell_count == 2
+    s = stit.summary_stats(trivial(W1, 1))
+    assert s.tolist() == [[1.0, 0.0]]
+    # one full vertical cut: internal boundary length 2; the second
+    # tessellation of the batch has no cell
+    cut = stit.Tessellation(W1, np.array([0, 0]), geo.BoxCells(
+        np.array([[-1.0, -1.0], [0.25, -1.0]]),
+        np.array([[0.25, 1.0], [1.0, 1.0]])), 2)
+    assert stit.summary_stats(cut)[:, 0].tolist() == [2, 0]
+    assert stit.summary_stats(cut)[0, 1] == pytest.approx(2.0)
+    s2 = oracles.summary_stats(as_polytopes(cut)[0])
+    assert s2.cell_count == 2 and s2.zero_cell_area == pytest.approx(2.5)
     assert s2.boundary == pytest.approx(2.0)
 
 
@@ -290,8 +312,7 @@ def test_isotropic_polygon_tree():
     iso = isotropic_measure(1.0)
     window = W1.to_polygon()
     tree = stit.simulate(iso, window, 1.0, stream(17, 0))
-    T = stit.slice_at(tree, 1.0)
-    assert tiling_defect(T) <= 1e-6
+    assert tiling_defect(cells_at(tree, 1.0)) <= 1e-6
     u, d = tree.forest.cuts()
     dead = np.flatnonzero(~tree.forest.alive).tolist()
     assert dead
