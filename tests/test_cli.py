@@ -1,5 +1,6 @@
 """Command-line interface behavior and exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -57,6 +58,30 @@ def test_simulate_svg(tmp_path):
                  "--svg", svg]) == 0
     root = ET.fromstring(open(svg).read())
     assert root.tag.endswith("svg")
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# sha256 of the JSON and the SVG `simulate --svg` writes at seed 3
+SIMULATE_GOLDEN = {
+    "stit_axis": (
+        "f1c9ed1756140a80c9b34cd2fd3184e4648a94e79a87c1e73c130bf9d04a9ecc",
+        "7132a818def7ea5053463d5e257dac3ced1f67dbb2b2cadb7944719ce707b29f"),
+    "stit_isotropic": (
+        "8da09a2512eac201ac39f51342e10ea05ed4ff6b91f38897d73820088035e82d",
+        "670f1bc917b6c012c4a585242031826fc5c83acbb86e14cdfbc84d3e056a385c"),
+    "pht_isotropic": (
+        "8ff7665c3f07f87c7c285205fb03d2a014945692b550dc678a4a3e7cbb866e6c",
+        "7486ae36eebc17d81b09239e34d2de5b749b5d18ae5e125ba4001f96c383c36c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_GOLDEN))
+def test_simulate_output_golden(tmp_path, name):
+    out, svg = tmp_path / "out.json", tmp_path / "out.svg"
+    assert main(["simulate", "--config", str(CONFIGS / f"{name}.json"),
+                 "--seed", "3", "--out", str(out), "--svg", str(svg)]) == 0
+    assert (hashlib.sha256(out.read_bytes()).hexdigest(),
+            hashlib.sha256(svg.read_bytes()).hexdigest()) == SIMULATE_GOLDEN[name]
 
 
 def test_simulate_pht(tmp_path):

@@ -1,5 +1,6 @@
 """Canonical serialization, config validation and SVG rendering."""
 
+import hashlib
 import json
 import math
 import struct
@@ -108,6 +109,16 @@ def test_render_pattern_svg():
                 el.attrib["d"].replace("M", " ").replace("L", " ")
                 .replace("Z", " ").split()]
         assert all(-1e-6 <= v <= 400 + 1e-6 for v in nums)
+
+
+def test_render_pattern_isotropic_golden():
+    # lines in general position on a pentagon: chords of every slope
+    pentagon = geo.Polygon2D(((-1.6, -0.9), (1.4, -1.2), (1.8, 0.7),
+                              (0.2, 1.9), (-1.3, 1.1)))
+    pat = simulate_pht(isotropic_measure(1.0), 3.0, pentagon, stream(83, 0))
+    assert len(pat.offsets) == 14
+    assert hashlib.sha256(render_pattern(pat).encode()).hexdigest() == \
+        "f5aa4456d167cc2219fc98f39621ddd795b4aeaaa2a83582be9de7df2241b45d"
 
 
 def test_render_rejects_non_planar():
