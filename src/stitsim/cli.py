@@ -12,7 +12,8 @@ import os
 import sys
 
 from . import stit
-from .config import RunConfig, _float, dumps_canonical, run_config_from_json
+from .config import (RunConfig, _float, config_hash, dumps_canonical,
+                     run_config_from_json)
 from .encapsulation import BoundParams, lower_bound
 from .errors import ConfigError, StitSimError
 from .experiments import EXPERIMENTS
@@ -21,13 +22,14 @@ from .render import render_pattern, render_tessellation
 from .rng import stream
 
 
-def _load_config(path: str) -> RunConfig:
+def _load_config(path: str) -> tuple[dict, RunConfig]:
+    """The config file's JSON and the run config it validates to."""
     try:
         with open(path) as f:
             raw = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
-    return run_config_from_json(raw)
+    return raw, run_config_from_json(raw)
 
 
 # Far above the acceptance runs (n-scale 1); a larger factor asks for more
@@ -43,7 +45,7 @@ def _check_seed(seed: int) -> None:
 
 def cmd_simulate(args) -> int:
     _check_seed(args.seed)
-    cfg = _load_config(args.config)
+    raw, cfg = _load_config(args.config)
     if args.svg and cfg.window.dim != 2:
         raise ConfigError("--svg: SVG rendering is 2-D only, "
                           f"the window is {cfg.window.dim}-D")
@@ -54,18 +56,12 @@ def cmd_simulate(args) -> int:
     if args.svg and os.path.realpath(args.svg) == os.path.realpath(args.out):
         raise ConfigError(f"--svg and --out name the same file {args.out}; "
                           "the SVG would overwrite the JSON")
-    rng = stream(args.seed, 0)
-    if cfg.model == "stit":
-        tree = stit.simulate(cfg.measure, cfg.window, cfg.time, rng, cfg.method)
-        payload = stit.tree_to_json(tree)
-        payload["seed"] = args.seed
-        svg = (render_tessellation(stit.slice_at(tree, cfg.time))
-               if args.svg else None)
-    else:
-        pattern = simulate_pht(cfg.measure, cfg.rho, cfg.window, rng)
-        payload = pattern_to_json(pattern)
-        payload["seed"] = args.seed
-        svg = render_pattern(pattern) if args.svg else None
+    try:
+        payload, svg = _simulate(cfg, args.seed, bool(args.svg))
+    except StitSimError as e:
+        # a validated config holds only finite numbers, so it has a hash
+        raise type(e)(f"in simulate of config {config_hash(raw)} at seed "
+                      f"{args.seed}: {e}") from e
     with open(args.out, "w") as f:
         f.write(dumps_canonical(payload))
         f.write("\n")
@@ -73,6 +69,22 @@ def cmd_simulate(args) -> int:
         with open(args.svg, "w") as f:
             f.write(svg)
     return 0
+
+
+def _simulate(cfg: RunConfig, seed: int, svg: bool):
+    """simulate's JSON payload and, where svg, its SVG text."""
+    rng = stream(seed, 0)
+    if cfg.model == "stit":
+        tree = stit.simulate(cfg.measure, cfg.window, cfg.time, rng, cfg.method)
+        payload = stit.tree_to_json(tree)
+        text = (render_tessellation(stit.slice_at(tree, cfg.time))
+                if svg else None)
+    else:
+        pattern = simulate_pht(cfg.measure, cfg.rho, cfg.window, rng)
+        payload = pattern_to_json(pattern)
+        text = render_pattern(pattern) if svg else None
+    payload["seed"] = seed
+    return payload, text
 
 
 def _parse_grid(spec: str) -> list[float]:

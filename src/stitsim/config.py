@@ -3,26 +3,138 @@
 Serialized floats are IEEE-754 doubles printed in Python's shortest
 round-trip repr (`0.1`, `1.0`, `-0.0`, `1e+16`), so `json.loads` gives back
 the same double; keys are sorted and separators are fixed, so a
-(config, seed) pair determines every output byte.
+(config, seed) pair determines every output byte.  The writers' large
+arrays reach dumps_canonical as Encoded values, which write their text from
+array columns (number_texts, join_rows), and are spliced in unchanged.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 from . import geometry as geo
 from .errors import ConfigError
 from .measure import Discrete, DrivingMeasure, Isotropic2D
 
 
+# The quoted stand-in json writes for the n-th try's Encoded values.
+_MARK = "\0Encoded{}\0"
+
+
+@dataclass(frozen=True, eq=False)
+class Encoded:
+    """A value that writes its own canonical JSON text: dumps_canonical
+    calls write() once and places the text in its output as it stands.
+    The writers' large arrays are values of this kind, written from array
+    columns when their payload is encoded."""
+
+    write: Callable[[], str]
+
+
 def dumps_canonical(obj) -> str:
     """Canonical JSON: sorted keys, no whitespace, floats in Python's
     shortest round-trip repr.  Non-finite floats raise ValueError and
-    values JSON has no form for raise TypeError."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    values JSON has no form for raise TypeError.
+
+    An Encoded value is spliced in: json writes a quoted stand-in in its
+    place, and the stand-ins are swapped for the written texts in output
+    order.  A payload with no Encoded value is one json.dumps call.
+    """
+    found = []
+
+    def splice(o):
+        if not isinstance(o, Encoded):
+            raise TypeError(f"Object of type {type(o).__name__} "
+                            "is not JSON serializable")
+        found.append(o)
+        return mark
+
+    for nonce in itertools.count():
+        mark = _MARK.format(nonce)
+        found.clear()
+        out = json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                         allow_nan=False, default=splice)
+        if not found:
+            return out
+        # Another string equal to the stand-in would split out once more
+        # than there are values: then try another stand-in.
+        parts = out.split(json.dumps(mark))
+        if len(parts) == len(found) + 1:
+            texts = [o.write() for o in found] + [""]
+            return "".join(itertools.chain.from_iterable(zip(parts, texts)))
+
+
+def number_texts(a, fmt: str | None = None) -> np.ndarray:
+    """Each entry of the numeric array a as text, an object array of a's
+    shape: fmt % value, by default the value's JSON text (Python's repr for
+    a float).  Each distinct value, for floats each bit pattern, so -0.0
+    apart from 0.0, is formatted once."""
+    a = np.asarray(a)
+    is_float = a.dtype.kind == "f"
+    keys, inv = np.unique(
+        np.ascontiguousarray(a, np.float64).ravel().view(np.int64) if is_float
+        else a.ravel(), return_inverse=True)
+    values = (keys.view(np.float64) if is_float else keys).tolist()
+    text = (json.dumps(values)[1:-1].split(", ") if fmt is None
+            else list(map(fmt.__mod__, values)))
+    return np.array(text, dtype=object)[inv].reshape(a.shape)
+
+
+def _rows(pieces) -> int:
+    return max(len(p) for p in pieces if not isinstance(p, str))
+
+
+def join_rows(pieces, sep: str, start: str = "", end: str = "") -> str:
+    """start, the rows' texts joined by sep, then end; row i is the
+    concatenation of every piece's text: pieces[j][i] for a column of
+    texts, pieces[j] for a string.  One join over all rows."""
+    rows = _rows(pieces)
+    if not rows:
+        return start + end
+    table = np.empty((rows, len(pieces) + 1), dtype=object)
+    for j, p in enumerate(pieces):
+        table[:, j] = p
+    table[:, -1] = sep
+    items = table.ravel().tolist()
+    items[0], items[-1] = start + items[0], end
+    return "".join(items)
+
+
+def row_texts(pieces) -> list[str]:
+    """Each row's text of join_rows, as a list; no text may hold a
+    newline."""
+    return join_rows(pieces, "\n").split("\n") if _rows(pieces) else []
+
+
+def object_pieces(fields: dict) -> list:
+    """Pieces (join_rows) of row i as the canonical JSON object
+    {key: fields[key][i]}, each value a column of JSON texts."""
+    pieces = []
+    for key in sorted(fields):
+        pieces += ["," + json.dumps(key) + ":", fields[key]]
+    return ["{" + pieces[0][1:]] + pieces[1:] + ["}"]
+
+
+def objects_text(fields: dict) -> str:
+    """The canonical JSON array of object_pieces' rows."""
+    return join_rows(object_pieces(fields), ",", "[", "]")
+
+
+def hyperplane_fields(u, d) -> dict:
+    """Fields (object_pieces) of the hyperplanes {x : <x, u[i]> = d[i]} as
+    {"u": u[i], "d": d[i]}."""
+    u = number_texts(u)
+    pieces = ["["]
+    for c in range(u.shape[1]):
+        pieces += [u[:, c], ","]
+    return {"d": number_texts(d), "u": row_texts(pieces[:-1] + ["]"])}
 
 
 def config_hash(obj) -> str:

@@ -590,11 +590,13 @@ class BoxCells:
     def scale(self, r: float) -> "BoxCells":
         return BoxCells(r * self.lo, r * self.hi)
 
-    def outlines(self) -> list:
-        """Each 2-D cell's counterclockwise corners, as Box.to_polygon."""
-        (x0, y0), (x1, y1) = self.lo.T.tolist(), self.hi.T.tolist()
-        return [((a, b), (c, b), (c, d), (a, d))
-                for a, b, c, d in zip(x0, y0, x1, y1)]
+    def outlines(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each 2-D cell's counterclockwise corners, as Box.to_polygon, in
+        the padded polygon layout (V, count)."""
+        lo, hi = self.lo, self.hi
+        V = np.stack([lo, np.stack([hi[:, 0], lo[:, 1]], axis=1), hi,
+                      np.stack([lo[:, 0], hi[:, 1]], axis=1)], axis=1)
+        return V, np.full(len(self), 4)
 
     @staticmethod
     def unmarked(m: int) -> np.ndarray:
@@ -714,9 +716,9 @@ class PolygonCells:
     def scale(self, r: float) -> "PolygonCells":
         return PolygonCells(r * self.V, self.count)
 
-    def outlines(self) -> list:
-        """Each cell's counterclockwise vertices."""
-        return [v[:k] for v, k in zip(self.V.tolist(), self.count.tolist())]
+    def outlines(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each cell's counterclockwise vertices, in the padded layout."""
+        return self.V, self.count
 
     @staticmethod
     def unmarked(m: int) -> np.ndarray:

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import geometry as geo
 from . import stit
+from .config import Encoded, hyperplane_fields, objects_text
 from .errors import ExplosionGuard
 from .measure import (DrivingMeasure, box_table, draw_box_marks, draw_lines,
                       measure_hitting)
@@ -112,10 +113,14 @@ def tail_event_hits_ball(pattern: PoissonHyperplanePattern, body) -> bool:
 
 
 def pattern_to_json(pattern: PoissonHyperplanePattern) -> dict:
+    """The pattern as plain JSON, its rows in draw order; the rows are a
+    config.Encoded array, written from the normals and offsets when the
+    payload is encoded."""
+    normals, offsets = pattern.normals, pattern.offsets
     return {
         "kind": "pht_pattern",
         "window": geo.polytope_to_json(pattern.window),
         "rho": pattern.rho,
-        "hyperplanes": [{"u": u, "d": d} for u, d in
-                        zip(pattern.normals.tolist(), pattern.offsets.tolist())],
+        "hyperplanes": Encoded(
+            lambda: objects_text(hyperplane_fields(normals, offsets))),
     }

@@ -1,7 +1,10 @@
 """SVG rendering of 2-D tessellations and hyperplane patterns.
 
 One length unit maps to 100 px, strokes are 1 px; the y axis is flipped so
-drawings match the usual mathematical orientation.
+drawings match the usual mathematical orientation.  Paths are written from
+the cells' padded vertex arrays (and a pattern's chord arrays): each
+distinct coordinate is formatted once, and the paths with the same number
+of points are one join.
 """
 
 from __future__ import annotations
@@ -9,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import geometry as geo
+from .config import number_texts, row_texts
 from .pht import PoissonHyperplanePattern
 from .stit import Tessellation
 
@@ -28,20 +32,29 @@ class _Canvas:
         self.h = (self.y1 - self.y0) * SCALE
         self.parts = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.w:.0f}" '
-            f'height="{self.h:.0f}" viewBox="0 0 {self.w:.2f} {self.h:.2f}">',
-            f'<rect width="{self.w:.2f}" height="{self.h:.2f}" fill="white"/>',
+            f'height="{self.h:.0f}" viewBox="0 0 {self.w:.2f} {self.h:.2f}">\n',
+            f'<rect width="{self.w:.2f}" height="{self.h:.2f}" fill="white"/>\n',
         ]
 
-    def pt(self, x, y) -> str:
-        return f"{(x - self.x0) * SCALE:.2f} {(self.y1 - y) * SCALE:.2f}"
-
-    def path(self, pts, closed: bool, stroke: str = "black"):
-        d = "M" + "L".join(self.pt(x, y) for x, y in pts) + ("Z" if closed else "")
-        self.parts.append(
-            f'<path d="{d}" fill="none" stroke="{stroke}" stroke-width="1"/>')
+    def paths(self, V: np.ndarray, count: np.ndarray, closed: bool):
+        """One path per row i through its first count[i] points of V (m, K,
+        2), in the padded layout, with coordinates as "%.2f" of the same
+        doubles f"{v:.2f}" would print."""
+        x = number_texts((V[..., 0] - self.x0) * SCALE, "%.2f")
+        y = number_texts((self.y1 - V[..., 1]) * SCALE, "%.2f")
+        tail = ("Z" if closed else "") + \
+            '" fill="none" stroke="black" stroke-width="1"/>'
+        lines = np.empty(len(count), dtype=object)
+        for k in np.unique(count).tolist():
+            rows = np.flatnonzero(count == k)
+            pieces = []
+            for j in range(k):
+                pieces += ["L", x[rows, j], " ", y[rows, j]]
+            lines[rows] = row_texts(['<path d="M'] + pieces[1:] + [tail])
+        self.parts += [line + "\n" for line in lines.tolist()]
 
     def text(self) -> str:
-        return "\n".join(self.parts + ["</svg>"]) + "\n"
+        return "".join(self.parts) + "</svg>\n"
 
 
 def render_tessellation(T: Tessellation) -> str:
@@ -49,10 +62,15 @@ def render_tessellation(T: Tessellation) -> str:
     if T.window.dim != 2:
         raise ValueError("SVG rendering is 2-D only")
     cv = _Canvas(T.window)
-    for pts in T.cells.outlines():
-        cv.path(pts, closed=True)
-    cv.path(geo.polygon_vertices(T.window).tolist(), closed=True)
+    cv.paths(*T.cells.outlines(), closed=True)
+    cv.paths(*_outline(T.window), closed=True)
     return cv.text()
+
+
+def _outline(window):
+    """The window's counterclockwise vertices as one padded row."""
+    v = geo.polygon_vertices(window)
+    return v[None], np.array([len(v)])
 
 
 def _chords(normals: np.ndarray, offsets: np.ndarray, window):
@@ -79,11 +97,13 @@ def _chords(normals: np.ndarray, offsets: np.ndarray, window):
 
 
 def render_pattern(pattern: PoissonHyperplanePattern) -> str:
+    """The pattern as SVG: each hyperplane's chord in the window, in draw
+    order, then the window."""
     if pattern.window.dim != 2:
         raise ValueError("SVG rendering is 2-D only")
     cv = _Canvas(pattern.window)
     keep, start, end = _chords(pattern.normals, pattern.offsets, pattern.window)
-    for p, q in zip(start[keep].tolist(), end[keep].tolist()):
-        cv.path([p, q], closed=False)
-    cv.path(geo.polygon_vertices(pattern.window).tolist(), closed=True)
+    cv.paths(np.stack([start[keep], end[keep]], axis=1),
+             np.full(int(keep.sum()), 2), closed=False)
+    cv.paths(*_outline(pattern.window), closed=True)
     return cv.text()

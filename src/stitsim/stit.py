@@ -30,13 +30,15 @@ A tree, or a batch of trees, is built from one random stream (see rng).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import geometry as geo
+from .config import (Encoded, hyperplane_fields, measure_to_json, number_texts,
+                     object_pieces, objects_text, row_texts)
 from .errors import (DegenerateCut, ExplosionGuard, InsufficientNests,
                      MethodMismatch, OutOfRange, RegimeMismatch,
                      WindowMismatch)
@@ -396,18 +398,8 @@ def summary_stats(T: Tessellation) -> np.ndarray:
 def tree_to_json(tree: CellTree) -> dict:
     """The tree as plain JSON, its nodes in id order and each cut in
     geometry.Hyperplane's canonical form (normal lexicographically
-    positive)."""
-    from .config import measure_to_json
-    f = tree.forest
-    u, d = (a.tolist() for a in geo.canonical_rows(*f.cuts()))
-    rejected = np.bincount(f.rejected[0], minlength=len(d)).tolist()
-    parent = [None] + tree.parent[1:].tolist()
-    nodes = [{"id": i, "parent": parent[i], "birth": b,
-              "death": None if x == math.inf else x,
-              "hyperplane": None if x == math.inf else {"u": u[i], "d": d[i]},
-              "rejected": rejected[i]}
-             for i, (b, x) in enumerate(zip(tree.birth.tolist(),
-                                            f.death.tolist()))]
+    positive).  The nodes are a config.Encoded array, written from the
+    forest's columns (_nodes_text) when the payload is encoded."""
     return {
         "kind": "cell_tree",
         "window": geo.polytope_to_json(tree.window),
@@ -415,5 +407,25 @@ def tree_to_json(tree: CellTree) -> dict:
         "method": tree.method,
         "current_time": tree.current_time,
         "jump_times": tree.jump_times,
-        "nodes": nodes,
+        "nodes": Encoded(partial(_nodes_text, tree.forest, tree.parent)),
     }
+
+
+def _nodes_text(f: Forest, parent: np.ndarray) -> str:
+    """The nodes' JSON array: each distinct number is formatted once, and
+    a node's birth and parent are the texts of its parent's death and id."""
+    dead = ~f.alive
+    death = number_texts(f.death)
+    death[~dead] = "null"
+    hyperplane = np.full(len(death), "null", dtype=object)
+    u, d = f.cuts()
+    hyperplane[dead] = row_texts(object_pieces(
+        hyperplane_fields(*geo.canonical_rows(u[dead], d[dead]))))
+    ids = number_texts(np.arange(len(death)))
+    birth, up = death[parent], ids[parent]
+    birth[0], up[0] = "0.0", "null"
+    return objects_text({
+        "id": ids, "parent": up, "birth": birth, "death": death,
+        "hyperplane": hyperplane,
+        "rejected": number_texts(np.bincount(f.rejected[0],
+                                             minlength=len(death)))})

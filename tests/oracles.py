@@ -5,14 +5,17 @@ easy to check by eye.  The package's array kernels compute the same
 quantities for whole batches, and the tests tie the two together.
 """
 
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from stitsim import geometry as geo
+from stitsim.config import measure_to_json
 from stitsim.encapsulation import BoundParams, EncapsulationProblem, _facet_toward
 from stitsim.errors import AmbiguousZeroCell, InsufficientNests, WindowMismatch
+from stitsim.render import SCALE, _bbox, _chords
 
 
 def encapsulates(cell, inner, outer) -> bool:
@@ -213,3 +216,101 @@ def summary_stats(T: Tessellation) -> StatRecord:
     boundary = (sum(c.surface() for c in T.cells) - T.window.surface()) / 2.0
     return StatRecord(cell_count=len(T.cells), boundary=boundary,
                       zero_cell_area=zero_cell(T).area())
+
+
+# ---------------------------------------------------------------------------
+# simulate's writers, one dict or one f-string per node, hyperplane and
+# point; stitsim writes the same bytes from array columns
+
+def dumps_canonical(obj) -> str:
+    """Canonical JSON of a payload of plain values."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def tree_to_json(tree) -> dict:
+    """The CellTree as plain JSON, one dict per node."""
+    f = tree.forest
+    u, d = (a.tolist() for a in geo.canonical_rows(*f.cuts()))
+    rejected = np.bincount(f.rejected[0], minlength=len(d)).tolist()
+    parent = [None] + tree.parent[1:].tolist()
+    nodes = [{"id": i, "parent": parent[i], "birth": b,
+              "death": None if x == math.inf else x,
+              "hyperplane": None if x == math.inf else {"u": u[i], "d": d[i]},
+              "rejected": rejected[i]}
+             for i, (b, x) in enumerate(zip(tree.birth.tolist(),
+                                            f.death.tolist()))]
+    return {
+        "kind": "cell_tree",
+        "window": geo.polytope_to_json(tree.window),
+        "measure": measure_to_json(tree.measure),
+        "method": tree.method,
+        "current_time": tree.current_time,
+        "jump_times": tree.jump_times,
+        "nodes": nodes,
+    }
+
+
+def pattern_to_json(pattern) -> dict:
+    """The PoissonHyperplanePattern as plain JSON, one dict per row."""
+    return {
+        "kind": "pht_pattern",
+        "window": geo.polytope_to_json(pattern.window),
+        "rho": pattern.rho,
+        "hyperplanes": [{"u": u, "d": d} for u, d in
+                        zip(pattern.normals.tolist(), pattern.offsets.tolist())],
+    }
+
+
+class Canvas:
+    def __init__(self, window):
+        self.x0, self.y0, self.x1, self.y1 = _bbox(window)
+        self.w = (self.x1 - self.x0) * SCALE
+        self.h = (self.y1 - self.y0) * SCALE
+        self.parts = [
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.w:.0f}" '
+            f'height="{self.h:.0f}" viewBox="0 0 {self.w:.2f} {self.h:.2f}">',
+            f'<rect width="{self.w:.2f}" height="{self.h:.2f}" fill="white"/>',
+        ]
+
+    def pt(self, x, y) -> str:
+        return f"{(x - self.x0) * SCALE:.2f} {(self.y1 - y) * SCALE:.2f}"
+
+    def path(self, pts, closed: bool, stroke: str = "black"):
+        d = "M" + "L".join(self.pt(x, y) for x, y in pts) + ("Z" if closed else "")
+        self.parts.append(
+            f'<path d="{d}" fill="none" stroke="{stroke}" stroke-width="1"/>')
+
+    def text(self) -> str:
+        return "\n".join(self.parts + ["</svg>"]) + "\n"
+
+
+def outlines(cells) -> list:
+    """Each 2-D cell's counterclockwise vertices, a box's as Box.to_polygon."""
+    if isinstance(cells, geo.BoxCells):
+        (x0, y0), (x1, y1) = cells.lo.T.tolist(), cells.hi.T.tolist()
+        return [((a, b), (c, b), (c, d), (a, d))
+                for a, b, c, d in zip(x0, y0, x1, y1)]
+    return [v[:k] for v, k in zip(cells.V.tolist(), cells.count.tolist())]
+
+
+def render_tessellation(T) -> str:
+    """One stit.Tessellation (T.n == 1) as SVG, point by point."""
+    if T.window.dim != 2:
+        raise ValueError("SVG rendering is 2-D only")
+    cv = Canvas(T.window)
+    for pts in outlines(T.cells):
+        cv.path(pts, closed=True)
+    cv.path(geo.polygon_vertices(T.window).tolist(), closed=True)
+    return cv.text()
+
+
+def render_pattern(pattern) -> str:
+    """The pattern's chords as SVG, point by point."""
+    if pattern.window.dim != 2:
+        raise ValueError("SVG rendering is 2-D only")
+    cv = Canvas(pattern.window)
+    keep, start, end = _chords(pattern.normals, pattern.offsets, pattern.window)
+    for p, q in zip(start[keep].tolist(), end[keep].tolist()):
+        cv.path([p, q], closed=False)
+    cv.path(geo.polygon_vertices(pattern.window).tolist(), closed=True)
+    return cv.text()

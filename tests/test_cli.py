@@ -304,6 +304,32 @@ def test_simulate_runtime_error_exit_code(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "x.json")]) == 3
 
 
+def test_simulate_runtime_error_names_config_hash_and_seed(tmp_path, capsys,
+                                                           monkeypatch):
+    from stitsim import cli, stit
+    from stitsim.config import config_hash
+    from stitsim.errors import DegenerateCut
+
+    cause = DegenerateCut("could not draw a non-degenerate split")
+
+    def explode(*_args, **_kwargs):
+        raise cause
+
+    monkeypatch.setattr(stit, "simulate", explode)
+    path = write_config(tmp_path, STIT_CONFIG)
+    argv = ["simulate", "--config", path, "--seed", "9",
+            "--out", str(tmp_path / "x.json")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        f"runtime error: DegenerateCut: in simulate of config "
+        f"{config_hash(STIT_CONFIG)} at seed 9: "
+        "could not draw a non-degenerate split\n")
+    assert not (tmp_path / "x.json").exists()
+    with pytest.raises(DegenerateCut) as e:
+        cli.cmd_simulate(cli.build_parser().parse_args(argv))
+    assert e.value.__cause__ is cause
+
+
 NAN, INF = float("nan"), float("inf")
 
 

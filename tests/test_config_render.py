@@ -6,16 +6,18 @@ import math
 import struct
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
+import oracles
 from stitsim import geometry as geo
 from stitsim import stit
-from stitsim.config import (config_hash, dumps_canonical, measure_from_json,
-                            measure_to_json, run_config_from_json, sanitize,
-                            window_from_json)
+from stitsim.config import (_MARK, Encoded, config_hash, dumps_canonical,
+                            measure_from_json, measure_to_json, number_texts,
+                            run_config_from_json, sanitize, window_from_json)
 from stitsim.errors import ConfigError
 from stitsim.measure import axis_measure, isotropic_measure
-from stitsim.pht import simulate_pht
+from stitsim.pht import PoissonHyperplanePattern, pattern_to_json, simulate_pht
 from stitsim.render import render_pattern, render_tessellation
 from stitsim.rng import stream
 
@@ -35,6 +37,50 @@ def test_dumps_canonical_forms():
             dumps_canonical([bad])
     with pytest.raises(TypeError):
         dumps_canonical({"a": object()})
+
+
+def test_dumps_canonical_splices_encoded_values():
+    # a pre-encoded value is written where it stands, in a dict or a list,
+    # and keys sort around it
+    obj = {"b": Encoded(lambda: '[{"a":1},2.5]'), "c": "x",
+           "a": [1, Encoded(lambda: "null"),
+                 {"z": Encoded(lambda: "-0.0"), "y": 1e-05}]}
+    plain = {"b": [{"a": 1}, 2.5], "c": "x",
+             "a": [1, None, {"z": -0.0, "y": 1e-05}]}
+    text = dumps_canonical(obj)
+    assert text == '{"a":[1,null,{"y":1e-05,"z":-0.0}],"b":[{"a":1},2.5],"c":"x"}'
+    assert text == dumps_canonical(plain)
+    assert json.loads(text) == json.loads(json.dumps(plain))
+    # strings equal to the stand-ins json writes for Encoded values stay
+    # quoted strings, as keys and as values, every value still lands, and
+    # each value is written once however many stand-ins were tried
+    for marks in ([_MARK.format(0)], [_MARK.format(0), _MARK.format(1)]):
+        writes = []
+        tricky = {"a": marks, "b": Encoded(lambda: writes.append(7) or "[7]"),
+                  marks[0]: "k", "c": ["x" + marks[0], Encoded(lambda: "8")]}
+        back = {"a": marks, "b": [7], marks[0]: "k",
+                "c": ["x" + marks[0], 8]}
+        text = dumps_canonical(tricky)
+        assert json.loads(text) == back
+        assert text == dumps_canonical(back)
+        assert writes == [7]
+    # non-finite floats beside an Encoded value still raise
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            dumps_canonical({"a": Encoded(lambda: "1"), "b": [bad]})
+    with pytest.raises(TypeError):
+        dumps_canonical({"a": Encoded(lambda: "1"), "b": object()})
+
+
+def test_number_texts_match_python_formatting():
+    # one text per distinct bit pattern: -0.0 and 0.0 stay apart
+    a = np.array([[0.1, -0.0], [1e-05, 0.0], [1e+16, 0.1], [5e-324, -2.5]])
+    assert number_texts(a).tolist() == [[repr(x) for x in row]
+                                        for row in a.tolist()]
+    assert number_texts(np.array([3, 0, 3, 12])).tolist() == ["3", "0", "3", "12"]
+    v = np.array([-1e-7, 0.004999, 0.005, 1234.5678, -0.0])
+    assert number_texts(v, "%.2f").tolist() == [f"{x:.2f}" for x in v.tolist()]
+    assert number_texts(np.zeros((0, 2))).shape == (0, 2)
 
 
 def test_config_hash_stable():
@@ -119,6 +165,53 @@ def test_render_pattern_isotropic_golden():
     assert len(pat.offsets) == 14
     assert hashlib.sha256(render_pattern(pat).encode()).hexdigest() == \
         "f5aa4456d167cc2219fc98f39621ddd795b4aeaaa2a83582be9de7df2241b45d"
+
+
+PENTAGON = geo.Polygon2D(((-1.6, -0.9), (1.4, -1.2), (1.8, 0.7), (0.2, 1.9),
+                          (-1.3, 1.1)))
+W = geo.Box((-2.0, -2.0), (2.0, 2.0))
+PATTERNS = {
+    # name: (measure or None, window, rho, seed or (normals, offsets))
+    "empty": (None, W, 1.0, (np.zeros((0, 2)), np.zeros(0))),
+    # -0.0 as an offset and in a normal, exponent-form reprs, a line on the
+    # window's edge and one outside it
+    "edge_floats": (None, W, 1.0, (
+        np.array([[1.0, 0.0], [0.6, 0.8], [-0.0, 1.0], [0.0, 1.0],
+                  [1.0, 0.0], [0.8, -0.6]]),
+        np.array([-0.0, 1e-05, 1e+16, 0.1, 2.0, -1.5]))),
+    "axis": (axis_measure([1.0, 1.0]), W, 2.0, 84),
+    "isotropic": (isotropic_measure(1.0), PENTAGON, 3.0, 85),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PATTERNS))
+def test_pattern_writers_match_oracles(name):
+    # pattern_to_json and render_pattern write from the pattern's arrays
+    # the bytes the oracles write one dict and one point at a time
+    measure, window, rho, rows = PATTERNS[name]
+    pat = (PoissonHyperplanePattern(window, rho, *rows) if measure is None
+           else simulate_pht(measure, rho, window, stream(rows, 0)))
+    text = dumps_canonical(pattern_to_json(pat))
+    assert text == oracles.dumps_canonical(oracles.pattern_to_json(pat))
+    assert render_pattern(pat) == oracles.render_pattern(pat)
+    if name == "edge_floats":
+        for form in ('"d":-0.0', '"d":1e-05', '"d":1e+16', '"u":[-0.0,1.0]'):
+            assert form in text
+
+
+def test_render_tessellation_matches_oracle_at_negative_zero():
+    # cells a hair outside the window put coordinates that round to -0.00
+    # on the canvas; polygon cells of several vertex counts share one array
+    window = geo.Box((-1.0, -1.0), (1.0, 1.0))
+    boxes = geo.BoxCells(np.array([[-1.0 - 1e-9, -1.0], [0.0, -1.0]]),
+                         np.array([[0.0, 1.0 + 1e-9], [1.0, 1.0]]))
+    V = np.array([[[-1.0 - 1e-9, -1.0], [0.0, -1.0], [0.0, 1.0], [-1.0, 1.0]],
+                  [[0.0, -1.0], [1.0, -1.0], [0.0, 1.0 + 1e-9], [0.0, -1.0]]])
+    for cells in (boxes, geo.PolygonCells(V, np.array([4, 3]))):
+        T = stit.Tessellation(window, np.zeros(2, dtype=np.int64), cells, 1)
+        svg = render_tessellation(T)
+        assert "-0.00" in svg
+        assert svg == oracles.render_tessellation(T)
 
 
 def test_render_rejects_non_planar():

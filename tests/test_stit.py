@@ -1,6 +1,7 @@
 """Cell-division process tests: tree structure, law checks, tessellation ops."""
 
 import hashlib
+import json
 import math
 import re
 import tracemalloc
@@ -17,6 +18,7 @@ from stitsim.errors import (AmbiguousZeroCell, DegenerateCut, ExplosionGuard,
 from stitsim.measure import (Discrete, DrivingMeasure, axis_measure,
                              draw_lines, isotropic_measure, measure_hitting,
                              regime)
+from stitsim.render import render_tessellation
 from stitsim.rng import run_replicates, stream
 from stitsim.stats import binomial_sigma, ks_two_sample
 
@@ -443,6 +445,33 @@ def test_tree_bytes_golden(seed, name):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+WRITER_TREES = {
+    # name: (measure, window, t, method); every golden regime, and trees
+    # with no split ("parent":null and "hyperplane":null at the root)
+    **{name: spec[:4] for name, spec in GOLDEN_TREES.items()},
+    "root_only_box": (LAM, W2, 1e-6, "direct"),
+    "root_only_polygon": (isotropic_measure(1.0), PENTAGON, 1e-6, "rejection"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_TREES))
+def test_tree_writers_match_oracles(name):
+    # tree_to_json and render_tessellation write from the forest's columns
+    # the bytes the oracles write one dict and one point at a time
+    measure, window, t, method = WRITER_TREES[name]
+    tree = stit.simulate(measure, window, t / 2, stream(50, 0), method)
+    stit.advance(tree, t / 2, stream(50, 1))
+    text = dumps_canonical(stit.tree_to_json(tree))
+    assert text == oracles.dumps_canonical(oracles.tree_to_json(tree))
+    if name.startswith("root_only"):
+        assert len(tree.parent) == 1
+        assert '"hyperplane":null,"id":0,"parent":null' in text
+    if window.dim == 2:
+        for s in (t / 3, t):
+            T = stit.slice_at(tree, s)
+            assert render_tessellation(T) == oracles.render_tessellation(T)
+
+
 STRUCTURE_TREES = {
     # name: (measure, window, t, method)
     "box_direct": (LAM, W2, 2.0, "direct"),
@@ -456,12 +485,13 @@ STRUCTURE_TREES = {
 
 @pytest.mark.parametrize("name", sorted(STRUCTURE_TREES))
 def test_tree_json_structure(name):
-    # the checks a reader of simulate's JSON makes (perfbench's check_tree):
-    # a parent id out of range would stop that reader with an IndexError
+    # the checks a reader of simulate's JSON makes (perfbench's check_tree),
+    # on the text simulate writes: a parent id out of range would stop that
+    # reader with an IndexError
     measure, window, t, method = STRUCTURE_TREES[name]
     tree = stit.simulate(measure, window, t / 2, stream(40, 0), method)
     stit.advance(tree, t / 2, stream(40, 1))
-    d = stit.tree_to_json(tree)
+    d = json.loads(dumps_canonical(stit.tree_to_json(tree)))
     nodes, jumps = d["nodes"], d["jump_times"]
     assert len(jumps) > 3
     assert [n["id"] for n in nodes] == list(range(len(nodes)))
