@@ -31,7 +31,7 @@ A tree, or a batch of trees, is built from one random stream (see rng).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -70,10 +70,6 @@ class CellTree:
     @property
     def birth(self) -> np.ndarray:
         return np.concatenate([[0.0], self.forest.death[self.parent[1:]]])
-
-    @property
-    def jump_times(self) -> list[float]:
-        return np.sort(self.forest.death[~self.forest.alive]).tolist()
 
     @property
     def children(self) -> np.ndarray:
@@ -398,24 +394,30 @@ def summary_stats(T: Tessellation) -> np.ndarray:
 def tree_to_json(tree: CellTree) -> dict:
     """The tree as plain JSON, its nodes in id order and each cut in
     geometry.Hyperplane's canonical form (normal lexicographically
-    positive).  The nodes are a config.Encoded array, written from the
-    forest's columns (_nodes_text) when the payload is encoded."""
+    positive).  The split times and the nodes are config.Encoded arrays,
+    written from the forest's columns when the payload is encoded; both
+    read one set of death texts, each distinct death formatted once."""
+    f, parent = tree.forest, tree.parent
+    deaths = cache(lambda: number_texts(f.death))
+    jumps = np.flatnonzero(~f.alive)
+    jumps = jumps[np.argsort(f.death[jumps], kind="stable")]
     return {
         "kind": "cell_tree",
         "window": geo.polytope_to_json(tree.window),
         "measure": measure_to_json(tree.measure),
         "method": tree.method,
         "current_time": tree.current_time,
-        "jump_times": tree.jump_times,
-        "nodes": Encoded(partial(_nodes_text, tree.forest, tree.parent)),
+        "jump_times": Encoded(
+            lambda: "[" + ",".join(deaths()[jumps].tolist()) + "]"),
+        "nodes": Encoded(lambda: _nodes_text(f, parent, deaths())),
     }
 
 
-def _nodes_text(f: Forest, parent: np.ndarray) -> str:
-    """The nodes' JSON array: each distinct number is formatted once, and
-    a node's birth and parent are the texts of its parent's death and id."""
+def _nodes_text(f: Forest, parent: np.ndarray, deaths: np.ndarray) -> str:
+    """The nodes' JSON array from the death texts: a node's birth and
+    parent are the texts of its parent's death and id."""
     dead = ~f.alive
-    death = number_texts(f.death)
+    death = deaths.copy()
     death[~dead] = "null"
     hyperplane = np.full(len(death), "null", dtype=object)
     u, d = f.cuts()

@@ -227,6 +227,11 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
+def jump_times(tree) -> list[float]:
+    """The CellTree's split times in increasing order."""
+    return np.sort(tree.forest.death[~tree.forest.alive]).tolist()
+
+
 def tree_to_json(tree) -> dict:
     """The CellTree as plain JSON, one dict per node."""
     f = tree.forest
@@ -245,7 +250,7 @@ def tree_to_json(tree) -> dict:
         "measure": measure_to_json(tree.measure),
         "method": tree.method,
         "current_time": tree.current_time,
-        "jump_times": tree.jump_times,
+        "jump_times": jump_times(tree),
         "nodes": nodes,
     }
 

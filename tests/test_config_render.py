@@ -77,7 +77,8 @@ def test_number_texts_match_python_formatting():
     a = np.array([[0.1, -0.0], [1e-05, 0.0], [1e+16, 0.1], [5e-324, -2.5]])
     assert number_texts(a).tolist() == [[repr(x) for x in row]
                                         for row in a.tolist()]
-    assert number_texts(np.array([3, 0, 3, 12])).tolist() == ["3", "0", "3", "12"]
+    assert number_texts(np.array([3, 0, 3, 12])).tolist() == \
+        ["3", "0", "3", "12"]
     v = np.array([-1e-7, 0.004999, 0.005, 1234.5678, -0.0])
     assert number_texts(v, "%.2f").tolist() == [f"{x:.2f}" for x in v.tolist()]
     assert number_texts(np.zeros((0, 2))).shape == (0, 2)
@@ -157,19 +158,19 @@ def test_render_pattern_svg():
         assert all(-1e-6 <= v <= 400 + 1e-6 for v in nums)
 
 
+PENTAGON = geo.Polygon2D(((-1.6, -0.9), (1.4, -1.2), (1.8, 0.7), (0.2, 1.9),
+                          (-1.3, 1.1)))
+W = geo.Box((-2.0, -2.0), (2.0, 2.0))
+
+
 def test_render_pattern_isotropic_golden():
     # lines in general position on a pentagon: chords of every slope
-    pentagon = geo.Polygon2D(((-1.6, -0.9), (1.4, -1.2), (1.8, 0.7),
-                              (0.2, 1.9), (-1.3, 1.1)))
-    pat = simulate_pht(isotropic_measure(1.0), 3.0, pentagon, stream(83, 0))
+    pat = simulate_pht(isotropic_measure(1.0), 3.0, PENTAGON, stream(83, 0))
     assert len(pat.offsets) == 14
     assert hashlib.sha256(render_pattern(pat).encode()).hexdigest() == \
         "f5aa4456d167cc2219fc98f39621ddd795b4aeaaa2a83582be9de7df2241b45d"
 
 
-PENTAGON = geo.Polygon2D(((-1.6, -0.9), (1.4, -1.2), (1.8, 0.7), (0.2, 1.9),
-                          (-1.3, 1.1)))
-W = geo.Box((-2.0, -2.0), (2.0, 2.0))
 PATTERNS = {
     # name: (measure or None, window, rho, seed or (normals, offsets))
     "empty": (None, W, 1.0, (np.zeros((0, 2)), np.zeros(0))),

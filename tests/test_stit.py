@@ -51,7 +51,7 @@ def batch(measure, window, t, n, rng) -> stit.Tessellation:
 def test_no_jump_tree_is_trivial():
     tree = stit.simulate(LAM, W1, 1e-9, stream(0, 0))
     assert tree.parent.tolist() == [-1]
-    assert tree.jump_times == []
+    assert oracles.jump_times(tree) == []
     assert cells_at(tree, 1e-9).cells == (W1,)
 
 
@@ -69,7 +69,7 @@ def test_first_split_survival_probability():
     # P(no jump by t) = exp(-t mass(W)) = e^{-1} at t = 0.25
     n = 2000
     alive = sum(
-        len(stit.simulate(LAM, W1, 0.25, stream(1, i)).jump_times) == 0
+        not oracles.jump_times(stit.simulate(LAM, W1, 0.25, stream(1, i)))
         for i in range(n))
     target = math.exp(-1.0)
     assert abs(alive / n - target) <= 4 * binomial_sigma(target, n)
@@ -94,10 +94,11 @@ def test_tree_structural_invariants():
         assert tree.cell(a).area() + tree.cell(a + 1).area() == pytest.approx(
             tree.cell(i).area(), rel=1e-9)
         assert geo.hits(geo.Hyperplane(tuple(u[i]), d[i]), tree.cell(i))
-    assert splits == len(tree.jump_times)
-    assert tree.jump_times == sorted(tree.jump_times)
+    jumps = oracles.jump_times(tree)
+    assert splits == len(jumps)
+    assert jumps == sorted(jumps)
     # at most one cell dies per jump time
-    assert len(set(tree.jump_times)) == len(tree.jump_times)
+    assert len(set(jumps)) == len(jumps)
     # tiling at several slices
     for s in (0.2, 0.7, 1.2):
         assert tiling_defect(cells_at(tree, s)) <= 1e-6
@@ -107,8 +108,9 @@ def test_slice_monotone_and_bounds():
     tree = stit.simulate(LAM, W2, 1.0, stream(3, 0))
     counts = [len(stit.slice_at(tree, s).cells) for s in np.linspace(0.05, 1.0, 12)]
     assert counts == sorted(counts)
-    if tree.jump_times:
-        assert cells_at(tree, tree.jump_times[0] * 0.5).cells == (W2,)
+    jumps = oracles.jump_times(tree)
+    if jumps:
+        assert cells_at(tree, jumps[0] * 0.5).cells == (W2,)
     with pytest.raises(OutOfRange):
         stit.slice_at(tree, 1.5)
     with pytest.raises(OutOfRange):
