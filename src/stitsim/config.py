@@ -4,8 +4,8 @@ Serialized floats are IEEE-754 doubles printed in Python's shortest
 round-trip repr (`0.1`, `1.0`, `-0.0`, `1e+16`), so `json.loads` gives back
 the same double; keys are sorted and separators are fixed, so a
 (config, seed) pair determines every output byte.  The writers' large
-arrays reach dumps_canonical as Encoded values, which write their text from
-array columns (number_texts, join_rows), and are spliced in unchanged.
+arrays reach dumps_canonical as Encoded values, texts written from array
+columns (number_texts, join_rows), and are spliced in unchanged.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -30,12 +29,11 @@ _MARK = "\0Encoded{}\0"
 
 @dataclass(frozen=True, eq=False)
 class Encoded:
-    """A value that writes its own canonical JSON text: dumps_canonical
-    calls write() once and places the text in its output as it stands.
-    The writers' large arrays are values of this kind, written from array
-    columns when their payload is encoded."""
+    """A value held as its canonical JSON text: dumps_canonical places the
+    text in its output as it stands.  The writers' large arrays are values
+    of this kind, written from array columns when the payload is built."""
 
-    write: Callable[[], str]
+    text: str
 
 
 def dumps_canonical(obj) -> str:
@@ -67,7 +65,7 @@ def dumps_canonical(obj) -> str:
         # than there are values: then try another stand-in.
         parts = out.split(json.dumps(mark))
         if len(parts) == len(found) + 1:
-            texts = [o.write() for o in found] + [""]
+            texts = [o.text for o in found] + [""]
             return "".join(itertools.chain.from_iterable(zip(parts, texts)))
 
 

@@ -466,16 +466,6 @@ def pad_to(V: np.ndarray, width: int) -> np.ndarray:
     return np.concatenate([V, np.repeat(V[:, :1], extra, axis=1)], axis=1)
 
 
-def pad_polygons(polys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """(padded (m, K, 2) vertices, counts) of a list of vertex arrays."""
-    count = np.array([len(v) for v in polys], dtype=np.int64)
-    width = int(count.max(initial=1))
-    V = np.empty((len(polys), width, 2))
-    for i, v in enumerate(polys):
-        V[i] = pad_to(v[None], width)[0]
-    return V, count
-
-
 def project(V: np.ndarray, u: np.ndarray) -> np.ndarray:
     """<v, u[i]> for every vertex v of cell i: (m, K)."""
     return V[:, :, 0] * u[:, None, 0] + V[:, :, 1] * u[:, None, 1]
@@ -660,8 +650,8 @@ class PolygonCells:
 
     @classmethod
     def of(cls, bodies) -> "PolygonCells":
-        return cls(*pad_polygons([np.asarray(b.vertices(), dtype=float)
-                                  for b in bodies]))
+        """The bodies' vertices, counterclockwise for a polygon or a box."""
+        return cls.concat([cls.tile(b, 1) for b in bodies])
 
     @classmethod
     def tile(cls, P, m: int) -> "PolygonCells":

@@ -8,8 +8,9 @@ weight w_c is the full unoriented mass of its axis.
 The STIT trees, the rain lineages and the PHT patterns draw hyperplanes in
 bulk through one drawer per geometry regime, picked with box_axis_rates:
 the box drawer (box_table, draw_box_marks) for an axis measure on a box,
-the line drawer (draw_lines) for every other planar case.  sample_hitting,
-one hyperplane at a time, is their scalar reference.
+the line drawer (draw_lines) for every other planar case, which draws an
+isotropic direction exactly from the cell's edges.  sample_hitting, one
+hyperplane at a time, is their scalar reference.
 
 A Regime is the measure's law on one window as the tree and rain kernels
 read it: the window's cell type (geometry.BoxCells or PolygonCells), its
@@ -245,11 +246,13 @@ def draw_box_marks(table, u_axis, u_offset):
 
 def draw_lines(rng, measure: DrivingMeasure, V: np.ndarray):
     """One line per cell from the measure restricted to the lines meeting
-    it, as sample_hitting draws: a discrete axis weighted by w_c width_c or
-    an isotropic direction accepted with probability width / diameter, then
-    an offset uniform in the cell's support interval.  V (m, K, dim) holds
-    the cells' vertices (padded, or one window broadcast to every row).
-    Returns (normals, offsets)."""
+    it, in sample_hitting's law: a discrete axis with probability w_c
+    width_c / sum, or an isotropic normal turned by arcsin(2U - 1) from an
+    edge e picked with probability |e| / perimeter, modulo pi (the width
+    along u is half the sum of |<e, u>|, so this is exact), then an offset
+    uniform in the cell's support interval; 2m uniforms, 3m isotropic.
+    V (m, K, dim) holds the cells' vertices in cyclic order (padded, or
+    one window broadcast to every row).  Returns (normals, offsets)."""
     m = len(V)
     th = measure.directional
     rows = np.arange(m)
@@ -258,30 +261,24 @@ def draw_lines(rng, measure: DrivingMeasure, V: np.ndarray):
     if isinstance(th, Discrete):
         proj = W @ th.dir_array.T
         lo, hi = proj.min(axis=1), proj.max(axis=1)
-        cum = np.cumsum(th.weights * (hi - lo), axis=1)
-        lo, hi, cum = (np.broadcast_to(a, (m, a.shape[1])) for a in (lo, hi, cum))
-        x = rng.random(m) * cum[:, -1]
-        k = np.minimum((cum < x[:, None]).sum(axis=1), len(th.weights) - 1)
-        u, lo, hi = th.dir_array[k], lo[rows, k], hi[rows, k]
+        weight = th.weights * (hi - lo)
     else:
-        diam = np.broadcast_to(np.sqrt(((W[:, :, None] - W[:, None]) ** 2)
-                                       .sum(axis=3).max(axis=(1, 2))), m)
-        u, lo, hi = np.empty((m, 2)), np.empty(m), np.empty(m)
-        todo = rows
-        for _ in range(_SAMPLER_CAP):
-            if not len(todo):
-                break
-            phi = rng.random(len(todo)) * math.pi
-            c = np.column_stack([np.cos(phi), np.sin(phi)])
-            proj = geo.project(V[todo], c)
-            p_lo, p_hi = proj.min(axis=1), proj.max(axis=1)
-            ok = rng.random(len(todo)) * diam[todo] <= p_hi - p_lo
-            r = todo[ok]
-            u[r], lo[r], hi[r] = c[ok], p_lo[ok], p_hi[ok]
-            todo = todo[~ok]
-        else:
-            if len(todo):
-                raise _stall(len(todo), m)
+        # padding edges have length 0, so they are never picked
+        e = np.roll(W, -1, axis=1) - W
+        weight = np.hypot(e[..., 0], e[..., 1])
+    cum = np.cumsum(weight, axis=1)
+    x = rng.random(m) * np.broadcast_to(cum[:, -1], m)
+    k = np.minimum((cum < x[:, None]).sum(axis=1), weight.shape[1] - 1)
+    if isinstance(th, Discrete):
+        u = th.dir_array[k]
+        lo, hi = (np.broadcast_to(a, (m, a.shape[1]))[rows, k] for a in (lo, hi))
+    else:
+        ek = np.broadcast_to(e, V.shape)[rows, k]
+        phi = (np.arctan2(ek[:, 1], ek[:, 0])
+               + np.arcsin(2.0 * rng.random(m) - 1.0)) % math.pi
+        u = np.column_stack([np.cos(phi), np.sin(phi)])
+        proj = geo.project(V, u)
+        lo, hi = proj.min(axis=1), proj.max(axis=1)
     return u, lo + rng.random(m) * (hi - lo)
 
 

@@ -47,11 +47,11 @@ def draw_patterns(measure: DrivingMeasure, rho: float, window: geo.Polytope,
     counts[:j].sum() up to counts[:j + 1].sum().  For an axis measure on a
     box mass(window) is the box drawer's rate and row i its mark from the
     doubles 2i and 2i + 1 after the counts (axis, then offset), the order in
-    which a loop of sample_hitting would consume them.  Otherwise every row comes from one
-    line drawer call on the window, normals in canonical form; the rows
-    follow sample_hitting's law, not its draws.  Generator.poisson(lam,
-    size) consumes the stream as `size` scalar calls do, so size 1 is
-    exactly simulate_pht's draw.
+    which a loop of sample_hitting would consume them.  Otherwise every
+    row comes from one line drawer call on the window's counterclockwise
+    vertices, normals in canonical form; the rows follow sample_hitting's
+    law, not its draws.  Generator.poisson(lam, size) consumes the stream
+    as `size` scalar calls do, so size 1 is exactly simulate_pht's draw.
     """
     if not rho >= 0:  # also catches NaN
         raise ValueError(f"rho must be a non-negative number, got {rho!r}")
@@ -69,7 +69,7 @@ def draw_patterns(measure: DrivingMeasure, rho: float, window: geo.Polytope,
             f"{counts.max()} hyperplanes, over the cap of {stit.EVENT_CAP}")
     total = int(counts.sum())
     if table is None:
-        V = window.vertices()
+        V = geo.polygon_vertices(window)
         return counts, *geo.canonical_rows(*draw_lines(
             rng, measure, np.broadcast_to(V, (total,) + V.shape)))
     u = rng.random(2 * total).reshape(total, 2)
@@ -114,13 +114,11 @@ def tail_event_hits_ball(pattern: PoissonHyperplanePattern, body) -> bool:
 
 def pattern_to_json(pattern: PoissonHyperplanePattern) -> dict:
     """The pattern as plain JSON, its rows in draw order; the rows are a
-    config.Encoded array, written from the normals and offsets when the
-    payload is encoded."""
-    normals, offsets = pattern.normals, pattern.offsets
+    config.Encoded array, written from the normals and offsets."""
     return {
         "kind": "pht_pattern",
         "window": geo.polytope_to_json(pattern.window),
         "rho": pattern.rho,
-        "hyperplanes": Encoded(
-            lambda: objects_text(hyperplane_fields(normals, offsets))),
+        "hyperplanes": Encoded(objects_text(hyperplane_fields(
+            pattern.normals, pattern.offsets))),
     }

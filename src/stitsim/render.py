@@ -63,14 +63,8 @@ def render_tessellation(T: Tessellation) -> str:
         raise ValueError("SVG rendering is 2-D only")
     cv = _Canvas(T.window)
     cv.paths(*T.cells.outlines(), closed=True)
-    cv.paths(*_outline(T.window), closed=True)
+    cv.paths(*geo.PolygonCells.tile(T.window, 1).outlines(), closed=True)
     return cv.text()
-
-
-def _outline(window):
-    """The window's counterclockwise vertices as one padded row."""
-    v = geo.polygon_vertices(window)
-    return v[None], np.array([len(v)])
 
 
 def _chords(normals: np.ndarray, offsets: np.ndarray, window):
@@ -105,5 +99,6 @@ def render_pattern(pattern: PoissonHyperplanePattern) -> str:
     keep, start, end = _chords(pattern.normals, pattern.offsets, pattern.window)
     cv.paths(np.stack([start[keep], end[keep]], axis=1),
              np.full(int(keep.sum()), 2), closed=False)
-    cv.paths(*_outline(pattern.window), closed=True)
+    cv.paths(*geo.PolygonCells.tile(pattern.window, 1).outlines(),
+             closed=True)
     return cv.text()

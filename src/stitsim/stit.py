@@ -31,7 +31,6 @@ A tree, or a batch of trees, is built from one random stream (see rng).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -296,27 +295,19 @@ def grow(measure: DrivingMeasure, window: geo.Polytope, cells, rep,
 def _split(rng, law: Regime, cells, u, d, draw: bool, where):
     """The children of every cell cut by its mark (u, d), minus before plus
     for each cell.  The marks are drawn from each cell's own law first
-    where `draw`, and again while the cell type's split finds them
-    degenerate; u and d are updated in place.  where = (t, live) for the
-    error."""
-    todo, sub, parts = np.arange(len(cells)), cells, []
+    where `draw`; the marks of the cells whose split is degenerate are
+    redrawn from their own law and the batch split again.  u and d are
+    updated in place.  where = (t, live) for the error."""
+    redo, sub = slice(None), cells
     for _ in range(_SPLIT_RETRY_CAP):
-        if draw and len(todo):
-            u[todo], d[todo] = law.mark(rng, sub)
-        kids, ok = sub.split(u[todo], d[todo])
-        parts.append((todo[ok], kids if ok.all() else
-                      kids.take(np.repeat(ok, 2))))
-        todo, draw = todo[~ok], True
-        if not len(todo):
-            break
-        sub = cells.take(todo)
-    else:
-        raise _stuck(*where)
-    if len(parts) == 1:
-        return parts[0][1]
-    order = np.argsort(np.concatenate([rows for rows, _ in parts]))
-    return law.cells.concat([k for _, k in parts]).take(
-        (2 * order[:, None] + [0, 1]).ravel())
+        if draw:
+            u[redo], d[redo] = law.mark(rng, sub)
+        kids, ok = cells.split(u, d)
+        if ok.all():
+            return kids
+        redo, draw = np.flatnonzero(~ok), True
+        sub = cells.take(redo)
+    raise _stuck(*where)
 
 
 def slice_at(tree: CellTree, s: float) -> Tessellation:
@@ -395,10 +386,10 @@ def tree_to_json(tree: CellTree) -> dict:
     """The tree as plain JSON, its nodes in id order and each cut in
     geometry.Hyperplane's canonical form (normal lexicographically
     positive).  The split times and the nodes are config.Encoded arrays,
-    written from the forest's columns when the payload is encoded; both
-    read one set of death texts, each distinct death formatted once."""
-    f, parent = tree.forest, tree.parent
-    deaths = cache(lambda: number_texts(f.death))
+    written here from the forest's columns; both read one set of death
+    texts, each distinct death formatted once."""
+    f = tree.forest
+    deaths = number_texts(f.death)
     jumps = np.flatnonzero(~f.alive)
     jumps = jumps[np.argsort(f.death[jumps], kind="stable")]
     return {
@@ -407,9 +398,8 @@ def tree_to_json(tree: CellTree) -> dict:
         "measure": measure_to_json(tree.measure),
         "method": tree.method,
         "current_time": tree.current_time,
-        "jump_times": Encoded(
-            lambda: "[" + ",".join(deaths()[jumps].tolist()) + "]"),
-        "nodes": Encoded(lambda: _nodes_text(f, parent, deaths())),
+        "jump_times": Encoded("[" + ",".join(deaths[jumps].tolist()) + "]"),
+        "nodes": Encoded(_nodes_text(f, tree.parent, deaths)),
     }
 
 

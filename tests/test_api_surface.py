@@ -4,7 +4,9 @@ Every public module-level function and public method under src/stitsim
 must be referred to somewhere else in src/ (by a name, an attribute or an
 import), be named by the benchmark tracer, which wraps and reads package
 functions from outside, or be allowlisted below with a reason.  A function
-that only tests call belongs in tests/ (see tests/oracles.py).
+that only tests call belongs in tests/ (see tests/oracles.py).  A private
+one (a leading underscore, not a dunder) that nothing in src/ or the
+tracer names is an orphan a change left behind, and goes.
 """
 
 import ast
@@ -28,9 +30,9 @@ def parse_sources():
     return {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
 
 
-def public_definitions(trees):
+def definitions(trees, private=False):
     """(qualified name, bare name) of every public module-level function
-    and public method."""
+    and public method, or with private every private one (dunders aside)."""
     for mod, tree in trees.items():
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
@@ -41,7 +43,8 @@ def public_definitions(trees):
             else:
                 continue
             for qual, fn in members:
-                if not fn.name.startswith("_"):
+                if (fn.name.startswith("_") == private
+                        and not fn.name.endswith("__")):
                     yield qual, fn.name
 
 
@@ -59,17 +62,25 @@ def referenced_names(trees):
     return names
 
 
-def test_every_public_function_is_used_by_the_package():
+def unreferenced(private):
+    """The qualified names of the functions, public or private, that
+    nothing in src/ and no word of the tracer names."""
     trees = parse_sources()
-    used = referenced_names(trees)
-    tracer = TRACER.read_text()
-    unused = [qual for qual, name in public_definitions(trees)
-              if name not in used and qual not in ALLOWED
-              and not re.search(rf"\b{name}\b", tracer)]
+    used, tracer = referenced_names(trees), TRACER.read_text()
+    return [qual for qual, name in definitions(trees, private)
+            if name not in used and not re.search(rf"\b{name}\b", tracer)]
+
+
+def test_every_public_function_is_used_by_the_package():
+    unused = [qual for qual in unreferenced(False) if qual not in ALLOWED]
     assert unused == [], f"public but used only outside src/: {unused}"
 
 
 def test_allowlist_names_existing_functions():
-    trees = parse_sources()
-    defined = {qual for qual, _ in public_definitions(trees)}
+    defined = {qual for qual, _ in definitions(parse_sources())}
     assert set(ALLOWED) <= defined
+
+
+def test_every_private_function_is_used_by_the_package():
+    orphans = unreferenced(True)
+    assert orphans == [], f"private and used nowhere in src/: {orphans}"

@@ -67,11 +67,11 @@ SIMULATE_GOLDEN = {
         "f1c9ed1756140a80c9b34cd2fd3184e4648a94e79a87c1e73c130bf9d04a9ecc",
         "7132a818def7ea5053463d5e257dac3ced1f67dbb2b2cadb7944719ce707b29f"),
     "stit_isotropic": (
-        "8da09a2512eac201ac39f51342e10ea05ed4ff6b91f38897d73820088035e82d",
-        "670f1bc917b6c012c4a585242031826fc5c83acbb86e14cdfbc84d3e056a385c"),
+        "a47af818fb679332f0e23f32029c5aa4ccadf2074b3c782750ae43d14f1fa5e9",
+        "1034d8dc1b08361035c0b67e99139a7f10736f20edccb361e4cda961ed9326ef"),
     "pht_isotropic": (
-        "8ff7665c3f07f87c7c285205fb03d2a014945692b550dc678a4a3e7cbb866e6c",
-        "7486ae36eebc17d81b09239e34d2de5b749b5d18ae5e125ba4001f96c383c36c"),
+        "b1ca17d736651c78bfca828d68f74a1d5cccd92ea919c54d7ce9c165afba9543",
+        "c996c16decb9ba7e4e9e3d67c88e2da5d800afbf478d5a977bf3b7b5fac64911"),
 }
 
 

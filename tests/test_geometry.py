@@ -288,3 +288,16 @@ def test_box_surface_matches_numpy_formula(dim):
         b = geo.Box(tuple(lo), tuple(hi))
         assert b.surface() == numpy_box_surface(b)
     assert geo.Box((0.0,) * dim, (1.0,) * dim).surface() == 2.0 * dim
+
+
+def test_polygon_cells_of_lays_a_box_out_counterclockwise():
+    # the line drawer and surfaces read each row's edges in cyclic order,
+    # so a box body is laid out as its tile, not as its corners in bit order
+    box = geo.Box((-1.0, -1.0), (1.0, 1.0))
+    of, tile = geo.PolygonCells.of([box]), geo.PolygonCells.tile(box, 1)
+    assert np.array_equal(of.V, tile.V)
+    assert of.surfaces().tolist() == tile.surfaces().tolist() == [8.0]
+    assert all(np.array_equal(a, b) for a, b in zip(of.outlines(),
+                                                    tile.outlines()))
+    tri = geo.Polygon2D(((0.0, 0.0), (3.0, 0.0), (0.0, 4.0)))
+    assert geo.PolygonCells.of([tri, box]).surfaces().tolist() == [12.0, 8.0]

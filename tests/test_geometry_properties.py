@@ -104,7 +104,8 @@ def test_clip_side_rows_match_the_scalar_clip(cases):
     # the tree and rain kernels clip padded batches of cells, clip_tolerant
     # one row; each row gets what a point-by-point pass over its cell gives
     polys = [geo.polygon_vertices(p) for p, _ in cases]
-    V, count = geo.pad_polygons(polys)
+    cells = geo.PolygonCells.of([p for p, _ in cases])
+    V, count = cells.V, cells.count
     u = np.array([h.normal for _, h in cases])
     d = np.array([h.d for _, h in cases])
     pts, k, ok = geo.clip_side(V, count, geo.project(V, u) - d[:, None])

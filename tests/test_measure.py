@@ -192,10 +192,6 @@ def test_subadditivity_under_split():
 def test_sampler_stall_says_where_it_stopped(monkeypatch):
     monkeypatch.setattr(ms, "_SAMPLER_CAP", 0)
     iso, square = ms.isotropic_measure(1.0), geo.Box((-1, -1), (1, 1))
-    V = np.broadcast_to(square.to_polygon().verts, (5, 4, 2))
-    with pytest.raises(SamplerStall, match=r"stopped with 5 of 5 rows "
-                       r"undrawn after its cap of 0 rounds"):
-        ms.draw_lines(stream(0, 0), iso, V)
     with pytest.raises(SamplerStall, match=r"stopped with 1 of 1 rows "
                        r"undrawn after its cap of 0 rounds"):
         ms.sample_hitting(iso, square, stream(0, 0))

@@ -200,7 +200,12 @@ def test_array_sampler_matches_sample_hitting(case):
 
 
 def test_isotropic_pattern_matches_sample_hitting():
-    _assert_sample_hitting_law(isotropic_measure(1.0), HEX)
+    # the exact drawer picks an edge by its length, so it must read the
+    # window's vertices in cyclic order: a box's corners in bit order
+    # would add its diagonals to the perimeter
+    for window in (HEX, geo.Box((-3.0, -1.0), (3.0, 1.0)),
+                   geo.Polygon2D(((-3.5, 0.0), (3.5, -0.4), (1.0, 0.4)))):
+        _assert_sample_hitting_law(isotropic_measure(1.0), window)
 
 
 def _random_bodies(rng, dim):
@@ -295,7 +300,7 @@ def test_batch_draw_is_scalar_counts_then_sample_hitting(case):
         assert pat.hyperplanes == tuple(sample_hitting(measure, window, rng)
                                         for _ in range(sum(ref_counts)))
         return
-    V = window.vertices()
+    V = geo.polygon_vertices(window)
     ref = geo.canonical_rows(*draw_lines(
         rng, measure, np.broadcast_to(V, (sum(ref_counts),) + V.shape)))
     assert np.array_equal(normals, ref[0]) and np.array_equal(offsets, ref[1])

@@ -416,13 +416,13 @@ def _scan_digest(scan) -> str:
 SCAN_GOLDEN = {
     "zero_axis_2d": "e17ad619b7e79ca9469085e704fe9a4c16d9c502c7d82ff530f6b88cfd4d124e",
     "zero_weighted_3d": "93d5aad9e8ff3230f46c32888b7667c37ec798954cc809fedd291681fb285190",
-    "zero_isotropic_bands": "6de3964f850c24d893d8ff4f67eb3aa6ea754ad635e3225853b6fe6563329fc9",
-    "zero_isotropic": "ee9232028b26d13fd718fc8aaffdf332a6e67a2b368c17f2357d07ef5bfa9b0d",
+    "zero_isotropic_bands": "1822c6beefb6aa7932391d65766462b8a05b5c5018174926bec0b460cf29c2db",
+    "zero_isotropic": "7320fc6718253b4a1fa8fcef4c0ccb7f8f0b5e1c9513be42d88612ae50456584",
     "generic_zero_box": "dc5a631ac6631f18c451166aab3db97844c33411a4d03a9d4d9680e7bfa12a04",
     "pair_fast": "51fb6d75e8d610040f5adcbedfade8894fef1d7c743482a5186076b1cfb3c228",
     "generic_pair_box": "3c70a9f71ae5b6485c8260f3a470504f8e2fce597eeff63c610b3bb95bb5b8cc",
     "pair_generic": "d21db9c787c32d1b32f135349c2a57b3304f6bc6eaa140732d8a2ba98fecff8e",
-    "pair_isotropic": "8d5b766446e8262141e895ca04ca339bddb1b870caf156e593c80c4fa0f338b2",
+    "pair_isotropic": "4f8be67916bed1bdb7352a73455490d7df0df649fc56c66f3389a9e8454c2d7e",
     "zero_axis_2d_batched": "740ef4ebb05dc9cbaf38282aa4ea71b29342309d23cd23df7e639713c4879db8",
     "pair_fast_batched": "e1874c43f1b963415879a93b59af96fb0f7e7c981dfbb364f533a1caa66bc179",
 }

@@ -360,6 +360,36 @@ def test_kernel_errors_name_time_and_live_cells(monkeypatch, measure, window):
         stit.simulate(measure, window, 10.0, stream(19, 1))
 
 
+@pytest.mark.parametrize("measure, window", [
+    (LAM, W1), (isotropic_measure(1.0), W1.to_polygon())], ids=["box", "polygon"])
+def test_degenerate_splits_redraw_only_their_rows(monkeypatch, measure, window):
+    # rows 1 and 3 come back degenerate from the first split: their marks
+    # are redrawn from their cells' own law, the other rows keep their
+    # first marks, and every child is its cell cut by its final mark
+    law = regime(measure, window)
+    real, first = law.cells.split, []
+
+    def split(cells, u, d):
+        kids, ok = real(cells, u, d)
+        if not first:
+            first.append((u.copy(), d.copy()))
+            ok = ok & ~np.isin(np.arange(len(ok)), [1, 3])
+        return kids, ok
+
+    monkeypatch.setattr(law.cells, "split", split)
+    cells = law.cells.tile(window, 5)
+    u, d = cells.unmarked(5), np.zeros(5)
+    kids = stit._split(stream(19, 3), law, cells, u, d, True, (0.0, 5))
+    want, ok = real(cells, u, d)
+    assert ok.all()
+    assert all(np.array_equal(getattr(kids, a), getattr(want, a))
+               for a in vars(want))
+    keep = [0, 2, 4]
+    assert np.array_equal(u[keep], first[0][0][keep])
+    assert np.array_equal(d[keep], first[0][1][keep])
+    assert not np.isin(d[[1, 3]], first[0][1]).any()
+
+
 class _NoDraws:
     def __getattr__(self, name):
         raise AssertionError(f"rng.{name} used before the work estimate")
@@ -393,10 +423,10 @@ GOLDEN_TREES = {
         "385fb6c7f8f18322643cfe91753c5f13afaaa7a09f72a923a86e3ac039ba9d5c"),
     "isotropic_polygon_direct": (
         isotropic_measure(1.0), PENTAGON, 2.0, "direct",
-        "6528adebf62242927b84706a35ca3b24dc1150fe28e221911df5b8f0cd4dc76c"),
+        "46d8694e4f1b4b8cd20db29049929678707e677a6a2bc5ef8665073bce52986c"),
     "isotropic_polygon_rejection": (
         isotropic_measure(1.0), PENTAGON, 2.0, "rejection",
-        "5ac111304f18af9e22447132c5d5896bed2cd2d4c469abf23f8d8cbc61cb55e0"),
+        "2255d1d0969c405ab7120f20c429150b5dbcd0acb31839aecbb7857b5c88fe3b"),
     "oblique_polygon": (
         OBLIQUE, PENTAGON, 2.0, "direct",
         "2917e9ae2df36c7f14760f25af6799a3a377aed4e6014aa0ebf46be7634d0b2c"),
@@ -627,7 +657,7 @@ def test_first_moments_are_exact(seed, name):
 
 def test_lines_on_a_broadcast_window_skip_the_pairwise_array():
     # Window rain draws every line from one window broadcast to all rows.
-    # The isotropic measure computes its diameter once, not through an
+    # The isotropic measure weighs the window's edges once, far below an
     # (m, K, K, 2) array of vertex differences (64 MiB here); a discrete
     # measure projects it once, not through an (m, K, 3) array of every
     # row's projections (12 MiB here).  The draws are those of the same
