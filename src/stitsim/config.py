@@ -5,13 +5,12 @@ round-trip repr (`0.1`, `1.0`, `-0.0`, `1e+16`), so `json.loads` gives back
 the same double; keys are sorted and separators are fixed, so a
 (config, seed) pair determines every output byte.  The writers' large
 arrays reach dumps_canonical as Encoded values, texts written from array
-columns (number_texts, join_rows), and are spliced in unchanged.
+columns (number_texts, join_rows), and are written in place unchanged.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -23,10 +22,6 @@ from .errors import ConfigError
 from .measure import Discrete, DrivingMeasure, Isotropic2D
 
 
-# The quoted stand-in json writes for the n-th try's Encoded values.
-_MARK = "\0Encoded{}\0"
-
-
 @dataclass(frozen=True, eq=False)
 class Encoded:
     """A value held as its canonical JSON text: dumps_canonical places the
@@ -36,37 +31,32 @@ class Encoded:
     text: str
 
 
+def _holds_encoded(obj) -> bool:
+    if isinstance(obj, dict):
+        obj = obj.values()
+    elif not isinstance(obj, (list, tuple)):
+        return isinstance(obj, Encoded)
+    return any(map(_holds_encoded, obj))
+
+
 def dumps_canonical(obj) -> str:
     """Canonical JSON: sorted keys, no whitespace, floats in Python's
     shortest round-trip repr.  Non-finite floats raise ValueError and
     values JSON has no form for raise TypeError.
 
-    An Encoded value is spliced in: json writes a quoted stand-in in its
-    place, and the stand-ins are swapped for the written texts in output
-    order.  A payload with no Encoded value is one json.dumps call.
+    An Encoded value is written as its text, and a dict or list that holds
+    one at any depth key by key (sorted) or item by item.  Anything else,
+    a payload with no Encoded value included, is one json.dumps call.
     """
-    found = []
-
-    def splice(o):
-        if not isinstance(o, Encoded):
-            raise TypeError(f"Object of type {type(o).__name__} "
-                            "is not JSON serializable")
-        found.append(o)
-        return mark
-
-    for nonce in itertools.count():
-        mark = _MARK.format(nonce)
-        found.clear()
-        out = json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                         allow_nan=False, default=splice)
-        if not found:
-            return out
-        # Another string equal to the stand-in would split out once more
-        # than there are values: then try another stand-in.
-        parts = out.split(json.dumps(mark))
-        if len(parts) == len(found) + 1:
-            texts = [o.text for o in found] + [""]
-            return "".join(itertools.chain.from_iterable(zip(parts, texts)))
+    if isinstance(obj, Encoded):
+        return obj.text
+    if not _holds_encoded(obj):
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False)
+    if isinstance(obj, dict):
+        return "{" + ",".join(json.dumps(k) + ":" + dumps_canonical(v)
+                              for k, v in sorted(obj.items())) + "}"
+    return "[" + ",".join(map(dumps_canonical, obj)) + "]"
 
 
 def number_texts(a, fmt: str | None = None) -> np.ndarray:

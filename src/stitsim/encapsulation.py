@@ -46,20 +46,10 @@ class Band:
     half_width: float
     mass: float
 
-    def axis_form(self) -> tuple[int, float, float] | None:
-        """(axis, lo, hi) in canonical coordinates for axis-aligned bands."""
-        if self.half_width != 0.0:
-            return None
-        c = geo.coordinate_axis(self.u)
-        if c is None:
-            return None
-        if self.u[c] > 0:
-            return c, self.d_lo, self.d_hi
-        return c, -self.d_hi, -self.d_lo
-
     def marks_in(self, normals, offsets) -> np.ndarray:
-        """Which lines {x : <x, normals[...]> = offsets[...]} belong to the
-        band, each taken in the orientation closest to u."""
+        """Which hyperplanes {x : <x, normals[...]> = offsets[...]} (box
+        marks as their exact unit normals) belong to the band, each taken in
+        the orientation closest to u."""
         cos = normals @ np.asarray(self.u, dtype=float)
         d = np.where(cos >= 0, offsets, -offsets)
         lim = 1.0 - 1e-12 if self.half_width == 0.0 else math.cos(self.half_width)

@@ -27,7 +27,7 @@ from . import rain, stit
 from .config import config_hash, dumps_canonical, measure_to_json, sanitize
 from .encapsulation import (Band, EncapsulationProblem, build_window,
                             lower_bound)
-from .errors import AmbiguousZeroCell, DegenerateCut, TooFewConditioned
+from .errors import DegenerateCut, TooFewConditioned
 from .measure import (DrivingMeasure, axis_measure, isotropic_measure,
                       regime)
 from .pht import draw_patterns, empty_probability, pattern_hits
@@ -97,9 +97,9 @@ def _with_resample(body):
         for _ in range(attempts):
             try:
                 return body(i, rng)
-            except (AmbiguousZeroCell, DegenerateCut) as e:
+            except DegenerateCut as e:
                 last = e
-        raise AmbiguousZeroCell(
+        raise DegenerateCut(
             f"persistently degenerate trajectory: replicate {i} failed all "
             f"{attempts} attempts") from last
     return run

@@ -137,6 +137,9 @@ class Polygon2D:
         turning = 0.0  # 2 pi for a convex polygon, 4 pi for a pentagram
         for (ax, ay), (bx, by), (cx, cy) in zip(pts, pts[1:] + pts[:1],
                                                 pts[2:] + pts[:2]):
+            if (ax, ay) == (bx, by):
+                raise ValueError(f"polygon repeats vertex {(ax, ay)}: an edge "
+                                 "of zero length")
             cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
             if cross < -GEOM_TOL:
                 raise ValueError("polygon is not convex")
@@ -594,8 +597,9 @@ class BoxCells:
         return np.full(m, -1)
 
     def normals(self, u) -> np.ndarray:
-        """The unit normals of marks u, the zero vector for an empty one."""
-        return (u[:, None] == np.arange(self.lo.shape[1])).astype(float)
+        """The unit normals of marks u (any shape), the zero vector for an
+        empty one."""
+        return (u[..., None] == np.arange(self.lo.shape[1])).astype(float)
 
     def split(self, u, d):
         """(children, ok): cell i cut by mark i into its two children, side
@@ -630,16 +634,14 @@ class BoxCells:
         child = self.take(rows)
         return child, child.clamp(np.arange(len(rows)), u, d, below)
 
-    def inside(self, enc: Box, rows=slice(None)):
-        """Cells rows strictly inside the box enc, with no tolerance."""
-        return ((self.lo[rows] > enc.lo_arr).all(axis=1)
-                & (self.hi[rows] < enc.hi_arr).all(axis=1))
-
-    @staticmethod
-    def in_band(band, u, d):
-        """Which marks lie in the band, an axis band (Band.axis_form)."""
-        axis, lo, hi = band.axis_form()
-        return (u == axis) & (d > lo) & (d < hi)
+    def inside(self, enc, rows=slice(None)):
+        """Whether cells rows lie strictly inside the convex polytope enc by
+        their support along each facet normal, with no tolerance; for a box
+        enc every product is exact, so this is lo > enc.lo and hi < enc.hi."""
+        normals, offsets = _facet_arrays(enc)
+        return (self.hi[rows] @ np.maximum(normals, 0.0)
+                + self.lo[rows] @ np.minimum(normals, 0.0)
+                < offsets).all(axis=1)
 
 
 class PolygonCells:
@@ -773,11 +775,6 @@ class PolygonCells:
         GEOM_TOL, as contains(enc, cell, strict=True)."""
         normals, offsets = _facet_arrays(enc)
         return (self.V[rows] @ normals < offsets - GEOM_TOL).all(axis=(1, 2))
-
-    @staticmethod
-    def in_band(band, u, d):
-        """Which lines lie in the band (Band.marks_in)."""
-        return band.marks_in(u, d)
 
 
 @lru_cache(maxsize=64)

@@ -5,18 +5,15 @@ unoriented axes (one representative per +-u pair) or the uniform distribution
 on the circle.  Directions are parameterized over [0, pi) throughout, so a
 weight w_c is the full unoriented mass of its axis.
 
-The STIT trees, the rain lineages and the PHT patterns draw hyperplanes in
-bulk through one drawer per geometry regime, picked with box_axis_rates:
-the box drawer (box_table, draw_box_marks) for an axis measure on a box,
-the line drawer (draw_lines) for every other planar case, which draws an
-isotropic direction exactly from the cell's edges.  sample_hitting, one
-hyperplane at a time, is their scalar reference.
-
-A Regime is the measure's law on one window as the tree and rain kernels
-read it: the window's cell type (geometry.BoxCells or PolygonCells), its
-hitting mass and drawer, each cell's hitting mass, and one mark drawn from
-each cell's own law.  box_regime and polygon_regime build it, and regime
-picks between them for the trees.
+A Regime is the measure's law on one window as the tree, rain and PHT
+kernels read it: the window's cell type (geometry.BoxCells or
+PolygonCells), its hitting mass and drawer, each cell's hitting mass, and
+one mark drawn from each cell's own law.  regime is the only place that
+decides between the two: box_regime, with the box drawer (box_table,
+draw_box_marks), when the window is a box and the measure lives on its
+coordinate axes, else polygon_regime, with the line drawer (draw_lines),
+which draws an isotropic direction exactly from the cell's edges.
+sample_hitting, one hyperplane at a time, is their scalar reference.
 """
 
 from __future__ import annotations
@@ -89,11 +86,6 @@ class Discrete:
     def weights(self) -> np.ndarray:
         return np.asarray([w for _, w in self.axes], dtype=float)
 
-    def coordinate_axis_map(self) -> list[int] | None:
-        """Per-entry coordinate axis index, or None if any entry is oblique."""
-        out = [geo.coordinate_axis(u) for u, _ in self.axes]
-        return None if None in out else out
-
 
 @dataclass(frozen=True)
 class Isotropic2D:
@@ -129,8 +121,8 @@ class DrivingMeasure:
             return None
         if self.directional.dim != ell:
             return None
-        amap = self.directional.coordinate_axis_map()
-        if amap is None:
+        amap = [geo.coordinate_axis(u) for u, _ in self.directional.axes]
+        if None in amap:
             return None
         g = np.zeros(ell)
         for idx, c in enumerate(amap):
@@ -138,18 +130,6 @@ class DrivingMeasure:
         if (g <= 0).any():
             return None
         return g
-
-
-def box_axis_rates(measure: DrivingMeasure, window) -> np.ndarray | None:
-    """Per-axis rates g_c when every cell of `window` stays a box: the window
-    is a box and the measure lives on its coordinate axes.  None otherwise.
-
-    This is the one test that selects the box regime's kernels (the STIT
-    tree kernel, the rain lineage kernel and the box drawer).
-    """
-    if not isinstance(window, geo.Box):
-        return None
-    return measure.axis_rates(window.dim)
 
 
 def axis_measure(g) -> DrivingMeasure:
@@ -217,15 +197,13 @@ def measure_separating(measure: DrivingMeasure, A, B) -> float:
 
 @lru_cache(maxsize=64)
 def box_table(measure: DrivingMeasure, window):
-    """The box drawer's table: (rate, cum, lo, side), rate the window's
-    hitting mass g . side, cum the cumulative axis probabilities
-    cumsum(g * side) / rate, lo and side the window's low corner and side
-    lengths; None outside the box regime (box_axis_rates None).  The result
-    is cached per (measure, window) and its arrays are read-only.
+    """The box drawer's table in the box regime: (rate, cum, lo, side), rate
+    the window's hitting mass g . side, cum the cumulative axis
+    probabilities cumsum(g * side) / rate, lo and side the window's low
+    corner and side lengths.  The result is cached per (measure, window)
+    and its arrays are read-only.
     """
-    g = box_axis_rates(measure, window)
-    if g is None:
-        return None
+    g = measure.axis_rates(window.dim)
     side = window.hi_arr - window.lo_arr
     rate = float(g @ side)
     cum, lo = np.cumsum(g * side) / rate, window.lo_arr.copy()
@@ -315,7 +293,8 @@ def sample_hitting(measure: DrivingMeasure, P, rng) -> geo.Hyperplane:
 
 
 class Regime(NamedTuple):
-    """The measure's law on one window, as the tree and rain kernels read it.
+    """The measure's law on one window, as the tree, rain and PHT kernels
+    read it.
 
     cells is the window's cell type and rate its hitting mass.  draw(rng,
     shape) gives marks (u, d) of that shape from the window's law,
@@ -334,7 +313,7 @@ def box_regime(measure: DrivingMeasure, window: geo.Box) -> Regime:
     """Box cells cut by marks (axis, offset) from the box drawer; a cell's
     mass is g . side, and its own mark takes an axis with probability
     g_c side_c / mass and an offset uniform along that side."""
-    table, g = box_table(measure, window), box_axis_rates(measure, window)
+    table, g = box_table(measure, window), measure.axis_rates(window.dim)
 
     def mark(rng, cells):
         side = cells.hi - cells.lo
@@ -374,9 +353,13 @@ def polygon_regime(measure: DrivingMeasure, window) -> Regime:
                   masses, lambda rng, cells: draw_lines(rng, measure, cells.V))
 
 
+@lru_cache(maxsize=64)
 def regime(measure: DrivingMeasure, window) -> Regime:
-    """The trees' regime on `window`: box_regime where box_axis_rates holds
-    (every cell stays a box), else polygon_regime."""
-    if box_axis_rates(measure, window) is None:
-        return polygon_regime(measure, window)
-    return box_regime(measure, window)
+    """The measure's regime on `window`, the one box-or-polygon decision:
+    box_regime when the window is a box and the measure lives on its
+    coordinate axes (every cell stays a box), else polygon_regime.  Cached
+    per (measure, window)."""
+    if (isinstance(window, geo.Box)
+            and measure.axis_rates(window.dim) is not None):
+        return box_regime(measure, window)
+    return polygon_regime(measure, window)

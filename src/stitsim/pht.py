@@ -4,9 +4,10 @@ A pattern is held as two arrays: unit normals (count, dim) and signed
 offsets (count,), row i being the hyperplane {x : <x, normals[i]> =
 offsets[i]} in canonical form (lexicographically positive normal).  A
 batch of patterns is the same two arrays, the patterns' rows one after
-another, plus their counts.  Rows are drawn through measure's window-level
-drawers: the box drawer for an axis measure on a box window, else one call
-of the line drawer on the window broadcast to every row.
+another, plus their counts.  Rows are drawn through the window's
+measure.Regime: in the box regime by the box drawer, in sample_hitting's
+order of doubles, else by one call of the regime's line drawer on the
+window broadcast to every row.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from . import geometry as geo
 from . import stit
 from .config import Encoded, hyperplane_fields, objects_text
 from .errors import ExplosionGuard
-from .measure import (DrivingMeasure, box_table, draw_box_marks, draw_lines,
-                      measure_hitting)
+from .measure import (DrivingMeasure, box_table, draw_box_marks,
+                      measure_hitting, regime)
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,19 +45,20 @@ def draw_patterns(measure: DrivingMeasure, rho: float, window: geo.Polytope,
 
     The `size` Poisson(rho * mass(window)) counts come first, in one call,
     then the rows of pattern 0, 1, ... in order: pattern j is rows
-    counts[:j].sum() up to counts[:j + 1].sum().  For an axis measure on a
-    box mass(window) is the box drawer's rate and row i its mark from the
-    doubles 2i and 2i + 1 after the counts (axis, then offset), the order in
-    which a loop of sample_hitting would consume them.  Otherwise every
-    row comes from one line drawer call on the window's counterclockwise
-    vertices, normals in canonical form; the rows follow sample_hitting's
-    law, not its draws.  Generator.poisson(lam, size) consumes the stream
-    as `size` scalar calls do, so size 1 is exactly simulate_pht's draw.
+    counts[:j].sum() up to counts[:j + 1].sum().  mass(window) is the
+    rate of the window's regime (measure.regime).  In the box regime row i
+    is the box drawer's mark from the doubles 2i and 2i + 1 after the
+    counts (axis, then offset), the order in which a loop of sample_hitting
+    would consume them.  Otherwise every row comes from one call of the
+    regime's line drawer, normals in canonical form; the rows follow
+    sample_hitting's law, not its draws.  Generator.poisson(lam, size)
+    consumes the stream as `size` scalar calls do, so size 1 is exactly
+    simulate_pht's draw.
     """
     if not rho >= 0:  # also catches NaN
         raise ValueError(f"rho must be a non-negative number, got {rho!r}")
-    table = box_table(measure, window)  # one cached call per chunk
-    mass = measure_hitting(measure, window) if table is None else table[0]
+    law = regime(measure, window)  # one cached call per chunk
+    mass = law.rate
     if rho * mass > stit.EVENT_CAP:
         raise ExplosionGuard(
             f"PHT with rho={rho:g} on a window of hitting mass {mass:g} expects "
@@ -68,12 +70,11 @@ def draw_patterns(measure: DrivingMeasure, rho: float, window: geo.Polytope,
             f"PHT with rho={rho:g} on a window of hitting mass {mass:g} drew "
             f"{counts.max()} hyperplanes, over the cap of {stit.EVENT_CAP}")
     total = int(counts.sum())
-    if table is None:
-        V = geo.polygon_vertices(window)
-        return counts, *geo.canonical_rows(*draw_lines(
-            rng, measure, np.broadcast_to(V, (total,) + V.shape)))
+    if law.cells is not geo.BoxCells:
+        return counts, *geo.canonical_rows(*law.draw(rng, (total,)))
     u = rng.random(2 * total).reshape(total, 2)
-    axis, offsets = draw_box_marks(table, u[:, 0], u[:, 1])
+    axis, offsets = draw_box_marks(box_table(measure, window), u[:, 0],
+                                   u[:, 1])
     return counts, np.eye(window.dim).take(axis, axis=0), offsets
 
 

@@ -9,20 +9,19 @@ of a few bodies of interest is far cheaper than building whole trees and is
 exact for first-cut times, encapsulation times and avoidance indicators.
 
 One kernel, ``_lineage``, is the only loop that follows a cell through the
-rain, and it follows a batch of replicates at once.  The geometry regime, a
-measure.Regime built by the constructors the trees use too, supplies its
-cell type and its drawer: box intervals (geometry.BoxCells) cut by marks
-from measure's box drawer (box_regime) when the measure lives on the
-coordinate axes and the window is a box, and convex polygons in geometry's
-padded layout (geometry.PolygonCells) cut by lines from measure's line
-drawer (polygon_regime) for every other planar measure and window; each
-scan picks its regime itself, since its bodies decide too.  The kernel
-follows the cell shared by a group of bodies: a mark that meets a body cuts
-it and the rest keep the cell, and a mark that separates the group splits
-it, each side continuing on its own rain.  The zero-cell scan is the
-one-body case and the pair scan the two-body case.  Marks are drawn on
-demand, _CHUNK at a time for the rows still followed, each row (or side of
-a split) continuing on the batch's stream from its last time.
+rain, and it follows a batch of replicates at once.  measure.regime picks
+its geometry for (measure, window), as for the trees: box intervals
+(geometry.BoxCells) cut by marks from the box drawer when the measure lives
+on the coordinate axes of a box window, else convex polygons in geometry's
+padded layout (geometry.PolygonCells) cut by lines from the line drawer.
+Bands and enclosures do not steer it: both cell types read a band through
+Band.marks_in and an enclosure by its facets.  The kernel follows the cell
+shared by a group of bodies: a mark that meets a body cuts it and the rest
+keep the cell, and a mark that separates the group splits it, each side
+continuing on its own rain.  The zero-cell scan is the one-body case and
+the pair scan the two-body case.  Marks are drawn on demand, _CHUNK at a
+time for the rows still followed, each row (or side of a split) continuing
+on the batch's stream from its last time.
 """
 
 from __future__ import annotations
@@ -30,8 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import geometry as geo
-from .measure import (DrivingMeasure, box_axis_rates, box_regime,
-                      polygon_regime)
+from .measure import DrivingMeasure, box_regime, polygon_regime, regime
 from .rng import stream
 
 _BATCH = 1 << 16
@@ -53,8 +51,7 @@ def zero_cell_scan(measure: DrivingMeasure, window, inner, horizon: float,
                   sigma_inner (inf from sigma_inner on)
     and the counts marks_drawn and rows_retired (0).
     """
-    if (box_axis_rates(measure, window) is not None
-            and all(b.axis_form() is not None for b in bands)):
+    if regime(measure, window).cells is geo.BoxCells:
         return _fast_zero(measure, window, inner, horizon, n, seed, bands)
     return _generic_zero(measure, window, inner, horizon, n, seed, bands)
 
@@ -75,8 +72,7 @@ def pair_scan(measure: DrivingMeasure, window, body_a, body_b, horizon: float,
     split leaving body_a's side unenclosed), and its cut_b then reads NaN if
     body_b was still uncut.
     """
-    if box_axis_rates(measure, window) is not None and (
-            enclosure is None or isinstance(enclosure, geo.Box)):
+    if regime(measure, window).cells is geo.BoxCells:
         return _fast_pair(measure, window, body_a, body_b, horizon, n, seed,
                           enclosure, base)
     return _generic_pair(measure, window, body_a, body_b, horizon, n, seed,
@@ -216,8 +212,9 @@ def _lineage(rain, cells, bodies, t, horizon, enc, tau, live, bands=()):
             at = at[keep]
         if bands:
             early = times < np.minimum(cut[idx, 0], horizon)[:, None]
+            normals = cells.normals(us)
             for a, band in enumerate(bands):
-                mark = early & cells.in_band(band, us, ds)
+                mark = early & band.marks_in(normals, ds)
                 sb[idx, a] = np.minimum(
                     sb[idx, a], np.where(mark, times, np.inf).min(axis=1))
         idx = idx[at]

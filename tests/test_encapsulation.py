@@ -178,8 +178,11 @@ def test_build_window_axis_case():
         assert (band.d_lo, band.d_hi) == (2.0, 3.0)
     validate(prob, stream(48, 0))
     # bands are pairwise disjoint in (axis, signed distance)
-    forms = [b.axis_form() for b in prob.bands]
-    assert all(f is not None for f in forms)
+    forms = []
+    for b in prob.bands:
+        c = geo.coordinate_axis(b.u)
+        assert c is not None and b.half_width == 0.0
+        forms.append((c, b.d_lo, b.d_hi) if b.u[c] > 0 else (c, -b.d_hi, -b.d_lo))
     for i in range(4):
         for j in range(i + 1, 4):
             ci, li, hi_ = forms[i]

@@ -13,8 +13,7 @@ from stitsim import geometry as geo
 from stitsim import rain, stit
 from stitsim import rng as rng_module
 from stitsim.config import dumps_canonical
-from stitsim.errors import (AmbiguousZeroCell, DegenerateCut,
-                            TooFewConditioned, WindowMismatch)
+from stitsim.errors import DegenerateCut, TooFewConditioned, WindowMismatch
 from stitsim.measure import (Discrete, DrivingMeasure, axis_measure,
                              isotropic_measure, measure_hitting)
 from stitsim.rng import stream
@@ -67,7 +66,7 @@ def test_resample_names_the_replicate_and_chains_the_last_error():
         attempts.append(i)
         raise DegenerateCut(f"attempt {len(attempts)} at t=0.5")
 
-    with pytest.raises(AmbiguousZeroCell,
+    with pytest.raises(DegenerateCut,
                        match="replicate 3 failed all 20 attempts") as e:
         ex._with_resample(body)(3, stream(0, 0))
     assert attempts == [3] * 20

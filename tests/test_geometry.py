@@ -58,6 +58,8 @@ def test_polygon_rejects_non_convex_vertex_lists():
         geo.Polygon2D(((0, 0), (2, 0), (1, 0.5), (2, 2), (0, 2)))  # reflex
     with pytest.raises(ValueError, match="wind more than once"):
         geo.Polygon2D(pentagram())
+    with pytest.raises(ValueError, match=r"repeats vertex \(2.0, 2.0\)"):
+        geo.Polygon2D(((0, 0), (2, 0), (2, 2), (2, 2), (0, 2)))
     # either orientation of a convex polygon, many-sided ones included
     assert geo.Polygon2D(triangle().points[::-1]).points == triangle().points
     assert len(regular_gon(64).points) == 64
@@ -301,3 +303,31 @@ def test_polygon_cells_of_lays_a_box_out_counterclockwise():
                                                     tile.outlines()))
     tri = geo.Polygon2D(((0.0, 0.0), (3.0, 0.0), (0.0, 4.0)))
     assert geo.PolygonCells.of([tri, box]).surfaces().tolist() == [12.0, 8.0]
+
+
+def test_box_cells_inside_reads_any_enclosure_by_its_facets():
+    rng = stream(5, 0)
+    # a box enclosure: bit for bit the coordinate test, on a grid where many
+    # cell sides equal the enclosure's sides exactly
+    for ell in (2, 3):
+        enc = geo.Box((-1.0,) * ell, (1.5,) * ell)
+        grid = np.arange(-2.0, 2.25, 0.25)
+        a, b = rng.choice(grid, (2, 4000, ell))
+        a, b = np.minimum(a, b), np.maximum(a, b) + 0.25
+        cells = geo.BoxCells(a, b)
+        want = (a > enc.lo_arr).all(axis=1) & (b < enc.hi_arr).all(axis=1)
+        assert want.any() and not want.all()
+        assert cells.inside(enc).tolist() == want.tolist()
+        assert cells.inside(enc, [3, 1]).tolist() == want[[3, 1]].tolist()
+    # a polygon enclosure: what polygon cells decide, away from GEOM_TOL
+    octagon = regular_gon(8, 2.0)
+    lo = rng.uniform(-2.0, 1.5, (4000, 2))
+    cells = geo.BoxCells(lo, lo + rng.uniform(0.01, 1.5, (4000, 2)))
+    normals, offsets = geo._facet_arrays(octagon)
+    V = cells.outlines()[0]
+    slack = (offsets - V @ normals).min(axis=(1, 2))
+    away = np.abs(slack) > 1e-6
+    got = cells.inside(octagon)
+    assert got[away].any() and not got[away].all()
+    want = geo.PolygonCells(*cells.outlines()).inside(octagon)
+    assert got[away].tolist() == want[away].tolist()

@@ -13,9 +13,9 @@ from stitsim.cli import main
 from stitsim.config import dumps_canonical, run_config_from_json, sanitize
 from stitsim.errors import ExplosionGuard
 from stitsim.experiments import _PHT_CHUNK, _pht_sample
-from stitsim.measure import (Discrete, DrivingMeasure, axis_measure, box_table,
+from stitsim.measure import (Discrete, DrivingMeasure, axis_measure,
                              draw_lines, isotropic_measure, measure_hitting,
-                             sample_hitting)
+                             regime, sample_hitting)
 from stitsim.pht import (PoissonHyperplanePattern, draw_patterns,
                          empty_probability, pattern_hits, pattern_to_json,
                          simulate_pht, tail_event_hits_ball)
@@ -366,10 +366,10 @@ def test_all_empty_chunk_hits_nothing():
     assert counts.sum() == 0 and normals.shape == (0, 2) and offsets.shape == (0,)
 
 
-def test_pht_sample_builds_the_box_table_once():
-    # every chunk of patterns on one (measure, window) reuses one table:
+def test_pht_sample_builds_the_regime_once():
+    # every chunk of patterns on one (measure, window) reuses one regime:
     # rebuilding it per chunk would slow pht_capacity and mixing_pht
-    box_table.cache_clear()
+    regime.cache_clear()
     _pht_sample(LAM, 1.0, W2, (W1,), 40 * _PHT_CHUNK, 104)
-    info = box_table.cache_info()
+    info = regime.cache_info()
     assert (info.misses, info.hits) == (1, 39)

@@ -1,5 +1,6 @@
 """Lineage-rain kernels against each other and against whole-tree oracles."""
 
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -24,7 +25,20 @@ W = geo.Box((-2.0, -2.0), (2.0, 2.0))
 WP = geo.Box((-1.0, -1.0), (1.0, 1.0))
 
 
-def test_zero_scan_fast_vs_generic():
+def spy(monkeypatch, name):
+    """The windows each call of rain.<name> receives, as a list."""
+    calls, real = [], getattr(rain, name)
+
+    def wrapper(measure, window, *args):
+        calls.append(window)
+        return real(measure, window, *args)
+
+    monkeypatch.setattr(rain, name, wrapper)
+    return calls
+
+
+def test_zero_scan_fast_vs_generic(monkeypatch):
+    fast_calls = spy(monkeypatch, "_fast_zero")
     horizon = 4.0
     fast = rain.zero_cell_scan(LAM, W, WP, horizon, 30_000, 20)
     gen = rain._generic_zero(LAM, W, WP, horizon, 3_000, 21, ())
@@ -36,6 +50,21 @@ def test_zero_scan_fast_vs_generic():
     assert ks_two_sample(fast["sigma_inner"][np.isfinite(fast["sigma_inner"])],
                          gen["sigma_inner"][np.isfinite(gen["sigma_inner"])]
                          ).p_value > 0.001
+    # arc bands (half_width > 0) around the axes: box cells read them through
+    # Band.marks_in, so the box kernel runs them, in the polygon kernel's law
+    prob = build_window(WP, LAM)
+    bands = tuple(dataclasses.replace(b, half_width=math.pi / 16)
+                  for b in prob.bands)
+    fast = rain.zero_cell_scan(LAM, prob.outer, WP, horizon, 30_000, 22,
+                               bands=bands)
+    gen = rain._generic_zero(LAM, prob.outer, WP, horizon, 3_000, 23, bands)
+    assert fast_calls == [W, prob.outer]
+    for a in range(len(bands)):
+        sf, sg = fast["sigma_bands"][:, a], gen["sigma_bands"][:, a]
+        p = np.isfinite(sf).mean()  # 1/5: band mass 1 against inner mass 4
+        assert abs(p - 0.2) <= 5 * binomial_sigma(0.2, 30_000)
+        assert abs(np.isfinite(sg).mean() - p) <= 5 * binomial_sigma(p, 3_000)
+        assert _ks_finite(sf, sg) > 0.001
 
 
 def tree_forest(window, t, n, rng):
@@ -125,7 +154,8 @@ def test_two_body_avoidance_law(measure, window):
     assert abs(p - target) <= 4 * binomial_sigma(target, n)
 
 
-def test_pair_scan_fast_vs_generic():
+def test_pair_scan_fast_vs_generic(monkeypatch):
+    fast_calls = spy(monkeypatch, "_fast_pair")
     V = geo.Box((-2.0, -2.0), (2.0, 6.0))
     A = geo.Face(((-1.0, 0.0), (1.0, 0.0)))
     B = geo.Face(((-1.0, 4.0), (1.0, 4.0)))
@@ -137,6 +167,22 @@ def test_pair_scan_fast_vs_generic():
     jf = (np.isinf(fast["cut_a"]) & np.isinf(fast["cut_b"])).mean()
     jg = (np.isinf(gen["cut_a"]) & np.isinf(gen["cut_b"])).mean()
     assert abs(jf - jg) <= 5 * binomial_sigma(max(jf, 1e-3), 3_000)
+    # an octagon enclosure: box cells test it by its facets, so the box
+    # kernel runs it, in the polygon kernel's law; about 21% of the rows
+    # encapsulate by t = 2
+    octagon = geo.Polygon2D(tuple(
+        (2.0 * math.cos(math.pi / 8 * (2 * k + 1)),
+         2.0 * math.sin(math.pi / 8 * (2 * k + 1))) for k in range(8)))
+    fast = rain.pair_scan(LAM, ENC_V, ENC_INNER, ENC_PROBE, 2.0, 20_000, 27,
+                          enclosure=octagon)
+    gen = rain._generic_pair(LAM, ENC_V, ENC_INNER, ENC_PROBE, 2.0, 3_000,
+                             28, octagon)
+    assert fast_calls == [V, ENC_V]
+    assert _ks_finite(fast["cut_a"], gen["cut_a"]) > 0.001
+    p = np.isfinite(fast["tau_enc"]).mean()
+    assert p >= 0.1
+    assert abs(np.isfinite(gen["tau_enc"]).mean() - p) <= 5 * binomial_sigma(
+        p, 3_000)
 
 
 def test_three_body_lineage_fast_vs_generic():

@@ -5,8 +5,9 @@ Usage (from the repository root):
     python3 tools/output_digests.py --seed 2 --n-scale 0.1
 
 Runs, with the sources of the checkout this script lives in, `verify all`
-at the given seed and n-scale, `simulate --svg` on each `configs/*.json` at
-the same seed, and one `bound` grid, all into a temporary directory.  The
+at the given seed and n-scale, `simulate` on each `configs/*.json` at the
+same seed (with `--svg` where the window is 2-D), and one `bound` grid, all
+into a temporary directory.  The
 printed lines are `sha256  name`, sorted by name; `verify.log`,
 `bound.csv` and one `.log` per config hold each command's standard output
 and exit code.  Two checkouts write the same bytes exactly when their
@@ -19,6 +20,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -27,6 +29,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from stitsim.cli import main  # noqa: E402
+from stitsim.config import window_from_json  # noqa: E402
 
 BOUND = ["bound", "--lambda-inner", "4", "--masses", "1,1,1,1",
          "--t-grid", "0:5:0.25"]
@@ -44,9 +47,11 @@ def write_outputs(seed: int, n_scale: float, out: Path) -> None:
     _run(["verify", "all", "--seed", str(seed), "--n-scale", str(n_scale),
           "--out-dir", str(out / "verify")], out / "verify.log")
     for cfg in sorted((ROOT / "configs").glob("*.json")):
-        _run(["simulate", "--config", str(cfg), "--seed", str(seed),
-              "--out", str(out / f"{cfg.stem}.json"),
-              "--svg", str(out / f"{cfg.stem}.svg")], out / f"{cfg.stem}.log")
+        argv = ["simulate", "--config", str(cfg), "--seed", str(seed),
+                "--out", str(out / f"{cfg.stem}.json")]
+        if window_from_json(json.loads(cfg.read_text())["window"]).dim == 2:
+            argv += ["--svg", str(out / f"{cfg.stem}.svg")]
+        _run(argv, out / f"{cfg.stem}.log")
     _run(BOUND, out / "bound.csv")
 
 
