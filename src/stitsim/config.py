@@ -59,19 +59,17 @@ def dumps_canonical(obj) -> str:
     return "[" + ",".join(map(dumps_canonical, obj)) + "]"
 
 
-def number_texts(a, fmt: str | None = None) -> np.ndarray:
-    """Each entry of the numeric array a as text, an object array of a's
-    shape: fmt % value, by default the value's JSON text (Python's repr for
-    a float).  Each distinct value, for floats each bit pattern, so -0.0
-    apart from 0.0, is formatted once."""
+def number_texts(a) -> np.ndarray:
+    """Each entry of the numeric array a as its JSON text (Python's repr
+    for a float), an object array of a's shape.  Each distinct value, for
+    floats each bit pattern, so -0.0 apart from 0.0, is formatted once."""
     a = np.asarray(a)
     is_float = a.dtype.kind == "f"
     keys, inv = np.unique(
         np.ascontiguousarray(a, np.float64).ravel().view(np.int64) if is_float
         else a.ravel(), return_inverse=True)
     values = (keys.view(np.float64) if is_float else keys).tolist()
-    text = (json.dumps(values)[1:-1].split(", ") if fmt is None
-            else list(map(fmt.__mod__, values)))
+    text = json.dumps(values)[1:-1].split(", ")
     return np.array(text, dtype=object)[inv].reshape(a.shape)
 
 

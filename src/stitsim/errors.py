@@ -21,10 +21,6 @@ class NonPositiveScale(GeometryError):
     pass
 
 
-class AmbiguousZeroCell(GeometryError):
-    """The origin lies within tolerance of a cell boundary."""
-
-
 class RegimeMismatch(StitSimError):
     """Measure and geometry regimes are incompatible (e.g. isotropic in 3-D boxes)."""
 

@@ -724,21 +724,19 @@ class PolygonCells:
     def split(self, u, d):
         """(children, ok): cell i cut by line i into its two children, side
         by side, minus (the side away from the origin) first, by one
-        clip_side each and padded to the largest child count; ok is False
-        where a vertex lies within GEOM_TOL of the line or a child is
-        degenerate (clip_side)."""
+        clip_side of both sides' rows and padded to the largest child
+        count; ok is False where a vertex lies within GEOM_TOL of the line
+        or a child is degenerate (clip_side)."""
         m, K = self.V.shape[:2]
         s = project(self.V, u) - d[:, None]
         ok = ~(np.abs(s) < GEOM_TOL).any(axis=1)
-        sign = np.where(d > 0, -1.0, 1.0)[:, None]
-        pts, n = np.empty((m, 2, 2 * K, 2)), np.empty((m, 2), dtype=np.int64)
-        for side, sg in enumerate((sign, -sign)):
-            pts[:, side], n[:, side], side_ok = clip_side(self.V, self.count,
-                                                          sg * s)
-            ok &= side_ok
+        s *= np.where(d > 0, -1.0, 1.0)[:, None]
+        pts, n, side_ok = clip_side(np.repeat(self.V, 2, axis=0),
+                                    np.repeat(self.count, 2),
+                                    np.stack([s, -s], axis=1).reshape(2 * m, K))
+        ok &= side_ok.reshape(m, 2).all(axis=1)
         width = int(n.max(initial=1))
-        return PolygonCells(pts[:, :, :width].reshape(2 * m, width, 2),
-                            n.reshape(2 * m)), ok
+        return PolygonCells(pts[:, :width], n), ok
 
     def meets(self, rows, u, d):
         """Whether line i meets cell rows[i]: its offset lies in the cell's

@@ -14,8 +14,12 @@ import numpy as np
 from stitsim import geometry as geo
 from stitsim.config import measure_to_json
 from stitsim.encapsulation import BoundParams, EncapsulationProblem, _facet_toward
-from stitsim.errors import AmbiguousZeroCell, InsufficientNests, WindowMismatch
+from stitsim.errors import GeometryError, InsufficientNests, WindowMismatch
 from stitsim.render import SCALE, _bbox, _chords
+
+
+class AmbiguousZeroCell(GeometryError):
+    """The origin lies within tolerance of a cell boundary."""
 
 
 def encapsulates(cell, inner, outer) -> bool:

@@ -3,11 +3,17 @@
 import hashlib
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from stitsim import geometry as geo
@@ -18,7 +24,7 @@ from stitsim.config import (Encoded, config_hash, dumps_canonical,
 from stitsim.errors import ConfigError
 from stitsim.measure import axis_measure, isotropic_measure
 from stitsim.pht import PoissonHyperplanePattern, pattern_to_json, simulate_pht
-from stitsim.render import render_pattern, render_tessellation
+from stitsim.render import _fixed2, render_pattern, render_tessellation
 from stitsim.rng import stream
 
 
@@ -75,9 +81,63 @@ def test_number_texts_match_python_formatting():
                                         for row in a.tolist()]
     assert number_texts(np.array([3, 0, 3, 12])).tolist() == \
         ["3", "0", "3", "12"]
-    v = np.array([-1e-7, 0.004999, 0.005, 1234.5678, -0.0])
-    assert number_texts(v, "%.2f").tolist() == [f"{x:.2f}" for x in v.tolist()]
     assert number_texts(np.zeros((0, 2))).shape == (0, 2)
+
+
+def fixed2_texts(v) -> list[str]:
+    """_fixed2's texts of the 1-D array v, one str per value."""
+    chars, used = _fixed2(v)
+    return [bytes(c[u]).decode() for c, u in zip(chars.T, used.T)]
+
+
+@given(st.lists(st.floats(-2e5, 2e5), max_size=50))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_fixed2_matches_python_formatting(xs):
+    assert fixed2_texts(np.array(xs, dtype=float)) == ["%.2f" % x for x in xs]
+
+
+def test_fixed2_ties_zeros_and_subnormals():
+    # k/8 are exact half-cent ties where k is odd; their neighbours one ulp
+    # away round the other way; subnormals and -0.0 print as signed zeros
+    ties = np.arange(-4000, 4001) / 8.0
+    v = np.concatenate([
+        ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf),
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310,
+         0.005, 2.675, 9.995, 99999.995, -99999.995, 2.0 ** 52 - 0.5]])
+    assert fixed2_texts(v) == ["%.2f" % x for x in v.tolist()]
+    chars, used = _fixed2(np.zeros((0, 3)))
+    assert chars.shape[1:] == used.shape[1:] == (0, 3)
+    assert fixed2_texts(np.zeros(0)) == []
+    for bad in (math.nan, math.inf, 2.0 ** 52):
+        with pytest.raises(ValueError):
+            _fixed2(np.array([1.0, bad]))
+
+
+SIMULATE_SVGS = """
+import sys
+from stitsim.cli import main
+configs, out = sys.argv[1:]
+for name in ("stit_isotropic", "pht_axis"):
+    assert main(["simulate", "--config", f"{configs}/{name}.json", "--seed",
+                 "1", "--out", f"{out}/{name}.json",
+                 "--svg", f"{out}/{name}.svg"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_svg_writer_leaves_numpy_ma_unloaded(tmp_path):
+    # a bare np.unique imports numpy.ma; simulate --svg needs none, in a
+    # fresh process, which pytest's own imports do not reach
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(p for p in (str(root / "src"),
+                                       os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", SIMULATE_SVGS, str(root / "configs"),
+         str(tmp_path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+    assert (tmp_path / "pht_axis.svg").is_file()
 
 
 def test_config_hash_stable():

@@ -12,9 +12,9 @@ import pytest
 from stitsim import geometry as geo
 from stitsim import stit
 from stitsim.config import dumps_canonical, sanitize
-from stitsim.errors import (AmbiguousZeroCell, DegenerateCut, ExplosionGuard,
-                            InsufficientNests, MethodMismatch, OutOfRange,
-                            RegimeMismatch, WindowMismatch)
+from stitsim.errors import (DegenerateCut, ExplosionGuard, InsufficientNests,
+                            MethodMismatch, OutOfRange, RegimeMismatch,
+                            WindowMismatch)
 from stitsim.measure import (Discrete, DrivingMeasure, axis_measure,
                              draw_lines, isotropic_measure, measure_hitting,
                              regime)
@@ -156,7 +156,7 @@ def test_zero_cell():
     left = geo.Box((-1, -1), (0.3, 1))
     right = geo.Box((0.3, -1), (1, 1))
     assert oracles.zero_cell(Tessellation(W1, (right, left))) == left
-    with pytest.raises(AmbiguousZeroCell):
+    with pytest.raises(oracles.AmbiguousZeroCell):
         oracles.zero_cell(Tessellation(
             W1, (geo.Box((-1, -1), (0, 1)), geo.Box((0, -1), (1, 1)))))
 

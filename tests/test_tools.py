@@ -1,7 +1,10 @@
 """Scripts under tools/."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 from stitsim.experiments import EXPERIMENTS
 
@@ -38,3 +41,46 @@ def test_output_digests_simulates_every_config(tmp_path):
         assert (tmp_path / f"{cfg.stem}.json").is_file()
     assert not (tmp_path / "stit_box3d_rejection.svg").exists()
     assert (tmp_path / "pht_isotropic_box.svg").is_file()
+
+
+def canned_run(wall_s, rss, commit, correct=True):
+    """The last lines of one `perfbench/run.py --trace 0` output."""
+    facts = {"git_commit": commit, "nproc": 2, "workload": "simulate_write"}
+    result = {"correct": correct, "attempted": 3, "failed": 0,
+              "metrics": {"wall_s": {"value": wall_s, "unit": "s"},
+                          "peak_rss_mib": {"value": rss, "unit": "MiB"}}}
+    return "\n".join(["facts " + json.dumps(facts),
+                      "pass 0 traced=0 wall_s=0.5 cpu_s=0.5",
+                      json.dumps(result)]) + "\n"
+
+
+def test_bench_pairs_assembles_medians_quartiles_and_wins():
+    bench_pairs = load("bench_pairs")
+    base = [0.40, 0.44, 0.42, 0.46]
+    change = [0.38, 0.39, 0.43, 0.40]
+    runs = []
+    for k, (b, c) in enumerate(zip(base, change)):
+        runs.append({"workload": "simulate_write", "pair": k, "side": "base",
+                     "stdout": canned_run(b, 76.0, "aaa")})
+        runs.append({"workload": "simulate_write", "pair": k,
+                     "side": "change",
+                     "stdout": canned_run(c, 76.0 - k, "bbb", correct=k != 3)})
+    doc = bench_pairs.assemble(runs[::-1], {"wall_s": "lower",
+                                            "peak_rss_mib": "lower"},
+                               {"pairs": 4})
+    assert doc["pairs"] == 4
+    assert doc["facts"]["base"]["git_commit"] == "aaa"
+    assert doc["facts"]["change"]["git_commit"] == "bbb"
+    w = doc["workloads"]["simulate_write"]
+    assert w["base"]["correct"] and not w["change"]["correct"]
+    wall = w["base"]["metrics"]["wall_s"]
+    assert wall["runs"] == base  # in pair order, whatever the run order
+    assert wall["median"] == pytest.approx(0.43)
+    assert (wall["q1"], wall["q3"]) == pytest.approx((0.415, 0.445))
+    assert wall["iqr"] == pytest.approx(0.03)
+    # pair 2 is a loss; the first pair's rss is a tie, which counts for
+    # neither side
+    assert w["change_wins"] == {"wall_s": 3, "peak_rss_mib": 3}
+    assert json.loads(json.dumps(doc)) == doc
+    one = bench_pairs.spread([1.5])
+    assert (one["median"], one["iqr"]) == (1.5, 0.0)
