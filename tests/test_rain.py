@@ -401,7 +401,8 @@ def _golden_cases():
     Zero scans pin the encapsulation time, sigma_inner and the band clocks
     that precede sigma_inner; pair scans pin cut_a, cut_b and tau_enc.
     Cases named *_batched run with rain batches of 1024 rows, so each scan
-    spans three batches.
+    spans three batches.  The triple_* cases are rain._scan of three bodies
+    with an enclosure and pin all three cuts and tau_enc.
     """
     iso = isotropic_measure(1.0)
     small = geo.Box((-0.3, -0.3), (0.3, 0.3))
@@ -410,6 +411,13 @@ def _golden_cases():
     V = geo.Box((-3.2, -3.2), (3.2, 3.2))
     enc = geo.Box((-1.2, -1.2), (1.2, 1.2))
     probe = geo.Face(((1.6, 0.0), (3.0, 0.0)))
+    third = geo.Face(((-2.8, -1.9), (-1.5, -2.6)))
+
+    def triple(make_regime, n, seed):
+        cut, tau, _, _ = rain._scan(make_regime(LAM, V), V,
+                                    (small, probe, third), 3.0, n, seed, enc,
+                                    ())
+        return {"cuts": cut, "tau_enc": tau}
 
     def zero(prob, horizon, n, seed, bands=True):
         return rain.zero_cell_scan(prob.measure, prob.outer, prob.inner, horizon,
@@ -436,6 +444,8 @@ def _golden_cases():
                                              4.0, 3_000, 70),
         "pair_fast_batched": lambda: rain.pair_scan(LAM, V, small, probe, 3.0,
                                                     3_000, 71, enclosure=enc),
+        "triple_box": lambda: triple(box_regime, 3_000, 72),
+        "triple_polygon": lambda: triple(polygon_regime, 150, 73),
     }
 
 
@@ -444,6 +454,8 @@ def _scan_digest(scan) -> str:
         sig = scan["sigma_inner"]
         sb = scan["sigma_bands"]
         arrays = (scan["tau_enc"], sig, np.where(sb < sig[:, None], sb, np.inf))
+    elif "cuts" in scan:
+        arrays = (*scan["cuts"].T, scan["tau_enc"])
     else:
         arrays = (scan["cut_a"], scan["cut_b"], scan["tau_enc"])
     h = hashlib.sha256()
@@ -456,9 +468,12 @@ def _scan_digest(scan) -> str:
 # demand in chunks of rain._CHUNK for the rows still followed, batch b of a
 # scan on stream(seed, base + b), and the pair scans with an enclosure
 # reading retired rows' cut_b as NaN.  The box values (zero_axis_2d,
-# zero_weighted_3d, pair_fast and their *_batched cases) pin box cells and
-# the box drawer, the polygon values (zero_isotropic*, generic_*_box,
-# pair_generic, pair_isotropic) polygon cells and the line drawer.
+# zero_weighted_3d, pair_fast, triple_box and the *_batched cases) pin box
+# cells and the box drawer, the polygon values (zero_isotropic*,
+# generic_*_box, pair_generic, pair_isotropic, triple_polygon) polygon cells
+# and the line drawer.  The triple_* values pin the kernel beyond two
+# bodies: a split with two bodies on one side, and retirement NaNs in two
+# bodies' cuts.
 SCAN_GOLDEN = {
     "zero_axis_2d": "e17ad619b7e79ca9469085e704fe9a4c16d9c502c7d82ff530f6b88cfd4d124e",
     "zero_weighted_3d": "93d5aad9e8ff3230f46c32888b7667c37ec798954cc809fedd291681fb285190",
@@ -471,6 +486,8 @@ SCAN_GOLDEN = {
     "pair_isotropic": "4f8be67916bed1bdb7352a73455490d7df0df649fc56c66f3389a9e8454c2d7e",
     "zero_axis_2d_batched": "740ef4ebb05dc9cbaf38282aa4ea71b29342309d23cd23df7e639713c4879db8",
     "pair_fast_batched": "e1874c43f1b963415879a93b59af96fb0f7e7c981dfbb364f533a1caa66bc179",
+    "triple_box": "a8dc157a53d3604f3f34e062ac1346013b90767c97935af91b03f0220c5f55ab",
+    "triple_polygon": "b7532e3d887b109cc274a643f13e83c897de6af06059f0205b483f79f4b178e9",
 }
 
 
