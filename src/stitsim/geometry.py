@@ -531,6 +531,16 @@ def _compact(cand, keep):
 # cut them.  A mark (u, d) is the hyperplane {x : <x, u> = d}; u is an axis
 # index for box cells and a unit normal for polygon cells.
 
+def _gather(a, rows):
+    """Rows `rows` of a, given as a slice, indices or a boolean mask; the
+    last two are gathered by take, numpy's fast path for whole rows."""
+    if isinstance(rows, slice):
+        return a[rows]
+    rows = np.asarray(rows)
+    return a.take(np.flatnonzero(rows) if rows.dtype == bool else rows,
+                  axis=0)
+
+
 class BoxCells:
     """m boxes [lo, hi], lo and hi (m, ell), cut by axis marks."""
 
@@ -559,7 +569,7 @@ class BoxCells:
         return len(self.lo)
 
     def take(self, rows) -> "BoxCells":
-        return BoxCells(self.lo[rows], self.hi[rows])
+        return BoxCells(_gather(self.lo, rows), _gather(self.hi, rows))
 
     def polytopes(self, rows) -> list[Box]:
         return [Box(tuple(a), tuple(b)) for a, b in
@@ -614,19 +624,27 @@ class BoxCells:
         hi[2 * rows + (d > 0), u] = d
         return BoxCells(lo, hi), ok
 
+    def _flat(self, rows, u):
+        """The flat index of entry (rows[i], u[i]) of lo and hi."""
+        return rows * self.lo.shape[1] + u
+
     def meets(self, rows, u, d):
         """Whether mark i crosses the open interior of cell rows[i]."""
-        return (d > self.lo[rows, u]) & (d < self.hi[rows, u])
+        f = self._flat(rows, u)
+        return (d > self.lo.take(f)) & (d < self.hi.take(f))
 
     def interval(self, u):
-        """(lo, hi) (len(u), m): each cell's closed extent along each mark."""
-        return self.lo[:, u].T, self.hi[:, u].T
+        """(lo, hi) (m, len(u)): each cell's closed extent along each mark,
+        the cells on the first axis."""
+        return self.lo.take(u, axis=1), self.hi.take(u, axis=1)
 
     def clamp(self, rows, u, d, below):
         """Cut cell rows[i] in place to its side of mark i, the side below
         it where below[i].  Returns ok, always true for boxes."""
-        self.hi[rows[below], u[below]] = d[below]
-        self.lo[rows[~below], u[~below]] = d[~below]
+        f = self._flat(rows, u)
+        for bound, i in ((self.hi, np.flatnonzero(below)),
+                         (self.lo, np.flatnonzero(~below))):
+            np.put(bound, f[i], d[i])  # put writes through any layout
         return np.ones(len(rows), dtype=bool)
 
     def side(self, rows, u, d, below):
@@ -639,9 +657,13 @@ class BoxCells:
         their support along each facet normal, with no tolerance; for a box
         enc every product is exact, so this is lo > enc.lo and hi < enc.hi."""
         normals, offsets = _facet_arrays(enc)
-        return (self.hi[rows] @ np.maximum(normals, 0.0)
-                + self.lo[rows] @ np.minimum(normals, 0.0)
-                < offsets).all(axis=1)
+        below = (_gather(self.hi, rows) @ np.maximum(normals, 0.0)
+                 + _gather(self.lo, rows) @ np.minimum(normals, 0.0)
+                 < offsets)
+        ok = below[:, 0].copy()
+        for column in below.T[1:]:
+            ok &= column
+        return ok
 
 
 class PolygonCells:
@@ -745,9 +767,10 @@ class PolygonCells:
         return (proj.min(axis=1) <= d) & (d <= proj.max(axis=1))
 
     def interval(self, u):
-        """(lo, hi) (len(u), m): each cell's closed extent along each line."""
+        """(lo, hi) (m, len(u)): each cell's closed extent along each line,
+        the cells on the first axis."""
         proj = self.V @ u.T
-        return proj.min(axis=1).T, proj.max(axis=1).T
+        return proj.min(axis=1), proj.max(axis=1)
 
     def clamp(self, rows, u, d, below):
         """Clip cell rows[i] in place to its side of line i, the side below

@@ -317,12 +317,11 @@ def box_regime(measure: DrivingMeasure, window: geo.Box) -> Regime:
 
     def mark(rng, cells):
         side = cells.hi - cells.lo
-        rows = np.arange(len(side))
         cum = np.cumsum(g * side, axis=1)
         x = rng.random(len(side)) * cum[:, -1]
-        axis = np.minimum((x[:, None] >= cum).sum(axis=1), len(g) - 1)
-        return axis, (cells.lo[rows, axis]
-                      + rng.random(len(side)) * side[rows, axis])
+        axis = np.minimum(sum(x >= c for c in cum.T), len(g) - 1)
+        f = np.arange(len(side)) * len(g) + axis  # flat index of (row, axis)
+        return axis, (cells.lo.take(f) + rng.random(len(side)) * side.take(f))
 
     return Regime(geo.BoxCells, table[0],
                   lambda rng, shape: draw_box_marks(

@@ -22,6 +22,14 @@ continuing on its own rain.  The zero-cell scan is the one-body case and
 the pair scan the two-body case.  Marks are drawn on demand, _CHUNK at a
 time for the rows still followed, each row (or side of a split) continuing
 on the batch's stream from its last time.
+
+Per-body state is columnar, with the bodies on the first axis: which
+bodies each row's cell holds, their cut times and their sides of a split
+are (k, rows) arrays, and a cell type's interval gives (k, marks), so a
+reduction over the bodies is an OR of k rows rather than a short-axis
+reduction.  Rows are gathered by take, and cut times and retirement NaNs
+are written only at the (body, row) pairs a mark hits.  _scan hands back
+the cuts as (n, k).
 """
 
 from __future__ import annotations
@@ -122,24 +130,25 @@ def _scan(regime, window, bodies, horizon, n, seed, enclosure, bands,
           base=0):
     """n lineages of `bodies` from `window` through _lineage, under the
     measure.Regime `regime`, batch b of _BATCH rows on stream(seed,
-    base + b).  Returns the cuts (n, k), tau, the band clocks (n,
+    base + b).  Returns the cuts (n, k), a view of the (k, n) array the
+    batches fill with bodies on the first axis, tau, the band clocks (n,
     len(bands)) and the counters marks_drawn and rows_retired (rows holding
     a NaN cut)."""
     cells = regime.cells
     k, body_cells = len(bodies), cells.of(bodies)
-    cut, tau = np.empty((n, k)), np.empty(n)
+    cut, tau = np.empty((k, n)), np.empty(n)
     sbands, drawn = np.empty((n, len(bands))), 0
     for bi, start in enumerate(range(0, n, _BATCH)):
         stop = min(start + _BATCH, n)
         nb = stop - start
-        cut[start:stop], tau[start:stop], sbands[start:stop], more = _lineage(
-            (stream(seed, base + bi), regime.rate, regime.draw),
-            cells.tile(window, nb),
-            body_cells, np.zeros(nb), horizon, enclosure, np.full(nb, np.inf),
-            np.ones((nb, k), dtype=bool), bands)
+        cut[:, start:stop], tau[start:stop], sbands[start:stop], more = (
+            _lineage((stream(seed, base + bi), regime.rate, regime.draw),
+                     cells.tile(window, nb), body_cells, np.zeros(nb),
+                     horizon, enclosure, np.full(nb, np.inf),
+                     np.ones((k, nb), dtype=bool), bands))
         drawn += more
-    return cut, tau, sbands, {"marks_drawn": drawn, "rows_retired": int(
-        np.isnan(cut).any(axis=1).sum())}
+    return cut.T, tau, sbands, {"marks_drawn": drawn, "rows_retired": int(
+        np.isnan(cut).any(axis=0).sum())}
 
 
 def _lineage(rain, cells, bodies, t, horizon, enc, tau, live, bands=()):
@@ -148,24 +157,26 @@ def _lineage(rain, cells, bodies, t, horizon, enc, tau, live, bands=()):
     rain = (rng, rate, draw); each row draws _CHUNK marks at a time from t,
     which advances in place: Exp(rate) gaps, and marks (u, d) from
     draw(rng, shape).  cells (nb rows, cut in place) and bodies (k rows)
-    are of one cell type; live (nb, k) marks the bodies in each row's cell.
+    are of one cell type; live (k, nb) marks the bodies in each row's cell.
+    Per-body state has the bodies on the first axis, so a reduction over
+    bodies is an OR of k rows, and cuts are written only where a mark hits.
     A mark that meets the cell cuts the live bodies it meets and clamps the
     cell to the side of the rest; a degenerate piece (not ok) ends the row,
     its uncut bodies staying inf.  One that leaves live bodies on both sides
     splits the row, each side continuing from the split time, the first
     live body's side first.  Returns (cut, tau, band clocks, marks drawn):
-    each body's first cut time (inf if none by the horizon); tau, where
-    still inf, becomes the first time body 0's cell lies strictly inside
-    the polytope enc while body 0 is uncut; each row's first mark inside
-    each band before body 0's cut.  With enc and k > 1 a row retires once
-    its tau is decided to be inf, as pair_scan describes.
+    cut (k, nb), each body's first cut time (inf if none by the horizon);
+    tau, where still inf, becomes the first time body 0's cell lies
+    strictly inside the polytope enc while body 0 is uncut; each row's
+    first mark inside each band before body 0's cut.  With enc and k > 1 a
+    row retires once its tau is decided to be inf, as pair_scan describes.
     """
     rng, rate, draw = rain
-    nb, k = live.shape
+    k, nb = live.shape
     retire = enc is not None and k > 1
-    cut, sb = np.full((nb, k), np.inf), np.full((nb, len(bands)), np.inf)
+    cut, sb = np.full((k, nb), np.inf), np.full((nb, len(bands)), np.inf)
     t_sep, d_sep = np.full(nb, np.inf), np.zeros(nb)  # split rows: time,
-    u_sep, low_sep = None, np.zeros((nb, k), dtype=bool)  # mark and sides
+    u_sep, low_sep = None, np.zeros((k, nb), dtype=bool)  # mark and sides
     idx, drawn = np.arange(nb), 0
 
     while len(idx) > 0:
@@ -179,39 +190,45 @@ def _lineage(rain, cells, bodies, t, horizon, enc, tau, live, bands=()):
         drawn += times.size
         at = np.arange(len(idx))  # chunk rows still followed
         for j in range(_CHUNK):
-            at = at[times[at, j] < horizon]
+            # i holds the positions each step acts on, one array at a time
+            tj = times[:, j]
+            at = at[tj[at] < horizon]
             if len(at) == 0:
                 break
-            r, u, d = idx[at], us[at, j], ds[at, j]
+            r, u, d = idx[at], us[:, j].take(at, axis=0), ds[at, j]
             meet = cells.meets(r, u, d)
-            r, u, d, tm = r[meet], u[meet], d[meet], times[at[meet], j]
+            i = np.flatnonzero(meet)
+            r, u, d, tm = r[i], u.take(i, axis=0), d[i], tj[at[i]]
             b_lo, b_hi = bodies.interval(u)
-            hit = live[r] & (d[:, None] >= b_lo) & (d[:, None] <= b_hi)
-            cut[r] = np.where(hit, tm[:, None], cut[r])
-            alive = live[r] & ~hit
-            live[r] = alive
+            alive = live.take(r, axis=1)
+            hit = alive & (d >= b_lo) & (d <= b_hi)
+            hb, hr = _nonzero(hit)
+            cut[hb, r[hr]] = tm[hr]
+            live[hb, r[hr]] = False
+            alive ^= hit
             if retire:  # body 0 cut unenclosed: the rest reads NaN
-                gone = hit[:, 0] & np.isinf(tau[r])
-                cut[r[gone]] = np.where(alive[gone], np.nan, cut[r[gone]])
-                alive[gone] = False
-            low = b_hi <= d[:, None]  # body below the mark, where not hit
-            any_low = (alive & low).any(axis=1)
-            any_high = (alive & ~low).any(axis=1)
+                hb, hr = _nonzero(alive & (hit[0] & np.isinf(tau[r])))
+                cut[hb, r[hr]] = np.nan
+                alive[hb, hr] = False
+            low = b_hi <= d  # body below the mark, where not hit
+            any_low = (alive & low).any(axis=0)
+            any_high = (alive & ~low).any(axis=0)
             one = any_low != any_high  # every live body on one side: clamp
-            one[one] = cells.clamp(r[one], u[one], d[one], any_low[one])
+            i = np.flatnonzero(one)
+            one[i] = cells.clamp(r[i], u.take(i, axis=0), d[i], any_low[i])
             if enc is not None:
-                e = one & alive[:, 0] & np.isinf(tau[r])
-                e[e] = cells.inside(enc, r[e])
-                tau[r[e]] = tm[e]
-            split = any_low & any_high
-            s = r[split]
-            t_sep[s], u_sep[s], d_sep[s], low_sep[s] = (tm[split], u[split],
-                                                        d[split], low[split])
+                i = np.flatnonzero(one & alive[0] & np.isinf(tau[r]))
+                i = i[cells.inside(enc, r[i])]
+                tau[r[i]] = tm[i]
+            i = np.flatnonzero(any_low & any_high)  # split
+            s = r[i]
+            t_sep[s], u_sep[s], d_sep[s] = tm[i], u.take(i, axis=0), d[i]
+            low_sep[:, s] = low.take(i, axis=1)
             keep = ~meet
             keep[meet] = one
             at = at[keep]
         if bands:
-            early = times < np.minimum(cut[idx, 0], horizon)[:, None]
+            early = times < np.minimum(cut[0, idx], horizon)[:, None]
             normals = cells.normals(us)
             for a, band in enumerate(bands):
                 mark = early & band.marks_in(normals, ds)
@@ -221,24 +238,31 @@ def _lineage(rain, cells, bodies, t, horizon, enc, tau, live, bands=()):
 
     # each side of a split continues from the split time
     sub = np.flatnonzero(np.isfinite(t_sep))
-    side = low_sep[sub, live[sub].argmax(axis=1)]
+    side = low_sep[live[:, sub].argmax(axis=0), sub]
     for second in (False, True):
         side = ~side if second else side
-        group = live[sub] & (low_sep[sub] == side[:, None])
+        group = live[:, sub] & (low_sep[:, sub] == side)
         if second and retire:  # body 0's side left these rows unenclosed
             drop = np.isinf(tau[sub])
-            cut[sub[drop]] = np.where(group[drop], np.nan, cut[sub[drop]])
-            sub, side, group = sub[~drop], side[~drop], group[~drop]
+            gb, gr = _nonzero(group[:, drop])
+            cut[gb, sub[drop][gr]] = np.nan
+            sub, side, group = sub[~drop], side[~drop], group[:, ~drop]
         child, ok = cells.side(sub, u_sep[sub], d_sep[sub], side)
-        rows, group = sub[ok], group[ok]
+        rows, group = sub[ok], group[:, ok]
         if len(rows) == 0:
             continue
         ts = tau[rows]
         if enc is not None:
-            e = group[:, 0] & np.isinf(ts) & child.inside(enc)
+            e = group[0] & np.isinf(ts) & child.inside(enc)
             ts[e] = t_sep[rows][e]
         c, tau[rows], _, more = _lineage(rain, child, bodies, t_sep[rows],
                                          horizon, enc, ts, group)
-        cut[rows] = np.minimum(cut[rows], c)
+        cut[:, rows] = np.minimum(cut[:, rows], c)
         drawn += more
     return cut, tau, sb, drawn
+
+
+def _nonzero(x):
+    """np.nonzero(x) of a 2-D x, (rows, columns) in the same order, from one
+    flatnonzero: about 10x faster than np.nonzero's 2-D path."""
+    return np.divmod(np.flatnonzero(x), x.shape[1])

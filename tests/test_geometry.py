@@ -331,3 +331,116 @@ def test_box_cells_inside_reads_any_enclosure_by_its_facets():
     assert got[away].any() and not got[away].all()
     want = geo.PolygonCells(*cells.outlines()).inside(octagon)
     assert got[away].tolist() == want[away].tolist()
+
+
+# ---------------------------------------------------------------------------
+# cell accessors against the 2-D fancy-index forms they replace
+
+def fancy_box_inside(lo, hi, enc, rows):
+    normals, offsets = geo._facet_arrays(enc)
+    return (hi[rows] @ np.maximum(normals, 0.0)
+            + lo[rows] @ np.minimum(normals, 0.0) < offsets).all(axis=1)
+
+
+@pytest.mark.parametrize("order", [np.ascontiguousarray, np.asfortranarray])
+@pytest.mark.parametrize("ell", [2, 3])
+def test_box_cell_accessors_match_fancy_indexing(ell, order):
+    # Fortran-ordered lo and hi check that the flat reads and writes go
+    # through the arrays, not through a contiguous copy of them
+    rng = stream(11, ell)
+    m, n = 60, 500
+    lo = rng.uniform(-2.0, 1.0, (m, ell))
+    hi = lo + rng.uniform(0.1, 2.0, (m, ell))
+    cells = geo.BoxCells(order(lo), order(hi))
+    rows = rng.integers(0, m, n)  # with repeats
+    u = rng.integers(0, ell, n)
+    d = rng.uniform(-2.5, 3.0, n)
+    d[:50] = lo[rows[:50], u[:50]]  # on a face: not met
+    got = cells.meets(rows, u, d)
+    assert got.tolist() == ((d > lo[rows, u]) & (d < hi[rows, u])).tolist()
+    assert got.any() and not got.all()
+
+    b_lo, b_hi = cells.interval(u)
+    assert b_lo.shape == b_hi.shape == (m, n)
+    assert np.array_equal(b_lo, lo[:, u]) and np.array_equal(b_hi, hi[:, u])
+
+    r = rng.permutation(m)[:40]  # clamp cuts each row once
+    below = rng.random(40) < 0.5
+    want_lo, want_hi = lo.copy(), hi.copy()
+    want_hi[r[below], u[:40][below]] = d[:40][below]
+    want_lo[r[~below], u[:40][~below]] = d[:40][~below]
+    child, ok = cells.side(r, u[:40], d[:40], below)
+    assert ok.all()
+    assert np.array_equal(child.lo, want_lo[r])
+    assert np.array_equal(child.hi, want_hi[r])
+    assert np.array_equal(cells.lo, lo) and np.array_equal(cells.hi, hi)
+    cut = geo.BoxCells(order(lo.copy()), order(hi.copy()))
+    assert cut.clamp(r, u[:40], d[:40], below).all()
+    assert np.array_equal(cut.lo, want_lo) and np.array_equal(cut.hi, want_hi)
+
+    mask = rng.random(m) < 0.5
+    for sel in (rows, mask, np.zeros(0, dtype=int), np.zeros(m, dtype=bool),
+                [3, 3, 0]):
+        taken = cells.take(sel)
+        assert taken.lo.flags.c_contiguous or len(taken) == 0
+        assert np.array_equal(taken.lo, lo[sel])
+        assert np.array_equal(taken.hi, hi[sel])
+
+    encs = [geo.Box((-1.0,) * ell, (1.5,) * ell)]
+    if ell == 2:
+        encs.append(regular_gon(8, 2.0))
+    for enc in encs:
+        want = fancy_box_inside(lo, hi, enc, slice(None))
+        assert want.any() and not want.all()
+        for sel in (slice(None), slice(5, 40), rows, mask):
+            got = cells.inside(enc, sel)
+            assert got.tolist() == fancy_box_inside(lo, hi, enc, sel).tolist()
+
+
+def test_polygon_cell_accessors_match_row_by_row_forms():
+    rng = stream(12, 0)
+    cells = geo.PolygonCells.concat([
+        geo.PolygonCells.tile(random_polygon(rng, int(k)), 1)
+        for k in rng.integers(4, 12, 30)])
+    V, count = cells.V.copy(), cells.count.copy()
+    m, n = len(cells), 300
+    rows = rng.integers(0, m, n)
+    phi = rng.uniform(0.0, np.pi, n)
+    u = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    d = rng.uniform(-2.5, 2.5, n)
+
+    proj = [V[c, :count[c]] @ u.T for c in range(m)]  # (count, n) each
+    b_lo, b_hi = cells.interval(u)
+    assert b_lo.shape == b_hi.shape == (m, n)
+    assert np.allclose(b_lo, [p.min(axis=0) for p in proj], rtol=0, atol=1e-12)
+    assert np.allclose(b_hi, [p.max(axis=0) for p in proj], rtol=0, atol=1e-12)
+    got = cells.meets(rows, u, d)
+    p = geo.project(V[rows], u)
+    assert got.tolist() == ((p.min(axis=1) <= d)
+                            & (d <= p.max(axis=1))).tolist()
+    assert got.any() and not got.all()
+
+    r = rng.permutation(m)[:20]
+    below = rng.random(20) < 0.5
+    s = np.where(below, 1.0, -1.0)[:, None] * (
+        geo.project(V[r], u[:20]) - d[:20, None])
+    pts, n_pts, ok = geo.clip_side(V[r], count[r], s)
+    assert ok.any() and not ok.all()
+    child, child_ok = cells.side(r, u[:20], d[:20], below)
+    assert child_ok.tolist() == ok.tolist()
+    assert child.count.tolist() == n_pts[ok].tolist()
+    assert np.array_equal(child.V, pts[ok, :child.V.shape[1]])
+    assert np.array_equal(cells.V, V) and np.array_equal(cells.count, count)
+    cut = geo.PolygonCells(V.copy(), count.copy())
+    assert cut.clamp(r, u[:20], d[:20], below).tolist() == ok.tolist()
+    assert cut.count[r].tolist() == np.where(ok, n_pts, count[r]).tolist()
+    width = cut.V.shape[1]
+    assert np.array_equal(cut.V[r[ok]], pts[ok, :width])
+    assert np.array_equal(cut.V[r[~ok], :V.shape[1]], V[r[~ok]])
+
+    enc = regular_gon(8, 2.0)
+    want = np.array([geo.contains(enc, P, strict=True)
+                     for P in cells.polytopes(slice(None))])
+    assert want.any() and not want.all()
+    for sel in (slice(None), slice(5, 20), rows):
+        assert cells.inside(enc, sel).tolist() == want[sel].tolist()

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -84,3 +85,69 @@ def test_bench_pairs_assembles_medians_quartiles_and_wins():
     assert json.loads(json.dumps(doc)) == doc
     one = bench_pairs.spread([1.5])
     assert (one["median"], one["iqr"]) == (1.5, 0.0)
+
+
+def bench_roots(tmp_path):
+    """Two empty checkouts for bench_pairs.main, the change holding the
+    repository's BENCHMARK.json."""
+    roots = tmp_path / "base", tmp_path / "change"
+    for root in roots:
+        root.mkdir()
+    (roots[1] / "BENCHMARK.json").write_text(
+        (TOOLS.parent / "BENCHMARK.json").read_text())
+    return roots
+
+
+def test_bench_pairs_prints_one_summary_line_per_workload_and_metric(
+        tmp_path, monkeypatch, capsys):
+    bench_pairs = load("bench_pairs")
+    base, change = bench_roots(tmp_path)
+    walls = {"base": [0.40, 0.44, 0.42, 0.46],
+             "change": [0.38, 0.39, 0.43, 0.40]}
+    calls = []
+
+    def fake_run_once(root, workload, seed, seconds):
+        side = root.name
+        k = sum(c == side for c in calls)
+        calls.append(side)
+        rss = 76.0 - (k if side == "change" else 0)
+        return canned_run(walls[side][k], rss, side)
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([str(base), str(change), "--workload",
+                             "simulate_write", "--pairs", "4", "--seconds",
+                             "1", "--out", str(out)]) == 0
+    assert calls == ["base", "change", "change", "base"] * 2
+    doc = json.loads(out.read_text())
+    assert doc["workloads"]["simulate_write"]["base"]["metrics"]["wall_s"][
+        "runs"] == walls["base"]
+    assert capsys.readouterr().out.splitlines() == [
+        "simulate_write wall_s: 0.43 -> 0.395 (-8.1%), change won 3/4 pairs, "
+        "base IQR 0.03",
+        "simulate_write peak_rss_mib: 76 -> 74.5 (-2.0%), change won 3/4 "
+        "pairs, base IQR 0"]
+
+
+def test_bench_pairs_names_the_failing_run(tmp_path, monkeypatch):
+    bench_pairs = load("bench_pairs")
+    base, change = bench_roots(tmp_path)
+    stderr = "".join(f"line {i}\n" for i in range(30)) + "ValueError: boom\n"
+
+    def fake_run_once(root, workload, seed, seconds):
+        if root.name == "change":
+            raise subprocess.CalledProcessError(2, ["run.py"], "", stderr)
+        return canned_run(0.4, 76.0, "aaa")
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main([str(base), str(change), "--workload", "verify_pht",
+                          "--pairs", "2", "--seconds", "1", "--out",
+                          str(tmp_path / "bench.json")])
+    message = str(exc.value.code)
+    first, *tail = message.splitlines()
+    assert "workload verify_pht" in first and "side change" in first
+    assert "pair 0" in first and "exit 2" in first
+    assert tail[-1] == "ValueError: boom" and "line 29" in tail
+    assert len(tail) == 20 and "line 0" not in tail
+    assert not (tmp_path / "bench.json").exists()

@@ -12,8 +12,13 @@ odd; --workload may be given more than once, and each pair then runs every
 workload in turn.  The output file holds, per workload and side, the
 median, quartiles and runs of every end-to-end metric, the pairs the
 change won by the direction BENCHMARK.json gives each metric (ties count
-for neither side), and each side's first `facts` line.  Nothing in either
-checkout is edited.
+for neither side), and each side's first `facts` line.  At the end one
+line per workload and end-to-end metric is printed: base median -> change
+median, the change in percent, the pairs the change won and the base's
+interquartile range, which is what a claimed gain is judged by.  A run that
+fails stops the script with an error naming its workload, side and pair,
+followed by the tail of the run's stderr.  Nothing in either checkout is
+edited.
 """
 
 from __future__ import annotations
@@ -74,6 +79,25 @@ def assemble(runs: list[dict], better: dict[str, str], meta: dict) -> dict:
     return out
 
 
+def summary(doc: dict, metrics: list[str]) -> list[str]:
+    """One line per workload of doc and metric of `metrics` it holds: base
+    median -> change median, percent change, pairs won, base IQR."""
+    lines = []
+    for workload, w in doc["workloads"].items():
+        for name in metrics:
+            if name not in w["base"]["metrics"]:
+                continue
+            base, change = (w[side]["metrics"][name] for side in SIDES)
+            pct = (100.0 * (change["median"] - base["median"]) / base["median"]
+                   if base["median"] else float("nan"))
+            lines.append(
+                f"{workload} {name}: {base['median']:.4g} -> "
+                f"{change['median']:.4g} ({pct:+.1f}%), change won "
+                f"{w['change_wins'][name]}/{len(base['runs'])} pairs, "
+                f"base IQR {base['iqr']:.4g}")
+    return lines
+
+
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> str:
     proc = subprocess.run(
         [sys.executable, str(root / "perfbench" / "run.py"), "--workload",
@@ -81,6 +105,16 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> str:
          "--trace", "0"],
         cwd=root, capture_output=True, text=True, check=True)
     return proc.stdout
+
+
+def failure(err: subprocess.CalledProcessError, workload: str, side: str,
+            root: Path, pair: int, tail: int = 20) -> str:
+    """The message for a run that exited non-zero, ending with the last
+    `tail` lines of its stderr."""
+    lines = (err.stderr or "").rstrip().splitlines()[-tail:]
+    return "\n".join([f"perfbench/run.py failed: workload {workload}, side "
+                      f"{side} ({root}), pair {pair}, exit {err.returncode}; "
+                      f"the end of its stderr:"] + lines)
 
 
 def main(argv=None) -> int:
@@ -100,8 +134,12 @@ def main(argv=None) -> int:
     for k in range(args.pairs):
         for workload in args.workload:
             for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
-                stdout = run_once(roots[side], workload, args.seed,
-                                  args.seconds)
+                try:
+                    stdout = run_once(roots[side], workload, args.seed,
+                                      args.seconds)
+                except subprocess.CalledProcessError as err:
+                    raise SystemExit(failure(err, workload, side,
+                                             roots[side], k)) from err
                 runs.append({"workload": workload, "pair": k, "side": side,
                              "stdout": stdout})
                 value = parse_run(stdout)[1]["metrics"]["wall_s"]["value"]
@@ -109,8 +147,9 @@ def main(argv=None) -> int:
                       file=sys.stderr)
     meta = {"pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
             "checkouts": {side: str(root) for side, root in roots.items()}}
-    args.out.write_text(json.dumps(assemble(runs, better, meta), indent=1,
-                                   sort_keys=True) + "\n")
+    doc = assemble(runs, better, meta)
+    args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    print("\n".join(summary(doc, list(better))))
     return 0
 
 
