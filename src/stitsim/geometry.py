@@ -660,8 +660,8 @@ class BoxCells:
         below = (_gather(self.hi, rows) @ np.maximum(normals, 0.0)
                  + _gather(self.lo, rows) @ np.minimum(normals, 0.0)
                  < offsets)
-        ok = below[:, 0].copy()
-        for column in below.T[1:]:
+        ok = below[:, 0].copy()  # AND of the columns: .all(axis=1) over a
+        for column in below.T[1:]:  # few facets is numpy's slow path
             ok &= column
         return ok
 

@@ -190,12 +190,13 @@ def _lineage(rain, cells, bodies, t, horizon, enc, tau, live, bands=()):
         drawn += times.size
         at = np.arange(len(idx))  # chunk rows still followed
         for j in range(_CHUNK):
-            # i holds the positions each step acts on, one array at a time
+            # i: the positions a step acts on, rebound at each step so that
+            # one index array is held at a time (peak memory)
             tj = times[:, j]
             at = at[tj[at] < horizon]
             if len(at) == 0:
                 break
-            r, u, d = idx[at], us[:, j].take(at, axis=0), ds[at, j]
+            r, u, d = idx[at], us[at, j], ds[at, j]
             meet = cells.meets(r, u, d)
             i = np.flatnonzero(meet)
             r, u, d, tm = r[i], u.take(i, axis=0), d[i], tj[at[i]]
