@@ -108,10 +108,10 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> str:
 
 
 def failure(err: subprocess.CalledProcessError, workload: str, side: str,
-            root: Path, pair: int, tail: int = 20) -> str:
-    """The message for a run that exited non-zero, ending with the last
-    `tail` lines of its stderr."""
-    lines = (err.stderr or "").rstrip().splitlines()[-tail:]
+            root: Path, pair: int) -> str:
+    """The message for a run that exited non-zero, ending with the last 20
+    lines of its stderr."""
+    lines = (err.stderr or "").rstrip().splitlines()[-20:]
     return "\n".join([f"perfbench/run.py failed: workload {workload}, side "
                       f"{side} ({root}), pair {pair}, exit {err.returncode}; "
                       f"the end of its stderr:"] + lines)
