@@ -12,6 +12,10 @@ mixing_stit's gaps and no_jump's frequencies never step up by more than 2
 combined sigma (the hypot of the two sigmas); determinism's repeats give
 identical bytes.  The 4-sigma and p > 0.005 gates keep the family-wise
 false-failure rate of a suite of this size small under the null.
+
+Every gate writes its verdict through _gate, as a PASS or FAIL "verdict" on
+its row; Report.passed is the AND of these, and a row without a verdict is
+informational.
 """
 
 from __future__ import annotations
@@ -50,8 +54,13 @@ class Report:
     seed: int
     config: dict
     rows: list[dict] = field(default_factory=list)
-    passed: bool = True
     notes: str = ""
+
+    @property
+    def passed(self) -> bool:
+        """Whether every row that carries a verdict passed."""
+        return all(row["verdict"] == "PASS" for row in self.rows
+                   if "verdict" in row)
 
     def to_json(self) -> dict:
         return sanitize({
@@ -83,6 +92,12 @@ def _config(**kw) -> dict:
     return {k: measure_to_json(v) if isinstance(v, DrivingMeasure)
             else geo.polytope_to_json(v) if isinstance(v, geo.Polytope) else v
             for k, v in kw.items()}
+
+
+def _gate(row: dict, ok) -> dict:
+    """Stamp row's verdict, PASS when ok, after its other keys; return row."""
+    row["verdict"] = "PASS" if ok else "FAIL"
+    return row
 
 
 def _scaled(n: int, n_scale: float) -> int:
@@ -143,15 +158,14 @@ def _pht_sample(measure, rho, window, bodies, n, seed, base=0):
 
 def _stat_sample(measure, window, t, n, seed, method="direct", base=0,
                  transform=None):
-    """(cell_count, boundary) columns of the state at t over n trees, after
+    """(n, 2) rows (cell_count, boundary) of the state at t over n trees, after
     transform(tessellation, rng) -> tessellation if given."""
 
     def stat(f, nb, rng):
         T = f.leaves(window, nb)
         return stit.summary_stats(T if transform is None else transform(T, rng))
 
-    arr = _tree_sample(measure, window, t, n, seed, stat, method, base)
-    return arr[:, 0], arr[:, 1]
+    return _tree_sample(measure, window, t, n, seed, stat, method, base)
 
 
 def _work(scan) -> dict:
@@ -164,18 +178,16 @@ def _monotone_steps(values, sigmas) -> list[bool]:
             for a, b, sa, sb in zip(values, values[1:], sigmas, sigmas[1:])]
 
 
-def _ks_rows(pairs, n1, n2):
+def _ks_rows(a, b, n, suffix=""):
+    """One KS row per column of two (n, 2) _stat_sample arms, gated at
+    p > KS_ALPHA."""
     rows = []
-    ok = True
-    for name, xs, ys in pairs:
-        r = ks_two_sample(xs, ys)
-        verdict = r.p_value > KS_ALPHA
-        ok &= verdict
-        rows.append({"statistic": name, "ks_d": r.statistic,
-                     "p_value": r.p_value, "n1": n1, "n2": n2,
-                     "threshold": KS_ALPHA,
-                     "verdict": "PASS" if verdict else "FAIL"})
-    return rows, ok
+    for c, name in enumerate(("cell_count", "boundary")):
+        r = ks_two_sample(a[:, c], b[:, c])
+        rows.append(_gate({"statistic": name + suffix, "ks_d": r.statistic,
+                           "p_value": r.p_value, "n1": n, "n2": n,
+                           "threshold": KS_ALPHA}, r.p_value > KS_ALPHA))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +219,10 @@ def experiment_capacity(measure, t, inner, window, n, seed) -> Report:
 def _binomial_report(name, seed, config, hits_, n, target) -> Report:
     est = estimate_from_hits(hits_, n)
     sigma = binomial_sigma(target, n)
-    ok = abs(est.p_hat - target) <= SIGMAS * sigma
     row = {"p_hat": est.p_hat, "ci_lo": est.ci_lo, "ci_hi": est.ci_hi,
-           "target": target, "sigma": sigma, "tolerance": SIGMAS * sigma,
-           "verdict": "PASS" if ok else "FAIL"}
-    return Report(name, seed, config, [row], ok)
+           "target": target, "sigma": sigma, "tolerance": SIGMAS * sigma}
+    return Report(name, seed, config,
+                  [_gate(row, abs(est.p_hat - target) <= SIGMAS * sigma)])
 
 
 # ---------------------------------------------------------------------------
@@ -219,41 +230,37 @@ def _binomial_report(name, seed, config, hits_, n, target) -> Report:
 
 def experiment_methods(measure, window, t, n, seed) -> Report:
     """Rejection and direct constructions produce the same law."""
-    c1, b1 = _stat_sample(measure, window, t, n, seed, "direct", base=0)
-    c2, b2 = _stat_sample(measure, window, t, n, seed, "rejection", base=n)
-    rows, ok = _ks_rows([("cell_count", c1, c2), ("boundary", b1, b2)], n, n)
+    rows = _ks_rows(
+        _stat_sample(measure, window, t, n, seed, "direct", base=0),
+        _stat_sample(measure, window, t, n, seed, "rejection", base=n), n)
     return Report("methods", seed,
-                  _config(measure=measure, window=window, t=t, n=n), rows, ok)
+                  _config(measure=measure, window=window, t=t, n=n), rows)
 
 
 def experiment_consistency(measure, window, inner, t, n, seed) -> Report:
     """Restriction commutes with simulation in distribution."""
-    c1, b1 = _stat_sample(
-        measure, window, t, n, seed,
-        transform=lambda T, _rng: stit.restrict(T, inner))
-    c2, b2 = _stat_sample(measure, inner, t, n, seed, base=n)
-    rows, ok = _ks_rows([("cell_count", c1, c2), ("boundary", b1, b2)], n, n)
+    rows = _ks_rows(
+        _stat_sample(measure, window, t, n, seed,
+                     transform=lambda T, _rng: stit.restrict(T, inner)),
+        _stat_sample(measure, inner, t, n, seed, base=n), n)
     return Report("consistency", seed, _config(
-        measure=measure, t=t, n=n, window=window, inner=inner), rows, ok)
+        measure=measure, t=t, n=n, window=window, inner=inner), rows)
 
 
 def experiment_iteration(measure, window, t, s, n, seed) -> Report:
     """Running to t+s agrees in law with nesting fresh copies at s into the
     state at t."""
-    c1, b1 = _stat_sample(measure, window, t + s, n, seed, base=0)
-
     def nested(T, rng):
         # one fresh full-window nest grown to s per cell of T
         nb = len(T.cells)
         return stit.iterate(
             T, _grow(measure, window, nb, s, rng).leaves(window, nb))
 
-    c2, b2 = _stat_sample(measure, window, t, n, seed, base=n,
-                          transform=nested)
-    rows, ok = _ks_rows([("cell_count", c1, c2), ("boundary", b1, b2)], n, n)
+    rows = _ks_rows(
+        _stat_sample(measure, window, t + s, n, seed, base=0),
+        _stat_sample(measure, window, t, n, seed, base=n, transform=nested), n)
     return Report("iteration", seed,
-                  _config(measure=measure, t=t, s=s, n=n, window=window),
-                  rows, ok)
+                  _config(measure=measure, t=t, s=s, n=n, window=window), rows)
 
 
 def experiment_self_similarity(measure, window, t, n, seed) -> Report:
@@ -268,19 +275,13 @@ def experiment_self_similarity(measure, window, t, n, seed) -> Report:
             transform=lambda T, _rng: stit.Tessellation(
                 window, T.rep, T.cells.scale(2.0), T.n))
 
-    c1, b1 = _stat_sample(measure, window, t, n, seed, base=0)
-    c2, b2 = scaled_sample(2.0, n)
-    rows, ok = _ks_rows([("cell_count", c1, c2), ("boundary", b1, b2)], n, n)
-
-    c3, b3 = scaled_sample(POWER_FACTOR, 2 * n)
-    power_rows, _ = _ks_rows([("cell_count_power", c1, c3),
-                              ("boundary_power", b1, b3)], n, n)
-    power_ok = min(r["p_value"] for r in power_rows) < KS_ALPHA
-    for r in power_rows:
-        r["verdict"] = "PASS" if power_ok else "FAIL"
+    ref = _stat_sample(measure, window, t, n, seed, base=0)
+    rows = _ks_rows(ref, scaled_sample(2.0, n), n)
+    power = _ks_rows(ref, scaled_sample(POWER_FACTOR, 2 * n), n, "_power")
+    detected = min(r["p_value"] for r in power) < KS_ALPHA
     return Report("self_similarity", seed, _config(
         measure=measure, t=t, n=n, window=window, power_factor=POWER_FACTOR),
-        rows + power_rows, ok and power_ok,
+        rows + [_gate(r, detected) for r in power],
         notes="power rows PASS means the mismatched law was detected")
 
 
@@ -320,7 +321,6 @@ def experiment_encapsulation(problem: EncapsulationProblem, t_grid, n, seed,
                               horizon, n, seed)["tau_enc"]
     params = problem.params()
     rows = []
-    ok = True
     for t in t_grid:
         hits_ = int((a_s <= t).sum())
         est = estimate_from_hits(hits_, n)
@@ -330,14 +330,13 @@ def experiment_encapsulation(problem: EncapsulationProblem, t_grid, n, seed,
             verdict = abs(est.p_hat - bound) <= SIGMAS * sigma
         else:
             verdict = est.p_hat >= bound - SIGMAS * sigma
-        ok &= verdict
-        rows.append({"t": t, "p_hat": est.p_hat, "ci_lo": est.ci_lo,
-                     "ci_hi": est.ci_hi, "bound": bound, "sigma": sigma,
-                     "mode": mode, "verdict": "PASS" if verdict else "FAIL"})
+        rows.append(_gate({"t": t, "p_hat": est.p_hat, "ci_lo": est.ci_lo,
+                           "ci_hi": est.ci_hi, "bound": bound, "sigma": sigma,
+                           "mode": mode}, verdict))
     return Report("encapsulation_" + mode, seed, _config(
         measure=problem.measure, n=n, mode=mode, inner=problem.inner,
         outer=problem.outer, band_masses=[b.mass for b in problem.bands],
-        lambda_inner=params.lambda_inner, t_grid=t_grid), rows, ok)
+        lambda_inner=params.lambda_inner, t_grid=t_grid), rows)
 
 
 def experiment_inclusion(problem: EncapsulationProblem, t, n, seed) -> Report:
@@ -352,16 +351,13 @@ def experiment_inclusion(problem: EncapsulationProblem, t, n, seed) -> Report:
     m = scan["sigma_bands"].max(axis=1)
     sufficient = m <= np.minimum(scan["sigma_inner"], t)
     violations = int((sufficient & ~(scan["tau_enc"] <= t)).sum())
-    occurred = int(sufficient.sum())
-    ok = violations == 0
-    rows = [{"t": t, "n": n, "sufficient_events": occurred,
-             "violations": violations,
-             "bound": lower_bound(t, problem.params()),
-             "verdict": "PASS" if ok else "FAIL"}]
+    rows = [_gate({"t": t, "n": n, "sufficient_events": int(sufficient.sum()),
+                   "violations": violations,
+                   "bound": lower_bound(t, problem.params())}, violations == 0)]
     return Report("inclusion", seed, _config(
         measure=problem.measure, t=t, n=n, inner=problem.inner,
         outer=problem.outer, band_masses=[b.mass for b in problem.bands]),
-        rows, ok)
+        rows)
 
 
 def experiment_cond_independence(measure, inner, enclosure, sim_window, probe,
@@ -385,16 +381,15 @@ def experiment_cond_independence(measure, inner, enclosure, sim_window, probe,
     d = (scan["cut_a"] > t)[cond]
     e = (scan["cut_b"] > t)[cond]
     gap, sigma = gap_estimate(d, e)
-    ok = abs(gap) <= SIGMAS * sigma
-    rows = [{"t": t, "t2": t2, "n": n, "n_conditioned": n_cond,
-             "rate_conditioned": n_cond / n,
-             "p_inside": float(d.mean()), "p_outside": float(e.mean()),
-             "p_joint": float((d & e).mean()),
-             "gap": gap, "sigma": sigma, "tolerance": SIGMAS * sigma,
-             **_work(scan), "verdict": "PASS" if ok else "FAIL"}]
+    rows = [_gate({"t": t, "t2": t2, "n": n, "n_conditioned": n_cond,
+                   "rate_conditioned": n_cond / n,
+                   "p_inside": float(d.mean()), "p_outside": float(e.mean()),
+                   "p_joint": float((d & e).mean()),
+                   "gap": gap, "sigma": sigma, "tolerance": SIGMAS * sigma,
+                   **_work(scan)}, abs(gap) <= SIGMAS * sigma)]
     return Report("cond_independence", seed, _config(
         measure=measure, t=t, t2=t2, n=n, inner=inner, enclosure=enclosure,
-        sim_window=sim_window, probe=[list(p) for p in probe.pts]), rows, ok)
+        sim_window=sim_window, probe=[list(p) for p in probe.pts]), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -428,14 +423,11 @@ def experiment_mixing_stit(measure, t, h_grid, n, seed) -> Report:
                      "p_d": float(d.mean()), "p_e": float(e.mean()),
                      "p_joint": float((d * e).mean()), "n": n,
                      **_work(scan)})
-    ok = abs(gaps[-1]) <= 2.0 * sigmas[-1]
-    rows[-1]["verdict"] = "PASS" if ok else "FAIL"
-    steps = _monotone_steps(gaps, sigmas)
-    for row, step_ok in zip(rows, steps):
-        row["verdict"] = "PASS" if step_ok else "FAIL"
+    _gate(rows[-1], abs(gaps[-1]) <= 2.0 * sigmas[-1])
+    for row, step_ok in zip(rows, _monotone_steps(gaps, sigmas)):
+        _gate(row, step_ok)
     return Report("mixing_stit", seed, _config(
-        measure=measure, t=t, n=n, h_grid=h_grid, margin=margin),
-        rows, ok and all(steps),
+        measure=measure, t=t, n=n, h_grid=h_grid, margin=margin), rows,
         notes="last row: gap within 2 sigma of zero; others: non-increasing")
 
 
@@ -452,7 +444,6 @@ def experiment_mixing_pht(measure, rho, h_grid, n, seed) -> Report:
     p_target = 1.0 - empty_probability(measure, rho, body_d)
     gap_target = p_target * (1.0 - p_target)
     rows = []
-    ok = True
     for j, h in enumerate(h_grid):
         window = geo.Box((-1.0 - margin, -margin), (1.0 + margin, h + margin))
         arr = _pht_sample(measure, rho, window, (body_d, _segment(float(h))),
@@ -462,13 +453,11 @@ def experiment_mixing_pht(measure, rho, h_grid, n, seed) -> Report:
         p_sigma = binomial_sigma(p_target, n)
         good = (gap >= gap_target - SIGMAS * max(sigma, 1e-12)
                 and abs(p_hat - p_target) <= SIGMAS * p_sigma)
-        ok &= good
-        rows.append({"h": h, "gap": gap, "sigma": sigma,
-                     "gap_target": gap_target, "p_hat": p_hat,
-                     "p_target": p_target, "n": n,
-                     "verdict": "PASS" if good else "FAIL"})
+        rows.append(_gate({"h": h, "gap": gap, "sigma": sigma,
+                           "gap_target": gap_target, "p_hat": p_hat,
+                           "p_target": p_target, "n": n}, good))
     return Report("mixing_pht", seed, _config(
-        measure=measure, rho=rho, n=n, h_grid=h_grid, margin=margin), rows, ok)
+        measure=measure, rho=rho, n=n, h_grid=h_grid, margin=margin), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -510,12 +499,10 @@ def experiment_no_jump(measure, inner, t, t2_grid, n, seed) -> Report:
     rows = [{"t2": t2, "freq": float(f), "sigma": sigma,
              "plugin_bound": math.exp(-t2 * zeta_mean), "zeta_mean": zeta_mean}
             for t2, f, sigma in zip(t2_grid, freqs, sigmas)]
-    steps = _monotone_steps(freqs, sigmas)
-    for row, good in zip(rows[1:], steps):
-        row["verdict"] = "PASS" if good else "FAIL"
+    for row, good in zip(rows[1:], _monotone_steps(freqs, sigmas)):
+        _gate(row, good)
     return Report("no_jump", seed, _config(
-        measure=measure, t=t, n=n, inner=inner, t2_grid=t2_grid),
-        rows, all(steps))
+        measure=measure, t=t, n=n, inner=inner, t2_grid=t2_grid), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -615,11 +602,10 @@ def run_determinism(seed=1, n_scale=1.0) -> Report:
         _m11(), geo.Box((-1.0, -1.0), (1.0, 1.0)), 1.0, stream(seed, 0))))
     verify_same = repeats_identical(lambda: EXPERIMENTS["capacity"](
         seed=seed, n_scale=0.02 * n_scale).to_json())
-    ok = sim_same and verify_same
-    rows = [{"simulate_repeat_identical": sim_same,
-             "verify_repeat_identical": verify_same,
-             "verdict": "PASS" if ok else "FAIL"}]
-    return Report("determinism", seed, _config(n_scale=n_scale), rows, ok)
+    rows = [_gate({"simulate_repeat_identical": sim_same,
+                   "verify_repeat_identical": verify_same},
+                  sim_same and verify_same)]
+    return Report("determinism", seed, _config(n_scale=n_scale), rows)
 
 
 EXPERIMENTS = {

@@ -367,12 +367,6 @@ def separates(H: Hyperplane, A, B) -> bool:
 
 def contains(P, Q, strict: bool = False, tol: float = GEOM_TOL) -> bool:
     """Whether every vertex of Q satisfies every facet constraint of P."""
-    if isinstance(P, Box) and isinstance(Q, Box):
-        if strict:
-            return all(ql > pl + tol and qh < ph - tol
-                       for pl, ph, ql, qh in zip(P.lo, P.hi, Q.lo, Q.hi))
-        return all(ql >= pl - tol and qh <= ph + tol
-                   for pl, ph, ql, qh in zip(P.lo, P.hi, Q.lo, Q.hi))
     V = Q.vertices()
     for n, c in P.facets():
         s = V @ n
@@ -386,8 +380,6 @@ def contains(P, Q, strict: bool = False, tol: float = GEOM_TOL) -> bool:
 
 
 def origin_strictly_inside(P) -> bool:
-    if isinstance(P, Box):
-        return all(l < -GEOM_TOL and h > GEOM_TOL for l, h in zip(P.lo, P.hi))
     return all(c > GEOM_TOL for _, c in P.facets())
 
 
@@ -436,13 +428,10 @@ def clip(P, hs: HalfSpace):
 
 
 def intersect(P, Q):
-    """Convex intersection of two polytopes; None when the interior is empty."""
-    if isinstance(P, Box) and isinstance(Q, Box):
-        lo = np.maximum(P.lo_arr, Q.lo_arr)
-        hi = np.minimum(P.hi_arr, Q.hi_arr)
-        if (hi - lo <= GEOM_TOL).any():
-            return None
-        return Box(tuple(lo), tuple(hi))
+    """Convex intersection of two polytopes; None when the interior is empty.
+
+    Box with box stays a box: clip_tolerant cuts it one axis facet at a
+    time."""
     cur = P
     for n, c in Q.facets():
         cur = clip_tolerant(cur, n, c)

@@ -194,6 +194,34 @@ def test_verify_smoke(tmp_path, capsys):
     assert csv_text.splitlines()[0].startswith("p_hat,")
 
 
+def test_verify_fails_when_a_gate_fails(tmp_path, capsys, monkeypatch):
+    # a defect that passes through a real gate: first_split's target halved
+    from stitsim import experiments as ex
+
+    target = ex.empty_probability
+    monkeypatch.setattr(ex, "empty_probability",
+                        lambda *args: 0.5 * target(*args))
+    one = tmp_path / "one"
+    assert main(["verify", "first_split", "--seed", "2", "--n-scale", "0.03",
+                 "--out-dir", str(one)]) == 1
+    assert "FAIL first_split" in capsys.readouterr().out
+    assert json.loads((one / "first_split.json").read_text())["pass"] is False
+
+    # `verify all` fails when any one experiment does; the others pass here
+    for name in ex.EXPERIMENTS:
+        if name != "first_split":
+            monkeypatch.setitem(ex.EXPERIMENTS, name,
+                                lambda seed, n_scale, name=name:
+                                Report(name, seed, {"n_scale": n_scale}))
+    every = tmp_path / "all"
+    assert main(["verify", "all", "--seed", "2", "--n-scale", "0.03",
+                 "--out-dir", str(every)]) == 1
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in printed] == [
+        "FAIL" if name == "first_split" else "PASS" for name in ex.EXPERIMENTS]
+    assert len(list(every.glob("*.json"))) == len(ex.EXPERIMENTS)
+
+
 def test_verify_unknown_experiment():
     assert main(["verify", "nosuch"]) == 2
 

@@ -2,6 +2,7 @@
 test_acceptance."""
 
 import hashlib
+import json
 import math
 import tracemalloc
 
@@ -241,6 +242,26 @@ REPORT_GOLDEN = {
 
 def test_every_report_has_a_golden():
     assert set(REPORT_GOLDEN) | {"iteration", "no_jump"} == set(ex.EXPERIMENTS)
+
+
+GOLDEN_N_SCALE = {name: scale for name, (scale, _) in REPORT_GOLDEN.items()}
+GOLDEN_N_SCALE.update(iteration=0.05, no_jump=0.05)
+
+
+@pytest.mark.parametrize("name", sorted(ex.EXPERIMENTS))
+def test_every_gate_row_carries_a_verdict(name, tmp_path):
+    # Report.passed skips rows without a verdict, so a gate row that lost
+    # its verdict would drop out of the pass silently; only no_jump's
+    # shortest interval is informational
+    rep = ex.EXPERIMENTS[name](seed=4, n_scale=GOLDEN_N_SCALE[name])
+    gates = rep.rows[1:] if name == "no_jump" else rep.rows
+    assert gates and all(list(row)[-1] == "verdict"
+                         and row["verdict"] in ("PASS", "FAIL")
+                         for row in gates)
+    assert name != "no_jump" or "verdict" not in rep.rows[0]
+    rep.write(str(tmp_path))
+    written = json.loads((tmp_path / f"{name}.json").read_text())
+    assert written["pass"] is all(row["verdict"] == "PASS" for row in gates)
 
 
 @pytest.mark.parametrize("name", sorted(REPORT_GOLDEN))

@@ -1,6 +1,7 @@
 """Property tests of the geometry kernel: predicates agree with each other,
 intersection is symmetric, clipping partitions, only shrinks and clips each
-row of a batch as the scalar pass clips it alone, hyperplanes serialize."""
+row of a batch as the scalar pass clips it alone, hyperplanes serialize, and
+on boxes the facet-constraint predicates give the interval formulas."""
 
 import json
 import math
@@ -145,3 +146,45 @@ def test_canonical_hyperplane_round_trips_through_json(u, d):
     back = json.loads(dumps_canonical({"u": list(h.u), "d": h.d}))
     assert geo.Hyperplane(tuple(back["u"]), back["d"]) == h
     assert geo.Hyperplane(tuple(-x for x in h.u), -h.d) == h
+
+
+TOL = geo.GEOM_TOL
+# offsets that put a face on, or within a few GEOM_TOL of, another face or 0
+near = st.sampled_from([-3e-9, -TOL, -5e-10, 0.0, 5e-10, TOL, 3e-9])
+
+
+@st.composite
+def box_pairs(draw):
+    """Two boxes of one dimension 1-3; each face of the second is free or
+    near a face of the first, and the first's faces are free or near 0."""
+    ell = draw(st.integers(1, 3))
+
+    def interval(anchors):
+        a, b = sorted(draw(st.one_of(coord, st.sampled_from(anchors).flatmap(
+            lambda x: near.map(lambda e: x + e))))
+            for _ in range(2))
+        return a, (b if b > a else a + 1.0)
+
+    p = [interval([0.0]) for _ in range(ell)]
+    q = [interval(list(pc)) for pc in p]
+    return (geo.Box(*zip(*p)), geo.Box(*zip(*q)))
+
+
+# more draws than PROPS: a face pair exactly GEOM_TOL apart is a rare draw
+@settings(PROPS, max_examples=400)
+@given(box_pairs())
+def test_box_predicates_match_the_interval_formulas(pq):
+    # contains, intersect and origin_strictly_inside take the facet path on
+    # boxes too; negation is exact, so it gives these formulas bit for bit
+    for P, Q in (pq, pq[::-1]):
+        pairs = list(zip(P.lo, P.hi, Q.lo, Q.hi))
+        assert geo.contains(P, Q) == all(
+            ql >= pl - TOL and qh <= ph + TOL for pl, ph, ql, qh in pairs)
+        assert geo.contains(P, Q, strict=True) == all(
+            ql > pl + TOL and qh < ph - TOL for pl, ph, ql, qh in pairs)
+        assert geo.origin_strictly_inside(P) == all(
+            lo < -TOL and hi > TOL for lo, hi in zip(P.lo, P.hi))
+        lo = np.maximum(P.lo_arr, Q.lo_arr)
+        hi = np.minimum(P.hi_arr, Q.hi_arr)
+        want = None if (hi - lo <= TOL).any() else geo.Box(tuple(lo), tuple(hi))
+        assert geo.intersect(P, Q) == want
