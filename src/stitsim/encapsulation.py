@@ -62,7 +62,7 @@ class BoundParams:
     band_masses: tuple[float, ...]
 
     def __post_init__(self):
-        if self.lambda_inner <= 0 or any(m <= 0 for m in self.band_masses):
+        if not (self.lambda_inner > 0 and all(m > 0 for m in self.band_masses)):
             raise ValueError("bound parameters must be positive")
 
     @property
@@ -84,13 +84,7 @@ class EncapsulationProblem:
 
 def _facet_toward(outer, u) -> int:
     """Index of the outer facet whose outward normal best matches u."""
-    ua = np.asarray(u)
-    best, best_dot = 0, -2.0
-    for a, (n, _c) in enumerate(outer.facets()):
-        dot = float(n @ ua)
-        if dot > best_dot:
-            best, best_dot = a, dot
-    return best
+    return int(np.argmax(np.asarray(u) @ outer.facets[0]))
 
 
 def lower_bound(t: float, params: BoundParams) -> float:
@@ -100,7 +94,7 @@ def lower_bound(t: float, params: BoundParams) -> float:
     Simpson quadrature above; the result is a probability, non-decreasing
     in t and in every band mass.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be non-negative")
     if t == 0:
         return 0.0

@@ -5,15 +5,16 @@ even directional distribution is allowed.  In arbitrary dimension, cells are
 axis-aligned boxes and only axis-orthogonal hyperplanes may cut them, which
 is exact interval arithmetic.
 
-All values are immutable after construction; every operation is a pure
-function.
+All values are immutable after construction: a polytope computes its corners
+`verts` and its facets `facets` (outward normals (dim, f), offsets (f,))
+once, as cached read-only arrays.  Every operation is a pure function.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +36,11 @@ def unit(v) -> np.ndarray:
     if n == 0.0:
         raise ValueError("zero direction")
     return a / n
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def coordinate_axis(u) -> int | None:
@@ -128,6 +134,8 @@ class Polygon2D:
 
     def __post_init__(self):
         pts = tuple((float(x), float(y)) for x, y in self.points)
+        if not all(math.isfinite(x) and math.isfinite(y) for x, y in pts):
+            raise ValueError("polygon vertices must be finite")
         if len(pts) < 3:
             raise ValueError("polygon needs at least 3 vertices")
         area = _signed_area(pts)
@@ -158,10 +166,7 @@ class Polygon2D:
 
     @cached_property
     def verts(self) -> np.ndarray:
-        return np.asarray(self.points, dtype=float)
-
-    def vertices(self) -> np.ndarray:
-        return self.verts
+        return _frozen(np.array(self.points, dtype=float))
 
     def area(self) -> float:
         return _signed_area(self.points)
@@ -183,16 +188,16 @@ class Polygon2D:
         cy = ((v[:, 1] + w[:, 1]) * cr).sum() / (6.0 * a)
         return np.array([cx, cy])
 
-    def facets(self) -> list[tuple[np.ndarray, float]]:
-        """Outward edge constraints (n, c) with the polygon in {<x,n> <= c}."""
-        out = []
+    @cached_property
+    def facets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Outward edge constraints, the polygon in {<x,n> <= c}: column a
+        of the normals (2, f) and offset a bound the edge from vertex a to
+        the next."""
         v = self.verts
-        for i in range(len(v)):
-            a, b = v[i], v[(i + 1) % len(v)]
-            e = b - a
-            n = unit(np.array([e[1], -e[0]]))
-            out.append((n, float(n @ a)))
-        return out
+        normals = [unit(np.array([e[1], -e[0]]))
+                   for e in np.roll(v, -1, axis=0) - v]
+        return (_frozen(np.array(normals).T),
+                _frozen(np.array([float(n @ a) for n, a in zip(normals, v)])))
 
     def diameter(self) -> float:
         v = self.verts
@@ -212,7 +217,7 @@ class Box:
         hi = tuple(float(x) for x in self.hi)
         if len(lo) != len(hi) or not lo:
             raise ValueError("lo and hi must have equal positive length")
-        if any(l >= h for l, h in zip(lo, hi)):
+        if not all(l < h for l, h in zip(lo, hi)):
             raise ValueError("box requires lo < hi on every axis")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
@@ -229,13 +234,12 @@ class Box:
     def hi_arr(self) -> np.ndarray:
         return np.asarray(self.hi, dtype=float)
 
-    def vertices(self) -> np.ndarray:
-        ell = self.dim
-        out = np.empty((1 << ell, ell))
-        for i in range(1 << ell):
-            for c in range(ell):
-                out[i, c] = self.hi[c] if (i >> c) & 1 else self.lo[c]
-        return out
+    @cached_property
+    def verts(self) -> np.ndarray:
+        """The 2**dim corners: corner i takes hi on axis c where bit c of i
+        is set, lo elsewhere."""
+        bit = np.arange(1 << self.dim)[:, None] >> np.arange(self.dim) & 1
+        return _frozen(np.where(bit, self.hi_arr, self.lo_arr))
 
     def volume(self) -> float:
         return float(np.prod(self.hi_arr - self.lo_arr))
@@ -252,14 +256,14 @@ class Box:
     def centroid(self) -> np.ndarray:
         return (self.lo_arr + self.hi_arr) / 2.0
 
-    def facets(self) -> list[tuple[np.ndarray, float]]:
-        out = []
-        for c in range(self.dim):
-            e = np.zeros(self.dim)
-            e[c] = 1.0
-            out.append((e.copy(), self.hi[c]))
-            out.append((-e, -self.lo[c]))
-        return out
+    @cached_property
+    def facets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Outward facet constraints, the box in {<x,n> <= c}: columns 2c
+        and 2c + 1 of the normals (dim, 2 dim) are +e_c and -e_c, with
+        offsets hi_c and -lo_c."""
+        e = np.eye(self.dim)
+        return (_frozen(np.stack([e, -e], axis=2).reshape(self.dim, -1)),
+                _frozen(np.stack([self.hi_arr, -self.lo_arr], axis=1).ravel()))
 
     def diameter(self) -> float:
         return float(np.linalg.norm(self.hi_arr - self.lo_arr))
@@ -293,10 +297,7 @@ class Face:
 
     @cached_property
     def verts(self) -> np.ndarray:
-        return np.asarray(self.pts, dtype=float)
-
-    def vertices(self) -> np.ndarray:
-        return self.verts
+        return _frozen(np.array(self.pts, dtype=float))
 
     @property
     def dim(self) -> int:
@@ -304,12 +305,11 @@ class Face:
 
 
 def facet_body(P: Polytope, a: int) -> Face:
-    """Vertex set of facet index a, ordered as facets() lists constraints."""
+    """Vertex set of the facet whose constraint is column a of `facets`."""
     if isinstance(P, Box):
-        c, upper = a // 2, a % 2 == 0
-        val = P.hi[c] if upper else P.lo[c]
-        keep = [v for v in P.vertices() if v[c] == val]
-        return Face(tuple(tuple(v) for v in keep))
+        c, v = a // 2, P.verts
+        keep = v[v[:, c] == (P.hi[c] if a % 2 == 0 else P.lo[c])]
+        return Face(tuple(map(tuple, keep.tolist())))
     v = P.verts
     return Face((tuple(v[a]), tuple(v[(a + 1) % len(v)])))
 
@@ -322,7 +322,7 @@ def support_function(P, u) -> float:
     ua = np.asarray(u, dtype=float)
     if isinstance(P, Box):
         return float(np.maximum(ua * P.lo_arr, ua * P.hi_arr).sum())
-    return float((P.vertices() @ ua).max())
+    return float((P.verts @ ua).max())
 
 
 def support_interval(P, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -336,7 +336,7 @@ def support_interval(P, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(P, Box):
         a, b = normals * P.lo_arr, normals * P.hi_arr
         return np.minimum(a, b).sum(axis=1), np.maximum(a, b).sum(axis=1)
-    proj = normals @ P.vertices().T
+    proj = normals @ P.verts.T
     # running min and max over the vertex columns: exact, as .min(axis=1)
     # is, and many times faster than numpy's reduce along a short last axis
     lo, hi = proj[:, 0].copy(), proj[:, 0].copy()
@@ -367,20 +367,15 @@ def separates(H: Hyperplane, A, B) -> bool:
 
 def contains(P, Q, strict: bool = False, tol: float = GEOM_TOL) -> bool:
     """Whether every vertex of Q satisfies every facet constraint of P."""
-    V = Q.vertices()
-    for n, c in P.facets():
-        s = V @ n
-        if strict:
-            if (s >= c - tol).any():
-                return False
-        else:
-            if (s > c + tol).any():
-                return False
-    return True
+    normals, offsets = P.facets
+    s = Q.verts @ normals
+    if strict:
+        return bool((s < offsets - tol).all())
+    return bool((s <= offsets + tol).all())
 
 
 def origin_strictly_inside(P) -> bool:
-    return all(c > GEOM_TOL for _, c in P.facets())
+    return bool((P.facets[1] > GEOM_TOL).all())
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +415,7 @@ def clip(P, hs: HalfSpace):
     tolerance of a vertex of P, in which case the caller resamples.
     """
     H = hs.h
-    s = P.vertices() @ H.normal - H.d
+    s = P.verts @ H.normal - H.d
     if (np.abs(s) < GEOM_TOL).any():
         raise DegenerateCut(f"hyperplane within {GEOM_TOL} of a vertex")
     n, c = hs.normal_form()
@@ -433,7 +428,7 @@ def intersect(P, Q):
     Box with box stays a box: clip_tolerant cuts it one axis facet at a
     time."""
     cur = P
-    for n, c in Q.facets():
+    for n, c in zip(Q.facets[0].T, Q.facets[1]):
         cur = clip_tolerant(cur, n, c)
         if cur is None:
             return None
@@ -645,7 +640,7 @@ class BoxCells:
         """Whether cells rows lie strictly inside the convex polytope enc by
         their support along each facet normal, with no tolerance; for a box
         enc every product is exact, so this is lo > enc.lo and hi < enc.hi."""
-        normals, offsets = _facet_arrays(enc)
+        normals, offsets = enc.facets
         below = (_gather(self.hi, rows) @ np.maximum(normals, 0.0)
                  + _gather(self.lo, rows) @ np.minimum(normals, 0.0)
                  < offsets)
@@ -783,25 +778,15 @@ class PolygonCells:
     def inside(self, enc, rows=slice(None)):
         """Whether cells rows lie strictly inside the polytope enc, with
         GEOM_TOL, as contains(enc, cell, strict=True)."""
-        normals, offsets = _facet_arrays(enc)
+        normals, offsets = enc.facets
         return (self.V[rows] @ normals < offsets - GEOM_TOL).all(axis=(1, 2))
-
-
-@lru_cache(maxsize=64)
-def _facet_arrays(P):
-    """P.facets() as read-only arrays: normals (dim, f) and offsets (f,)."""
-    normals, offsets = zip(*P.facets())
-    arrays = np.array(normals).T, np.array(offsets)
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
 
 
 # ---------------------------------------------------------------------------
 # scaling
 
 def scale(P, r: float):
-    if r <= 0:
+    if not r > 0:
         raise NonPositiveScale(f"scale factor must be positive, got {r}")
     if isinstance(P, Box):
         return Box(tuple(r * x for x in P.lo), tuple(r * x for x in P.hi))

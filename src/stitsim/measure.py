@@ -55,7 +55,7 @@ class Discrete:
             ua = geo.unit(u)
             if not geo._lex_positive(ua):
                 ua = -ua
-            if w <= 0:
+            if not w > 0:
                 raise ValueError("directional weights must be positive")
             cleaned.append((tuple(float(x) for x in ua), float(w)))
         total = sum(w for _, w in cleaned)
@@ -105,7 +105,7 @@ class DrivingMeasure:
     directional: Directional
 
     def __post_init__(self):
-        if self.gamma <= 0:
+        if not 0 < self.gamma < math.inf:
             raise ValueError("gamma must be positive")
 
     @property
@@ -135,7 +135,7 @@ class DrivingMeasure:
 def axis_measure(g) -> DrivingMeasure:
     """Measure concentrated on the coordinate axes with per-axis rates g_c."""
     g = [float(x) for x in g]
-    if any(x <= 0 for x in g):
+    if not all(x > 0 for x in g):
         raise ValueError("axis rates must be positive")
     total = sum(g)
     ell = len(g)
@@ -162,7 +162,7 @@ def _check_regime(measure: DrivingMeasure, P) -> None:
 def _discrete_widths(th: Discrete, P) -> np.ndarray:
     if isinstance(P, geo.Box):
         return np.abs(th.dir_array) @ (P.hi_arr - P.lo_arr)
-    proj = P.vertices() @ th.dir_array.T
+    proj = P.verts @ th.dir_array.T
     return proj.max(axis=0) - proj.min(axis=0)
 
 
@@ -178,8 +178,8 @@ def measure_hitting(measure: DrivingMeasure, P) -> float:
 
 
 def _projection_gaps(A, B, dirs: np.ndarray) -> np.ndarray:
-    pa = A.vertices() @ dirs.T
-    pb = B.vertices() @ dirs.T
+    pa = A.verts @ dirs.T
+    pb = B.verts @ dirs.T
     a_lo, a_hi = pa.min(axis=0), pa.max(axis=0)
     b_lo, b_hi = pb.min(axis=0), pb.max(axis=0)
     return np.maximum(0.0, np.maximum(b_lo - a_hi, a_lo - b_hi))

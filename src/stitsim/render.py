@@ -20,7 +20,7 @@ SCALE = 100.0
 
 
 def _bbox(window) -> tuple[float, float, float, float]:
-    v = window.vertices()
+    v = window.verts
     return (float(v[:, 0].min()), float(v[:, 1].min()),
             float(v[:, 0].max()), float(v[:, 1].max()))
 
@@ -130,7 +130,7 @@ def _chords(normals: np.ndarray, offsets: np.ndarray, window):
     keep = np.ones(len(offsets), dtype=bool)
     t_lo = np.full(len(offsets), -np.inf)
     t_hi = np.full(len(offsets), np.inf)
-    for n, c in window.facets():
+    for n, c in zip(window.facets[0].T, window.facets[1]):
         a = n[0] * v[:, 0] + n[1] * v[:, 1]
         b = c - (n[0] * p0[:, 0] + n[1] * p0[:, 1])
         parallel = np.abs(a) < 1e-14

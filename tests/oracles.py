@@ -116,6 +116,60 @@ def clip_polygon(pts, n, c):
     return out if len(out) >= 3 and area > 1e-12 else None
 
 
+def facet_list(P) -> list:
+    """P's outward facet constraints (n, c), P in {<x,n> <= c}, one at a
+    time: a box's +e_c, hi_c and -e_c, -lo_c axis by axis, a polygon's
+    unit((e1, -e0)) of each edge e from vertex a, with c its product with
+    vertex a."""
+    if isinstance(P, geo.Box):
+        out = []
+        for c in range(P.dim):
+            e = np.zeros(P.dim)
+            e[c] = 1.0
+            out += [(e.copy(), P.hi[c]), (-e, -P.lo[c])]
+        return out
+    out = []
+    for a, b in zip(P.points, P.points[1:] + P.points[:1]):
+        n = geo.unit((b[1] - a[1], -(b[0] - a[0])))
+        out.append((n, float(n @ np.array(a))))
+    return out
+
+
+def contains_by_facet(P, Q, strict=False, tol=geo.GEOM_TOL) -> bool:
+    """geometry.contains, testing Q's vertices against one facet of P at a
+    time."""
+    V = np.array(Q.pts if isinstance(Q, geo.Face) else polytope_corners(Q))
+    for n, c in facet_list(P):
+        s = V @ n
+        if (s >= c - tol).any() if strict else (s > c + tol).any():
+            return False
+    return True
+
+
+def origin_strictly_inside_by_facet(P) -> bool:
+    return all(c > geo.GEOM_TOL for _, c in facet_list(P))
+
+
+def facet_toward_by_facet(outer, u) -> int:
+    """encapsulation._facet_toward: the first facet of largest <n, u>."""
+    ua = np.asarray(u)
+    best, best_dot = 0, -2.0
+    for a, (n, _c) in enumerate(facet_list(outer)):
+        dot = float(n @ ua)
+        if dot > best_dot:
+            best, best_dot = a, dot
+    return best
+
+
+def polytope_corners(P) -> list:
+    """A polygon's vertices; a box's 2**dim corners, corner i taking hi on
+    axis c where bit c of i is set."""
+    if isinstance(P, geo.Polygon2D):
+        return list(P.points)
+    return [tuple(P.hi[c] if (i >> c) & 1 else P.lo[c] for c in range(P.dim))
+            for i in range(1 << P.dim)]
+
+
 def tiling_defect(T) -> float:
     """Relative difference between the cell-area sum and the window area."""
     total = sum(c.area() for c in T.cells)

@@ -257,12 +257,12 @@ def test_json_round_trips():
     assert geo.Hyperplane(tuple(back["u"]), back["d"]) == h
 
 
-def test_face_and_facets():
+def test_face_and_facet_shapes():
     b = geo.Box((-2, -2, -2), (2, 2, 2))
     f = geo.facet_body(b, 0)  # +x facet
-    assert all(v[0] == 2.0 for v in f.vertices())
-    assert len(b.facets()) == 6
-    assert len(triangle().facets()) == 3
+    assert all(v[0] == 2.0 for v in f.verts)
+    assert [a.shape for a in b.facets] == [(3, 6), (6,)]
+    assert [a.shape for a in triangle().facets] == [(2, 3), (3,)]
 
 
 def test_box_higher_dimensions():
@@ -305,7 +305,7 @@ def test_polygon_cells_of_lays_a_box_out_counterclockwise():
     assert geo.PolygonCells.of([tri, box]).surfaces().tolist() == [12.0, 8.0]
 
 
-def test_box_cells_inside_reads_any_enclosure_by_its_facets():
+def test_box_cells_inside_reads_any_enclosure_by_its_facet_normals():
     rng = stream(5, 0)
     # a box enclosure: bit for bit the coordinate test, on a grid where many
     # cell sides equal the enclosure's sides exactly
@@ -323,7 +323,7 @@ def test_box_cells_inside_reads_any_enclosure_by_its_facets():
     octagon = regular_gon(8, 2.0)
     lo = rng.uniform(-2.0, 1.5, (4000, 2))
     cells = geo.BoxCells(lo, lo + rng.uniform(0.01, 1.5, (4000, 2)))
-    normals, offsets = geo._facet_arrays(octagon)
+    normals, offsets = octagon.facets
     V = cells.outlines()[0]
     slack = (offsets - V @ normals).min(axis=(1, 2))
     away = np.abs(slack) > 1e-6
@@ -337,7 +337,7 @@ def test_box_cells_inside_reads_any_enclosure_by_its_facets():
 # cell accessors against the 2-D fancy-index forms they replace
 
 def fancy_box_inside(lo, hi, enc, rows):
-    normals, offsets = geo._facet_arrays(enc)
+    normals, offsets = enc.facets
     return (hi[rows] @ np.maximum(normals, 0.0)
             + lo[rows] @ np.minimum(normals, 0.0) < offsets).all(axis=1)
 

@@ -1,20 +1,26 @@
 """Property tests of the geometry kernel: predicates agree with each other,
 intersection is symmetric, clipping partitions, only shrinks and clips each
-row of a batch as the scalar pass clips it alone, hyperplanes serialize, and
-on boxes the facet-constraint predicates give the interval formulas."""
+row of a batch as the scalar pass clips it alone, hyperplanes serialize, on
+boxes the facet-constraint predicates give the interval formulas, and the
+cached corner and facet arrays are the per-facet constraints, read-only,
+and give what a loop over the facets gives."""
 
 import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stitsim import geometry as geo
 from stitsim.config import dumps_canonical
+from stitsim.encapsulation import _facet_toward
 from stitsim.errors import DegenerateCut
 
-from oracles import clip_polygon
+from oracles import (clip_polygon, contains_by_facet, facet_list,
+                     facet_toward_by_facet, origin_strictly_inside_by_facet,
+                     polytope_corners)
 
 # derandomized so the suite stays deterministic; no example database on disk
 PROPS = settings(max_examples=150, deadline=None, derandomize=True,
@@ -188,3 +194,42 @@ def test_box_predicates_match_the_interval_formulas(pq):
         hi = np.minimum(P.hi_arr, Q.hi_arr)
         want = None if (hi - lo <= TOL).any() else geo.Box(tuple(lo), tuple(hi))
         assert geo.intersect(P, Q) == want
+
+
+@PROPS
+@given(st.one_of(bodies, box_pairs().map(lambda pq: pq[0])))
+def test_cached_corners_and_facets_are_the_facet_constraints(P):
+    normals, offsets = P.facets
+    want = facet_list(P)
+    assert normals.shape == (P.dim, len(want)) and offsets.shape == (len(want),)
+    assert P.verts.tolist() == [list(v) for v in polytope_corners(P)]
+    for a, (n, c) in enumerate(want):
+        # a box's +-e_c, a polygon's unit((e1, -e0)) of edge a, bit for bit
+        assert normals[:, a].tobytes() == n.tobytes() and offsets[a] == c
+        assert abs(float(n @ n) - 1.0) <= 4e-16
+        face = geo.facet_body(P, a)
+        assert (np.abs(face.verts @ normals[:, a] - c) <= TOL).all()
+    assert (P.verts @ normals <= offsets + TOL).all()
+    for a in (P.verts, normals, offsets):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+@PROPS
+@given(bodies, bodies, angle)
+def test_facet_predicates_match_the_per_facet_loops(p, q, phi):
+    cut = geo.intersect(p, q)
+    pairs = [(p, q), (q, p), (p, p), (p, geo.facet_body(p, 0))]
+    pairs += [(p, cut), (q, cut)] if cut is not None else []
+    for A, B in pairs:
+        for strict in (False, True):
+            assert geo.contains(A, B, strict) == contains_by_facet(A, B, strict)
+    assert geo.contains(p, p) and not geo.contains(p, p, strict=True)
+    for P in (p, q):
+        assert geo.origin_strictly_inside(P) == \
+            origin_strictly_inside_by_facet(P)
+        u = (math.cos(phi), math.sin(phi))
+        assert _facet_toward(P, u) == facet_toward_by_facet(P, u)
+        for a, n in enumerate(P.facets[0].T):
+            assert _facet_toward(P, n) == facet_toward_by_facet(P, n) == a

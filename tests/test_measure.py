@@ -8,7 +8,9 @@ import scipy.stats
 
 from stitsim import geometry as geo
 from stitsim import measure as ms
-from stitsim.errors import RegimeMismatch, SamplerStall, UnsupportedSupport
+from stitsim.encapsulation import BoundParams, lower_bound
+from stitsim.errors import (NonPositiveScale, RegimeMismatch, SamplerStall,
+                            UnsupportedSupport)
 from stitsim.rng import stream
 
 from oracles import translate
@@ -210,6 +212,28 @@ def test_discrete_validation():
         ms.DrivingMeasure(1.0, ms.Discrete((((1.0, 0.0), 0.4), ((0.0, 1.0), 0.4))))
     with pytest.raises(ValueError):
         ms.axis_measure([1.0, -1.0])
+
+
+NAN = math.nan
+
+
+# each check is written so that NaN fails it, as any comparison with NaN is
+# false; the config path refuses non-finite numbers before any of these
+@pytest.mark.parametrize("build, error", [
+    (lambda: geo.Box((NAN, 0.0), (1.0, 1.0)), ValueError),
+    (lambda: geo.Polygon2D(((0.0, 0.0), (1.0, 0.0), (NAN, 1.0))), ValueError),
+    (lambda: geo.scale(unit_box(), NAN), NonPositiveScale),
+    (lambda: ms.DrivingMeasure(NAN, ms.Isotropic2D()), ValueError),
+    (lambda: ms.Discrete((((1.0, 0.0), NAN), ((0.0, 1.0), 0.5))), ValueError),
+    (lambda: ms.axis_measure([NAN, 1.0]), ValueError),
+    (lambda: BoundParams(NAN, (1.0,)), ValueError),
+    (lambda: BoundParams(1.0, (1.0, NAN)), ValueError),
+    (lambda: lower_bound(NAN, BoundParams(1.0, (1.0,))), ValueError),
+], ids=["box", "polygon", "scale", "gamma", "axis_weight", "axis_measure",
+        "bound_lambda", "bound_band_mass", "lower_bound_t"])
+def test_range_checks_refuse_nan(build, error):
+    with pytest.raises(error):
+        build()
 
 
 def test_axis_rates_round_trip():

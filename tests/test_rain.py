@@ -237,7 +237,7 @@ def test_polygon_kernel_replays_box_kernel():
 def segment_uncut(f, n, face):
     """Whether a live cell of each of the n trees of the box forest f holds
     `face`, as geometry.contains decides it."""
-    tol, v = geo.GEOM_TOL, face.vertices()
+    tol, v = geo.GEOM_TOL, face.verts
     live = f.alive
     holds = ((f.cells.lo[live] <= v.min(axis=0) + tol)
              & (f.cells.hi[live] >= v.max(axis=0) - tol)).all(axis=1)

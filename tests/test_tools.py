@@ -23,6 +23,11 @@ def test_calibrate_smoke(capsys):
     calibrate = load("calibrate")
     assert calibrate.seed_range("3-5") == [3, 4, 5]
     assert calibrate.seed_range("7") == [7]
+    # an empty range would print 0/0 everywhere, which reads like a pass
+    with pytest.raises(SystemExit) as refused:
+        calibrate.main(["--seeds", "5-3", "--n-scale", "0.02"])
+    assert refused.value.code == 2
+    assert "empty seed range '5-3'" in capsys.readouterr().err
     assert calibrate.main(["--seeds", "1", "--n-scale", "0.02"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == list(EXPERIMENTS) + ["all"]

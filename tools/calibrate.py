@@ -27,9 +27,13 @@ from stitsim.experiments import EXPERIMENTS  # noqa: E402
 
 
 def seed_range(spec: str) -> list[int]:
-    """'a-b' (both included) or a single seed 'a'."""
+    """'a-b' (both included) or a single seed 'a'; an empty range, b < a,
+    is refused, since it would print a clean-looking table of 0/0."""
     first, _, last = spec.partition("-")
-    return list(range(int(first), int(last or first) + 1))
+    seeds = list(range(int(first), int(last or first) + 1))
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range {spec!r}")
+    return seeds
 
 
 def calibrate(seeds: list[int], n_scale: float) -> dict[str, list[int]]:
@@ -59,11 +63,11 @@ def table(failed: dict[str, list[int]], seeds: list[int]) -> list[str]:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--seeds", required=True, help="'first-last' or one seed")
+    p.add_argument("--seeds", type=seed_range, required=True,
+                   help="'first-last' or one seed")
     p.add_argument("--n-scale", type=float, required=True)
     args = p.parse_args(argv)
-    seeds = seed_range(args.seeds)
-    for line in table(calibrate(seeds, args.n_scale), seeds):
+    for line in table(calibrate(args.seeds, args.n_scale), args.seeds):
         print(line, flush=True)
     return 0
 
