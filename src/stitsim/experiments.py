@@ -35,7 +35,7 @@ from .errors import DegenerateCut, TooFewConditioned
 from .measure import (DrivingMeasure, axis_measure, isotropic_measure,
                       regime)
 from .pht import draw_patterns, empty_probability, pattern_hits
-from .rng import run_replicates, stream
+from .rng import Lanes, run_replicates, stream
 from .stats import (binomial_sigma, estimate_from_hits, gap_estimate,
                     ks_two_sample)
 
@@ -44,7 +44,8 @@ SIGMAS = 4.0
 POWER_FACTOR = 3.0  # mismatched time factor that self_similarity must reject
 MIN_CONDITIONED = 200  # fewest conditioned replicates cond_independence accepts
 MIN_N = 100  # fewest replicates any experiment runs, whatever the n-scale
-_BATCH = 1 << 7  # trees grown as one batch: memory does not grow with n
+_BATCH = 1 << 7  # trees per chunk, each chunk on its own stream
+_GROUP = 8  # box chunks grown at once: memory does not grow with n past it
 _PHT_CHUNK = 1 << 8  # PHT patterns drawn as one chunk: rows stay under 1 MiB
 
 
@@ -122,24 +123,36 @@ def _with_resample(body):
 
 def _grow(measure, window, nb, t, rng, method="direct") -> stit.Forest:
     """nb fresh trees on the window grown to t, as one batch on the cells
-    of the window's regime."""
+    of the window's regime; rng is a Generator or the trees' rng.Lanes."""
     return stit.grow(measure, window,
                      regime(measure, window).cells.tile(window, nb),
                      np.arange(nb), 0.0, t, rng, method)
 
 
 def _tree_sample(measure, window, t, n, seed, stat, method="direct", base=0):
-    """stat(forest, nb, rng) rows over n trees grown to t.  The trees
-    grow in chunks of _BATCH, chunk c as one batch on stream(seed, base + c);
-    stat returns one row per tree of the chunk and may draw further from
-    its rng."""
+    """stat(forest, nb, lanes) rows over n trees grown to t.  Tree i is in
+    chunk c = i // _BATCH, which draws from stream(seed, base + c), so an
+    arm of n trees uses the ceil(n / _BATCH) keys from base on.  Up to
+    _GROUP chunks of box cells grow as one batch of nb trees, each chunk a
+    lane of the batch's rng.Lanes, so a chunk's trees are those it would
+    grow alone on its stream.  Polygon chunks grow one at a time: a
+    polygon's perimeter is summed over the padded width of its batch, and
+    numpy rounds such a sum differently once the width reaches 8.  stat
+    returns one row per tree of the batch and may draw further from lanes."""
+    group = _GROUP if regime(measure, window).cells is geo.BoxCells else 1
+    size = group * _BATCH
 
     @_with_resample
-    def chunk(c, rng):
-        nb = min(_BATCH, n - c * _BATCH)
-        return stat(_grow(measure, window, nb, t, rng, method), nb, rng)
+    def batch(g, lanes):
+        nb = min(size, n - g * size)
+        return stat(_grow(measure, window, nb, t, lanes, method), nb, lanes)
 
-    return np.concatenate(run_replicates(chunk, -(-n // _BATCH), seed, base))
+    def lanes(g):
+        nb = min(size, n - g * size)
+        return Lanes([stream(seed, base + g * group + c)
+                      for c in range(-(-nb // _BATCH))], np.arange(nb) // _BATCH)
+
+    return np.concatenate([batch(g, lanes(g)) for g in range(-(-n // size))])
 
 
 def _pht_sample(measure, rho, window, bodies, n, seed, base=0):
@@ -159,11 +172,13 @@ def _pht_sample(measure, rho, window, bodies, n, seed, base=0):
 def _stat_sample(measure, window, t, n, seed, method="direct", base=0,
                  transform=None):
     """(n, 2) rows (cell_count, boundary) of the state at t over n trees, after
-    transform(tessellation, rng) -> tessellation if given."""
+    transform(tessellation, lanes) -> tessellation if given, its cells
+    grouped by lane."""
 
-    def stat(f, nb, rng):
-        T = f.leaves(window, nb)
-        return stit.summary_stats(T if transform is None else transform(T, rng))
+    def stat(f, nb, lanes):
+        T = f.leaves(window, nb, lanes)
+        return stit.summary_stats(T if transform is None
+                                  else transform(T, lanes))
 
     return _tree_sample(measure, window, t, n, seed, stat, method, base)
 
@@ -250,11 +265,12 @@ def experiment_consistency(measure, window, inner, t, n, seed) -> Report:
 def experiment_iteration(measure, window, t, s, n, seed) -> Report:
     """Running to t+s agrees in law with nesting fresh copies at s into the
     state at t."""
-    def nested(T, rng):
-        # one fresh full-window nest grown to s per cell of T
+    def nested(T, lanes):
+        # one fresh full-window nest grown to s per cell of T, on the lane
+        # of the cell's tree
         nb = len(T.cells)
-        return stit.iterate(
-            T, _grow(measure, window, nb, s, rng).leaves(window, nb))
+        return stit.iterate(T, _grow(measure, window, nb, s,
+                                     lanes.of(T.rep)).leaves(window, nb))
 
     rows = _ks_rows(
         _stat_sample(measure, window, t + s, n, seed, base=0),

@@ -207,7 +207,8 @@ class Polygon2D:
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned closed box with per-axis intervals [lo_c, hi_c], lo < hi."""
+    """Axis-aligned closed box with per-axis intervals [lo_c, hi_c], lo < hi,
+    every bound finite."""
 
     lo: tuple[float, ...]
     hi: tuple[float, ...]
@@ -217,8 +218,9 @@ class Box:
         hi = tuple(float(x) for x in self.hi)
         if len(lo) != len(hi) or not lo:
             raise ValueError("lo and hi must have equal positive length")
-        if not all(l < h for l, h in zip(lo, hi)):
-            raise ValueError("box requires lo < hi on every axis")
+        # a NaN fails every comparison, so it fails this one too
+        if not all(-math.inf < l < h < math.inf for l, h in zip(lo, hi)):
+            raise ValueError("box requires finite lo < hi on every axis")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 

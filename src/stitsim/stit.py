@@ -25,7 +25,9 @@ a tree's slice (``slice_at``) or a batch forest's state at its horizon
 (``Forest.leaves``).  ``restrict``, ``iterate`` and ``summary_stats`` act
 on all n at once, and the experiments run them.
 
-A tree, or a batch of trees, is built from one random stream (see rng).
+A tree draws from one random stream.  A batch of trees may draw from
+several, as rng.Lanes: each tree's rows take their values from its lane's
+stream, so a lane's trees come out as if grown alone on it.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .errors import (DegenerateCut, ExplosionGuard, InsufficientNests,
                      MethodMismatch, OutOfRange, RegimeMismatch,
                      WindowMismatch)
 from .measure import DrivingMeasure, Regime, regime
+from .rng import Lanes
 
 EVENT_CAP = 10 ** 7
 _SPLIT_RETRY_CAP = 100
@@ -137,10 +140,15 @@ class Forest:
         at, u, d = self.rejected
         return at, self.cells.normals(u), d
 
-    def leaves(self, window: geo.Polytope, n: int) -> Tessellation:
+    def leaves(self, window: geo.Polytope, n: int,
+               lanes: Lanes | None = None) -> Tessellation:
         """The batch's n trees at the horizon, as tessellations of the
-        window they grew on: its live cells."""
-        live = self.alive
+        window they grew on: its live cells, in forest order, grouped
+        stably by the trees' lanes when given; so each lane's part is in
+        the order its trees alone would give."""
+        live = np.flatnonzero(self.alive)
+        if lanes is not None:
+            live = live[lanes.grouped(self.rep[live])]
         return Tessellation(window, self.rep[live], self.cells.take(live), n)
 
 
@@ -222,19 +230,20 @@ def _stuck(t: float, live: int) -> DegenerateCut:
                          f"{_SPLIT_RETRY_CAP} tries, {_state(t, live)}")
 
 
-def _window_rain(rng, law: Regime, cells, t, horizon):
-    """The first window-level mark after t[i] that meets cell i by the
-    horizon, in the rejection method: marks come at law.rate from law.draw,
-    and the cell type's meets tells whether each meets its cell.  Returns
-    the meeting marks' times (inf when none) and marks (u, d), empty where
-    none, and the misses before them as (cell, u, d) in draw order."""
+def _window_rain(lanes: Lanes, rep, law: Regime, cells, t, horizon):
+    """The first window-level mark after t[i] that meets cell i, of tree
+    rep[i], by the horizon, in the rejection method: marks come at law.rate
+    from law.draw, and the cell type's meets tells whether each meets its
+    cell.  Returns the meeting marks' times (inf when none) and marks
+    (u, d), empty where none, and the misses before them as (cell, u, d)
+    in draw order."""
     m = len(t)
     when, u, d = np.full(m, np.inf), cells.unmarked(m), np.zeros(m)
     idx, t, misses = np.arange(m), t.copy(), []
     while len(idx):
-        t[idx] += rng.standard_exponential(len(idx)) / law.rate
+        t[idx] += lanes.rows(rep[idx]).standard_exponential(len(idx)) / law.rate
         idx = idx[t[idx] <= horizon]
-        mu, md = law.draw(rng, (len(idx),))
+        mu, md = law.draw(lanes.rows(rep[idx]), (len(idx),))
         hit = cells.meets(idx, mu, md)
         misses.append((idx[~hit], mu[~hit], md[~hit]))
         h = idx[hit]
@@ -246,7 +255,8 @@ def _window_rain(rng, law: Regime, cells, t, horizon):
 def grow(measure: DrivingMeasure, window: geo.Polytope, cells, rep,
          t0: float, horizon: float, rng, method: str = "direct") -> Forest:
     """Divide the cells (of the regime's cell type, measure.regime) of the
-    trees rep from t0 to the horizon.
+    trees rep, sorted by lane, from t0 to the horizon.  rng is an
+    rng.Lanes, or one Generator for every tree.
 
     Every live cell of a generation draws its division at once: in
     `direct` a death time Exp(mass(cell)) after its birth and a mark drawn
@@ -254,9 +264,12 @@ def grow(measure: DrivingMeasure, window: geo.Polytope, cells, rep,
     mass(window), one per round for each cell no mark has met yet, the
     first that meets the cell dividing it.  A mark is redrawn from the
     cell's own law while the cell type's split finds it degenerate.  Cells
-    dying by the horizon split into the next generation.  The running cap
-    counts divisions and rejected draws.
+    dying by the horizon split into the next generation, the children of a
+    cell next to each other in the cells' order, so rows stay sorted by
+    lane.  Every draw is one per row of the cells at hand (Lanes.rows).
+    The running cap counts divisions and rejected draws.
     """
+    lanes = rng if isinstance(rng, Lanes) else Lanes([rng])
     law = regime(measure, window)
     if not law.rate > 0:
         raise ValueError("window has zero hitting mass")
@@ -267,19 +280,20 @@ def grow(measure: DrivingMeasure, window: geo.Polytope, cells, rep,
     while len(cells):
         m = len(cells)
         if method == "rejection":
-            death, u, d, (at, mu, md) = _window_rain(rng, law, cells, birth,
-                                                     horizon)
+            death, u, d, (at, mu, md) = _window_rain(lanes, rep, law, cells,
+                                                     birth, horizon)
             misses.append((start + at, mu, md))
             events += len(at)
         else:
-            death = birth + rng.standard_exponential(m) / law.masses(cells)
+            death = (birth + lanes.rows(rep).standard_exponential(m)
+                     / law.masses(cells))
             u, d = cells.unmarked(m), np.zeros(m)
         dies = np.flatnonzero(death <= horizon)
         death[death > horizon] = np.inf
         where = (float(birth.min()), done + m)
         events = _check_events(events + len(dies), *where)
         c_u, c_d = u[dies], d[dies]
-        kids = _split(rng, law, cells.take(dies), c_u, c_d,
+        kids = _split(lanes, rep[dies], law, cells.take(dies), c_u, c_d,
                       method == "direct", where)
         u[dies], d[dies] = c_u, c_d
         gens.append((rep, cells, death, u, d))
@@ -292,16 +306,16 @@ def grow(measure: DrivingMeasure, window: geo.Polytope, cells, rep,
                   tuple(map(np.concatenate, zip(*misses))))
 
 
-def _split(rng, law: Regime, cells, u, d, draw: bool, where):
-    """The children of every cell cut by its mark (u, d), minus before plus
-    for each cell.  The marks are drawn from each cell's own law first
-    where `draw`; the marks of the cells whose split is degenerate are
-    redrawn from their own law and the batch split again.  u and d are
-    updated in place.  where = (t, live) for the error."""
+def _split(lanes: Lanes, rep, law: Regime, cells, u, d, draw: bool, where):
+    """The children of every cell, of tree rep[i], cut by its mark (u, d),
+    minus before plus for each cell.  The marks are drawn from each cell's
+    own law first where `draw`; the marks of the cells whose split is
+    degenerate are redrawn from their own law and the batch split again.
+    u and d are updated in place.  where = (t, live) for the error."""
     redo, sub = slice(None), cells
     for _ in range(_SPLIT_RETRY_CAP):
         if draw:
-            u[redo], d[redo] = law.mark(rng, sub)
+            u[redo], d[redo] = law.mark(lanes.rows(rep[redo]), sub)
         kids, ok = cells.split(u, d)
         if ok.all():
             return kids

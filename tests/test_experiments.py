@@ -240,6 +240,37 @@ REPORT_GOLDEN = {
 }
 
 
+# sha256 of the tree reports above at seed 4 and n-scale 0.05, where every
+# arm spans several chunks of ex._BATCH trees and ends in a ragged one (500
+# trees for first_split and capacity, 250 for the others); at n-scale 0.01
+# an arm is one chunk, so these pin how chunks share out the streams.
+MULTI_CHUNK_GOLDEN = {
+    "first_split": "3c152c35d18056d60dfbe3d6134fd174456d360d8f2f2eafd34fb39c9edd2727",
+    "capacity": "7c3a93359242876e8c418596c982cfa8d381c608c2429fd4cb641ecc85f5cd8c",
+    "methods": "f2b97b9c627e4d883c78c98d7246f1385f933fc5b7e0686e042faf1a148789e2",
+    "consistency": "6faf0f05adf1b70e84c15b89979daa38fac518500492a43fbaa19e2b5abb647f",
+    "self_similarity": "d48511217206f9448a64f6a92d59f50329274def1358bfc3d98722bc3a71a643",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_CHUNK_GOLDEN))
+def test_multi_chunk_report_bytes_golden(name):
+    text = dumps_canonical(ex.EXPERIMENTS[name](seed=4, n_scale=0.05).to_json())
+    assert hashlib.sha256(text.encode()).hexdigest() == MULTI_CHUNK_GOLDEN[name]
+
+
+@pytest.mark.parametrize("method, sha", [
+    ("direct", "a81d5a6a87a9867d1b154a1cf7baccf8d94c08fe631beeea79108f9ae9a6ac51"),
+    ("rejection", "7a24e1100273acb66f78d7e20f99ee344104fef36d1b5a35f2dc2241ca548ab1"),
+])
+def test_polygon_stat_sample_bytes_golden(method, sha):
+    # polygon trees over three full chunks and a ragged one: the marks
+    # come from draw_lines, the rejection rain from the window's line law
+    a = ex._stat_sample(ISO, PENTAGON, 1.0, 3 * ex._BATCH + 17, 4, method)
+    assert a.shape == (3 * ex._BATCH + 17, 2)
+    assert hashlib.sha256(a.tobytes()).hexdigest() == sha
+
+
 def test_every_report_has_a_golden():
     assert set(REPORT_GOLDEN) | {"iteration", "no_jump"} == set(ex.EXPERIMENTS)
 
@@ -330,7 +361,8 @@ def test_polygon_tessellation_functions_match_oracles(measure, sub):
 
 
 def test_tree_sample_memory_does_not_grow_with_n():
-    # trees grow in chunks of ex._BATCH, so a larger n cannot exhaust memory
+    # box trees grow in groups of ex._GROUP chunks of ex._BATCH, so a larger
+    # n cannot exhaust memory: past one group, the peak stays
     def peak(n):
         tracemalloc.start()
         try:
@@ -339,7 +371,8 @@ def test_tree_sample_memory_does_not_grow_with_n():
         finally:
             tracemalloc.stop()
 
-    peak(ex._BATCH)  # first-call allocations
-    small, large = peak(ex._BATCH), peak(8 * ex._BATCH)
+    group = ex._GROUP * ex._BATCH
+    peak(group)  # first-call allocations
+    small, large = peak(group), peak(8 * group)
     assert large < 1.25 * small
 

@@ -221,6 +221,10 @@ NAN = math.nan
 # false; the config path refuses non-finite numbers before any of these
 @pytest.mark.parametrize("build, error", [
     (lambda: geo.Box((NAN, 0.0), (1.0, 1.0)), ValueError),
+    (lambda: geo.Box((0.0, 0.0), (1.0, NAN)), ValueError),
+    (lambda: geo.Box((-math.inf, 0.0), (1.0, 1.0)), ValueError),
+    (lambda: geo.Box((0.0, 0.0), (1.0, math.inf)), ValueError),
+    (lambda: geo.scale(unit_box(), math.inf), ValueError),
     (lambda: geo.Polygon2D(((0.0, 0.0), (1.0, 0.0), (NAN, 1.0))), ValueError),
     (lambda: geo.scale(unit_box(), NAN), NonPositiveScale),
     (lambda: ms.DrivingMeasure(NAN, ms.Isotropic2D()), ValueError),
@@ -229,7 +233,8 @@ NAN = math.nan
     (lambda: BoundParams(NAN, (1.0,)), ValueError),
     (lambda: BoundParams(1.0, (1.0, NAN)), ValueError),
     (lambda: lower_bound(NAN, BoundParams(1.0, (1.0,))), ValueError),
-], ids=["box", "polygon", "scale", "gamma", "axis_weight", "axis_measure",
+], ids=["box", "box_hi", "box_minus_inf", "box_plus_inf", "box_scaled_inf",
+        "polygon", "scale", "gamma", "axis_weight", "axis_measure",
         "bound_lambda", "bound_band_mass", "lower_bound_t"])
 def test_range_checks_refuse_nan(build, error):
     with pytest.raises(error):

@@ -19,7 +19,7 @@ from stitsim.measure import (Discrete, DrivingMeasure, axis_measure,
                              draw_lines, isotropic_measure, measure_hitting,
                              regime)
 from stitsim.render import render_tessellation
-from stitsim.rng import run_replicates, stream
+from stitsim.rng import Lanes, run_replicates, stream
 from stitsim.stats import binomial_sigma, ks_two_sample
 
 import oracles
@@ -379,7 +379,8 @@ def test_degenerate_splits_redraw_only_their_rows(monkeypatch, measure, window):
     monkeypatch.setattr(law.cells, "split", split)
     cells = law.cells.tile(window, 5)
     u, d = cells.unmarked(5), np.zeros(5)
-    kids = stit._split(stream(19, 3), law, cells, u, d, True, (0.0, 5))
+    kids = stit._split(Lanes([stream(19, 3)]), np.zeros(5, dtype=np.int64),
+                       law, cells, u, d, True, (0.0, 5))
     want, ok = real(cells, u, d)
     assert ok.all()
     assert all(np.array_equal(getattr(kids, a), getattr(want, a))
@@ -681,3 +682,83 @@ def test_lines_on_a_broadcast_window_skip_the_pairwise_array():
         a = draw_lines(stream(91, 0), measure, small)
         b = draw_lines(stream(91, 0), measure, small.copy())
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def _philox_state(g):
+    """The whole state of a Philox generator, comparable with ==."""
+    s = g.bit_generator.state
+    return (s["state"]["counter"].tolist(), s["state"]["key"].tolist(),
+            s["buffer"].tolist(), s["buffer_pos"], s["has_uint32"],
+            s["uinteger"])
+
+
+@pytest.mark.parametrize("draw", ["random", "standard_exponential"])
+def test_zero_size_draws_leave_the_stream_unchanged(draw):
+    # a lane with no rows at hand is asked for no values: its stream must
+    # then be where it was, mid-buffer included
+    g = stream(31, 0)
+    g.random(3)
+    for shape in (0, (0, 4)):
+        before = _philox_state(g)
+        assert getattr(g, draw)(shape).size == 0
+        assert _philox_state(g) == before
+    twin = stream(31, 0)
+    twin.random(3)
+    assert np.array_equal(getattr(g, draw)(9), getattr(twin, draw)(9))
+
+
+@pytest.mark.parametrize("draw", ["random", "standard_exponential"])
+def test_split_draws_concatenate_to_one_draw(draw):
+    # k values and then j values are the first k + j values of one draw,
+    # in 1-D and by rows of 4, and leave the stream where that draw does
+    for k, j in ((3, 5), (1, 8), (4, 0), (0, 6)):
+        for row in ((), (4,)):
+            a, b = stream(32, k), stream(32, k)
+            parts = [getattr(a, draw)((k,) + row), getattr(a, draw)((j,) + row)]
+            assert np.array_equal(np.concatenate(parts),
+                                  getattr(b, draw)((k + j,) + row))
+            assert _philox_state(a) == _philox_state(b)
+
+
+LANE_CASES = {
+    # name: (measure, window, t, method)
+    "box_direct": (LAM, W2, 1.0, "direct"),
+    "box_rejection": (LAM, W2, 1.0, "rejection"),
+    "polygon_direct": (OBLIQUE, PENTAGON, 1.5, "direct"),
+    "polygon_rejection": (isotropic_measure(1.0), PENTAGON, 1.5, "rejection"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LANE_CASES))
+def test_lanes_grow_each_chunk_as_if_alone(name):
+    # Three chunks of 7, 5 and 6 trees grown as the lanes of one batch:
+    # each lane's rows, in order, are bit for bit the rows its chunk grows
+    # alone on its stream, and so are its misses.  The polygon cases draw
+    # marks through draw_lines, and split redraws go through lanes too.
+    # Isotropic direct growth is left out: a cell's rate is its perimeter,
+    # summed over the padded width of the whole batch, which numpy rounds
+    # differently once that width reaches 8.
+    measure, window, t, method = LANE_CASES[name]
+    sizes = [7, 5, 6]
+    n, first = sum(sizes), np.cumsum([0] + sizes)
+    lane = np.repeat(np.arange(3), sizes)
+    cells = regime(measure, window).cells
+    f = stit.grow(measure, window, cells.tile(window, n), np.arange(n), 0.0,
+                  t, Lanes([stream(33, c) for c in range(3)], lane), method)
+    at = f.rejected[0]
+    assert len(at) > 0 or method == "direct"
+    for c, nb in enumerate(sizes):
+        alone = stit.grow(measure, window, cells.tile(window, nb),
+                          np.arange(nb), 0.0, t, stream(33, c), method)
+        rows = np.flatnonzero(lane[f.rep] == c)
+        assert len(rows) > 2 * nb
+        assert np.array_equal(f.rep[rows] - first[c], alone.rep)
+        for a in ("death", "u", "d"):
+            assert np.array_equal(getattr(f, a)[rows], getattr(alone, a))
+        mine = f.cells.take(rows)
+        assert all(np.array_equal(getattr(mine, a), getattr(alone.cells, a))
+                   for a in vars(mine))
+        miss = np.flatnonzero(lane[f.rep[at]] == c)
+        assert np.array_equal(np.searchsorted(rows, at[miss]), alone.rejected[0])
+        for mine_col, alone_col in zip(f.rejected[1:], alone.rejected[1:]):
+            assert np.array_equal(mine_col[miss], alone_col)
