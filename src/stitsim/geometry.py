@@ -628,8 +628,8 @@ class BoxCells:
         """Cut cell rows[i] in place to its side of mark i, the side below
         it where below[i].  Returns ok, always true for boxes."""
         f = self._flat(rows, u)
-        for bound, i in ((self.hi, np.flatnonzero(below)),
-                         (self.lo, np.flatnonzero(~below))):
+        for bound, i in ((self.hi, below.nonzero()[0]),
+                         (self.lo, (~below).nonzero()[0])):
             np.put(bound, f[i], d[i])  # put writes through any layout
         return np.ones(len(rows), dtype=bool)
 
@@ -640,14 +640,19 @@ class BoxCells:
 
     def inside(self, enc, rows=slice(None)):
         """Whether cells rows lie strictly inside the convex polytope enc by
-        their support along each facet normal, with no tolerance; for a box
-        enc every product is exact, so this is lo > enc.lo and hi < enc.hi."""
-        normals, offsets = enc.facets
-        below = (_gather(self.hi, rows) @ np.maximum(normals, 0.0)
-                 + _gather(self.lo, rows) @ np.minimum(normals, 0.0)
-                 < offsets)
-        ok = below[:, 0].copy()  # AND of the columns: .all(axis=1) over a
-        for column in below.T[1:]:  # few facets is numpy's slow path
+        their support along each facet normal, with no tolerance; a box enc
+        takes the box path, lo > enc.lo and hi < enc.hi, which agrees bit for
+        bit since every product along its facet normals +-e_c is exact."""
+        hi, lo = _gather(self.hi, rows), _gather(self.lo, rows)
+        if isinstance(enc, Box):
+            below = [t for c in range(lo.shape[1])
+                     for t in (hi[:, c] < enc.hi[c], lo[:, c] > enc.lo[c])]
+        else:
+            normals, offsets = enc.facets
+            below = (hi @ np.maximum(normals, 0.0)
+                     + lo @ np.minimum(normals, 0.0) < offsets).T
+        ok = below[0].copy()  # AND of the facets: .all(axis=1) over a few
+        for column in below[1:]:  # columns is numpy's slow path
             ok &= column
         return ok
 

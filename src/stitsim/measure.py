@@ -214,11 +214,14 @@ def box_table(measure: DrivingMeasure, window):
 
 def draw_box_marks(table, u_axis, u_offset):
     """(axes, offsets) of box marks, from the caller's uniforms (any shape):
-    an axis with probability g_c side_c / rate by one left searchsorted of
-    u_axis in the table's cum, an offset uniform on the window's side along
-    it from u_offset."""
+    an axis with probability g_c side_c / rate, the count of entries of the
+    table's cum[:-1] below u_axis (for a sorted cum, the left searchsorted
+    clamped to the last axis, by comparisons), an offset uniform on the
+    window's side along it from u_offset."""
     _, cum, lo, side = table
-    axis = np.minimum(np.searchsorted(cum, u_axis), len(cum) - 1)
+    axis = np.zeros(np.shape(u_axis), dtype=np.intp)
+    for c in cum[:-1]:
+        axis += u_axis > c
     return axis, lo[axis] + u_offset * side[axis]
 
 

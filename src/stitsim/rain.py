@@ -27,9 +27,10 @@ Per-body state is columnar, with the bodies on the first axis: which
 bodies each row's cell holds, their cut times and their sides of a split
 are (k, rows) arrays, and a cell type's interval gives (k, marks), so a
 reduction over the bodies is an OR of k rows rather than a short-axis
-reduction.  Rows are gathered by take, and cut times and retirement NaNs
-are written only at the (body, row) pairs a mark hits.  _scan hands back
-the cuts as (n, k).
+reduction.  Rows are gathered by take, cut times and retirement NaNs are
+written only at the (body, row) pairs a mark hits, and a step whose marks
+hit or split nothing writes nothing.  Chunk clocks are held (_CHUNK, rows),
+so each step reads one contiguous row.  _scan hands back the cuts as (n, k).
 """
 
 from __future__ import annotations
@@ -155,11 +156,13 @@ def _lineage(rain, cells, bodies, t, horizon, enc, tau, live, bands=()):
     """Follow the cells shared by k bodies through the rain from time t.
 
     rain = (rng, rate, draw); each row draws _CHUNK marks at a time from t,
-    which advances in place: Exp(rate) gaps, and marks (u, d) from
-    draw(rng, shape).  cells (nb rows, cut in place) and bodies (k rows)
-    are of one cell type; live (k, nb) marks the bodies in each row's cell.
-    Per-body state has the bodies on the first axis, so a reduction over
-    bodies is an OR of k rows, and cuts are written only where a mark hits.
+    which advances in place: Exp(rate) gaps (shape (rows, _CHUNK), summed
+    into clocks held (_CHUNK, rows)), and marks (u, d) from draw(rng,
+    shape).  cells (nb rows, cut in place) and bodies (k rows) are of one
+    cell type; live (k, nb) marks the bodies in each row's cell.  Per-body
+    state has the bodies on the first axis, so a reduction over bodies is
+    an OR of k rows; cuts are written only where a mark hits, and no cut,
+    live, retire or split write is made when no mark hits or splits.
     A mark that meets the cell cuts the live bodies it meets and clamps the
     cell to the side of the rest; a degenerate piece (not ok) ends the row,
     its uncut bodies staying inf.  One that leaves live bodies on both sides
@@ -181,64 +184,67 @@ def _lineage(rain, cells, bodies, t, horizon, enc, tau, live, bands=()):
 
     while len(idx) > 0:
         shape = (len(idx), _CHUNK)
-        times = (np.cumsum(rng.exponential(1.0 / rate, shape), axis=1)
-                 + t[idx, None])
+        times = np.cumsum(rng.exponential(1.0 / rate, shape).T, axis=0,
+                          out=np.empty(shape[::-1]))
+        times += t[idx]
         us, ds = draw(rng, shape)
         if u_sep is None:
             u_sep = np.zeros((nb,) + us.shape[2:], dtype=us.dtype)
-        t[idx] = times[:, -1]
+        t[idx] = times[-1]
         drawn += times.size
         at = np.arange(len(idx))  # chunk rows still followed
         for j in range(_CHUNK):
             # i: the positions a step acts on, rebound at each step so that
             # one index array is held at a time (peak memory)
-            tj = times[:, j]
+            tj = times[j]
             at = at[tj[at] < horizon]
             if len(at) == 0:
                 break
             r, u, d = idx[at], us[at, j], ds[at, j]
             meet = cells.meets(r, u, d)
-            i = np.flatnonzero(meet)
+            i = meet.nonzero()[0]
             r, u, d, tm = r[i], u.take(i, axis=0), d[i], tj[at[i]]
             b_lo, b_hi = bodies.interval(u)
             alive = live.take(r, axis=1)
             hit = alive & (d >= b_lo) & (d <= b_hi)
             hb, hr = _nonzero(hit)
-            cut[hb, r[hr]] = tm[hr]
-            live[hb, r[hr]] = False
-            alive ^= hit
-            if retire:  # body 0 cut unenclosed: the rest reads NaN
-                hb, hr = _nonzero(alive & (hit[0] & np.isinf(tau[r])))
-                cut[hb, r[hr]] = np.nan
-                alive[hb, hr] = False
+            if len(hb):  # no writes when no mark hits a body
+                cut[hb, r[hr]] = tm[hr]
+                live[hb, r[hr]] = False
+                alive ^= hit
+                if retire:  # body 0 cut unenclosed: the rest reads NaN
+                    hb, hr = _nonzero(alive & (hit[0] & np.isinf(tau[r])))
+                    cut[hb, r[hr]] = np.nan
+                    alive[hb, hr] = False
             low = b_hi <= d  # body below the mark, where not hit
             any_low = (alive & low).any(axis=0)
             any_high = (alive & ~low).any(axis=0)
             one = any_low != any_high  # every live body on one side: clamp
-            i = np.flatnonzero(one)
+            i = one.nonzero()[0]
             one[i] = cells.clamp(r[i], u.take(i, axis=0), d[i], any_low[i])
             if enc is not None:
-                i = np.flatnonzero(one & alive[0] & np.isinf(tau[r]))
+                i = (one & alive[0] & np.isinf(tau[r])).nonzero()[0]
                 i = i[cells.inside(enc, r[i])]
                 tau[r[i]] = tm[i]
-            i = np.flatnonzero(any_low & any_high)  # split
-            s = r[i]
-            t_sep[s], u_sep[s], d_sep[s] = tm[i], u.take(i, axis=0), d[i]
-            low_sep[:, s] = low.take(i, axis=1)
+            i = (any_low & any_high).nonzero()[0]  # split
+            if len(i):
+                s = r[i]
+                t_sep[s], u_sep[s], d_sep[s] = tm[i], u.take(i, axis=0), d[i]
+                low_sep[:, s] = low.take(i, axis=1)
             keep = ~meet
             keep[meet] = one
             at = at[keep]
         if bands:
-            early = times < np.minimum(cut[0, idx], horizon)[:, None]
+            early = times.T < np.minimum(cut[0, idx], horizon)[:, None]
             normals = cells.normals(us)
             for a, band in enumerate(bands):
                 mark = early & band.marks_in(normals, ds)
                 sb[idx, a] = np.minimum(
-                    sb[idx, a], np.where(mark, times, np.inf).min(axis=1))
+                    sb[idx, a], np.where(mark, times.T, np.inf).min(axis=1))
         idx = idx[at]
 
     # each side of a split continues from the split time
-    sub = np.flatnonzero(np.isfinite(t_sep))
+    sub = np.isfinite(t_sep).nonzero()[0]
     side = low_sep[live[:, sub].argmax(axis=0), sub]
     for second in (False, True):
         side = ~side if second else side
@@ -264,6 +270,6 @@ def _lineage(rain, cells, bodies, t, horizon, enc, tau, live, bands=()):
 
 
 def _nonzero(x):
-    """np.nonzero(x) of a 2-D x, (rows, columns) in the same order, from one
-    flatnonzero: about 10x faster than np.nonzero's 2-D path."""
-    return np.divmod(np.flatnonzero(x), x.shape[1])
+    """np.nonzero(x) of a 2-D x, (rows, columns) in the same order, from the
+    1-D nonzero of x raveled: about 10x faster than np.nonzero's 2-D path."""
+    return np.divmod(x.ravel().nonzero()[0], x.shape[1])

@@ -307,18 +307,28 @@ def test_polygon_cells_of_lays_a_box_out_counterclockwise():
 
 def test_box_cells_inside_reads_any_enclosure_by_its_facet_normals():
     rng = stream(5, 0)
-    # a box enclosure: bit for bit the coordinate test, on a grid where many
-    # cell sides equal the enclosure's sides exactly
+    # a box enclosure takes the box path, reading no facets, and agrees bit
+    # for bit with the coordinate test and the facet products, on a grid
+    # where many cell sides equal the enclosure's sides exactly
     for ell in (2, 3):
         enc = geo.Box((-1.0,) * ell, (1.5,) * ell)
         grid = np.arange(-2.0, 2.25, 0.25)
         a, b = rng.choice(grid, (2, 4000, ell))
         a, b = np.minimum(a, b), np.maximum(a, b) + 0.25
         cells = geo.BoxCells(a, b)
+        got, got_rows = cells.inside(enc), cells.inside(enc, [3, 1])
+        assert "facets" not in vars(enc)
         want = (a > enc.lo_arr).all(axis=1) & (b < enc.hi_arr).all(axis=1)
         assert want.any() and not want.all()
-        assert cells.inside(enc).tolist() == want.tolist()
-        assert cells.inside(enc, [3, 1]).tolist() == want[[3, 1]].tolist()
+        assert (a == -1.0).any() and (b == 1.5).any()
+        assert want.tolist() == fancy_box_inside(a, b, enc, slice(None)).tolist()
+        assert got.tolist() == want.tolist()
+        assert got_rows.tolist() == want[[3, 1]].tolist()
+        if ell == 2:  # the same square as a polygon keeps the facet path
+            square = geo.Polygon2D(((-1.0, -1.0), (1.5, -1.0), (1.5, 1.5),
+                                    (-1.0, 1.5)))
+            assert cells.inside(square).tolist() == want.tolist()
+            assert "facets" in vars(square)
     # a polygon enclosure: what polygon cells decide, away from GEOM_TOL
     octagon = regular_gon(8, 2.0)
     lo = rng.uniform(-2.0, 1.5, (4000, 2))

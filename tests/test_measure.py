@@ -121,6 +121,35 @@ def test_box_drawer_law():
         assert stat.pvalue > 0.005
 
 
+@pytest.mark.parametrize("shape", [(997,), (251, 4)])  # 4: rain's chunk
+def test_box_mark_axes_match_a_clamped_left_searchsorted(shape):
+    # three axes at unequal rates, on a window whose cum[-1] rounds below 1,
+    # with uniforms on every cum entry, at and above cum[-1] and near 1
+    rng = stream(31, 0)
+    for _ in range(200):
+        g = rng.uniform(0.1, 2.0, 3)
+        lo = rng.uniform(-2.0, 0.0, 3)
+        box = geo.Box(tuple(lo), tuple(lo + rng.uniform(0.1, 3.0, 3)))
+        table = ms.box_table(ms.axis_measure(g), box)
+        if table[1][-1] < 1.0:
+            break
+    _, cum, lo, side = table
+    assert cum[-1] < 1.0 and len(np.unique(g)) == 3
+    edges = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0),
+                            [0.0, np.nextafter(1.0, 0.0)]])
+    u = rng.random(math.prod(shape))
+    u[:len(edges)] = edges
+    u = u.reshape(shape)
+    v = rng.random(shape)
+    want = np.minimum(np.searchsorted(cum, u), len(cum) - 1)
+    assert set(want.ravel().tolist()) == {0, 1, 2}
+    assert (u >= cum[-1]).sum() >= 2 and np.isin(cum, u).all()
+    axis, d = ms.draw_box_marks(table, u, v)
+    assert axis.dtype == np.intp and axis.shape == shape
+    assert np.array_equal(axis, want)
+    assert np.array_equal(d, lo[want] + v * side[want])
+
+
 def test_sample_hitting_postcondition():
     lam = ms.axis_measure([2.0, 1.0])
     iso = ms.isotropic_measure(0.7)
